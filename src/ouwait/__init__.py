@@ -18,9 +18,7 @@ from .cli import (
     write_config,
     write_csv,
 )
-from .maf import epoch_mean_maf, mse_at_tau_maf, optimal_wait, solve_maf
 from .ou import inst_mse, mmse_estimate, mse_integral, ou_step
-from .rr import epoch_mean_rr, mse_at_tau_rr, solve_rr
 from .series import (
     F_maf,
     F_rr,
@@ -35,8 +33,6 @@ from .series import (
     invert_monotone,
     laplace_exp_service,
     mixture_weights,
-    nb_weight,
-    reg_inc_gamma,
 )
 from .sim import (
     EpochTrace,
@@ -48,6 +44,7 @@ from .sim import (
     run_round_rr,
     simulate,
 )
+from .threshold import epoch_mean, mse_at_tau, solve, solve_maf, solve_rr
 from .types import (
     BracketError,
     ConvergenceError,
@@ -90,8 +87,7 @@ __all__ = [
     "ThresholdPolicy",
     "TruncationWarning",
     "default_tau_max",
-    "epoch_mean_maf",
-    "epoch_mean_rr",
+    "epoch_mean",
     "inst_mse",
     "invert_monotone",
     "laplace_exp_service",
@@ -99,19 +95,16 @@ __all__ = [
     "merge_sim_stats",
     "mixture_weights",
     "mmse_estimate",
-    "mse_at_tau_maf",
-    "mse_at_tau_rr",
+    "mse_at_tau",
     "mse_integral",
-    "nb_weight",
-    "optimal_wait",
     "ou_step",
     "read_config",
-    "reg_inc_gamma",
     "rr_round_arrays",
     "run_epoch_maf",
     "run_round_rr",
     "run_sweep",
     "simulate",
+    "solve",
     "solve_maf",
     "solve_rr",
     "write_config",

@@ -2,8 +2,8 @@
 
 Sweeps reproduce the threshold and MSE curves against erasure probability,
 process count, per-process reversion rate, or sampling budget, emitting one
-CSV row per (axis value, scheme). Solver trouble at a grid point is recorded
-in that row's status column instead of aborting the sweep.
+CSV row per (axis value, scheme). Solver or simulator trouble at a grid point
+is recorded in that row's status column instead of aborting the sweep.
 
 Config file grammar (one ``key = value`` per line, ``#`` comments, arrays
 comma-separated)::
@@ -37,10 +37,10 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .maf import mse_at_tau_maf, solve_maf
-from .rr import mse_at_tau_rr, solve_rr
 from .sim import simulate
+from .threshold import mse_at_tau, solve
 from .types import (
+    BracketError,
     ConvergenceError,
     InvalidConfig,
     ProcessParams,
@@ -130,30 +130,33 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
 
 def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) -> SweepRow:
     cfg = config_at(spec.base, spec.axis, value)
-    solve = solve_maf if scheme is Scheme.MAF_FEEDBACK else solve_rr
-    mse_at = mse_at_tau_maf if scheme is Scheme.MAF_FEEDBACK else mse_at_tau_rr
     try:
-        res = solve(cfg)
+        res = solve(cfg, scheme)
     except (ConvergenceError, InvalidConfig) as exc:
         return SweepRow(
             spec.axis, value, scheme, None, None, None, None, None, None,
             status=f"solver_failed:{type(exc).__name__}",
         )
-    zero_wait = mse_at(0.0, cfg) if spec.include_zero_wait else None
+    zero_wait = mse_at_tau(0.0, cfg, scheme) if spec.include_zero_wait else None
     sim_mse = sim_se = None
+    status = "ok"
     if spec.sim_validate:
         burn = min(1000, max(0, spec.n_epochs - 2))
-        stats = simulate(
-            cfg,
-            ThresholdPolicy(scheme, res.tau_star),
-            n_epochs=spec.n_epochs,
-            seed=spec.seed + row_index,
-            burn_in=burn,
-        )
-        sim_mse, sim_se = stats.sum_mse, stats.sum_mse_se
+        try:
+            stats = simulate(
+                cfg,
+                ThresholdPolicy(scheme, res.tau_star),
+                n_epochs=spec.n_epochs,
+                seed=spec.seed + row_index,
+                burn_in=burn,
+            )
+        except (ConvergenceError, InvalidConfig) as exc:
+            status = f"sim_failed:{type(exc).__name__}"
+        else:
+            sim_mse, sim_se = stats.sum_mse, stats.sum_mse_se
     return SweepRow(
         spec.axis, value, scheme, res.tau_star, res.beta_star, res.binding,
-        zero_wait, sim_mse, sim_se,
+        zero_wait, sim_mse, sim_se, status,
     )
 
 
@@ -174,8 +177,8 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def write_csv(rows: Sequence[SweepRow], path: str) -> None:
-    """Write sweep rows atomically (write then rename, same directory)."""
+def format_csv(rows: Sequence[SweepRow]) -> str:
+    """Sweep rows as CSV text: the header, then one line per row."""
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
@@ -194,7 +197,12 @@ def write_csv(rows: Sequence[SweepRow], path: str) -> None:
                 ]
             )
         )
-    payload = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(rows: Sequence[SweepRow], path: str) -> None:
+    """Write sweep rows atomically (write then rename, same directory)."""
+    payload = format_csv(rows)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sweep-", suffix=".csv")
     try:
@@ -217,11 +225,11 @@ def _parse_bool(raw: str, field: str, lineno: int) -> bool:
         raise ConfigFormatError(f"line {lineno}: field '{field}': not a boolean: {raw!r}")
 
 
-def _parse_floats(raw: str, field: str, lineno: int) -> Tuple[float, ...]:
+def _parse_floats(raw: str, where: str, error: type = ConfigFormatError) -> Tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigFormatError(f"line {lineno}: field '{field}': not a number list: {raw!r}")
+        raise error(f"{where}: not a number list: {raw!r}")
 
 
 def read_config(path: str) -> SweepSpec:
@@ -255,8 +263,8 @@ def read_config(path: str) -> SweepSpec:
     fmax = number("fmax", float)
     theta_raw, theta_line = need("theta")
     sigma_raw, sigma_line = need("sigma_sq")
-    thetas = _parse_floats(theta_raw, "theta", theta_line)
-    sigmas = _parse_floats(sigma_raw, "sigma_sq", sigma_line)
+    thetas = _parse_floats(theta_raw, f"line {theta_line}: field 'theta'")
+    sigmas = _parse_floats(sigma_raw, f"line {sigma_line}: field 'sigma_sq'")
     if len(thetas) != k or len(sigmas) != k:
         raise ConfigFormatError(
             f"line {theta_line}: theta/sigma_sq arrays must each have k={k} entries"
@@ -275,7 +283,7 @@ def read_config(path: str) -> SweepSpec:
     except ValueError:
         raise ConfigFormatError(f"line {axis_line}: field 'axis': unknown axis {axis_raw!r}")
     grid_raw, grid_line = need("grid")
-    grid = _parse_floats(grid_raw, "grid", grid_line)
+    grid = _parse_floats(grid_raw, f"line {grid_line}: field 'grid'")
     schemes_raw, schemes_line = need("schemes")
     schemes = []
     for tok in schemes_raw.split(","):
@@ -349,8 +357,8 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
                if getattr(args, f) is None]
     if missing:
         raise InvalidConfig(f"missing required flags: {', '.join('--' + m for m in missing)}")
-    thetas = tuple(float(t) for t in args.theta.split(","))
-    sigmas = tuple(float(s) for s in args.sigma_sq.split(","))
+    thetas = _parse_floats(args.theta, "--theta", InvalidConfig)
+    sigmas = _parse_floats(args.sigma_sq, "--sigma-sq", InvalidConfig)
     if len(thetas) != args.k or len(sigmas) != args.k:
         raise InvalidConfig("theta and sigma-sq need one entry per process")
     return SystemConfig(
@@ -361,8 +369,7 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
 
 def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
     cfg = _system_from_args(args)
-    solve = solve_maf if scheme is Scheme.MAF_FEEDBACK else solve_rr
-    res = solve(cfg, tol=args.tol, tau_max=args.tau_max)
+    res = solve(cfg, scheme, tol=args.tol, tau_max=args.tau_max)
     print(
         f"scheme={scheme.value} tau_star={res.tau_star:.9g} beta_star={res.beta_star:.9g} "
         f"binding={int(res.binding)} outer_iters={res.outer_iters} "
@@ -377,10 +384,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.tau is not None:
         tau = args.tau
     else:
-        res = (solve_maf if scheme is Scheme.MAF_FEEDBACK else solve_rr)(
-            cfg, tol=args.tol, tau_max=args.tau_max
-        )
-        tau = res.tau_star
+        tau = solve(cfg, scheme, tol=args.tol, tau_max=args.tau_max).tau_star
     epochs = args.epochs if args.epochs is not None else 100_000
     seed = args.seed if args.seed is not None else 0
     burn = args.burn_in if args.burn_in is not None else 1000
@@ -422,15 +426,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         write_csv(rows, args.out)
     else:
-        print(CSV_HEADER)
-        for r in rows:
-            print(
-                ",".join([
-                    r.axis.value, _fmt(r.value), r.scheme.value, _fmt(r.tau_star),
-                    _fmt(r.beta_star), _fmt(r.binding), _fmt(r.zero_wait_mse),
-                    _fmt(r.sim_mse), _fmt(r.sim_stderr), r.status,
-                ])
-            )
+        sys.stdout.write(format_csv(rows))
     return 0 if all(r.status == "ok" for r in rows) else 2
 
 
@@ -471,7 +467,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, ConfigFormatError, ConvergenceError) as exc:
+    except (InvalidConfig, ConfigFormatError, ConvergenceError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

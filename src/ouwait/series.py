@@ -25,8 +25,6 @@ WEIGHT_TAIL = 1e-12
 __all__ = [
     "MixtureSpec",
     "TruncationWarning",
-    "reg_inc_gamma",
-    "nb_weight",
     "mixture_weights",
     "laplace_exp_service",
     "H_maf",
@@ -85,50 +83,26 @@ def _poisson_pmf(x: float, n_max: int) -> np.ndarray:
 def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
     """Regularized lower incomplete gamma at integer shapes 1..y_max, one pass.
 
-    Entry ``i`` holds the value for shape ``i + 1``. Uses the identity with the
-    Poisson upper tail; see :func:`reg_inc_gamma` for the error bound.
+    Entry ``i`` holds ``(1/i!) * integral_0^x t^i e^(-t) dt``, the value for
+    shape ``i + 1``, through the finite Poisson-sum identity
+    ``1 - exp(-x) * sum_{j<=i} x^j / j!``. Terms are formed in log space (no
+    overflow for any x) and accumulated by one running sum, so the absolute
+    error grows with the number of terms: against ``scipy.special.gammainc``
+    it stays below 2e-13 for shapes up to 400 and 2e-11 up to 1e4. Values
+    near zero lose relative precision to the final cancellation but stay
+    within the same absolute bound.
     """
     upper = np.cumsum(_poisson_pmf(x, y_max - 1))
     return np.clip(1.0 - upper, 0.0, 1.0)
 
 
-def reg_inc_gamma(x: float, y: int) -> float:
-    """Regularized lower incomplete gamma function for integer shape.
-
-    Evaluates ``(1/(y-1)!) * integral_0^x t^(y-1) e^(-t) dt`` through the finite
-    Poisson-sum identity ``1 - exp(-x) * sum_{j<y} x^j / j!``. Terms are formed
-    in log space (no overflow for any x) and combined with compensated
-    summation, so the absolute error is a few ulps of the partial sum,
-    below 1e-14 for y up to ~1e4. Values near zero lose relative precision to
-    the final cancellation but stay within the same absolute bound.
-    """
-    if y < 1 or int(y) != y:
-        raise InvalidConfig(f"shape y must be a positive integer, got {y}")
-    if x < 0:
-        raise InvalidConfig(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    terms = _poisson_pmf(x, int(y) - 1)
-    return min(1.0, max(0.0, 1.0 - math.fsum(terms)))
-
-
-def nb_weight(rho: int, m: MixtureSpec) -> float:
-    """Probability that one cycle consumes exactly ``rho`` transmission attempts.
-
-    Equals ``C(rho-1, k-1) * eps^(rho-k) * (1-eps)^k`` for rho >= k. The
-    binomial coefficient is taken in log space to avoid overflow.
-    """
-    if rho < m.k:
-        raise InvalidConfig(f"rho must be >= k={m.k}, got {rho}")
-    if m.eps == 0.0:
-        return 1.0 if rho == m.k else 0.0
-    log_binom = gammaln(rho) - gammaln(m.k) - gammaln(rho - m.k + 1)
-    return float(np.exp(log_binom + (rho - m.k) * math.log(m.eps) + m.k * math.log1p(-m.eps)))
-
-
 @functools.lru_cache(maxsize=256)
 def mixture_weights(m: MixtureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Attempt counts and their probabilities, truncated per the module rule."""
+    """Attempt counts rho >= k and their probabilities, truncated per the module rule.
+
+    The weight of rho is ``C(rho-1, k-1) * eps^(rho-k) * (1-eps)^k``, with the
+    binomial coefficient taken in log space to avoid overflow.
+    """
     if m.eps == 0.0:
         return np.array([m.k]), np.array([1.0])
     # 10k/(1-eps) tracks the mixture mean; the +30 headroom keeps the 1e-12

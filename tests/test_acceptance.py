@@ -32,14 +32,13 @@ from ouwait import (
     SystemConfig,
     ThresholdPolicy,
     TruncationWarning,
-    epoch_mean_maf,
-    epoch_mean_rr,
+    epoch_mean,
     invert_monotone,
     maf_epoch_arrays,
-    mse_at_tau_maf,
-    mse_at_tau_rr,
+    mse_at_tau,
     rr_round_arrays,
     simulate,
+    solve,
     solve_maf,
     solve_rr,
 )
@@ -58,8 +57,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_closed_form_anchor(single_process_cfg):
-    maf0 = mse_at_tau_maf(0.0, single_process_cfg)
-    rr0 = mse_at_tau_rr(0.0, single_process_cfg)
+    maf0 = mse_at_tau(0.0, single_process_cfg, Scheme.MAF_FEEDBACK)
+    rr0 = mse_at_tau(0.0, single_process_cfg, Scheme.RR_NO_FEEDBACK)
     st = simulate(
         single_process_cfg, ThresholdPolicy(Scheme.MAF_FEEDBACK, 0.0),
         n_epochs=10**6, seed=1001,
@@ -73,14 +72,11 @@ def test_criterion_02_solver_simulator_agreement():
     worst = 0.0
     worst_tag = ""
     row = 0
-    for scheme, solve in (
-        (Scheme.MAF_FEEDBACK, solve_maf),
-        (Scheme.RR_NO_FEEDBACK, solve_rr),
-    ):
+    for scheme in Scheme:
         for f_max in (0.5, 0.95, 1.5):
             for eps in (0.0, 0.1, 0.3, 0.5):
                 cfg = ref_cfg(eps, f_max)
-                res = solve(cfg)
+                res = solve(cfg, scheme)
                 st = simulate(
                     cfg, ThresholdPolicy(scheme, res.tau_star),
                     n_epochs=10**6, seed=2000 + row,
@@ -185,13 +181,10 @@ def test_criterion_08_dominance_and_crossover():
         for f_max in (0.5, 0.95, 1.5):
             for eps in EPS_GRID:
                 cfg = ref_cfg(float(eps), f_max)
-                for solve, mse_at in (
-                    (solve_maf, mse_at_tau_maf),
-                    (solve_rr, mse_at_tau_rr),
-                ):
-                    res = solve(cfg)
+                for scheme in Scheme:
+                    res = solve(cfg, scheme)
                     if f_max >= cfg.mu or not res.binding:
-                        worst_gap = max(worst_gap, res.beta_star - mse_at(0.0, cfg))
+                        worst_gap = max(worst_gap, res.beta_star - mse_at_tau(0.0, cfg, scheme))
                         checked += 1
     dominance_ok = checked > 0 and worst_gap <= 1e-9
 
@@ -199,7 +192,7 @@ def test_criterion_08_dominance_and_crossover():
     prev = None
     for eps in np.arange(0.0, 0.2001, 0.01):
         cfg = ref_cfg(float(eps), 1.5)
-        d = solve_rr(cfg).beta_star - mse_at_tau_maf(0.0, cfg)
+        d = solve_rr(cfg).beta_star - mse_at_tau(0.0, cfg, Scheme.MAF_FEEDBACK)
         if prev is not None and prev < 0 <= d:
             crossover = float(eps)
             break
@@ -214,16 +207,16 @@ def test_criterion_09_process_count_monotonicity():
     rises = {}
     ok = True
     for f_max in (0.5, 1.5):
-        for name, solve in (("maf", solve_maf), ("rr", solve_rr)):
+        for scheme in Scheme:
             taus = []
             for k in range(1, 9):
                 cfg = SystemConfig(
                     k=k, f_max=f_max, mu=1.0, eps=0.3,
                     processes=(ProcessParams(0.5, 1.0),) * k,
                 )
-                taus.append(solve(cfg).tau_star)
+                taus.append(solve(cfg, scheme).tau_star)
             ok = ok and all(b >= a - 1e-9 for a, b in zip(taus, taus[1:]))
-            rises[(name, f_max)] = taus[-1] - taus[0]
+            rises[(scheme.value, f_max)] = taus[-1] - taus[0]
     slope_ok = rises[("maf", 0.5)] >= rises[("rr", 0.5)]
     report(9, ok and slope_ok,
            f"thresholds nondecreasing in k; binding rises: feedback "
@@ -263,7 +256,8 @@ def test_criterion_10_property_suites(two_process_cfg):
     # Renewal and transform identities in the simulator.
     arrays = maf_epoch_arrays(two_process_cfg, 1.6, n_epochs=4 * 10**5, seed=1011)
     se = arrays.gamma.std(ddof=1) / math.sqrt(len(arrays.gamma))
-    assert abs(arrays.gamma.mean() - epoch_mean_maf(1.6, two_process_cfg)) <= 3 * se
+    ref = epoch_mean(1.6, two_process_cfg, Scheme.MAF_FEEDBACK)
+    assert abs(arrays.gamma.mean() - ref) <= 3 * se
     paired = np.maximum(1.6, arrays.service_total)
     for p in two_process_cfg.processes:
         v = np.exp(-2 * p.theta * paired)
@@ -273,7 +267,8 @@ def test_criterion_10_property_suites(two_process_cfg):
     hits = np.flatnonzero(rounds.delivered[:, 1])
     gaps = np.diff(rounds.end_times[hits, 1])
     se = gaps.std(ddof=1) / math.sqrt(len(gaps))
-    assert abs(gaps.mean() - epoch_mean_rr(0.7, two_process_cfg)) <= 3 * se
+    ref = epoch_mean(0.7, two_process_cfg, Scheme.RR_NO_FEEDBACK)
+    assert abs(gaps.mean() - ref) <= 3 * se
     paired_rr = np.maximum(0.7, rounds.round_total)
     for k, p in enumerate(two_process_cfg.processes):
         h = np.flatnonzero(rounds.delivered[:, k])

@@ -8,6 +8,7 @@ import pytest
 import ouwait.cli as cli
 from ouwait import (
     Axis,
+    BracketError,
     ConfigFormatError,
     ConvergenceError,
     InvalidConfig,
@@ -89,7 +90,7 @@ class TestRunSweep:
 
     def test_solver_failure_is_row_local(self, monkeypatch):
         calls = {"n": 0}
-        real = cli.solve_maf
+        real = cli.solve
 
         def flaky(cfg, *a, **kw):
             calls["n"] += 1
@@ -97,10 +98,20 @@ class TestRunSweep:
                 raise ConvergenceError("forced")
             return real(cfg, *a, **kw)
 
-        monkeypatch.setattr(cli, "solve_maf", flaky)
+        monkeypatch.setattr(cli, "solve", flaky)
         rows = run_sweep(spec_eps())
         assert [r.status for r in rows] == ["ok", "solver_failed:ConvergenceError", "ok"]
         assert rows[1].tau_star is None
+
+    def test_simulator_failure_is_row_local(self):
+        # One epoch leaves no post-burn-in epochs to average: every row keeps
+        # its solve and records the simulator's failure in its status.
+        spec = spec_eps(schemes=(Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK),
+                        sim_validate=True, n_epochs=1)
+        rows = run_sweep(spec)
+        assert len(rows) == 6
+        assert all(r.status == "sim_failed:InvalidConfig" for r in rows)
+        assert all(r.tau_star is not None and r.sim_mse is None for r in rows)
 
 
 class TestCsv:
@@ -119,7 +130,7 @@ class TestCsv:
 
     def test_no_nan_cells_and_sentinel_status(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            cli, "solve_maf", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
+            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
         )
         path = os.fspath(tmp_path / "fail.csv")
         write_csv(run_sweep(spec_eps(grid=(0.1,))), path)
@@ -173,12 +184,21 @@ class TestConfigFile:
             read_config(os.fspath(path))
 
 
+SOLVE_ARGS = [
+    "--k", "2", "--mu", "1.0", "--eps", "0.3", "--fmax", "1.5",
+    "--theta", "0.1,0.5", "--sigma-sq", "1.0,2.0",
+]
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
 class TestMain:
     def test_solve_subcommands(self, capsys):
-        args = [
-            "--k", "2", "--mu", "1.0", "--eps", "0.3", "--fmax", "1.5",
-            "--theta", "0.1,0.5", "--sigma-sq", "1.0,2.0",
-        ]
+        args = SOLVE_ARGS
         assert cli.main(["solve-maf"] + args) == 0
         out = capsys.readouterr().out
         assert "tau_star=1.63169" in out
@@ -216,7 +236,7 @@ class TestMain:
 
     def test_failed_grid_point_sets_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            cli, "solve_maf", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
+            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
         )
         cfg = tmp_path / "s.cfg"
         write_config(spec_eps(grid=(0.1,)), os.fspath(cfg))
@@ -230,3 +250,46 @@ class TestMain:
     def test_sweep_requires_config(self, capsys):
         assert cli.main(["sweep"]) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--theta", "--sigma-sq"])
+    def test_malformed_number_list_is_one_line_error(self, capsys, flag):
+        args = list(SOLVE_ARGS)
+        args[args.index(flag) + 1] = "0.1,abc"
+        assert cli.main(["solve-maf"] + args) == 1
+        assert flag in one_line_error(capsys)
+
+    def test_bracket_error_is_one_line_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(BracketError("x"))
+        )
+        assert cli.main(["solve-rr"] + SOLVE_ARGS) == 1
+        one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
+    def test_solver_guards_are_one_line_errors(self, capsys, command):
+        assert cli.main([command] + SOLVE_ARGS + ["--tau-max", "0.5"]) == 1
+        assert "tau_max" in one_line_error(capsys)
+        assert cli.main([command] + SOLVE_ARGS + ["--tol", "1e-20"]) == 1
+        assert "tol" in one_line_error(capsys)
+
+    def test_simulator_failure_exit_code_keeps_every_row(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        write_config(spec_eps(sim_validate=True, n_epochs=1), os.fspath(cfg))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)]) == 2
+        lines = open(out).read().strip().split("\n")
+        assert len(lines) == 4
+        assert all(line.endswith(",sim_failed:InvalidConfig") for line in lines[1:])
+
+    def test_sweep_stdout_matches_out_file(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        write_config(
+            spec_eps(schemes=(Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK),
+                     include_zero_wait=True),
+            os.fspath(cfg),
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["sweep", os.fspath(cfg)]) == 0
+        assert capsys.readouterr().out == open(out, encoding="utf-8").read()

@@ -30,9 +30,8 @@ from ouwait import (
     invert_monotone,
     laplace_exp_service,
     mixture_weights,
-    nb_weight,
-    reg_inc_gamma,
 )
+from ouwait.series import _gamma_lower_table
 
 M1 = MixtureSpec(k=1, mu=1.0, eps=0.0)
 M2 = MixtureSpec(k=2, mu=1.0, eps=0.3)
@@ -60,9 +59,20 @@ def draw_cycle_totals(m: MixtureSpec, n, rng):
     return rng.standard_gamma(counts) / m.mu
 
 
+def reg_inc_gamma(x: float, y: int) -> float:
+    """The table's entry for shape ``y`` alone."""
+    return float(_gamma_lower_table(x, y)[y - 1])
+
+
+def nb_weight(rho: int, m: MixtureSpec) -> float:
+    """The mixture's weight of attempt count ``rho``, zero off its support."""
+    rhos, wts = mixture_weights(m)
+    return float(wts[rhos == rho].sum())
+
+
 class TestRegIncGamma:
     def test_zero_argument(self):
-        assert reg_inc_gamma(0.0, 5) == 0.0
+        assert np.all(_gamma_lower_table(0.0, 5) == 0.0)
 
     def test_exponential_cdf(self):
         assert reg_inc_gamma(1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-14)
@@ -75,7 +85,8 @@ class TestRegIncGamma:
         for _ in range(200):
             y = int(rng.integers(1, 400))
             x = rng.uniform(0, 500)
-            assert reg_inc_gamma(x, y) == pytest.approx(float(gammainc(y, x)), abs=2e-13)
+            table = _gamma_lower_table(x, y)
+            assert table == pytest.approx(gammainc(np.arange(1, y + 1), x), abs=2e-13)
 
     def test_against_quadrature(self):
         for x, y in ((0.7, 2), (3.0, 4), (12.0, 9)):
@@ -91,10 +102,14 @@ class TestRegIncGamma:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_domain_errors(self):
+        # The table is private; its callers reject a negative argument, and a
+        # shape below one cannot arise because MixtureSpec rejects k < 1.
         with pytest.raises(InvalidConfig):
-            reg_inc_gamma(-1.0, 2)
+            H_maf(-1.0, M2)
         with pytest.raises(InvalidConfig):
-            reg_inc_gamma(1.0, 0)
+            H_rr(-1.0, 2, 1.0)
+        with pytest.raises(InvalidConfig):
+            MixtureSpec(k=0, mu=1.0, eps=0.3)
 
 
 class TestMixtureWeights:
@@ -113,8 +128,9 @@ class TestMixtureWeights:
             assert rhos[0] == 2
 
     def test_rho_below_k_rejected(self):
-        with pytest.raises(InvalidConfig):
-            nb_weight(1, M2)
+        rhos, _ = mixture_weights(M2)
+        assert rhos.min() == M2.k
+        assert nb_weight(1, M2) == 0.0
 
     def test_cap_warns_in_pathological_corner(self):
         with pytest.warns(TruncationWarning):

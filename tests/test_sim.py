@@ -14,8 +14,7 @@ from ouwait import (
     MixtureSpec,
     Scheme,
     ThresholdPolicy,
-    epoch_mean_maf,
-    epoch_mean_rr,
+    epoch_mean,
     maf_epoch_arrays,
     merge_sim_stats,
     rr_round_arrays,
@@ -133,7 +132,8 @@ class TestBatchEngine:
         for tau in (0.0, 0.8, 1.6, 4.0):
             arrays = maf_epoch_arrays(two_process_cfg, tau, n_epochs=4 * 10**5, seed=14)
             se = arrays.gamma.std(ddof=1) / math.sqrt(len(arrays.gamma))
-            assert abs(arrays.gamma.mean() - epoch_mean_maf(tau, two_process_cfg)) <= 3 * se
+            ref = epoch_mean(tau, two_process_cfg, Scheme.MAF_FEEDBACK)
+            assert abs(arrays.gamma.mean() - ref) <= 3 * se
 
     def test_renewal_identity_rr(self, two_process_cfg):
         for tau in (0.0, 0.7, 2.0):
@@ -142,7 +142,8 @@ class TestBatchEngine:
             starts = arrays.end_times[hits, 1]
             gaps = np.diff(starts)
             se = gaps.std(ddof=1) / math.sqrt(len(gaps))
-            assert abs(gaps.mean() - epoch_mean_rr(tau, two_process_cfg)) <= 3 * se
+            ref = epoch_mean(tau, two_process_cfg, Scheme.RR_NO_FEEDBACK)
+            assert abs(gaps.mean() - ref) <= 3 * se
 
     def test_transform_identity_maf(self, two_process_cfg):
         # The epoch transform pairs each cycle's service total with the wait
@@ -207,7 +208,7 @@ class TestSimulate:
     def test_epoch_length_estimate_matches_formula(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.RR_NO_FEEDBACK, 0.7)
         st = simulate(two_process_cfg, pol, n_epochs=2 * 10**5, seed=22, burn_in=500)
-        ref = epoch_mean_rr(0.7, two_process_cfg)
+        ref = epoch_mean(0.7, two_process_cfg, Scheme.RR_NO_FEEDBACK)
         assert abs(st.mean_epoch_len - ref) <= 3 * st.mean_epoch_len_se
 
     def test_sampling_rate_respects_budget_when_binding(self, two_process_cfg):

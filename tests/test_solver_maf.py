@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ouwait.threshold as threshold
 from ouwait import (
     G_maf,
     H_maf,
@@ -12,32 +13,35 @@ from ouwait import (
     MixtureSpec,
     ProcessParams,
     SystemConfig,
+    Scheme,
     TruncationWarning,
-    epoch_mean_maf,
+    epoch_mean,
     invert_monotone,
-    mse_at_tau_maf,
-    optimal_wait,
+    mse_at_tau,
+    run_epoch_maf,
     solve_maf,
 )
 
 TOL = 1e-9
+MAF = Scheme.MAF_FEEDBACK
 
 
 def test_zero_threshold_anchor(single_process_cfg):
     # Hand evaluation: unit stationary variance, E[epoch]=1, both transforms 1/2.
-    assert mse_at_tau_maf(0.0, single_process_cfg) == pytest.approx(0.75, abs=1e-12)
+    assert mse_at_tau(0.0, single_process_cfg, MAF) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_mse_saturates(two_process_cfg):
     # Saturation is O(1/tau): probe far out and check the gap shrinks.
     sat = two_process_cfg.total_stationary_variance
-    assert mse_at_tau_maf(1e7, two_process_cfg) == pytest.approx(sat, rel=1e-6)
-    assert sat - mse_at_tau_maf(2000.0, two_process_cfg) > sat - mse_at_tau_maf(1e7, two_process_cfg)
+    assert mse_at_tau(1e7, two_process_cfg, MAF) == pytest.approx(sat, rel=1e-6)
+    assert (sat - mse_at_tau(2000.0, two_process_cfg, MAF)
+            > sat - mse_at_tau(1e7, two_process_cfg, MAF))
 
 
 def test_self_consistency_and_first_order(two_process_cfg):
     res = solve_maf(two_process_cfg, tol=TOL)
-    assert res.beta_star == pytest.approx(mse_at_tau_maf(res.tau_star, two_process_cfg),
+    assert res.beta_star == pytest.approx(mse_at_tau(res.tau_star, two_process_cfg, MAF),
                                           abs=10 * TOL)
     assert not res.binding
     # Unconstrained optimum sits where the threshold response meets the value.
@@ -52,7 +56,7 @@ def test_local_optimality(two_process_cfg):
     res = solve_maf(two_process_cfg, tol=TOL)
     for delta in (1e-3, 1e-2):
         for tau in (res.tau_star - delta, res.tau_star + delta):
-            assert mse_at_tau_maf(tau, two_process_cfg) >= res.beta_star - 10 * TOL
+            assert mse_at_tau(tau, two_process_cfg, MAF) >= res.beta_star - 10 * TOL
 
 
 def test_constraint_inactive_when_budget_exceeds_service_rate(two_process_cfg):
@@ -75,7 +79,7 @@ def test_binding_threshold_solves_wait_equation(two_process_cfg):
         ref = invert_monotone(lambda t: H_maf(t, m), target, 0.0, 400.0, tol=1e-11)
         assert res.tau_star == pytest.approx(ref, abs=1e-6)
         # At the binding threshold the realized sampling rate meets the budget.
-        eg = epoch_mean_maf(res.tau_star, cfg)
+        eg = epoch_mean(res.tau_star, cfg, MAF)
         assert eg * (1 - eps) == pytest.approx(cfg.k / cfg.f_max, abs=1e-6)
 
 
@@ -101,7 +105,12 @@ def test_beta_increases_with_erasure_rate(two_process_cfg):
     assert all(b > a for a, b in zip(betas, betas[1:]))
 
 
-def test_optimal_wait_rule():
+def test_optimal_wait_rule(two_process_cfg):
+    rng = np.random.default_rng(0)
+
+    def optimal_wait(z, tau):
+        return run_epoch_maf(rng, two_process_cfg, tau=tau, prev_total_service=z).wait
+
     assert optimal_wait(5.0, 2.0) == 0.0
     assert optimal_wait(0.0, 2.0) == 2.0
     assert optimal_wait(1.0, 2.0) == 1.0
@@ -125,3 +134,24 @@ def test_invalid_tolerances(two_process_cfg):
         solve_maf(two_process_cfg, tol=0.0)
     with pytest.raises(InvalidConfig):
         solve_maf(two_process_cfg, tau_max=-5.0)
+
+
+def test_optimum_at_search_ceiling_rejected(two_process_cfg):
+    # tau* = 1.6317 lies above this ceiling, which must not clamp silently.
+    with pytest.raises(InvalidConfig, match="tau_max"):
+        solve_maf(two_process_cfg, tau_max=0.5)
+    assert solve_maf(two_process_cfg, tau_max=1e6).tau_star == pytest.approx(1.6317, abs=1e-4)
+
+
+def test_budget_threshold_above_ceiling_rejected(two_process_cfg):
+    from dataclasses import replace
+
+    with pytest.raises(InvalidConfig, match="sampling budget"):
+        solve_maf(replace(two_process_cfg, f_max=0.5), tau_max=1.0)
+
+
+def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, monkeypatch):
+    # Any series evaluation would raise AttributeError instead.
+    monkeypatch.setattr(threshold, "series", None)
+    with pytest.raises(InvalidConfig, match="tol"):
+        solve_maf(two_process_cfg, tol=1e-20)

@@ -5,41 +5,44 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ouwait.threshold as threshold
 from ouwait import (
     G_rr,
     H_rr,
+    InvalidConfig,
     ProcessParams,
+    Scheme,
     SystemConfig,
     invert_monotone,
-    mse_at_tau_maf,
-    mse_at_tau_rr,
+    mse_at_tau,
     solve_maf,
     solve_rr,
 )
 
 TOL = 1e-9
+MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
 
 
 def test_zero_threshold_anchor(single_process_cfg):
-    assert mse_at_tau_rr(0.0, single_process_cfg) == pytest.approx(0.75, abs=1e-12)
+    assert mse_at_tau(0.0, single_process_cfg, RR) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_matches_feedback_scheme_without_erasures(two_process_cfg):
     cfg = replace(two_process_cfg, eps=0.0)
     for tau in (0.0, 0.4, 1.1, 3.0):
-        assert mse_at_tau_rr(tau, cfg) == pytest.approx(
-            mse_at_tau_maf(tau, cfg), abs=1e-10
+        assert mse_at_tau(tau, cfg, RR) == pytest.approx(
+            mse_at_tau(tau, cfg, MAF), abs=1e-10
         )
 
 
 def test_mse_saturates(two_process_cfg):
     sat = two_process_cfg.total_stationary_variance
-    assert mse_at_tau_rr(1e7, two_process_cfg) == pytest.approx(sat, rel=1e-6)
+    assert mse_at_tau(1e7, two_process_cfg, RR) == pytest.approx(sat, rel=1e-6)
 
 
 def test_self_consistency_first_order_local_opt(two_process_cfg):
     res = solve_rr(two_process_cfg, tol=TOL)
-    assert res.beta_star == pytest.approx(mse_at_tau_rr(res.tau_star, two_process_cfg),
+    assert res.beta_star == pytest.approx(mse_at_tau(res.tau_star, two_process_cfg, RR),
                                           abs=10 * TOL)
     assert not res.binding
     assert G_rr(
@@ -48,7 +51,7 @@ def test_self_consistency_first_order_local_opt(two_process_cfg):
     ) == pytest.approx(res.beta_star, abs=10 * TOL)
     for delta in (1e-3, 1e-2):
         for tau in (res.tau_star - delta, res.tau_star + delta):
-            assert mse_at_tau_rr(tau, two_process_cfg) >= res.beta_star - 10 * TOL
+            assert mse_at_tau(tau, two_process_cfg, RR) >= res.beta_star - 10 * TOL
 
 
 def test_binding_threshold_constant_in_erasure_rate(two_process_cfg):
@@ -79,7 +82,7 @@ def test_zero_wait_regime_at_high_erasure(two_process_cfg):
     res = solve_rr(replace(two_process_cfg, eps=0.8))
     assert res.tau_star <= 1e-6
     assert res.beta_star == pytest.approx(
-        mse_at_tau_rr(0.0, replace(two_process_cfg, eps=0.8)), abs=1e-7
+        mse_at_tau(0.0, replace(two_process_cfg, eps=0.8), RR), abs=1e-7
     )
 
 
@@ -119,3 +122,25 @@ def test_coincides_with_feedback_solver_without_erasures(two_process_cfg):
         b = solve_rr(cfg, tol=TOL)
         assert abs(a.tau_star - b.tau_star) <= 1e-6
         assert abs(a.beta_star - b.beta_star) <= 1e-6
+
+
+def test_optimum_at_search_ceiling_rejected(two_process_cfg):
+    # tau* = 0.694 lies above this ceiling, which must not clamp silently.
+    with pytest.raises(InvalidConfig, match="tau_max"):
+        solve_rr(two_process_cfg, tau_max=0.5)
+    assert solve_rr(two_process_cfg, tau_max=1e6).tau_star == pytest.approx(0.694, abs=1e-3)
+
+
+def test_budget_threshold_above_ceiling_rejected(two_process_cfg):
+    with pytest.raises(InvalidConfig, match="sampling budget"):
+        solve_rr(replace(two_process_cfg, f_max=0.5), tau_max=1.0)
+
+
+def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, monkeypatch):
+    cfg = replace(two_process_cfg, f_max=0.5)
+    # A tolerance a few float spacings above the variance bound still solves.
+    assert solve_rr(cfg, tol=1e-14).binding
+    # Any series evaluation would raise AttributeError instead.
+    monkeypatch.setattr(threshold, "series", None)
+    with pytest.raises(InvalidConfig, match="tol"):
+        solve_rr(cfg, tol=1e-20)
