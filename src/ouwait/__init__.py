@@ -34,16 +34,7 @@ from .series import (
     laplace_exp_service,
     mixture_weights,
 )
-from .sim import (
-    EpochTrace,
-    RoundTrace,
-    maf_epoch_arrays,
-    merge_sim_stats,
-    rr_round_arrays,
-    run_epoch_maf,
-    run_round_rr,
-    simulate,
-)
+from .sim import merge_sim_stats, round_arrays, simulate
 from .threshold import epoch_mean, mse_at_tau, solve, solve_maf, solve_rr
 from .types import (
     BracketError,
@@ -65,7 +56,6 @@ __all__ = [
     "BracketError",
     "ConfigFormatError",
     "ConvergenceError",
-    "EpochTrace",
     "F_maf",
     "F_rr",
     "G_maf",
@@ -76,7 +66,6 @@ __all__ = [
     "L_rr",
     "MixtureSpec",
     "ProcessParams",
-    "RoundTrace",
     "SampleRecord",
     "Scheme",
     "SimStats",
@@ -91,7 +80,6 @@ __all__ = [
     "inst_mse",
     "invert_monotone",
     "laplace_exp_service",
-    "maf_epoch_arrays",
     "merge_sim_stats",
     "mixture_weights",
     "mmse_estimate",
@@ -99,9 +87,7 @@ __all__ = [
     "mse_integral",
     "ou_step",
     "read_config",
-    "rr_round_arrays",
-    "run_epoch_maf",
-    "run_round_rr",
+    "round_arrays",
     "run_sweep",
     "simulate",
     "solve",

@@ -128,6 +128,11 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
     return replace(base, k=k, processes=(base.processes[0],) * k)
 
 
+def _default_burn_in(n_epochs: int) -> int:
+    """1000 discarded epochs, fewer where the run leaves under three to measure."""
+    return max(0, min(1000, n_epochs - 3))
+
+
 def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) -> SweepRow:
     cfg = config_at(spec.base, spec.axis, value)
     try:
@@ -141,7 +146,7 @@ def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) ->
     sim_mse = sim_se = None
     status = "ok"
     if spec.sim_validate:
-        burn = min(1000, max(0, spec.n_epochs - 2))
+        burn = _default_burn_in(spec.n_epochs)
         try:
             stats = simulate(
                 cfg,
@@ -348,7 +353,7 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=None, help="simulation epochs (default 100000)")
     p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
     p.add_argument("--burn-in", type=int, default=None,
-                   help="discarded initial epochs (default 1000)")
+                   help="discarded initial epochs (default 1000, or epochs - 3 if less)")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
 
 
@@ -387,10 +392,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tau = solve(cfg, scheme, tol=args.tol, tau_max=args.tau_max).tau_star
     epochs = args.epochs if args.epochs is not None else 100_000
     seed = args.seed if args.seed is not None else 0
-    burn = args.burn_in if args.burn_in is not None else 1000
+    burn = args.burn_in if args.burn_in is not None else _default_burn_in(epochs)
     stats = simulate(
         cfg, ThresholdPolicy(scheme, tau), n_epochs=epochs, seed=seed,
-        burn_in=min(burn, epochs - 2), trace_path=args.trace,
+        burn_in=burn, trace_path=args.trace,
     )
     print(
         f"scheme={scheme.value} tau={tau:.9g} sum_mse={stats.sum_mse:.6g} "

@@ -240,8 +240,11 @@ def invert_monotone(
     """Invert a nondecreasing scalar function by bisection.
 
     The bracket must straddle the target: ``f(lo) <= target <= f(hi)``.
-    Raises :class:`BracketError` when it does not, and
-    :class:`ConvergenceError` when the bracket fails to shrink to ``tol``
+    Returns the bracket's midpoint once the bracket is at most ``tol`` wide,
+    or once it is one float spacing wide (the midpoint rounds to an endpoint),
+    since a ``tol`` below the root's float spacing cannot be met.
+    Raises :class:`BracketError` when the bracket does not straddle the
+    target, and :class:`ConvergenceError` when it fails to shrink that far
     within ``max_iter`` halvings.
     """
     if not (tol > 0):
@@ -254,9 +257,9 @@ def invert_monotone(
             f"bracket [{lo}, {hi}] with values [{flo}, {fhi}] does not straddle {target}"
         )
     for _ in range(max_iter):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            return mid
         if f(mid) > target:
             hi = mid
         else:

@@ -8,19 +8,23 @@ the closed-form integral from :mod:`ouwait.ou`.
 
 Event mechanics
 ---------------
-Feedback scheme: an epoch opens with a single wait ``max(tau - Z, 0)`` where
-``Z`` is the previous epoch's total service time, then serves process 1
-through K back to back, redrawing a fresh sample on every erased attempt.
-The epoch's own service total conditions the next epoch's wait.
+Both schemes run in rounds. A round opens with a single wait
+``max(tau - Z, 0)``, where ``Z`` is the previous round's total service time,
+then serves one slot per process, 1 through K, back to back. The schemes
+differ only in what a slot is, which :func:`_draw_slots` alone decides:
 
-Blind round robin: each transmission round opens with a wait conditioned on
-the previous round's total service time, then takes one fresh sample from
-every process in fixed order; erasures are discovered only at the receiver,
-so a process's epoch spans a geometric number of rounds.
+- Feedback: a slot is a retry burst that redraws a fresh sample on every
+  erased attempt until one gets through, so a feedback epoch is one round of
+  K retry bursts.
+- Blind round robin: a slot is one fresh sample; erasures are discovered only
+  at the receiver, so a process's epoch spans a geometric number of rounds.
+
+At zero erasure rate both draws consume the service stream identically, so
+the two schemes simulate the same system sample for sample.
 
 A process's age resets at each of its deliveries to the delivering attempt's
 own service time (samples are stamped when generated). The first wait's
-conditioning value is drawn as one unmeasured epoch or round, and ``burn_in``
+conditioning value is drawn as one unmeasured round, and ``burn_in``
 initial epochs are discarded on top of that. Standard errors come from batch
 means over epochs (100 batches).
 
@@ -50,146 +54,13 @@ from .types import (
 
 ATTEMPT_CAP = 10**7
 BATCH_COUNT = 100
+TRACE_BLOCK = 1024
 
 __all__ = [
-    "EpochTrace",
-    "RoundTrace",
-    "run_epoch_maf",
-    "run_round_rr",
-    "maf_epoch_arrays",
-    "rr_round_arrays",
+    "round_arrays",
     "simulate",
     "merge_sim_stats",
 ]
-
-
-@dataclass(frozen=True)
-class EpochTrace:
-    """Full record of one feedback-scheme epoch.
-
-    ``services[k]`` lists the service time of every attempt for process k,
-    the successful one last. ``gamma`` equals the wait plus all services.
-    """
-
-    scheme: Scheme
-    wait: float
-    services: Tuple[Tuple[float, ...], ...]
-    attempts: Tuple[int, ...]
-    gamma: float
-    service_total: float
-    deliveries: Tuple[float, ...]
-    stamps: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(m < 1 for m in self.attempts):
-            raise InvalidConfig("every process needs at least one attempt")
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """Record of one blind transmission round.
-
-    ``deliveries[k]`` / ``stamps[k]`` are None when process k's sample was
-    erased this round. ``length`` is the round's wall-clock extent.
-    """
-
-    wait: float
-    services: Tuple[float, ...]
-    erased: Tuple[bool, ...]
-    round_total: float
-    length: float
-    deliveries: Tuple[Optional[float], ...]
-    stamps: Tuple[Optional[float], ...]
-
-
-def run_epoch_maf(
-    rng: np.random.Generator,
-    cfg: SystemConfig,
-    tau: float,
-    prev_total_service: float,
-    start_time: float = 0.0,
-) -> EpochTrace:
-    """Simulate one feedback epoch event by event.
-
-    Applies the wait conditioned on the previous epoch's total service, then
-    retries each process until its sample survives the channel. The returned
-    ``service_total`` is what conditions the next epoch's wait.
-    """
-    if prev_total_service < 0:
-        raise InvalidConfig("prev_total_service must be nonnegative")
-    if tau < 0:
-        raise InvalidConfig("tau must be nonnegative")
-    wait = max(tau - prev_total_service, 0.0)
-    t = start_time + wait
-    services = []
-    attempts = []
-    deliveries = []
-    stamps = []
-    for _ in range(cfg.k):
-        burst = []
-        while True:
-            if len(burst) >= ATTEMPT_CAP:
-                raise ConvergenceError(f"attempt cap {ATTEMPT_CAP} exceeded in one burst")
-            stamp = t
-            y = rng.exponential(1.0 / cfg.mu)
-            t += y
-            burst.append(y)
-            if rng.random() >= cfg.eps:
-                deliveries.append(t)
-                stamps.append(stamp)
-                break
-        services.append(tuple(burst))
-        attempts.append(len(burst))
-    service_total = sum(sum(b) for b in services)
-    return EpochTrace(
-        scheme=Scheme.MAF_FEEDBACK,
-        wait=wait,
-        services=tuple(services),
-        attempts=tuple(attempts),
-        gamma=wait + service_total,
-        service_total=service_total,
-        deliveries=tuple(deliveries),
-        stamps=tuple(stamps),
-    )
-
-
-def run_round_rr(
-    rng: np.random.Generator,
-    cfg: SystemConfig,
-    tau: float,
-    prev_round_service: float,
-    start_time: float = 0.0,
-) -> RoundTrace:
-    """Simulate one blind transmission round: wait, then one sample per process."""
-    if prev_round_service < 0:
-        raise InvalidConfig("prev_round_service must be nonnegative")
-    if tau < 0:
-        raise InvalidConfig("tau must be nonnegative")
-    wait = max(tau - prev_round_service, 0.0)
-    t = start_time + wait
-    services = []
-    erased = []
-    deliveries: list = []
-    stamps: list = []
-    for _ in range(cfg.k):
-        stamp = t
-        y = rng.exponential(1.0 / cfg.mu)
-        t += y
-        gone = rng.random() < cfg.eps
-        services.append(y)
-        erased.append(gone)
-        deliveries.append(None if gone else t)
-        stamps.append(None if gone else stamp)
-    total = float(sum(services))
-    return RoundTrace(
-        wait=wait,
-        services=tuple(services),
-        erased=tuple(erased),
-        round_total=total,
-        length=wait + total,
-        deliveries=tuple(deliveries),
-        stamps=tuple(stamps),
-    )
 
 
 def _streams(seed: int) -> Tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
@@ -213,86 +84,77 @@ def _wait_fractions(cfg: SystemConfig, wait_split: Optional[Sequence[float]]) ->
 
 
 @dataclass(frozen=True)
-class MafEpochArrays:
-    """Per-epoch aggregates of a feedback run (vectorized engine output)."""
+class RoundArrays:
+    """Per-round aggregates of a run of either scheme (vectorized engine output).
 
-    wait: np.ndarray          # (n,)
-    service_total: np.ndarray  # (n,)
-    attempts: np.ndarray      # (n, k) per-process attempt counts
-    gamma: np.ndarray         # (n,) wait + service_total
-    deliveries: np.ndarray    # (n, k) absolute delivery instants
-    stamps: np.ndarray        # (n, k) delivered samples' generation instants
-
-
-def maf_epoch_arrays(
-    cfg: SystemConfig,
-    tau: float,
-    n_epochs: int,
-    seed: int,
-    wait_split: Optional[Sequence[float]] = None,
-) -> MafEpochArrays:
-    """Run ``n_epochs`` chained feedback epochs, vectorized across epochs.
-
-    One extra unmeasured epoch is drawn first to initialize the wait's
-    conditioning value; it is not part of the returned arrays.
+    A round is one wait followed by one service slot per process, in order.
+    With feedback a slot is a retry burst that ends in a delivery, so a round
+    is one epoch; without feedback a slot is one sample the channel may erase.
     """
-    if tau < 0:
-        raise InvalidConfig("tau must be nonnegative")
-    if n_epochs < 1:
-        raise InvalidConfig("n_epochs must be >= 1")
-    service_rng, erasure_rng, _ = _streams(seed)
-    fracs = np.cumsum(_wait_fractions(cfg, wait_split))
-    n = n_epochs + 1
+
+    wait: np.ndarray           # (r,)
+    service_total: np.ndarray  # (r,)
+    samples: np.ndarray        # (r, k) samples drawn in each slot
+    m: np.ndarray              # (r,) the round's count in the trace's m_total
+    delivered: np.ndarray      # (r, k) bool, the slot's last sample got through
+    ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
+    stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """(r,) round lengths: wait plus service."""
+        return self.wait + self.service_total
+
+
+def _draw_slots(
+    cfg: SystemConfig,
+    scheme: Scheme,
+    r: int,
+    service_rng: np.random.Generator,
+    erasure_rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Service of ``r`` rounds of k slots: the only place the scheme enters.
+
+    Returns each slot's service, the service of its last sample, whether that
+    sample was delivered, the samples drawn per slot, and each round's count
+    in the trace's ``m_total``: transmissions with feedback, one without.
+    """
+    shape = (r, cfg.k)
+    if scheme is Scheme.RR_NO_FEEDBACK:
+        services = service_rng.exponential(1.0 / cfg.mu, size=shape)
+        delivered = erasure_rng.random(size=shape) >= cfg.eps
+        one = np.int64(1)
+        return services, services, delivered, np.broadcast_to(one, shape), np.broadcast_to(one, r)
     if cfg.eps > 0.0:
-        attempts = erasure_rng.geometric(1.0 - cfg.eps, size=(n, cfg.k))
+        attempts = erasure_rng.geometric(1.0 - cfg.eps, size=shape)
     else:
-        attempts = np.ones((n, cfg.k), dtype=np.int64)
+        attempts = np.ones(shape, dtype=np.int64)
     if attempts.max() > ATTEMPT_CAP:
         raise ConvergenceError(f"attempt cap {ATTEMPT_CAP} exceeded in one burst")
     flat = attempts.ravel()
     services = service_rng.exponential(1.0 / cfg.mu, size=int(flat.sum()))
-    ends = np.cumsum(flat)
-    bursts = np.add.reduceat(services, ends - flat).reshape(n, cfg.k)
-    y_last = services[ends - 1].reshape(n, cfg.k)
-    totals = bursts.sum(axis=1)
-    waits = np.empty(n)
-    waits[0] = 0.0
-    np.maximum(tau - totals[:-1], 0.0, out=waits[1:])
-    starts = np.concatenate(([0.0], np.cumsum(waits + totals)[:-1]))
-    # Delivery of process k: epoch start, the wait fractions released so far,
-    # and the bursts of processes 1..k.
-    deliveries = starts[:, None] + fracs[None, :] * waits[:, None] + np.cumsum(bursts, axis=1)
-    stamps = deliveries - y_last
-    return MafEpochArrays(
-        wait=waits[1:],
-        service_total=totals[1:],
-        attempts=attempts[1:],
-        gamma=(waits + totals)[1:],
-        deliveries=deliveries[1:],
-        stamps=stamps[1:],
-    )
+    drawn = np.cumsum(flat)
+    bursts = np.add.reduceat(services, drawn - flat).reshape(shape)
+    last = services[drawn - 1].reshape(shape)
+    # A product with ones sums each round's attempts several times faster
+    # than a reduction along the short process axis.
+    m = attempts @ np.ones(cfg.k, dtype=np.int64)
+    return bursts, last, np.broadcast_to(True, shape), attempts, m
 
 
-@dataclass(frozen=True)
-class RrRoundArrays:
-    """Per-round aggregates of a blind round-robin run."""
-
-    wait: np.ndarray          # (r,)
-    round_total: np.ndarray   # (r,)
-    delivered: np.ndarray     # (r, k) bool, sample survived the channel
-    service: np.ndarray       # (r, k)
-    end_times: np.ndarray     # (r, k) service completion instants
-    stamps: np.ndarray        # (r, k) sample generation instants
-
-
-def rr_round_arrays(
+def round_arrays(
     cfg: SystemConfig,
+    scheme: Scheme,
     tau: float,
     n_rounds: int,
     seed: int,
     wait_split: Optional[Sequence[float]] = None,
-) -> RrRoundArrays:
-    """Run ``n_rounds`` chained blind rounds, vectorized across rounds."""
+) -> RoundArrays:
+    """Run ``n_rounds`` chained rounds of ``scheme``, vectorized across rounds.
+
+    One extra unmeasured round is drawn first to initialize the wait's
+    conditioning value; it is not part of the returned arrays.
+    """
     if tau < 0:
         raise InvalidConfig("tau must be nonnegative")
     if n_rounds < 1:
@@ -300,21 +162,23 @@ def rr_round_arrays(
     service_rng, erasure_rng, _ = _streams(seed)
     fracs = np.cumsum(_wait_fractions(cfg, wait_split))
     r = n_rounds + 1
-    services = service_rng.exponential(1.0 / cfg.mu, size=(r, cfg.k))
-    delivered = erasure_rng.random(size=(r, cfg.k)) >= cfg.eps
-    totals = services.sum(axis=1)
+    slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, service_rng, erasure_rng)
+    totals = slot.sum(axis=1)
     waits = np.empty(r)
     waits[0] = 0.0
     np.maximum(tau - totals[:-1], 0.0, out=waits[1:])
     starts = np.concatenate(([0.0], np.cumsum(waits + totals)[:-1]))
-    end_times = starts[:, None] + fracs[None, :] * waits[:, None] + np.cumsum(services, axis=1)
-    stamps = end_times - services
-    return RrRoundArrays(
+    # Slot k ends after the round start, the wait fractions released so far,
+    # and the service of slots 1..k.
+    ends = starts[:, None] + fracs[None, :] * waits[:, None] + np.cumsum(slot, axis=1)
+    stamps = ends - last
+    return RoundArrays(
         wait=waits[1:],
-        round_total=totals[1:],
+        service_total=totals[1:],
+        samples=samples[1:],
+        m=m[1:],
         delivered=delivered[1:],
-        service=services[1:],
-        end_times=end_times[1:],
+        ends=ends[1:],
         stamps=stamps[1:],
     )
 
@@ -331,8 +195,6 @@ def _ratio_batches(values: np.ndarray, spans: np.ndarray, edges: np.ndarray) -> 
 
 
 def _se(batch_vals: np.ndarray) -> float:
-    if len(batch_vals) < 2:
-        return float("nan")
     return float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
 
 
@@ -388,8 +250,8 @@ def simulate(
 
     ``n_epochs`` counts per-process delivery epochs including the ``burn_in``
     initial ones that are discarded; the statistics window covers the
-    remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process.
-    ``wait_split`` optionally spreads each wait across the k service slots in
+    remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
+    which must be at least two for a standard error. ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions (default: all of it up front). Identical arguments give
     bit-identical results.
     """
@@ -399,37 +261,19 @@ def simulate(
         raise InvalidConfig("n_epochs must be >= 1")
     if not (0 <= burn_in < n_epochs):
         raise InvalidConfig("burn_in must satisfy 0 <= burn_in < n_epochs")
-    if n_epochs - burn_in < 2:
-        raise InvalidConfig("need at least two post-burn-in epochs for statistics")
+    if n_epochs - burn_in < 3:
+        raise InvalidConfig(
+            "need at least three post-burn-in epochs (two spans) for a standard error"
+        )
 
     if policy.scheme is Scheme.MAF_FEEDBACK:
-        arrays = maf_epoch_arrays(cfg, policy.tau, n_epochs, seed, wait_split)
-        deliveries = arrays.deliveries
-        stamps = arrays.stamps
-        samples_per_epoch = arrays.attempts
-        epoch_index = np.arange(n_epochs)
+        n_rounds = n_epochs
     else:
-        target = n_epochs
-        margin = int(math.ceil(8.0 * math.sqrt(target * max(cfg.eps, 1e-12)))) + 64
-        n_rounds = int(math.ceil((target + margin) / (1.0 - cfg.eps)))
-        rounds = rr_round_arrays(cfg, policy.tau, n_rounds, seed, wait_split)
-        deliveries = np.empty((target, cfg.k))
-        stamps = np.empty((target, cfg.k))
-        samples_per_epoch = np.empty((target, cfg.k), dtype=np.int64)
-        for k in range(cfg.k):
-            hits = np.flatnonzero(rounds.delivered[:, k])
-            if len(hits) < target:
-                raise ConvergenceError(
-                    f"only {len(hits)} deliveries for process {k}, need {target}"
-                )
-            hits = hits[:target]
-            deliveries[:, k] = rounds.end_times[hits, k]
-            stamps[:, k] = rounds.stamps[hits, k]
-            # one fresh sample of each process per round
-            samples_per_epoch[0, k] = hits[0] + 1
-            samples_per_epoch[1:, k] = np.diff(hits)
-        arrays = rounds
-        epoch_index = np.arange(target)
+        # A process delivers in a round with probability 1 - eps: draw enough
+        # rounds for n_epochs deliveries of each, with an 8-sigma margin.
+        margin = int(math.ceil(8.0 * math.sqrt(n_epochs * max(cfg.eps, 1e-12)))) + 64
+        n_rounds = int(math.ceil((n_epochs + margin) / (1.0 - cfg.eps)))
+    rounds = round_arrays(cfg, policy.scheme, policy.tau, n_rounds, seed, wait_split)
 
     lo = burn_in
     window = n_epochs - burn_in - 1
@@ -448,8 +292,14 @@ def simulate(
         errs, refs, variances = [], [], []
 
     for k in range(cfg.k):
-        d = deliveries[lo:, k]
-        s = stamps[lo:, k]
+        hits = np.flatnonzero(rounds.delivered[:, k])[:n_epochs]
+        if len(hits) < n_epochs:
+            raise ConvergenceError(
+                f"only {len(hits)} deliveries for process {k}, need {n_epochs}"
+            )
+        hits = hits[lo:]
+        d = rounds.ends[hits, k]
+        s = rounds.stamps[hits, k]
         ages0 = d - s
         gaps = np.diff(d)
         ints = ou.mse_integral(ages0[:-1], gaps, cfg.processes[k])
@@ -460,7 +310,7 @@ def simulate(
         sum_batches += batches_k
         epoch_len_batches += _ratio_batches(gaps, np.ones_like(gaps), edges) / cfg.k
         mean_epoch_len += float(gaps.mean()) / cfg.k
-        n_samples = int(samples_per_epoch[lo + 1 :, k].sum())
+        n_samples = int(rounds.samples[hits[0] + 1 : hits[-1] + 1, k].sum())
         inter_sample.append(float(span / n_samples))
         if track_ou:
             e, r, se_d, cnt = _ou_probe(d, s, cfg.processes[k], ou_rng)
@@ -474,7 +324,7 @@ def simulate(
         ou_se = float(math.sqrt(sum(variances)))
 
     if trace_path is not None:
-        _write_trace(trace_path, policy.scheme, cfg, arrays, epoch_index)
+        _write_trace(trace_path, policy.scheme, cfg, rounds)
 
     return SimStats(
         scheme=policy.scheme,
@@ -492,49 +342,44 @@ def simulate(
     )
 
 
-def _write_trace(path: str, scheme: Scheme, cfg: SystemConfig, arrays, epoch_index) -> None:
-    """Dump one delimited record per typical-process epoch."""
+def _write_trace(path: str, scheme: Scheme, cfg: SystemConfig, rounds: RoundArrays) -> None:
+    """Dump one delimited record per epoch of the last process.
+
+    The last process's deliveries partition the rounds into epochs (one round
+    each with feedback). A record sums its rounds' waits, services and ``m``
+    counts, and gives each process's last delivery and stamp within the
+    epoch, or empty cells where that process delivered none. The sums are
+    taken in blocks of ``TRACE_BLOCK`` epochs and the records formatted one
+    at a time, which bounds memory.
+    """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
     cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
+    bounds = np.flatnonzero(rounds.delivered[:, cfg.k - 1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
-        if scheme is Scheme.MAF_FEEDBACK:
-            for i in epoch_index:
-                row = [
-                    str(i),
-                    scheme.value,
-                    f"{arrays.wait[i]:.12g}",
-                    f"{arrays.service_total[i]:.12g}",
-                    str(int(arrays.attempts[i].sum())),
-                    f"{arrays.gamma[i]:.12g}",
-                ]
-                row += [f"{arrays.deliveries[i, k]:.12g}" for k in range(cfg.k)]
-                row += [f"{arrays.stamps[i, k]:.12g}" for k in range(cfg.k)]
-                fh.write("\t".join(row) + "\n")
-        else:
-            # Epochs of the last process partition the round sequence.
-            bounds = np.flatnonzero(arrays.delivered[:, cfg.k - 1])
-            prev = 0
-            for i, b in enumerate(bounds):
-                rounds = slice(prev, b + 1)
-                w_total = float(arrays.wait[rounds].sum())
-                svc = float(arrays.round_total[rounds].sum())
-                row = [
-                    str(i),
-                    scheme.value,
-                    f"{w_total:.12g}",
-                    f"{svc:.12g}",
-                    str(b + 1 - prev),
-                    f"{w_total + svc:.12g}",
-                ]
-                for k in range(cfg.k):
-                    hits = np.flatnonzero(arrays.delivered[rounds, k]) + prev
-                    row.append("" if len(hits) == 0 else f"{arrays.end_times[hits[-1], k]:.12g}")
-                for k in range(cfg.k):
-                    hits = np.flatnonzero(arrays.delivered[rounds, k]) + prev
-                    row.append("" if len(hits) == 0 else f"{arrays.stamps[hits[-1], k]:.12g}")
-                fh.write("\t".join(row) + "\n")
-                prev = b + 1
+        for b0 in range(0, len(bounds), TRACE_BLOCK):
+            last = bounds[b0 : b0 + TRACE_BLOCK]
+            lo = bounds[b0 - 1] + 1 if b0 else 0
+            first = np.concatenate(([lo], last[:-1] + 1))
+            block = slice(lo, last[-1] + 1)
+            w = np.add.reduceat(rounds.wait[block], first - lo)
+            svc = np.add.reduceat(rounds.service_total[block], first - lo)
+            m = np.add.reduceat(rounds.m[block], first - lo)
+            columns = [w.tolist(), svc.tolist(), m.tolist(), (w + svc).tolist()]
+            in_block = np.arange(lo, last[-1] + 1)
+            hits = []
+            for k in range(cfg.k):
+                # Latest delivered round of process k up to each epoch's end.
+                latest = np.maximum.accumulate(np.where(rounds.delivered[block, k], in_block, -1))
+                hits.append(latest[last - lo])
+            for times in (rounds.ends, rounds.stamps):
+                for k, hit in enumerate(hits):
+                    inside = (hit >= first).tolist()
+                    values = times[hit, k].tolist()
+                    columns.append([t if ok else None for t, ok in zip(values, inside)])
+            for i, (wi, si, mi, gi, *ts) in enumerate(zip(*columns), start=b0):
+                cells = "\t".join("" if t is None else f"{t:.12g}" for t in ts)
+                fh.write(f"{i}\t{scheme.value}\t{wi:.12g}\t{si:.12g}\t{mi}\t{gi:.12g}\t{cells}\n")
 
 
 def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:

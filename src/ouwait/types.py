@@ -90,12 +90,6 @@ class SystemConfig:
         """Upper bound on any achievable long-term average sum MSE."""
         return sum(p.stationary_variance for p in self.processes)
 
-    def thetas(self) -> Tuple[float, ...]:
-        return tuple(p.theta for p in self.processes)
-
-    def sigma_sqs(self) -> Tuple[float, ...]:
-        return tuple(p.sigma_sq for p in self.processes)
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:

@@ -34,9 +34,8 @@ from ouwait import (
     TruncationWarning,
     epoch_mean,
     invert_monotone,
-    maf_epoch_arrays,
     mse_at_tau,
-    rr_round_arrays,
+    round_arrays,
     simulate,
     solve,
     solve_maf,
@@ -254,7 +253,7 @@ def test_criterion_10_property_suites(two_process_cfg):
     notes.append("eps=0 coincidence 1e-10")
 
     # Renewal and transform identities in the simulator.
-    arrays = maf_epoch_arrays(two_process_cfg, 1.6, n_epochs=4 * 10**5, seed=1011)
+    arrays = round_arrays(two_process_cfg, Scheme.MAF_FEEDBACK, 1.6, n_rounds=4 * 10**5, seed=1011)
     se = arrays.gamma.std(ddof=1) / math.sqrt(len(arrays.gamma))
     ref = epoch_mean(1.6, two_process_cfg, Scheme.MAF_FEEDBACK)
     assert abs(arrays.gamma.mean() - ref) <= 3 * se
@@ -263,13 +262,15 @@ def test_criterion_10_property_suites(two_process_cfg):
         v = np.exp(-2 * p.theta * paired)
         ref = F_maf(1.6, p.theta, MixtureSpec(k=2, mu=1.0, eps=0.3))
         assert abs(v.mean() - ref) <= 3 * v.std(ddof=1) / math.sqrt(len(v))
-    rounds = rr_round_arrays(two_process_cfg, 0.7, n_rounds=4 * 10**5, seed=1012)
+    rounds = round_arrays(
+        two_process_cfg, Scheme.RR_NO_FEEDBACK, 0.7, n_rounds=4 * 10**5, seed=1012
+    )
     hits = np.flatnonzero(rounds.delivered[:, 1])
-    gaps = np.diff(rounds.end_times[hits, 1])
+    gaps = np.diff(rounds.ends[hits, 1])
     se = gaps.std(ddof=1) / math.sqrt(len(gaps))
     ref = epoch_mean(0.7, two_process_cfg, Scheme.RR_NO_FEEDBACK)
     assert abs(gaps.mean() - ref) <= 3 * se
-    paired_rr = np.maximum(0.7, rounds.round_total)
+    paired_rr = np.maximum(0.7, rounds.service_total)
     for k, p in enumerate(two_process_cfg.processes):
         h = np.flatnonzero(rounds.delivered[:, k])
         gam = np.add.reduceat(paired_rr, np.concatenate(([0], h[:-1] + 1)))

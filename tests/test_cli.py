@@ -1,5 +1,6 @@
 """Config ingestion, sweep execution, CSV output, and the command line."""
 
+import math
 import os
 from dataclasses import replace
 
@@ -190,6 +191,12 @@ SOLVE_ARGS = [
 ]
 
 
+SIM_ARGS = [
+    "--k", "1", "--mu", "1.0", "--eps", "0.0", "--fmax", "2.0",
+    "--theta", "0.5", "--sigma-sq", "1.0", "--tau", "0.0", "--seed", "3",
+]
+
+
 def one_line_error(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -271,6 +278,32 @@ class TestMain:
         assert "tau_max" in one_line_error(capsys)
         assert cli.main([command] + SOLVE_ARGS + ["--tol", "1e-20"]) == 1
         assert "tol" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
+    def test_tolerance_below_threshold_spacing_solves(self, capsys, command):
+        # The binding threshold sits near 10 or above, where one float spacing
+        # exceeds the inner inversions' tol / 10 = 1e-15.
+        args = ["--k", "2", "--mu", "1", "--eps", "0.3", "--fmax", "0.2",
+                "--theta", "0.1,0.5", "--sigma-sq", "1,2", "--tol", "1e-14"]
+        assert cli.main([command] + args) == 0
+        out = capsys.readouterr().out
+        assert "binding=1" in out
+        assert float(out.split("achieved_tol=")[1]) <= 1e-14
+
+    def test_short_run_has_finite_standard_error(self, capsys):
+        assert cli.main(["simulate", "--scheme", "maf"] + SIM_ARGS + ["--epochs", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "epochs=2" in out
+        se = float(out.split("(se ")[1].split(")")[0])
+        assert math.isfinite(se)
+
+    @pytest.mark.parametrize(
+        "extra", [["--epochs", "2"], ["--epochs", "1000", "--burn-in", "5000"]],
+        ids=["too-short", "burn-in-too-large"],
+    )
+    def test_unusable_run_length_is_one_line_error(self, capsys, extra):
+        assert cli.main(["simulate", "--scheme", "rr"] + SIM_ARGS + extra) == 1
+        assert "burn" in one_line_error(capsys)
 
     def test_simulator_failure_exit_code_keeps_every_row(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

@@ -12,16 +12,20 @@ from ouwait import (
     F_rr,
     InvalidConfig,
     MixtureSpec,
+    ProcessParams,
     Scheme,
+    SystemConfig,
     ThresholdPolicy,
     epoch_mean,
-    maf_epoch_arrays,
     merge_sim_stats,
-    rr_round_arrays,
-    run_epoch_maf,
-    run_round_rr,
+    round_arrays,
     simulate,
 )
+
+from event_oracle import run_epoch_maf, run_round_rr
+
+MAF = Scheme.MAF_FEEDBACK
+RR = Scheme.RR_NO_FEEDBACK
 
 
 class TestSingleEpoch:
@@ -82,13 +86,13 @@ class TestSingleRound:
         assert seen_both
 
     def test_success_rate_matches_channel(self, two_process_cfg):
-        arrays = rr_round_arrays(two_process_cfg, tau=0.7, n_rounds=10**6, seed=77)
+        arrays = round_arrays(two_process_cfg, RR, tau=0.7, n_rounds=10**6, seed=77)
         rate = arrays.delivered.mean()
         se = math.sqrt(0.3 * 0.7 / arrays.delivered.size)
         assert abs(rate - 0.7) <= 3 * se
 
     def test_rounds_per_delivery_geometric(self, two_process_cfg):
-        arrays = rr_round_arrays(two_process_cfg, tau=0.7, n_rounds=10**6, seed=78)
+        arrays = round_arrays(two_process_cfg, RR, tau=0.7, n_rounds=10**6, seed=78)
         hits = np.flatnonzero(arrays.delivered[:, 0])
         gaps = np.diff(hits)
         se = gaps.std(ddof=1) / math.sqrt(len(gaps))
@@ -100,7 +104,7 @@ class TestBatchEngine:
         # The vectorized engine must agree with the event-by-event reference
         # in distribution; compare epoch-length and attempt-count moments.
         n = 20000
-        arrays = maf_epoch_arrays(two_process_cfg, tau=1.6, n_epochs=n, seed=11)
+        arrays = round_arrays(two_process_cfg, MAF, tau=1.6, n_rounds=n, seed=11)
         rng = np.random.default_rng(12)
         init = run_epoch_maf(rng, two_process_cfg, 1.6, prev_total_service=0.0)
         prev = init.service_total
@@ -118,28 +122,28 @@ class TestBatchEngine:
         assert abs(gammas.mean() - arrays.gamma.mean()) <= 3 * se
         se_m = math.hypot(
             attempts.std(ddof=1) / math.sqrt(n),
-            arrays.attempts.sum(axis=1).std(ddof=1) / math.sqrt(n),
+            arrays.samples.sum(axis=1).std(ddof=1) / math.sqrt(n),
         )
-        assert abs(attempts.mean() - arrays.attempts.sum(axis=1).mean()) <= 3 * se_m
+        assert abs(attempts.mean() - arrays.samples.sum(axis=1).mean()) <= 3 * se_m
 
     def test_attempt_total_mean(self, two_process_cfg):
-        arrays = maf_epoch_arrays(two_process_cfg, tau=0.8, n_epochs=10**6, seed=13)
-        totals = arrays.attempts.sum(axis=1)
+        arrays = round_arrays(two_process_cfg, MAF, tau=0.8, n_rounds=10**6, seed=13)
+        totals = arrays.samples.sum(axis=1)
         se = totals.std(ddof=1) / 1000
         assert abs(totals.mean() - 2 / 0.7) <= 3 * se
 
     def test_renewal_identity_maf(self, two_process_cfg):
         for tau in (0.0, 0.8, 1.6, 4.0):
-            arrays = maf_epoch_arrays(two_process_cfg, tau, n_epochs=4 * 10**5, seed=14)
+            arrays = round_arrays(two_process_cfg, MAF, tau, n_rounds=4 * 10**5, seed=14)
             se = arrays.gamma.std(ddof=1) / math.sqrt(len(arrays.gamma))
             ref = epoch_mean(tau, two_process_cfg, Scheme.MAF_FEEDBACK)
             assert abs(arrays.gamma.mean() - ref) <= 3 * se
 
     def test_renewal_identity_rr(self, two_process_cfg):
         for tau in (0.0, 0.7, 2.0):
-            arrays = rr_round_arrays(two_process_cfg, tau, n_rounds=4 * 10**5, seed=15)
+            arrays = round_arrays(two_process_cfg, RR, tau, n_rounds=4 * 10**5, seed=15)
             hits = np.flatnonzero(arrays.delivered[:, 1])
-            starts = arrays.end_times[hits, 1]
+            starts = arrays.ends[hits, 1]
             gaps = np.diff(starts)
             se = gaps.std(ddof=1) / math.sqrt(len(gaps))
             ref = epoch_mean(tau, two_process_cfg, Scheme.RR_NO_FEEDBACK)
@@ -150,7 +154,7 @@ class TestBatchEngine:
         # that total induces, i.e. exp(-2 theta max(tau, total)).
         m = MixtureSpec(k=2, mu=1.0, eps=0.3)
         tau = 1.6
-        arrays = maf_epoch_arrays(two_process_cfg, tau, n_epochs=10**6, seed=16)
+        arrays = round_arrays(two_process_cfg, MAF, tau, n_rounds=10**6, seed=16)
         paired = np.maximum(tau, arrays.service_total)
         for p in two_process_cfg.processes:
             vals = np.exp(-2 * p.theta * paired)
@@ -161,8 +165,8 @@ class TestBatchEngine:
         # Per-epoch transform: sum of max(tau, round total) over the epoch's
         # rounds, each round paired with the wait it induces.
         tau = 0.7
-        arrays = rr_round_arrays(two_process_cfg, tau, n_rounds=10**6, seed=17)
-        paired = np.maximum(tau, arrays.round_total)
+        arrays = round_arrays(two_process_cfg, RR, tau, n_rounds=10**6, seed=17)
+        paired = np.maximum(tau, arrays.service_total)
         for k, p in enumerate(two_process_cfg.processes):
             hits = np.flatnonzero(arrays.delivered[:, k])
             gam = np.add.reduceat(paired, np.concatenate(([0], hits[:-1] + 1)))
@@ -182,7 +186,7 @@ class TestBatchEngine:
         cfg = SystemConfig(k=1, f_max=2.0, mu=1.0, eps=0.5,
                            processes=(ProcessParams(0.5, 1.0),))
         tau = 1.0
-        arrays = maf_epoch_arrays(cfg, tau, n_epochs=10**6, seed=18)
+        arrays = round_arrays(cfg, MAF, tau, n_rounds=10**6, seed=18)
         physical = np.exp(-(arrays.wait + arrays.service_total))
         paired = np.exp(-np.maximum(tau, arrays.service_total))
         se = physical.std(ddof=1) / 1000
@@ -305,17 +309,66 @@ class TestSimulate:
         assert int(row[4]) >= 1
 
     def test_aoi_resets_to_delivering_service_time(self, two_process_cfg):
-        arrays = maf_epoch_arrays(two_process_cfg, tau=1.2, n_epochs=2000, seed=29)
-        ages_at_delivery = arrays.deliveries - arrays.stamps
+        arrays = round_arrays(two_process_cfg, MAF, tau=1.2, n_rounds=2000, seed=29)
+        ages_at_delivery = arrays.ends - arrays.stamps
         assert np.all(ages_at_delivery > 0)
         # Between consecutive deliveries the age grows by exactly the elapsed
         # time: the reset value plus the gap reproduces the age just before
         # the next delivery.
         for k in range(two_process_cfg.k):
-            gaps = np.diff(arrays.deliveries[:, k])
+            gaps = np.diff(arrays.ends[:, k])
             pre_reset_age = ages_at_delivery[:-1, k] + gaps
-            next_stamp_age = arrays.deliveries[1:, k] - arrays.stamps[:-1, k]
+            next_stamp_age = arrays.ends[1:, k] - arrays.stamps[:-1, k]
             assert np.allclose(pre_reset_age, next_stamp_age, atol=1e-9)
+
+
+class TestPinnedEngine:
+    # Golden values computed with the separate per-scheme engines that the
+    # round engine replaced; any change in the order the RNG substreams are
+    # consumed moves them far beyond rel 1e-12. Trace cells are printed to 12
+    # significant digits, so they are compared at rel 1e-11.
+    GOLDEN = {
+        MAF: (
+            1.6, (0.5, 0.5), 41,
+            (3.848962303111655, 0.008833474118362501, 3.062393868011049),
+            ["0", "maf", "0", "7.207415197", "3", "7.207415197",
+             "5.93957386877", "8.83054907184", "1.62313387484", "6.1095105414"],
+        ),
+        RR: (
+            0.7, (0.25, 0.75), 42,
+            (3.910181736798609, 0.009967001478134311, 2.9243675760171906),
+            ["0", "rr", "0", "4.17044942644", "2", "4.17044942644",
+             "6.79745729527", "6.96752425126", "3.53181909696", "6.79745729527"],
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_golden_statistics_and_first_trace_row(self, two_process_cfg, tmp_path, scheme):
+        tau, split, seed, stats, row = self.GOLDEN[scheme]
+        path = os.fspath(tmp_path / "trace.tsv")
+        st = simulate(two_process_cfg, ThresholdPolicy(scheme, tau), n_epochs=20000,
+                      seed=seed, burn_in=1000, wait_split=split, trace_path=path)
+        assert (st.sum_mse, st.sum_mse_se, st.mean_epoch_len) == pytest.approx(stats, rel=1e-12)
+        first = open(path).read().split("\n")[1].split("\t")
+        assert first[:2] == row[:2] and first[4] == row[4]
+        floats = [float(c) for i, c in enumerate(first) if i not in (0, 1, 4)]
+        golden = [float(c) for i, c in enumerate(row) if i not in (0, 1, 4)]
+        assert floats == pytest.approx(golden, rel=1e-11)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_schemes_coincide_without_erasures(self, k):
+        # At eps=0 a retry burst is one sample that always gets through: both
+        # schemes are one system and must give the same statistics, OU probe
+        # included, from the same seed.
+        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+        cfg = SystemConfig(k=k, f_max=1.0, mu=1.0, eps=0.0, processes=procs[:k])
+        maf, rr = (
+            simulate(cfg, ThresholdPolicy(scheme, 1.3), n_epochs=2000, seed=51, burn_in=100,
+                     track_ou=True)
+            for scheme in (MAF, RR)
+        )
+        assert maf.ou_probe_mse is not None
+        assert replace(rr, scheme=MAF) == maf
 
 
 class TestMergeStats:

@@ -18,9 +18,10 @@ from ouwait import (
     epoch_mean,
     invert_monotone,
     mse_at_tau,
-    run_epoch_maf,
     solve_maf,
 )
+
+from event_oracle import run_epoch_maf
 
 TOL = 1e-9
 MAF = Scheme.MAF_FEEDBACK
