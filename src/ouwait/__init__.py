@@ -20,16 +20,10 @@ from .cli import (
 )
 from .ou import inst_mse, mmse_estimate, mse_integral, ou_step
 from .series import (
-    F_maf,
-    F_rr,
-    G_maf,
-    G_rr,
-    H_maf,
-    H_rr,
-    L_rr,
     MixtureSpec,
     TruncationWarning,
-    default_tau_max,
+    cycle_transform,
+    expected_wait,
     invert_monotone,
     laplace_exp_service,
     mixture_weights,
@@ -56,14 +50,7 @@ __all__ = [
     "BracketError",
     "ConfigFormatError",
     "ConvergenceError",
-    "F_maf",
-    "F_rr",
-    "G_maf",
-    "G_rr",
-    "H_maf",
-    "H_rr",
     "InvalidConfig",
-    "L_rr",
     "MixtureSpec",
     "ProcessParams",
     "SampleRecord",
@@ -75,8 +62,9 @@ __all__ = [
     "SystemConfig",
     "ThresholdPolicy",
     "TruncationWarning",
-    "default_tau_max",
+    "cycle_transform",
     "epoch_mean",
+    "expected_wait",
     "inst_mse",
     "invert_monotone",
     "laplace_exp_service",

@@ -1,5 +1,7 @@
 """Analytic building blocks: incomplete-gamma sums, attempt-count mixture weights,
-expected-wait and epoch-transform functions for both schemes, and monotone inversion.
+the expected wait and the cycle transform of a mixture service law, and
+monotone inversion. Nothing here knows the scheduling scheme; ``threshold``
+maps each scheme onto a :class:`MixtureSpec`.
 
 Series over the total attempt count rho are truncated once the cumulative
 mixture weight reaches ``1 - 1e-12``; the dropped tail bounds the absolute
@@ -13,29 +15,25 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.typing import ArrayLike
+from scipy.special import gammaln, xlogy
 
-from .types import BracketError, ConvergenceError, InvalidConfig, ProcessParams
+from .types import BracketError, ConvergenceError, InvalidConfig
 
 WEIGHT_TAIL = 1e-12
+MAX_HALVINGS = 200
 
 __all__ = [
     "MixtureSpec",
     "TruncationWarning",
     "mixture_weights",
     "laplace_exp_service",
-    "H_maf",
-    "F_maf",
-    "G_maf",
-    "H_rr",
-    "L_rr",
-    "F_rr",
-    "G_rr",
+    "expected_wait",
+    "cycle_transform",
     "invert_monotone",
-    "default_tau_max",
 ]
 
 
@@ -70,14 +68,23 @@ class MixtureSpec:
         return self.k / (self.mu * (1.0 - self.eps))
 
 
-def _poisson_pmf(x: float, n_max: int) -> np.ndarray:
-    """Poisson(x) probabilities for counts 0..n_max, computed in log space."""
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
+@functools.lru_cache(maxsize=64)
+def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Counts 0..n_max and their log factorials, read-only since they are shared."""
     j = np.arange(n_max + 1)
-    return np.exp(j * math.log(x) - x - gammaln(j + 1.0))
+    log_fact = gammaln(j + 1.0)
+    j.flags.writeable = log_fact.flags.writeable = False
+    return j, log_fact
+
+
+def _poisson_pmf(x: ArrayLike, n_max: int) -> np.ndarray:
+    """Poisson(x) probabilities for counts 0..n_max, computed in log space.
+
+    ``x`` is a scalar or a column of means (shape ``(..., 1)``); counts run
+    along the last axis. ``xlogy`` gives a zero mean its point mass at 0.
+    """
+    j, log_fact = _counts(n_max)
+    return np.exp(xlogy(j, x) - x - log_fact)
 
 
 def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
@@ -92,8 +99,8 @@ def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
     near zero lose relative precision to the final cancellation but stay
     within the same absolute bound.
     """
-    upper = np.cumsum(_poisson_pmf(x, y_max - 1))
-    return np.clip(1.0 - upper, 0.0, 1.0)
+    upper = _poisson_pmf(x, y_max - 1).cumsum()
+    return np.maximum(1.0 - upper, 0.0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -131,102 +138,41 @@ def laplace_exp_service(theta: float, mu: float) -> float:
     return mu / (mu + 2.0 * theta)
 
 
-def H_maf(tau: float, m: MixtureSpec) -> float:
-    """Expected threshold wait E[(tau - Ytot)+] under the retry-same scheme.
-
-    Ytot is the Erlang-over-attempt-count mixture of one cycle's total service.
-    """
+def expected_wait(tau: float, m: MixtureSpec) -> float:
+    """Expected threshold wait E[(tau - Ytot)+] over a cycle's total service Ytot."""
     if tau < 0:
         raise InvalidConfig(f"tau must be nonnegative, got {tau}")
     if tau == 0.0:
         return 0.0
     rhos, wts = mixture_weights(m)
     g = _gamma_lower_table(m.mu * tau, int(rhos[-1]) + 1)
-    terms = tau * g[rhos - 1] - (rhos / m.mu) * g[rhos]
-    return float(np.sum(wts * np.maximum(terms, 0.0)))
+    # The counts rhos run from k without gaps, so g[rhos - 1] is a slice.
+    terms = tau * g[m.k - 1 : -1] - (rhos / m.mu) * g[m.k :]
+    return float((wts * np.maximum(terms, 0.0)).sum())
 
 
-def F_maf(tau: float, theta: float, m: MixtureSpec) -> float:
-    """Epoch transform E[exp(-2 theta max(tau, Ytot))] under the retry-same scheme."""
+def cycle_transform(tau: float, thetas: ArrayLike, m: MixtureSpec) -> np.ndarray:
+    """Cycle transform E[exp(-2 theta max(tau, Ytot))] at every rate in ``thetas``.
+
+    Ytot is a cycle's total service. One Poisson table over (theta, count)
+    serves all rates at once; the result has the shape of ``thetas``.
+    """
     if tau < 0:
         raise InvalidConfig(f"tau must be nonnegative, got {tau}")
     rhos, wts = mixture_weights(m)
-    a = 2.0 * theta
+    a = 2.0 * np.asarray(thetas, dtype=float)[..., None]
+    shifted = a + m.mu
+    lap_pow = np.exp(rhos * np.log(m.mu / shifted))
+    if tau == 0.0:
+        # No wait: the Laplace transform of the service alone.
+        return (wts * lap_pow).sum(axis=-1)
     n_max = int(rhos[-1])
     g_mu = _gamma_lower_table(m.mu * tau, n_max)
     # Upper tail of the shifted-rate gamma is the Poisson cumulative itself:
     # evaluating it directly avoids the 1 - (1 - tiny) cancellation.
-    q_shift = np.minimum(np.cumsum(_poisson_pmf((a + m.mu) * tau, n_max - 1)), 1.0)
-    lap_pow = np.exp(rhos * math.log(m.mu / (a + m.mu)))
-    terms = math.exp(-a * tau) * g_mu[rhos - 1] + lap_pow * q_shift[rhos - 1]
-    return float(np.sum(wts * terms))
-
-
-def G_maf(x: float, processes: Sequence[ProcessParams], mu: float) -> float:
-    """Threshold response: marginal MSE level reached by waiting until total age x.
-
-    Strictly increasing in x; its inverse gives the unconstrained threshold.
-    """
-    if x < 0:
-        raise InvalidConfig(f"x must be nonnegative, got {x}")
-    total = 0.0
-    for p in processes:
-        total += p.stationary_variance * (
-            1.0 - laplace_exp_service(p.theta, mu) * math.exp(-2.0 * p.theta * x)
-        )
-    return total
-
-
-def H_rr(tau: float, k: int, mu: float) -> float:
-    """Expected threshold wait E[(tau - Yround)+] with Yround ~ Erlang(k, mu)."""
-    if tau < 0:
-        raise InvalidConfig(f"tau must be nonnegative, got {tau}")
-    if tau == 0.0:
-        return 0.0
-    g = _gamma_lower_table(mu * tau, k + 1)
-    return max(0.0, tau * g[k - 1] - (k / mu) * g[k])
-
-
-def L_rr(tau: float, theta: float, k: int, mu: float) -> float:
-    """Round transform E[exp(-2 theta max(tau, Yround))], Yround ~ Erlang(k, mu)."""
-    if tau < 0:
-        raise InvalidConfig(f"tau must be nonnegative, got {tau}")
-    a = 2.0 * theta
-    g = _gamma_lower_table(mu * tau, k)[k - 1]
-    q = min(1.0, float(np.sum(_poisson_pmf((a + mu) * tau, k - 1))))
-    return math.exp(-a * tau) * g + (mu / (mu + a)) ** k * q
-
-
-def F_rr(tau: float, theta: float, k: int, mu: float, eps: float) -> float:
-    """Epoch transform over a geometric number of rounds, (1-eps)L / (1 - eps L)."""
-    if not (0.0 <= eps < 1.0):
-        raise InvalidConfig(f"eps must lie in [0, 1), got {eps}")
-    L = L_rr(tau, theta, k, mu)
-    return (1.0 - eps) * L / (1.0 - eps * L)
-
-
-def G_rr(x: float, processes: Sequence[ProcessParams], k: int, mu: float, eps: float) -> float:
-    """Threshold response for the blind round-robin scheme.
-
-    The per-process factor carries the squared geometric-round correction
-    ``(1-eps)^2 / (1 - eps L(x))^2`` with L evaluated at the same argument.
-    Monotone increasing in x, so direct bisection inverts it.
-    """
-    if x < 0:
-        raise InvalidConfig(f"x must be nonnegative, got {x}")
-    if not (0.0 <= eps < 1.0):
-        raise InvalidConfig(f"eps must lie in [0, 1), got {eps}")
-    total = 0.0
-    for p in processes:
-        L = L_rr(x, p.theta, k, mu)
-        total += p.stationary_variance * (
-            1.0
-            - laplace_exp_service(p.theta, mu)
-            * (1.0 - eps) ** 2
-            * math.exp(-2.0 * p.theta * x)
-            / (1.0 - eps * L) ** 2
-        )
-    return total
+    q_shift = np.minimum(_poisson_pmf(shifted * tau, n_max - 1).cumsum(axis=-1), 1.0)
+    terms = np.exp(-a * tau) * g_mu[m.k - 1 :] + lap_pow * q_shift[..., m.k - 1 :]
+    return (wts * terms).sum(axis=-1)
 
 
 def invert_monotone(
@@ -235,7 +181,7 @@ def invert_monotone(
     lo: float,
     hi: float,
     tol: float = 1e-9,
-    max_iter: int = 200,
+    max_iter: int = MAX_HALVINGS,
 ) -> float:
     """Invert a nondecreasing scalar function by bisection.
 
@@ -256,6 +202,18 @@ def invert_monotone(
         raise BracketError(
             f"bracket [{lo}, {hi}] with values [{flo}, {fhi}] does not straddle {target}"
         )
+    return _bisect(f, target, lo, hi, tol, max_iter)
+
+
+def _bisect(
+    f: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    tol: float,
+    max_iter: int = MAX_HALVINGS,
+) -> float:
+    """The halving loop of :func:`invert_monotone`, for a bracket known to straddle ``target``."""
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid == lo or mid == hi:
@@ -267,13 +225,3 @@ def invert_monotone(
     raise ConvergenceError(
         f"bisection did not reach width {tol} in {max_iter} iterations (width {hi - lo})"
     )
-
-
-def default_tau_max(processes: Sequence[ProcessParams], k: int, mu: float, eps: float) -> float:
-    """Search ceiling for threshold inversions.
-
-    Beyond ``50 / min(2 theta) + k / (mu (1 - eps))`` every transform in this
-    module is numerically saturated.
-    """
-    slowest = min(2.0 * p.theta for p in processes)
-    return 50.0 / slowest + k / (mu * (1.0 - eps))

@@ -383,10 +383,13 @@ def _write_trace(path: str, scheme: Scheme, cfg: SystemConfig, rounds: RoundArra
 
 
 def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
-    """Combine independent replications by epoch-weighted left fold.
+    """Combine independent replications by weighted left fold.
 
-    Deterministic for a given ordering; replications must share the scheme
-    and process count.
+    Each ratio estimator is pooled over its own denominator: the MSE
+    estimates and their SEs by each part's time span (epochs times mean epoch
+    length), the inter-sample means by each part's sample count (span over
+    inter-sample mean), and the mean epoch length by epochs. Deterministic for
+    a given ordering; replications must share the scheme and process count.
     """
     if not parts:
         raise InvalidConfig("nothing to merge")
@@ -395,35 +398,36 @@ def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
     k = len(parts[0].per_process_mse)
     if any(len(p.per_process_mse) != k for p in parts):
         raise InvalidConfig("cannot merge statistics across process counts")
-    total = sum(p.epochs for p in parts)
+    epochs = [p.epochs for p in parts]
+    spans = [p.epochs * p.mean_epoch_len for p in parts]
 
-    def wmean(vals, ses) -> Tuple[float, float]:
-        m = sum(v * p.epochs for v, p in zip(vals, parts)) / total
-        var = sum((s * p.epochs) ** 2 for s, p in zip(ses, parts)) / total**2
+    def wmean(vals, ses, weights) -> Tuple[float, float]:
+        total = sum(weights)
+        m = sum(v * w for v, w in zip(vals, weights)) / total
+        var = sum((s * w) ** 2 for s, w in zip(ses, weights)) / total**2
         return m, math.sqrt(var)
 
-    sum_mse, sum_mse_se = wmean([p.sum_mse for p in parts], [p.sum_mse_se for p in parts])
-    mel, mel_se = wmean([p.mean_epoch_len for p in parts], [p.mean_epoch_len_se for p in parts])
-    per = []
-    per_se = []
-    for i in range(k):
-        v, s = wmean(
-            [p.per_process_mse[i] for p in parts], [p.per_process_mse_se[i] for p in parts]
-        )
-        per.append(v)
-        per_se.append(s)
+    sum_mse, sum_mse_se = wmean([p.sum_mse for p in parts], [p.sum_mse_se for p in parts], spans)
+    mel, mel_se = wmean(
+        [p.mean_epoch_len for p in parts], [p.mean_epoch_len_se for p in parts], epochs
+    )
+    per = [
+        wmean([p.per_process_mse[i] for p in parts], [p.per_process_mse_se[i] for p in parts],
+              spans)
+        for i in range(k)
+    ]
     inter = tuple(
-        sum(p.per_process_inter_sample_mean[i] * p.epochs for p in parts) / total
+        sum(spans) / sum(t / p.per_process_inter_sample_mean[i] for t, p in zip(spans, parts))
         for i in range(k)
     )
     return SimStats(
         scheme=parts[0].scheme,
         sum_mse=sum_mse,
         sum_mse_se=sum_mse_se,
-        per_process_mse=tuple(per),
-        per_process_mse_se=tuple(per_se),
+        per_process_mse=tuple(m for m, _ in per),
+        per_process_mse_se=tuple(se for _, se in per),
         mean_epoch_len=mel,
         mean_epoch_len_se=mel_se,
         per_process_inter_sample_mean=inter,
-        epochs=total,
+        epochs=sum(epochs),
     )

@@ -3,16 +3,21 @@
 Both schemes pose one ratio problem: choose the threshold tau of the waiting
 rule ``w(z) = max(tau - z, 0)`` to minimise E[integrated sum MSE over an
 epoch] / E[epoch length] subject to the sampling budget f_max. The schemes
-differ only in the law of an epoch's service, which enters through three
-functions keyed by :class:`Scheme`: the epoch mean, the per-process epoch
-transform and the threshold response.
+differ only in the law of an epoch's service, and :func:`_law` is the one
+place that reads the scheme. An epoch is a geometric(1 - r) number of rounds,
+each with its own wait and served by an Erlang mixture over the round's
+total attempt count:
 
 - Feedback (``maf``): the scheduler retries the stalest process until its
-  sample gets through, so one epoch serves every process once with a
-  geometric number of attempts each, and the wait happens once per epoch.
+  sample gets through, so one round serves every process once with a
+  geometric(1 - eps) number of attempts each, and always delivers (r = 0).
 - No feedback (``rr``): the scheduler cycles through the processes blindly,
-  one sample each per round, so a process's epoch spans a geometric number of
-  rounds, each with its own wait.
+  one sample each per round, so a round is Erlang(k) (the same mixture at
+  eps = 0) and delivers a given process's sample with probability 1 - eps
+  (r = eps).
+
+The epoch mean, the epoch transform and the threshold response are each one
+formula over that law.
 
 Either way an epoch draws k/(1-eps) samples on average, so the budget reads
 ``epoch_mean(tau) >= k / ((1-eps) f_max)``; it is vacuous when f_max >= mu.
@@ -28,10 +33,10 @@ over the bracket, and its sign change is asserted before bisecting.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import series
-from .series import MixtureSpec, invert_monotone
+from .series import MixtureSpec, _bisect
 from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemConfig
 
 # The outer bisection cannot narrow its bracket below one float spacing of
@@ -39,45 +44,89 @@ from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemC
 TOL_ULPS = 4
 
 
-def _mixture(cfg: SystemConfig) -> MixtureSpec:
-    return MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps)
+class _Law(NamedTuple):
+    """An epoch's service law and the per-process constants the solver reuses."""
+
+    mix: MixtureSpec  # service of one round
+    r: float  # probability that a round ends without a delivery
+    var: Tuple[float, ...]  # stationary variances
+    thetas: Tuple[float, ...]
+    two_theta: Tuple[float, ...]
+    lap: Tuple[float, ...]  # mu / (mu + 2 theta)
+
+
+def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
+    """The only place the scheme enters: the law of one epoch's service.
+
+    An epoch is a geometric(1 - r) number of rounds, each served by ``mix``.
+    With feedback the retries absorb the erasures into the attempt counts, so
+    the one round always delivers (r = 0); without feedback every round is
+    Erlang(k) and delivers with probability 1 - eps.
+    """
+    if scheme is Scheme.MAF_FEEDBACK:
+        mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps), 0.0
+    else:
+        mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=0.0), cfg.eps
+    procs = cfg.processes
+    return _Law(
+        mix=mix,
+        r=r,
+        var=tuple(p.stationary_variance for p in procs),
+        thetas=tuple(p.theta for p in procs),
+        two_theta=tuple(2.0 * p.theta for p in procs),
+        lap=tuple(series.laplace_exp_service(p.theta, cfg.mu) for p in procs),
+    )
+
+
+def _epoch_mean(tau: float, law: _Law) -> float:
+    return (series.expected_wait(tau, law.mix) + law.mix.mean_total_service) / (1.0 - law.r)
 
 
 def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Expected epoch length: the wait plus the service it spans, per delivery."""
-    if scheme is Scheme.MAF_FEEDBACK:
-        return series.H_maf(tau, _mixture(cfg)) + cfg.k / (cfg.mu * (1.0 - cfg.eps))
-    return (series.H_rr(tau, cfg.k, cfg.mu) + cfg.k / cfg.mu) / (1.0 - cfg.eps)
+    return _epoch_mean(tau, _law(cfg, scheme))
 
 
-def _transform(tau: float, theta: float, cfg: SystemConfig, scheme: Scheme) -> float:
-    """Epoch transform E[exp(-2 theta * epoch length)] of one process."""
-    if scheme is Scheme.MAF_FEEDBACK:
-        return series.F_maf(tau, theta, _mixture(cfg))
-    return series.F_rr(tau, theta, cfg.k, cfg.mu, cfg.eps)
+def _transform(tau: float, law: _Law) -> List[float]:
+    """Epoch transform E[exp(-2 theta * epoch length)] of every process.
+
+    Over a geometric(1 - r) number of rounds it is ``(1-r) L / (1 - r L)``,
+    with L the transform of one round.
+    """
+    L = series.cycle_transform(tau, law.thetas, law.mix)
+    return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
 
 
-def _response(x: float, cfg: SystemConfig, scheme: Scheme) -> float:
-    """Threshold response, increasing in x; its inverse at beta is tau(beta)."""
-    if scheme is Scheme.MAF_FEEDBACK:
-        return series.G_maf(x, cfg.processes, cfg.mu)
-    return series.G_rr(x, cfg.processes, cfg.k, cfg.mu, cfg.eps)
+def _response(x: float, law: _Law) -> float:
+    """Threshold response, increasing in x; its inverse at beta is tau(beta).
+
+    Each process's term carries the squared geometric-round correction
+    ``((1-r) / (1 - r L(x)))^2``, which is exactly 1 when every round delivers.
+    """
+    if law.r > 0.0:
+        L = series.cycle_transform(x, law.thetas, law.mix)
+        rounds = (((1.0 - law.r) / (1.0 - law.r * L)) ** 2).tolist()
+    else:
+        rounds = (1.0,) * len(law.var)
+    return sum(
+        v * (1.0 - lap * math.exp(-a * x) * c)
+        for v, lap, a, c in zip(law.var, law.lap, law.two_theta, rounds)
+    )
 
 
-def _ratio_terms(tau: float, cfg: SystemConfig, scheme: Scheme) -> Tuple[float, float]:
+def _ratio_terms(tau: float, law: _Law) -> Tuple[float, float]:
     """Expected integrated sum MSE over an epoch, and the expected epoch length."""
-    eg = epoch_mean(tau, cfg, scheme)
-    total = 0.0
-    for p in cfg.processes:
-        lap = series.laplace_exp_service(p.theta, cfg.mu)
-        fk = _transform(tau, p.theta, cfg, scheme)
-        total += p.stationary_variance * (eg - (lap / (2.0 * p.theta)) * (1.0 - fk))
-    return total, eg
+    eg = _epoch_mean(tau, law)
+    numerator = sum(
+        v * (eg - (lap / a) * (1.0 - f))
+        for v, lap, a, f in zip(law.var, law.lap, law.two_theta, _transform(tau, law))
+    )
+    return numerator, eg
 
 
 def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Long-term average sum MSE achieved by threshold ``tau``."""
-    numerator, eg = _ratio_terms(tau, cfg, scheme)
+    numerator, eg = _ratio_terms(tau, _law(cfg, scheme))
     return numerator / eg
 
 
@@ -89,10 +138,12 @@ def _budget(cfg: SystemConfig) -> float:
 def search_ceiling(cfg: SystemConfig) -> float:
     """Default threshold ceiling: past every transform's saturation and the budget.
 
-    ``epoch_mean(tau) >= tau`` for both schemes, so the budget threshold lies
-    below ``_budget(cfg) + 1``.
+    Beyond ``50 / min(2 theta) + k / (mu (1 - eps))`` every transform is
+    numerically saturated, and ``epoch_mean(tau) >= tau`` for both schemes,
+    so the budget threshold lies below ``_budget(cfg) + 1``.
     """
-    saturated = series.default_tau_max(cfg.processes, cfg.k, cfg.mu, cfg.eps)
+    slowest = min(2.0 * p.theta for p in cfg.processes)
+    saturated = 50.0 / slowest + cfg.k / (cfg.mu * (1.0 - cfg.eps))
     return max(saturated, _budget(cfg) + 1.0)
 
 
@@ -101,12 +152,13 @@ def _invert_clamped(
 ) -> float:
     # Zero-threshold clamp: a target at or below f(0) realizes the zero-wait
     # regime; a target at or above f(hi) returns the ceiling itself, which
-    # the caller rejects if it survives to the optimum.
+    # the caller rejects if it survives to the optimum. Otherwise the two
+    # ends straddle the target and only the halving loop remains.
     if f(0.0) >= target:
         return 0.0
     if f(hi) <= target:
         return hi
-    return invert_monotone(f, target, 0.0, hi, tol)
+    return _bisect(f, target, 0.0, hi, tol)
 
 
 def solve(
@@ -127,6 +179,7 @@ def solve(
             f"tol must be finite and at least {min_tol:.3g}, {TOL_ULPS} float spacings "
             f"of the variance bound {beta_hi:.6g}; got {tol}"
         )
+    law = _law(cfg, scheme)
     if tau_max is None:
         tau_max = search_ceiling(cfg)
     elif not (tau_max > 0 and math.isfinite(tau_max)):
@@ -137,17 +190,17 @@ def solve(
         tau_b = 0.0
     else:
         budget = _budget(cfg)
-        tau_b = _invert_clamped(lambda t: epoch_mean(t, cfg, scheme), budget, tau_max, inner_tol)
+        tau_b = _invert_clamped(lambda t: _epoch_mean(t, law), budget, tau_max, inner_tol)
         if tau_b >= tau_max:
             raise InvalidConfig(
                 f"tau_max={tau_max} cannot meet the sampling budget (expected epoch "
-                f"{epoch_mean(tau_max, cfg, scheme)} < {budget})"
+                f"{_epoch_mean(tau_max, law)} < {budget})"
             )
 
     def residual(beta: float) -> Tuple[float, float, bool]:
-        tau0 = _invert_clamped(lambda x: _response(x, cfg, scheme), beta, tau_max, inner_tol)
+        tau0 = _invert_clamped(lambda x: _response(x, law), beta, tau_max, inner_tol)
         tau = max(tau0, tau_b)
-        numerator, eg = _ratio_terms(tau, cfg, scheme)
+        numerator, eg = _ratio_terms(tau, law)
         return numerator - beta * eg, tau, tau0 < tau_b
 
     p_lo, _, _ = residual(0.0)

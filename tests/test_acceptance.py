@@ -19,20 +19,15 @@ import warnings
 import numpy as np
 
 from ouwait import (
-    F_maf,
-    F_rr,
-    H_maf,
-    H_rr,
-    L_rr,
-    G_maf,
-    G_rr,
     MixtureSpec,
     ProcessParams,
     Scheme,
     SystemConfig,
     ThresholdPolicy,
     TruncationWarning,
+    cycle_transform,
     epoch_mean,
+    expected_wait,
     invert_monotone,
     mse_at_tau,
     round_arrays,
@@ -41,6 +36,7 @@ from ouwait import (
     solve_maf,
     solve_rr,
 )
+from ouwait.threshold import _law, _response, _transform
 
 REF_PROCS = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0))
 EPS_GRID = np.arange(0.0, 0.901, 0.05)
@@ -138,7 +134,7 @@ def test_criterion_05_binding_branch_identities():
             res = solve_maf(cfg)
             m = MixtureSpec(k=2, mu=1.0, eps=float(eps))
             ref = invert_monotone(
-                lambda t: H_maf(t, m), 2.0 / (1.0 - eps), 0.0, 500.0, tol=1e-11
+                lambda t: expected_wait(t, m), 2.0 / (1.0 - eps), 0.0, 500.0, tol=1e-11
             )
             worst = max(worst, abs(res.tau_star - ref))
             rr_taus.append(solve_rr(cfg).tau_star)
@@ -233,24 +229,26 @@ def test_criterion_10_property_suites(two_process_cfg):
     tau = 1.3
     w = np.maximum(tau - totals, 0.0)
     se = w.std(ddof=1) / 1000
-    assert abs(H_maf(tau, m) - w.mean()) <= 3 * se
+    assert abs(expected_wait(tau, m) - w.mean()) <= 3 * se
     for th in (0.1, 0.5):
         v = np.exp(-2 * th * np.maximum(tau, totals))
-        assert abs(F_maf(tau, th, m) - v.mean()) <= 3 * v.std(ddof=1) / 1000
+        assert abs(cycle_transform(tau, th, m) - v.mean()) <= 3 * v.std(ddof=1) / 1000
     rounds = rng.standard_gamma(2, size=10**6)
     v = np.exp(-1.0 * np.maximum(tau, rounds))
-    assert abs(L_rr(tau, 0.5, 2, 1.0) - v.mean()) <= 3 * v.std(ddof=1) / 1000
+    erlang = MixtureSpec(k=2, mu=1.0, eps=0.0)
+    assert abs(cycle_transform(tau, 0.5, erlang) - v.mean()) <= 3 * v.std(ddof=1) / 1000
     notes.append("series-vs-MC 3se")
 
-    # Family coincidences at zero erasure rate.
-    m0 = MixtureSpec(k=2, mu=1.0, eps=0.0)
+    # Family coincidences at zero erasure rate: both schemes map onto one law.
+    cfg0 = ref_cfg(0.0, 1.5)
+    maf0, rr0 = _law(cfg0, Scheme.MAF_FEEDBACK), _law(cfg0, Scheme.RR_NO_FEEDBACK)
     for t in np.linspace(0, 12, 100):
-        assert abs(H_maf(t, m0) - H_rr(t, 2, 1.0)) <= 1e-10
-        assert abs(F_maf(t, 0.5, m0) - F_rr(t, 0.5, 2, 1.0, 0.0)) <= 1e-10
-        assert abs(
-            G_maf(t, REF_PROCS, 1.0) - G_rr(t, REF_PROCS, 2, 1.0, 0.0)
-        ) <= 1e-10
-    notes.append("eps=0 coincidence 1e-10")
+        assert epoch_mean(t, cfg0, Scheme.MAF_FEEDBACK) == epoch_mean(
+            t, cfg0, Scheme.RR_NO_FEEDBACK
+        )
+        assert _transform(t, maf0) == _transform(t, rr0)
+        assert _response(t, maf0) == _response(t, rr0)
+    notes.append("eps=0 coincidence exact")
 
     # Renewal and transform identities in the simulator.
     arrays = round_arrays(two_process_cfg, Scheme.MAF_FEEDBACK, 1.6, n_rounds=4 * 10**5, seed=1011)
@@ -260,7 +258,7 @@ def test_criterion_10_property_suites(two_process_cfg):
     paired = np.maximum(1.6, arrays.service_total)
     for p in two_process_cfg.processes:
         v = np.exp(-2 * p.theta * paired)
-        ref = F_maf(1.6, p.theta, MixtureSpec(k=2, mu=1.0, eps=0.3))
+        ref = cycle_transform(1.6, p.theta, MixtureSpec(k=2, mu=1.0, eps=0.3))
         assert abs(v.mean() - ref) <= 3 * v.std(ddof=1) / math.sqrt(len(v))
     rounds = round_arrays(
         two_process_cfg, Scheme.RR_NO_FEEDBACK, 0.7, n_rounds=4 * 10**5, seed=1012
@@ -271,11 +269,12 @@ def test_criterion_10_property_suites(two_process_cfg):
     ref = epoch_mean(0.7, two_process_cfg, Scheme.RR_NO_FEEDBACK)
     assert abs(gaps.mean() - ref) <= 3 * se
     paired_rr = np.maximum(0.7, rounds.service_total)
+    refs = _transform(0.7, _law(two_process_cfg, Scheme.RR_NO_FEEDBACK))
     for k, p in enumerate(two_process_cfg.processes):
         h = np.flatnonzero(rounds.delivered[:, k])
         gam = np.add.reduceat(paired_rr, np.concatenate(([0], h[:-1] + 1)))
         v = np.exp(-2 * p.theta * gam)
-        ref = F_rr(0.7, p.theta, 2, 1.0, 0.3)
+        ref = refs[k]
         assert abs(v.mean() - ref) <= 3 * v.std(ddof=1) / math.sqrt(len(v))
     notes.append("renewal+transform identities 3se")
 

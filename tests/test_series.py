@@ -15,27 +15,51 @@ from scipy.special import gammainc, gammaln
 from ouwait import (
     BracketError,
     ConvergenceError,
-    F_maf,
-    F_rr,
-    G_maf,
-    G_rr,
-    H_maf,
-    H_rr,
     InvalidConfig,
-    L_rr,
     MixtureSpec,
     ProcessParams,
+    Scheme,
+    SystemConfig,
     TruncationWarning,
-    default_tau_max,
+    cycle_transform,
+    epoch_mean,
+    expected_wait,
     invert_monotone,
     laplace_exp_service,
     mixture_weights,
 )
 from ouwait.series import _gamma_lower_table
+from ouwait.threshold import _invert_clamped, _law, _response, _transform, search_ceiling
 
 M1 = MixtureSpec(k=1, mu=1.0, eps=0.0)
 M2 = MixtureSpec(k=2, mu=1.0, eps=0.3)
 PROCS = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0))
+MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
+
+
+def system(procs, eps: float, mu: float = 1.0) -> SystemConfig:
+    return SystemConfig(k=len(procs), f_max=1.5, mu=mu, eps=eps, processes=tuple(procs))
+
+
+def erlang(k: int, mu: float) -> MixtureSpec:
+    """Service of one blind round: the mixture with every attempt delivered."""
+    return MixtureSpec(k=k, mu=mu, eps=0.0)
+
+
+def round_transform(tau: float, theta: float, k: int, mu: float) -> float:
+    """Transform E[exp(-2 theta max(tau, Y))] of one Erlang(k, mu) round."""
+    return float(cycle_transform(tau, theta, erlang(k, mu)))
+
+
+def rr_epoch_transform(tau: float, theta: float, k: int, mu: float, eps: float) -> float:
+    """The solver's no-feedback epoch transform for k processes of rate theta."""
+    cfg = system((ProcessParams(theta, 1.0),) * k, eps, mu)
+    return _transform(tau, _law(cfg, RR))[0]
+
+
+def response(x: float, procs, scheme: Scheme, eps: float) -> float:
+    """The solver's threshold response of ``scheme`` for ``procs`` at unit mu."""
+    return _response(x, _law(system(procs, eps), scheme))
 
 
 def mixture_pdf(z: float, m: MixtureSpec) -> float:
@@ -105,9 +129,9 @@ class TestRegIncGamma:
         # The table is private; its callers reject a negative argument, and a
         # shape below one cannot arise because MixtureSpec rejects k < 1.
         with pytest.raises(InvalidConfig):
-            H_maf(-1.0, M2)
+            expected_wait(-1.0, M2)
         with pytest.raises(InvalidConfig):
-            H_rr(-1.0, 2, 1.0)
+            cycle_transform(-1.0, 0.5, erlang(2, 1.0))
         with pytest.raises(InvalidConfig):
             MixtureSpec(k=0, mu=1.0, eps=0.3)
 
@@ -159,44 +183,44 @@ class TestLaplaceExpService:
 
 class TestHMaf:
     def test_zero_threshold(self):
-        assert H_maf(0.0, M2) == 0.0
+        assert expected_wait(0.0, M2) == 0.0
 
     def test_single_exponential_hand_value(self):
         ref, _ = quad(lambda y: (1 - y) * math.exp(-y), 0, 1)
-        assert H_maf(1.0, M1) == pytest.approx(ref, rel=1e-10)
-        assert H_maf(1.0, M1) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert expected_wait(1.0, M1) == pytest.approx(ref, rel=1e-10)
+        assert expected_wait(1.0, M1) == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_large_threshold_asymptote(self):
         tau = 200.0
-        assert H_maf(tau, M2) == pytest.approx(tau - M2.mean_total_service, abs=1e-8)
+        assert expected_wait(tau, M2) == pytest.approx(tau - M2.mean_total_service, abs=1e-8)
 
     def test_against_mixture_quadrature(self):
         for tau in (0.5, 1.7, 4.0):
             ref, _ = quad(lambda z: (tau - z) * mixture_pdf(z, M2), 0, tau, limit=200)
-            assert H_maf(tau, M2) == pytest.approx(ref, rel=1e-8)
+            assert expected_wait(tau, M2) == pytest.approx(ref, rel=1e-8)
 
     def test_monte_carlo(self):
         rng = np.random.default_rng(31)
         totals = draw_cycle_totals(M2, 10**6, rng)
         for tau in (1.0, 3.0):
             w = np.maximum(tau - totals, 0.0)
-            assert H_maf(tau, M2) == pytest.approx(
+            assert expected_wait(tau, M2) == pytest.approx(
                 float(w.mean()), abs=3 * float(w.std()) / 1000
             )
 
     def test_nondecreasing_and_convex(self):
         taus = np.linspace(0, 12, 240)
-        vals = np.array([H_maf(t, M2) for t in taus])
+        vals = np.array([expected_wait(t, M2) for t in taus])
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-9)
 
 
 class TestFMaf:
     def test_zero_threshold_single(self):
-        assert F_maf(0.0, 0.5, M1) == pytest.approx(0.5, abs=1e-12)
+        assert cycle_transform(0.0, 0.5, M1) == pytest.approx(0.5, abs=1e-12)
 
     def test_vanishes_at_large_threshold(self):
-        assert F_maf(80.0, 0.5, M2) == pytest.approx(0.0, abs=1e-12)
+        assert cycle_transform(80.0, 0.5, M2) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_mixture_quadrature(self):
         for tau, th in ((0.8, 0.1), (1.6, 0.5)):
@@ -205,7 +229,7 @@ class TestFMaf:
             outer, _ = quad(
                 lambda z: math.exp(-a * z) * mixture_pdf(z, M2), tau, 120, limit=200
             )
-            assert F_maf(tau, th, M2) == pytest.approx(
+            assert cycle_transform(tau, th, M2) == pytest.approx(
                 math.exp(-a * tau) * inner + outer, rel=1e-7
             )
 
@@ -214,13 +238,24 @@ class TestFMaf:
         totals = draw_cycle_totals(M2, 10**6, rng)
         for tau, th in ((1.0, 0.5), (2.5, 0.1)):
             vals = np.exp(-2 * th * np.maximum(tau, totals))
-            assert F_maf(tau, th, M2) == pytest.approx(
+            assert cycle_transform(tau, th, M2) == pytest.approx(
                 float(vals.mean()), abs=3 * float(vals.std()) / 1000
             )
 
+    def test_rates_at_once_match_one_rate_each(self):
+        # tau = 0 puts a zero mean into the Poisson table (log 0).
+        thetas = np.geomspace(1e-3, 10.0, 9)
+        for m in (M1, M2, erlang(3, 1.3), MixtureSpec(k=4, mu=0.7, eps=0.8)):
+            for tau in (0.0, 1e-9, 0.7, 3.0, 40.0):
+                vals = cycle_transform(tau, thetas, m)
+                assert vals.shape == thetas.shape
+                assert np.all(np.isfinite(vals))
+                singles = [float(cycle_transform(tau, th, m)) for th in thetas]
+                assert vals.tolist() == singles
+
     def test_in_unit_interval_and_nonincreasing(self):
         taus = np.linspace(0, 10, 100)
-        vals = np.array([F_maf(t, 0.5, M2) for t in taus])
+        vals = np.array([cycle_transform(t, 0.5, M2) for t in taus])
         assert np.all((vals > 0) & (vals <= 1))
         assert np.all(np.diff(vals) <= 1e-12)
 
@@ -228,35 +263,38 @@ class TestFMaf:
 class TestGMaf:
     def test_saturation(self):
         total = sum(p.stationary_variance for p in PROCS)
-        assert G_maf(300.0, PROCS, 1.0) == pytest.approx(total, abs=1e-10)
+        assert response(300.0, PROCS, MAF, 0.3) == pytest.approx(total, abs=1e-10)
 
     def test_hand_value_at_zero(self):
-        assert G_maf(0.0, (ProcessParams(0.5, 1.0),), 1.0) == pytest.approx(0.5, abs=1e-14)
+        single = (ProcessParams(0.5, 1.0),)
+        assert response(0.0, single, MAF, 0.3) == pytest.approx(0.5, abs=1e-14)
 
     def test_strictly_increasing(self):
         xs = np.linspace(0, 40, 500)
-        vals = np.array([G_maf(x, PROCS, 1.0) for x in xs])
+        vals = np.array([response(x, PROCS, MAF, 0.3) for x in xs])
         assert np.all(np.diff(vals) > 0)
 
 
 class TestRoundFunctions:
     def test_h_rr_zero_and_hand_value(self):
-        assert H_rr(0.0, 2, 1.0) == 0.0
-        assert H_rr(1.0, 1, 1.0) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert expected_wait(0.0, erlang(2, 1.0)) == 0.0
+        assert expected_wait(1.0, erlang(1, 1.0)) == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_h_rr_equals_h_maf_without_erasures(self):
-        m = MixtureSpec(k=3, mu=1.3, eps=0.0)
+        # The one-point mixture is the Erlang round: E[(tau - Y)+] in closed form.
+        m = erlang(3, 1.3)
         for tau in np.linspace(0, 8, 60):
-            assert abs(H_rr(tau, 3, 1.3) - H_maf(tau, m)) <= 1e-10
+            ref = tau * gammainc(3, 1.3 * tau) - (3 / 1.3) * gammainc(4, 1.3 * tau)
+            assert abs(expected_wait(tau, m) - ref) <= 1e-10
 
     def test_h_rr_convex(self):
         taus = np.linspace(0, 10, 200)
-        vals = np.array([H_rr(t, 2, 1.0) for t in taus])
+        vals = np.array([expected_wait(t, erlang(2, 1.0)) for t in taus])
         assert np.all(np.diff(vals, 2) >= -1e-9)
 
     def test_l_rr_boundaries(self):
-        assert L_rr(0.0, 0.5, 2, 1.0) == pytest.approx(0.25, abs=1e-12)
-        assert L_rr(100.0, 0.5, 2, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert round_transform(0.0, 0.5, 2, 1.0) == pytest.approx(0.25, abs=1e-12)
+        assert round_transform(100.0, 0.5, 2, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_l_rr_against_erlang_quadrature(self):
         tau, th, k, mu = 1.0, 0.5, 2, 1.0
@@ -264,24 +302,24 @@ class TestRoundFunctions:
         pdf = lambda y: mu**k * y ** (k - 1) * math.exp(-mu * y) / math.factorial(k - 1)
         lo, _ = quad(lambda y: math.exp(-a * tau) * pdf(y), 0, tau)
         hi, _ = quad(lambda y: math.exp(-a * y) * pdf(y), tau, 80)
-        assert L_rr(tau, th, k, mu) == pytest.approx(lo + hi, abs=1e-8)
+        assert round_transform(tau, th, k, mu) == pytest.approx(lo + hi, abs=1e-8)
 
     def test_l_rr_monte_carlo(self):
         rng = np.random.default_rng(51)
         rounds = rng.standard_gamma(2, size=10**6)
         vals = np.exp(-1.0 * np.maximum(1.0, rounds))
-        assert L_rr(1.0, 0.5, 2, 1.0) == pytest.approx(
+        assert round_transform(1.0, 0.5, 2, 1.0) == pytest.approx(
             float(vals.mean()), abs=3 * float(vals.std()) / 1000
         )
 
     def test_f_rr_reduces_to_l_without_erasures(self):
         for tau in (0.0, 0.7, 2.0):
-            assert F_rr(tau, 0.5, 2, 1.0, 0.0) == pytest.approx(
-                L_rr(tau, 0.5, 2, 1.0), abs=1e-14
+            assert rr_epoch_transform(tau, 0.5, 2, 1.0, 0.0) == round_transform(
+                tau, 0.5, 2, 1.0
             )
 
     def test_f_rr_hand_value(self):
-        assert F_rr(0.0, 0.5, 1, 1.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert rr_epoch_transform(0.0, 0.5, 1, 1.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_f_rr_geometric_round_monte_carlo(self):
         rng = np.random.default_rng(61)
@@ -293,15 +331,15 @@ class TestRoundFunctions:
         stops = stops[stops < n_rounds]
         gam = np.add.reduceat(np.maximum(tau, totals), np.concatenate(([0], stops))[:-1])
         vals = np.exp(-2 * th * gam)
-        assert F_rr(tau, th, k, 1.0, eps) == pytest.approx(
+        assert rr_epoch_transform(tau, th, k, 1.0, eps) == pytest.approx(
             float(vals.mean()), abs=3 * float(vals.std()) / math.sqrt(len(vals))
         )
 
     def test_f_l_in_range_and_nonincreasing(self):
         taus = np.linspace(0, 8, 80)
         for fn in (
-            lambda t: L_rr(t, 0.5, 2, 1.0),
-            lambda t: F_rr(t, 0.5, 2, 1.0, 0.3),
+            lambda t: round_transform(t, 0.5, 2, 1.0),
+            lambda t: rr_epoch_transform(t, 0.5, 2, 1.0, 0.3),
         ):
             vals = np.array([fn(t) for t in taus])
             assert np.all((vals > 0) & (vals <= 1))
@@ -311,26 +349,29 @@ class TestRoundFunctions:
 class TestGRr:
     def test_matches_g_maf_without_erasures(self):
         for x in np.linspace(0, 20, 50):
-            assert abs(G_rr(x, PROCS, 2, 1.0, 0.0) - G_maf(x, PROCS, 1.0)) <= 1e-10
+            assert response(x, PROCS, RR, 0.0) == response(x, PROCS, MAF, 0.0)
 
     def test_saturation(self):
         total = sum(p.stationary_variance for p in PROCS)
-        assert G_rr(300.0, PROCS, 2, 1.0, 0.3) == pytest.approx(total, abs=1e-10)
+        assert response(300.0, PROCS, RR, 0.3) == pytest.approx(total, abs=1e-10)
 
     def test_strictly_increasing_fine_grid(self):
         xs = np.linspace(0.0, 25.0, 1000)
-        vals = np.array([G_rr(x, PROCS, 2, 1.0, 0.3) for x in xs])
+        vals = np.array([response(x, PROCS, RR, 0.3) for x in xs])
         assert np.all(np.diff(vals) > 0)
 
 
 class TestEpsZeroFamilyCoincidence:
     def test_pointwise_identities(self):
-        m0 = MixtureSpec(k=2, mu=1.0, eps=0.0)
+        # Without erasures both schemes map onto one law, so the epoch mean,
+        # the epoch transforms and the threshold response agree exactly.
+        cfg0 = system(PROCS, 0.0)
+        maf, rr = _law(cfg0, MAF), _law(cfg0, RR)
+        assert maf == rr
         for tau in np.linspace(0, 15, 120):
-            assert abs(H_maf(tau, m0) - H_rr(tau, 2, 1.0)) <= 1e-10
-            for th in (0.1, 0.5):
-                assert abs(F_maf(tau, th, m0) - F_rr(tau, th, 2, 1.0, 0.0)) <= 1e-10
-            assert abs(G_maf(tau, PROCS, 1.0) - G_rr(tau, PROCS, 2, 1.0, 0.0)) <= 1e-10
+            assert epoch_mean(tau, cfg0, MAF) == epoch_mean(tau, cfg0, RR)
+            assert _transform(tau, maf) == _transform(tau, rr)
+            assert _response(tau, maf) == _response(tau, rr)
 
 
 class TestInvertMonotone:
@@ -340,14 +381,25 @@ class TestInvertMonotone:
         )
 
     def test_inverts_expected_wait(self):
-        root = invert_monotone(lambda t: H_rr(t, 1, 1.0), math.exp(-1), 0.0, 10.0, tol=1e-10)
+        root = invert_monotone(lambda t: expected_wait(t, M1), math.exp(-1), 0.0, 10.0, tol=1e-10)
         assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_bracket_error_is_distinct(self):
         with pytest.raises(BracketError):
-            invert_monotone(lambda x: G_maf(x, PROCS, 1.0), -1.0, 0.0, 10.0)
+            invert_monotone(lambda x: response(x, PROCS, MAF, 0.3), -1.0, 0.0, 10.0)
         with pytest.raises(ConvergenceError):
             invert_monotone(lambda x: x, 0.5, 0.0, 1.0, tol=1e-9, max_iter=3)
+
+    def test_clamped_inversion_evaluates_each_end_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3
+
+        root = _invert_clamped(f, 0.3, 1.0, 1e-9)
+        assert calls.count(0.0) == 1 and calls.count(1.0) == 1
+        assert root == invert_monotone(lambda x: x**3, 0.3, 0.0, 1.0, tol=1e-9)
 
     def test_randomized_monotone_functions(self):
         rng = np.random.default_rng(71)
@@ -360,10 +412,11 @@ class TestInvertMonotone:
 
 
 def test_default_tau_max_saturates_transforms():
-    tmax = default_tau_max(PROCS, 2, 1.0, 0.3)
-    assert F_maf(tmax, min(p.theta for p in PROCS), M2) < 1e-12
+    tmax = search_ceiling(system(PROCS, 0.3))
+    assert cycle_transform(tmax, min(p.theta for p in PROCS), M2) < 1e-12
     sat = sum(p.stationary_variance for p in PROCS)
-    assert G_maf(tmax, PROCS, 1.0) == pytest.approx(sat, abs=1e-12)
+    assert response(tmax, PROCS, MAF, 0.3) == pytest.approx(sat, abs=1e-12)
+    assert response(tmax, PROCS, RR, 0.3) == pytest.approx(sat, abs=1e-12)
 
 
 def test_truncation_error_bound_on_h():
@@ -380,4 +433,4 @@ def test_truncation_error_bound_on_h():
         for r, w in zip(long_rhos, long_wts)
     )
     bound = 1e-12 * (tau + m.mean_total_service)
-    assert abs(H_maf(tau, m) - ref) <= bound + 1e-13
+    assert abs(expected_wait(tau, m) - ref) <= bound + 1e-13

@@ -8,19 +8,20 @@ import numpy as np
 import pytest
 
 from ouwait import (
-    F_maf,
-    F_rr,
     InvalidConfig,
     MixtureSpec,
     ProcessParams,
     Scheme,
+    SimStats,
     SystemConfig,
     ThresholdPolicy,
+    cycle_transform,
     epoch_mean,
     merge_sim_stats,
     round_arrays,
     simulate,
 )
+from ouwait.threshold import _law, _transform
 
 from event_oracle import run_epoch_maf, run_round_rr
 
@@ -159,7 +160,7 @@ class TestBatchEngine:
         for p in two_process_cfg.processes:
             vals = np.exp(-2 * p.theta * paired)
             se = vals.std(ddof=1) / 1000
-            assert abs(vals.mean() - F_maf(tau, p.theta, m)) <= 3 * se
+            assert abs(vals.mean() - cycle_transform(tau, p.theta, m)) <= 3 * se
 
     def test_transform_identity_rr(self, two_process_cfg):
         # Per-epoch transform: sum of max(tau, round total) over the epoch's
@@ -167,14 +168,13 @@ class TestBatchEngine:
         tau = 0.7
         arrays = round_arrays(two_process_cfg, RR, tau, n_rounds=10**6, seed=17)
         paired = np.maximum(tau, arrays.service_total)
+        refs = _transform(tau, _law(two_process_cfg, RR))
         for k, p in enumerate(two_process_cfg.processes):
             hits = np.flatnonzero(arrays.delivered[:, k])
             gam = np.add.reduceat(paired, np.concatenate(([0], hits[:-1] + 1)))
             vals = np.exp(-2 * p.theta * gam)
             se = vals.std(ddof=1) / math.sqrt(len(vals))
-            ref = F_rr(tau, p.theta, two_process_cfg.k, two_process_cfg.mu,
-                       two_process_cfg.eps)
-            assert abs(vals.mean() - ref) <= 3 * se
+            assert abs(vals.mean() - refs[k]) <= 3 * se
 
     def test_chained_pairing_skews_the_transform(self):
         # Pairing a cycle's wait with the next cycle's services (the physical
@@ -190,7 +190,7 @@ class TestBatchEngine:
         physical = np.exp(-(arrays.wait + arrays.service_total))
         paired = np.exp(-np.maximum(tau, arrays.service_total))
         se = physical.std(ddof=1) / 1000
-        ref = F_maf(tau, 0.5, MixtureSpec(k=1, mu=1.0, eps=0.5))
+        ref = cycle_transform(tau, 0.5, MixtureSpec(k=1, mu=1.0, eps=0.5))
         assert physical.mean() > ref + 10 * se
         assert abs(paired.mean() - ref) <= 3 * se
 
@@ -386,6 +386,28 @@ class TestMergeStats:
         lo = min(p.sum_mse for p in parts)
         hi = max(p.sum_mse for p in parts)
         assert lo <= merged.sum_mse <= hi
+
+    def test_ratio_estimators_weighted_by_time_span(self):
+        # Equal epochs, but the second part covers three times the time.
+        def part(mean_epoch_len, mse, inter):
+            return SimStats(
+                scheme=MAF, sum_mse=mse, sum_mse_se=0.1, per_process_mse=(mse,),
+                per_process_mse_se=(0.1,), mean_epoch_len=mean_epoch_len,
+                mean_epoch_len_se=0.01, per_process_inter_sample_mean=(inter,), epochs=100,
+            )
+
+        merged = merge_sim_stats([part(1.0, 1.0, 1.0), part(3.0, 2.0, 2.0)])
+        assert merged.sum_mse == pytest.approx(1.75, rel=1e-15)
+        assert merged.per_process_mse == pytest.approx((1.75,), rel=1e-15)
+        se = math.hypot(0.1 * 100, 0.1 * 300) / 400
+        assert merged.sum_mse_se == pytest.approx(se, rel=1e-15)
+        assert merged.per_process_mse_se == pytest.approx((se,), rel=1e-15)
+        # The mean epoch length stays epoch-weighted.
+        assert merged.mean_epoch_len == pytest.approx(2.0, rel=1e-15)
+        assert merged.mean_epoch_len_se == pytest.approx(math.hypot(1.0, 1.0) / 200, rel=1e-15)
+        # Total span over total samples: 400 / (100/1 + 300/2).
+        assert merged.per_process_inter_sample_mean == pytest.approx((1.6,), rel=1e-15)
+        assert merged.epochs == 200
 
     def test_merge_rejects_mixed_schemes(self, two_process_cfg):
         a = simulate(two_process_cfg, ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0),

@@ -7,8 +7,6 @@ import pytest
 
 import ouwait.threshold as threshold
 from ouwait import (
-    G_maf,
-    H_maf,
     InvalidConfig,
     MixtureSpec,
     ProcessParams,
@@ -16,6 +14,7 @@ from ouwait import (
     Scheme,
     TruncationWarning,
     epoch_mean,
+    expected_wait,
     invert_monotone,
     mse_at_tau,
     solve_maf,
@@ -46,9 +45,8 @@ def test_self_consistency_and_first_order(two_process_cfg):
                                           abs=10 * TOL)
     assert not res.binding
     # Unconstrained optimum sits where the threshold response meets the value.
-    assert G_maf(res.tau_star, two_process_cfg.processes, two_process_cfg.mu) == pytest.approx(
-        res.beta_star, abs=10 * TOL
-    )
+    law = threshold._law(two_process_cfg, MAF)
+    assert threshold._response(res.tau_star, law) == pytest.approx(res.beta_star, abs=10 * TOL)
     assert res.achieved_tol <= TOL
     assert 0 <= res.beta_star <= two_process_cfg.total_stationary_variance
 
@@ -77,7 +75,7 @@ def test_binding_threshold_solves_wait_equation(two_process_cfg):
         assert res.binding
         target = (cfg.k / cfg.f_max - cfg.k / cfg.mu) / (1 - eps)
         m = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=eps)
-        ref = invert_monotone(lambda t: H_maf(t, m), target, 0.0, 400.0, tol=1e-11)
+        ref = invert_monotone(lambda t: expected_wait(t, m), target, 0.0, 400.0, tol=1e-11)
         assert res.tau_star == pytest.approx(ref, abs=1e-6)
         # At the binding threshold the realized sampling rate meets the budget.
         eg = epoch_mean(res.tau_star, cfg, MAF)

@@ -7,12 +7,12 @@ import pytest
 
 import ouwait.threshold as threshold
 from ouwait import (
-    G_rr,
-    H_rr,
     InvalidConfig,
+    MixtureSpec,
     ProcessParams,
     Scheme,
     SystemConfig,
+    expected_wait,
     invert_monotone,
     mse_at_tau,
     solve_maf,
@@ -23,6 +23,11 @@ TOL = 1e-9
 MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
 
 
+def round_wait(tau: float, k: int, mu: float) -> float:
+    """Expected wait E[(tau - Y)+] over one Erlang(k, mu) round."""
+    return expected_wait(tau, MixtureSpec(k=k, mu=mu, eps=0.0))
+
+
 def test_zero_threshold_anchor(single_process_cfg):
     assert mse_at_tau(0.0, single_process_cfg, RR) == pytest.approx(0.75, abs=1e-12)
 
@@ -30,9 +35,7 @@ def test_zero_threshold_anchor(single_process_cfg):
 def test_matches_feedback_scheme_without_erasures(two_process_cfg):
     cfg = replace(two_process_cfg, eps=0.0)
     for tau in (0.0, 0.4, 1.1, 3.0):
-        assert mse_at_tau(tau, cfg, RR) == pytest.approx(
-            mse_at_tau(tau, cfg, MAF), abs=1e-10
-        )
+        assert mse_at_tau(tau, cfg, RR) == mse_at_tau(tau, cfg, MAF)
 
 
 def test_mse_saturates(two_process_cfg):
@@ -45,10 +48,8 @@ def test_self_consistency_first_order_local_opt(two_process_cfg):
     assert res.beta_star == pytest.approx(mse_at_tau(res.tau_star, two_process_cfg, RR),
                                           abs=10 * TOL)
     assert not res.binding
-    assert G_rr(
-        res.tau_star, two_process_cfg.processes, two_process_cfg.k,
-        two_process_cfg.mu, two_process_cfg.eps,
-    ) == pytest.approx(res.beta_star, abs=10 * TOL)
+    law = threshold._law(two_process_cfg, RR)
+    assert threshold._response(res.tau_star, law) == pytest.approx(res.beta_star, abs=10 * TOL)
     for delta in (1e-3, 1e-2):
         for tau in (res.tau_star - delta, res.tau_star + delta):
             assert mse_at_tau(tau, two_process_cfg, RR) >= res.beta_star - 10 * TOL
@@ -64,7 +65,7 @@ def test_binding_threshold_constant_in_erasure_rate(two_process_cfg):
     assert max(taus) - min(taus) <= 1e-9
     target = two_process_cfg.k / 0.5 - two_process_cfg.k / two_process_cfg.mu
     ref = invert_monotone(
-        lambda t: H_rr(t, two_process_cfg.k, two_process_cfg.mu), target, 0.0, 200.0,
+        lambda t: round_wait(t, two_process_cfg.k, two_process_cfg.mu), target, 0.0, 200.0,
         tol=1e-11,
     )
     assert taus[0] == pytest.approx(ref, abs=1e-6)
@@ -98,7 +99,7 @@ def test_saturation_onset_near_unit_budget(two_process_cfg):
             break
     assert onset is not None and 0.1 <= onset <= 0.3
     target = 2 / 0.95 - 2.0
-    ref = invert_monotone(lambda t: H_rr(t, 2, 1.0), target, 0.0, 100.0, tol=1e-11)
+    ref = invert_monotone(lambda t: round_wait(t, 2, 1.0), target, 0.0, 100.0, tol=1e-11)
     assert solve_rr(replace(cfg95, eps=0.5)).tau_star == pytest.approx(ref, abs=1e-6)
 
 
@@ -118,10 +119,7 @@ def test_coincides_with_feedback_solver_without_erasures(two_process_cfg):
             eps=0.0,
             processes=procs,
         )
-        a = solve_maf(cfg, tol=TOL)
-        b = solve_rr(cfg, tol=TOL)
-        assert abs(a.tau_star - b.tau_star) <= 1e-6
-        assert abs(a.beta_star - b.beta_star) <= 1e-6
+        assert solve_maf(cfg, tol=TOL) == solve_rr(cfg, tol=TOL)
 
 
 def test_optimum_at_search_ceiling_rejected(two_process_cfg):
