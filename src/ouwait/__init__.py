@@ -18,7 +18,7 @@ from .cli import (
     write_config,
     write_csv,
 )
-from .ou import inst_mse, mmse_estimate, mse_integral, ou_step
+from .ou import inst_mse, mse_integral, ou_step
 from .series import (
     MixtureSpec,
     TruncationWarning,
@@ -35,7 +35,6 @@ from .types import (
     ConvergenceError,
     InvalidConfig,
     ProcessParams,
-    SampleRecord,
     Scheme,
     SimStats,
     SolveResult,
@@ -53,7 +52,6 @@ __all__ = [
     "InvalidConfig",
     "MixtureSpec",
     "ProcessParams",
-    "SampleRecord",
     "Scheme",
     "SimStats",
     "SolveResult",
@@ -70,7 +68,6 @@ __all__ = [
     "laplace_exp_service",
     "merge_sim_stats",
     "mixture_weights",
-    "mmse_estimate",
     "mse_at_tau",
     "mse_integral",
     "ou_step",

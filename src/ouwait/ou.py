@@ -1,4 +1,4 @@
-"""Ornstein-Uhlenbeck transitions, MMSE estimation, and closed-form error integrals.
+"""Ornstein-Uhlenbeck transitions, the MMSE error law, and closed-form error integrals.
 
 All operations accept scalars or numpy arrays (broadcasting) and are pure:
 the standard-normal draw for the exact transition is an explicit argument,
@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .types import InvalidConfig, ProcessParams, SampleRecord
+from .types import InvalidConfig, ProcessParams
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -58,13 +58,4 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     out = p.stationary_variance * (
         dt + (1.0 / two_theta) * np.exp(-two_theta * age0) * np.expm1(-two_theta * dt)
     )
-    return float(out) if out.ndim == 0 else out
-
-
-def mmse_estimate(s: SampleRecord, t: ArrayLike, p: ProcessParams) -> ArrayLike:
-    """Best estimate of the process at time ``t`` given the latest received sample."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < s.stamp):
-        raise InvalidConfig("t must not precede the sample stamp")
-    out = s.value * np.exp(-p.theta * (t - s.stamp))
     return float(out) if out.ndim == 0 else out

@@ -45,7 +45,6 @@ from . import ou
 from .types import (
     ConvergenceError,
     InvalidConfig,
-    SampleRecord,
     Scheme,
     SimStats,
     SystemConfig,
@@ -78,7 +77,8 @@ def _wait_fractions(cfg: SystemConfig, wait_split: Optional[Sequence[float]]) ->
         f[0] = 1.0
         return f
     f = np.asarray(wait_split, dtype=float)
-    if f.shape != (cfg.k,) or np.any(f < 0) or abs(f.sum() - 1.0) > 1e-9:
+    # Written so that a nan fails every comparison and is rejected.
+    if f.shape != (cfg.k,) or not (np.all(f >= 0) and abs(f.sum() - 1.0) <= 1e-9):
         raise InvalidConfig("wait_split must be k nonnegative fractions summing to 1")
     return f / f.sum()
 
@@ -155,8 +155,8 @@ def round_arrays(
     One extra unmeasured round is drawn first to initialize the wait's
     conditioning value; it is not part of the returned arrays.
     """
-    if tau < 0:
-        raise InvalidConfig("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise InvalidConfig("tau must be nonnegative and finite")
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
     service_rng, erasure_rng, _ = _streams(seed)
@@ -203,37 +203,28 @@ def _ou_probe(
     stamps: np.ndarray,
     p,
     rng: np.random.Generator,
-) -> Tuple[float, float, float, int]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Co-simulate the true process along one delivery sequence.
 
-    At each delivery, compares the realized squared estimation error of the
-    previous sample's extrapolation against the closed-form error at that age.
-    Returns (mean squared error, mean reference, stderr of paired diff, count).
+    At each delivery after the first, returns the realized squared error of
+    the previous sample's extrapolation and the closed-form error at that
+    age. The error ``X(d_i) - X(s_{i-1}) e^{-theta (d_i - s_{i-1})}`` sums the
+    OU innovations over (s_{i-1}, d_{i-1}], (d_{i-1}, s_i] and (s_i, d_i], so
+    three exact steps over whole arrays give every error; the stationary
+    start cancels but is still drawn, which keeps the substream's order: one
+    start normal, then z[0] and z[2i+1] for (s_i, d_i] and z[2i] for
+    (d_{i-1}, s_i].
     """
-    n = len(deliveries)
-    errs = np.empty(n - 1)
-    refs = np.empty(n - 1)
-    x = math.sqrt(p.stationary_variance) * rng.standard_normal()  # stationary start
-    z = rng.standard_normal(size=2 * n)
-    x_at_delivery = ou.ou_step(x, deliveries[0] - stamps[0], p, z[0])
-    prev = SampleRecord(value=x, stamp=stamps[0])
-    for i in range(1, n):
-        # Gaps that are exactly zero in event order can round a hair negative
-        # in the cumulative time arithmetic; clamp them.
-        x_stamp = ou.ou_step(
-            x_at_delivery, max(stamps[i] - deliveries[i - 1], 0.0), p, z[2 * i]
-        )
-        x_at_delivery = ou.ou_step(x_stamp, deliveries[i] - stamps[i], p, z[2 * i + 1])
-        errs[i - 1] = (x_at_delivery - ou.mmse_estimate(prev, deliveries[i], p)) ** 2
-        refs[i - 1] = ou.inst_mse(deliveries[i] - prev.stamp, p)
-        prev = SampleRecord(value=x_stamp, stamp=stamps[i])
-    diff = errs - refs
-    return (
-        float(errs.mean()),
-        float(refs.mean()),
-        float(diff.std(ddof=1) / math.sqrt(len(diff))),
-        n - 1,
-    )
+    rng.standard_normal()
+    z = rng.standard_normal(size=2 * len(deliveries))
+    z_serve = np.concatenate((z[:1], z[3::2]))
+    carried = ou.ou_step(0.0, deliveries - stamps, p, z_serve)
+    # Gaps that are exactly zero in event order can round a hair negative in
+    # the cumulative time arithmetic; clamp them.
+    idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
+    at_stamp = ou.ou_step(carried[:-1], idle, p, z[2::2])
+    errs = ou.ou_step(at_stamp, deliveries[1:] - stamps[1:], p, z_serve[1:]) ** 2
+    return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p)
 
 
 def simulate(
@@ -251,9 +242,16 @@ def simulate(
     ``n_epochs`` counts per-process delivery epochs including the ``burn_in``
     initial ones that are discarded; the statistics window covers the
     remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
-    which must be at least two for a standard error. ``wait_split`` optionally spreads each wait across the k service slots in
-    fixed fractions (default: all of it up front). Identical arguments give
-    bit-identical results.
+    which must be at least two for a standard error.
+
+    ``wait_split`` optionally spreads each wait across the k service slots in
+    fixed fractions (default: all of it up front). ``track_ou`` co-simulates
+    each process's path from the OU noise substream and fills the
+    ``ou_probe_*`` fields: the realized squared estimation error at every
+    delivery in the window against the closed-form error at the same age,
+    with a standard error from the same batches as the MSE. ``trace_path``
+    writes one tab-separated record per epoch of the last process (see
+    :func:`_write_trace`). Identical arguments give bit-identical results.
     """
     if not isinstance(policy, ThresholdPolicy) or policy.scheme not in Scheme:
         raise InvalidConfig("policy must be a ThresholdPolicy with a known scheme")
@@ -286,10 +284,10 @@ def simulate(
     sum_batches = np.zeros(nb)
     epoch_len_batches = np.zeros(nb)
     mean_epoch_len = 0.0
-    ou_err = ou_ref = ou_se = None
     if track_ou:
         _, _, ou_rng = _streams(seed)
-        errs, refs, variances = [], [], []
+        ou_err = ou_ref = 0.0
+        diff_batches = np.zeros(nb)
 
     for k in range(cfg.k):
         hits = np.flatnonzero(rounds.delivered[:, k])[:n_epochs]
@@ -313,15 +311,10 @@ def simulate(
         n_samples = int(rounds.samples[hits[0] + 1 : hits[-1] + 1, k].sum())
         inter_sample.append(float(span / n_samples))
         if track_ou:
-            e, r, se_d, cnt = _ou_probe(d, s, cfg.processes[k], ou_rng)
-            errs.append(e)
-            refs.append(r)
-            variances.append(se_d**2)
-
-    if track_ou:
-        ou_err = float(np.sum(errs))
-        ou_ref = float(np.sum(refs))
-        ou_se = float(math.sqrt(sum(variances)))
+            errs, refs = _ou_probe(d, s, cfg.processes[k], ou_rng)
+            ou_err += float(errs.mean())
+            ou_ref += float(refs.mean())
+            diff_batches += _ratio_batches(errs - refs, np.ones_like(errs), edges)
 
     if trace_path is not None:
         _write_trace(trace_path, policy.scheme, cfg, rounds)
@@ -336,9 +329,9 @@ def simulate(
         mean_epoch_len_se=_se(epoch_len_batches),
         per_process_inter_sample_mean=tuple(inter_sample),
         epochs=window,
-        ou_probe_mse=ou_err,
-        ou_probe_ref=ou_ref,
-        ou_probe_diff_se=ou_se,
+        ou_probe_mse=ou_err if track_ou else None,
+        ou_probe_ref=ou_ref if track_ou else None,
+        ou_probe_diff_se=_se(diff_batches) if track_ou else None,
     )
 
 
@@ -388,8 +381,10 @@ def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
     Each ratio estimator is pooled over its own denominator: the MSE
     estimates and their SEs by each part's time span (epochs times mean epoch
     length), the inter-sample means by each part's sample count (span over
-    inter-sample mean), and the mean epoch length by epochs. Deterministic for
-    a given ordering; replications must share the scheme and process count.
+    inter-sample mean), and the mean epoch length by epochs. The OU probe
+    means are per delivery, so they and their SE are pooled by epochs; they
+    stay unset unless every part has them. Deterministic for a given
+    ordering; replications must share the scheme and process count.
     """
     if not parts:
         raise InvalidConfig("nothing to merge")
@@ -420,6 +415,12 @@ def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
         sum(spans) / sum(t / p.per_process_inter_sample_mean[i] for t, p in zip(spans, parts))
         for i in range(k)
     )
+    probe = {}
+    if all(p.ou_probe_mse is not None for p in parts):
+        diff_ses = [p.ou_probe_diff_se for p in parts]
+        mse, diff_se = wmean([p.ou_probe_mse for p in parts], diff_ses, epochs)
+        ref, _ = wmean([p.ou_probe_ref for p in parts], diff_ses, epochs)
+        probe = dict(ou_probe_mse=mse, ou_probe_ref=ref, ou_probe_diff_se=diff_se)
     return SimStats(
         scheme=parts[0].scheme,
         sum_mse=sum_mse,
@@ -430,4 +431,5 @@ def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
         mean_epoch_len_se=mel_se,
         per_process_inter_sample_mean=inter,
         epochs=sum(epochs),
+        **probe,
     )

@@ -41,18 +41,6 @@ class ProcessParams:
         return self.sigma_sq / (2.0 * self.theta)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """A time-stamped sample value taken from one process."""
-
-    value: float
-    stamp: float
-
-    def __post_init__(self) -> None:
-        if self.stamp < 0:
-            raise InvalidConfig(f"stamp must be nonnegative, got {self.stamp}")
-
-
 class Scheme(enum.Enum):
     """Scheduling discipline: retry-same-process with feedback, or blind round robin."""
 
@@ -119,7 +107,12 @@ class SimStats:
     """Estimates from one simulation run, with batch-means standard errors.
 
     ``epochs`` counts the post-burn-in epochs that entered the statistics.
-    The OU probe fields are populated only when path co-simulation is on.
+    The OU probe fields are set only when path co-simulation is on, and are
+    taken at the same deliveries: ``ou_probe_mse`` is the summed per-process
+    mean of the realized squared estimation error at each delivery,
+    ``ou_probe_ref`` the summed mean of the closed-form error at the same
+    ages, and ``ou_probe_diff_se`` the batch-means standard error of their
+    difference, which is zero in expectation.
     """
 
     scheme: Scheme

@@ -1,17 +1,21 @@
-"""Event-level reference engine of both schemes, one epoch or round at a time.
+"""Event-level reference engines, one epoch, round or delivery at a time.
 
 Tests compare the vectorized round engine of :mod:`ouwait.sim` against these
-scalar loops, which draw every service and erasure outcome in event order.
+scalar loops, which draw every service and erasure outcome in event order,
+and the simulator's array-form OU probe against a loop that steps the true
+process from event to event.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ouwait import ConvergenceError, InvalidConfig, Scheme, SystemConfig
+from ouwait import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
+from ouwait import inst_mse, ou_step
 from ouwait.sim import ATTEMPT_CAP
 
 
@@ -142,3 +146,31 @@ def run_round_rr(
         deliveries=tuple(deliveries),
         stamps=tuple(stamps),
     )
+
+
+def ou_probe_loop(
+    deliveries: np.ndarray,
+    stamps: np.ndarray,
+    p: ProcessParams,
+    rng: np.random.Generator,
+) -> Tuple[List[float], List[float]]:
+    """Step the true process through each stamp and delivery, in event order.
+
+    Starts from a stationary value at the first stamp and, at every later
+    delivery, compares the previous sample's decayed value with the process
+    there. Returns the squared errors and the closed-form errors at the same
+    ages; draws one start normal, then two normals per delivery.
+    """
+    n = len(deliveries)
+    x_stamp = math.sqrt(p.stationary_variance) * rng.standard_normal()
+    z = rng.standard_normal(size=2 * n)
+    x_delivery = ou_step(x_stamp, deliveries[0] - stamps[0], p, z[0])
+    errs, refs = [], []
+    for i in range(1, n):
+        prev_value, prev_stamp = x_stamp, float(stamps[i - 1])
+        x_stamp = ou_step(x_delivery, max(stamps[i] - deliveries[i - 1], 0.0), p, z[2 * i])
+        x_delivery = ou_step(x_stamp, deliveries[i] - stamps[i], p, z[2 * i + 1])
+        estimate = prev_value * math.exp(-p.theta * (deliveries[i] - prev_stamp))
+        errs.append((x_delivery - estimate) ** 2)
+        refs.append(inst_mse(deliveries[i] - prev_stamp, p))
+    return errs, refs

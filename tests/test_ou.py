@@ -1,4 +1,4 @@
-"""Process-dynamics layer: exact transition, error formulas, estimator."""
+"""Process-dynamics layer: exact transition and error formulas."""
 
 import math
 
@@ -9,9 +9,7 @@ from scipy.integrate import quad
 from ouwait import (
     InvalidConfig,
     ProcessParams,
-    SampleRecord,
     inst_mse,
-    mmse_estimate,
     mse_integral,
     ou_step,
 )
@@ -103,29 +101,8 @@ class TestMseIntegral:
             mse_integral(1.0, -1.0, P)
 
 
-class TestMmseEstimate:
-    def test_zero_age(self):
-        s = SampleRecord(value=2.0, stamp=1.0)
-        assert mmse_estimate(s, 1.0, P) == 2.0
-
-    def test_decays_to_mean(self):
-        s = SampleRecord(value=2.0, stamp=0.0)
-        assert mmse_estimate(s, 1e9, P) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unit_decay(self):
-        s = SampleRecord(value=1.0, stamp=0.5)
-        assert mmse_estimate(s, 2.5, P) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-    def test_time_before_stamp_rejected(self):
-        s = SampleRecord(value=1.0, stamp=5.0)
-        with pytest.raises(InvalidConfig):
-            mmse_estimate(s, 4.9, P)
-
-
 def test_process_params_validation():
     with pytest.raises(InvalidConfig):
         ProcessParams(theta=0.0, sigma_sq=1.0)
     with pytest.raises(InvalidConfig):
         ProcessParams(theta=1.0, sigma_sq=-1.0)
-    with pytest.raises(InvalidConfig):
-        SampleRecord(value=0.0, stamp=-1.0)

@@ -21,9 +21,10 @@ from ouwait import (
     round_arrays,
     simulate,
 )
+from ouwait.sim import _ou_probe
 from ouwait.threshold import _law, _transform
 
-from event_oracle import run_epoch_maf, run_round_rr
+from event_oracle import ou_probe_loop, run_epoch_maf, run_round_rr
 
 MAF = Scheme.MAF_FEEDBACK
 RR = Scheme.RR_NO_FEEDBACK
@@ -271,6 +272,17 @@ class TestSimulate:
             simulate(two_process_cfg, pol, n_epochs=100, seed=1, burn_in=10,
                      wait_split=(1.0,))
 
+    def test_non_finite_inputs_rejected(self, two_process_cfg):
+        pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
+        for split in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan)):
+            with pytest.raises(InvalidConfig):
+                simulate(two_process_cfg, pol, n_epochs=100, seed=1, burn_in=10,
+                         wait_split=split)
+        for scheme in (MAF, RR):
+            for tau in (math.nan, math.inf):
+                with pytest.raises(InvalidConfig):
+                    round_arrays(two_process_cfg, scheme, tau, n_rounds=10, seed=1)
+
     def test_ou_probe_validates_estimator_path(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.6)
         st = simulate(two_process_cfg, pol, n_epochs=3 * 10**4, seed=26, burn_in=200,
@@ -320,6 +332,38 @@ class TestSimulate:
             pre_reset_age = ages_at_delivery[:-1, k] + gaps
             next_stamp_age = arrays.ends[1:, k] - arrays.stamps[:-1, k]
             assert np.allclose(pre_reset_age, next_stamp_age, atol=1e-9)
+
+
+class TestOuProbe:
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7])
+    def test_errors_match_event_loop(self, scheme, k, eps):
+        # On identical draws, the three array-wide exact steps give the same
+        # error at every delivery as stepping the process event by event.
+        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+        cfg = SystemConfig(k=k, f_max=1.0, mu=1.0, eps=eps, processes=procs[:k])
+        rounds = round_arrays(cfg, scheme, 1.3, n_rounds=400, seed=61)
+        for j, p in enumerate(cfg.processes):
+            hits = np.flatnonzero(rounds.delivered[:, j])
+            d, s = rounds.ends[hits, j], rounds.stamps[hits, j]
+            errs, refs = _ou_probe(d, s, p, np.random.default_rng(62 + j))
+            loop_errs, loop_refs = ou_probe_loop(d, s, p, np.random.default_rng(62 + j))
+            assert len(errs) == len(hits) - 1
+            assert np.max(np.abs(errs - loop_errs)) <= 1e-12
+            assert np.array_equal(refs, loop_refs)
+
+    @pytest.mark.parametrize("scheme, tau", [(MAF, 1.6), (RR, 0.7)], ids=["maf", "rr"])
+    def test_standard_error_calibrated(self, two_process_cfg, scheme, tau):
+        # The paired gap is zero in expectation, so over many seeds the gap in
+        # units of its own standard error must spread with unit SD. Adjacent
+        # errors share a segment; the batch-means SE allows for that.
+        gaps = []
+        for seed in range(1000, 1100):
+            st = simulate(two_process_cfg, ThresholdPolicy(scheme, tau), n_epochs=2000,
+                          seed=seed, burn_in=100, track_ou=True)
+            gaps.append((st.ou_probe_mse - st.ou_probe_ref) / st.ou_probe_diff_se)
+        assert 0.8 <= np.std(gaps, ddof=1) <= 1.2
 
 
 class TestPinnedEngine:
@@ -408,6 +452,29 @@ class TestMergeStats:
         # Total span over total samples: 400 / (100/1 + 300/2).
         assert merged.per_process_inter_sample_mean == pytest.approx((1.6,), rel=1e-15)
         assert merged.epochs == 200
+
+    def test_probe_fields_pooled_by_epochs(self, two_process_cfg):
+        pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
+        a, b = (
+            simulate(two_process_cfg, pol, n_epochs=n, seed=s, burn_in=100, track_ou=True)
+            for n, s in ((2000, 1), (6000, 2))
+        )
+        merged = merge_sim_stats([a, b])
+        na, nb = a.epochs, b.epochs
+        assert merged.ou_probe_mse == pytest.approx(
+            (na * a.ou_probe_mse + nb * b.ou_probe_mse) / (na + nb), rel=1e-15
+        )
+        assert merged.ou_probe_ref == pytest.approx(
+            (na * a.ou_probe_ref + nb * b.ou_probe_ref) / (na + nb), rel=1e-15
+        )
+        se = math.hypot(na * a.ou_probe_diff_se, nb * b.ou_probe_diff_se) / (na + nb)
+        assert merged.ou_probe_diff_se == pytest.approx(se, rel=1e-15)
+        # A part without the probe leaves the merged probe fields unset.
+        plain = replace(b, ou_probe_mse=None, ou_probe_ref=None, ou_probe_diff_se=None)
+        partial = merge_sim_stats([a, plain])
+        assert (partial.ou_probe_mse, partial.ou_probe_ref, partial.ou_probe_diff_se) == (
+            None, None, None
+        )
 
     def test_merge_rejects_mixed_schemes(self, two_process_cfg):
         a = simulate(two_process_cfg, ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0),
