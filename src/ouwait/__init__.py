@@ -24,14 +24,12 @@ from .series import (
     TruncationWarning,
     cycle_transform,
     expected_wait,
-    invert_monotone,
     laplace_exp_service,
     mixture_weights,
 )
 from .sim import merge_sim_stats, round_arrays, simulate
 from .threshold import epoch_mean, mse_at_tau, solve, solve_maf, solve_rr
 from .types import (
-    BracketError,
     ConvergenceError,
     InvalidConfig,
     ProcessParams,
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "BracketError",
     "ConfigFormatError",
     "ConvergenceError",
     "InvalidConfig",
@@ -64,7 +61,6 @@ __all__ = [
     "epoch_mean",
     "expected_wait",
     "inst_mse",
-    "invert_monotone",
     "laplace_exp_service",
     "merge_sim_stats",
     "mixture_weights",

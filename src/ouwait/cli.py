@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .sim import simulate
 from .threshold import mse_at_tau, solve
 from .types import (
-    BracketError,
     ConvergenceError,
     InvalidConfig,
     ProcessParams,
@@ -341,25 +340,39 @@ def write_config(spec: SweepSpec, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="number of processes")
-    p.add_argument("--mu", type=float, help="service rate")
-    p.add_argument("--eps", type=float, help="erasure probability")
-    p.add_argument("--fmax", type=float, help="total sampling frequency budget")
-    p.add_argument("--theta", type=str, help="comma-separated reversion rates")
-    p.add_argument("--sigma-sq", type=str, help="comma-separated squared amplitudes")
-    p.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    p.add_argument("--tau-max", type=float, default=None, help="threshold search ceiling")
-    p.add_argument("--epochs", type=int, default=None, help="simulation epochs (default 100000)")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    p.add_argument("--burn-in", type=int, default=None,
-                   help="discarded initial epochs (default 1000, or epochs - 3 if less)")
-    p.add_argument("--out", type=str, default=None, help="output CSV path")
+_FLAGS = {
+    "k": dict(type=int, help="number of processes"),
+    "mu": dict(type=float, help="service rate"),
+    "eps": dict(type=float, help="erasure probability"),
+    "fmax": dict(type=float, help="total sampling frequency budget"),
+    "theta": dict(type=str, help="comma-separated reversion rates"),
+    "sigma_sq": dict(type=str, help="comma-separated squared amplitudes"),
+    "tol": dict(type=float, default=1e-9, help="solver tolerance"),
+    "tau_max": dict(type=float, default=None, help="threshold search ceiling"),
+    "epochs": dict(type=int, default=None, help="simulation epochs (default 100000)"),
+    "seed": dict(type=int, default=None, help="base RNG seed (default 0)"),
+    "burn_in": dict(type=int, default=None,
+                    help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
+    "out": dict(type=str, default=None, help="output CSV path"),
+}
+_SYSTEM_FLAGS = ("k", "mu", "eps", "fmax", "theta", "sigma_sq")
+
+
+def _add_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    """Register the named flags only, so a flag the subcommand ignores is a usage error."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so that ``main`` reports it as one line with rc 1."""
+
+    def error(self, message: str):
+        raise InvalidConfig(f"{self.prog}: {message}")
 
 
 def _system_from_args(args: argparse.Namespace) -> SystemConfig:
-    missing = [f for f in ("k", "mu", "eps", "fmax", "theta", "sigma_sq")
-               if getattr(args, f) is None]
+    missing = [f for f in _SYSTEM_FLAGS if getattr(args, f) is None]
     if missing:
         raise InvalidConfig(f"missing required flags: {', '.join('--' + m for m in missing)}")
     thetas = _parse_floats(args.theta, "--theta", InvalidConfig)
@@ -436,22 +449,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ouwait",
         description="Threshold-waiting solver and simulator for shared-queue remote estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    solve_flags = _SYSTEM_FLAGS + ("tol", "tau_max")
     p_maf = sub.add_parser("solve-maf", help="optimal threshold, feedback scheme")
-    _add_system_flags(p_maf)
+    _add_flags(p_maf, solve_flags)
     p_maf.set_defaults(func=lambda a: _cmd_solve(a, Scheme.MAF_FEEDBACK))
 
     p_rr = sub.add_parser("solve-rr", help="optimal threshold, no-feedback scheme")
-    _add_system_flags(p_rr)
+    _add_flags(p_rr, solve_flags)
     p_rr.set_defaults(func=lambda a: _cmd_solve(a, Scheme.RR_NO_FEEDBACK))
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run at a given or optimal threshold")
-    _add_system_flags(p_sim)
+    _add_flags(p_sim, solve_flags + ("epochs", "seed", "burn_in"))
     p_sim.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
     p_sim.add_argument("--tau", type=float, default=None,
                        help="threshold (defaults to the solver's optimum)")
@@ -461,18 +475,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate a config-file sweep, write CSV")
     p_sweep.add_argument("config", nargs="?", help="sweep config file")
     p_sweep.add_argument("--config", dest="config_flag", default=None)
-    _add_system_flags(p_sweep)
+    _add_flags(p_sweep, ("mu", "eps", "fmax", "epochs", "seed", "out"))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidConfig, ConfigFormatError, ConvergenceError, BracketError) as exc:
+    except (InvalidConfig, ConfigFormatError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Analytic building blocks: incomplete-gamma sums, attempt-count mixture weights,
-the expected wait and the cycle transform of a mixture service law, and
-monotone inversion. Nothing here knows the scheduling scheme; ``threshold``
-maps each scheme onto a :class:`MixtureSpec`.
+the expected wait and the cycle transform of a mixture service law. Nothing
+here knows the scheduling scheme; ``threshold`` maps each scheme onto a
+:class:`MixtureSpec`.
 
 Series over the total attempt count rho are truncated once the cumulative
 mixture weight reaches ``1 - 1e-12``; the dropped tail bounds the absolute
@@ -15,16 +15,15 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 from scipy.special import gammaln, xlogy
 
-from .types import BracketError, ConvergenceError, InvalidConfig
+from .types import InvalidConfig
 
 WEIGHT_TAIL = 1e-12
-MAX_HALVINGS = 200
 
 __all__ = [
     "MixtureSpec",
@@ -33,7 +32,6 @@ __all__ = [
     "laplace_exp_service",
     "expected_wait",
     "cycle_transform",
-    "invert_monotone",
 ]
 
 
@@ -173,55 +171,3 @@ def cycle_transform(tau: float, thetas: ArrayLike, m: MixtureSpec) -> np.ndarray
     q_shift = np.minimum(_poisson_pmf(shifted * tau, n_max - 1).cumsum(axis=-1), 1.0)
     terms = np.exp(-a * tau) * g_mu[m.k - 1 :] + lap_pow * q_shift[..., m.k - 1 :]
     return (wts * terms).sum(axis=-1)
-
-
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = MAX_HALVINGS,
-) -> float:
-    """Invert a nondecreasing scalar function by bisection.
-
-    The bracket must straddle the target: ``f(lo) <= target <= f(hi)``.
-    Returns the bracket's midpoint once the bracket is at most ``tol`` wide,
-    or once it is one float spacing wide (the midpoint rounds to an endpoint),
-    since a ``tol`` below the root's float spacing cannot be met.
-    Raises :class:`BracketError` when the bracket does not straddle the
-    target, and :class:`ConvergenceError` when it fails to shrink that far
-    within ``max_iter`` halvings.
-    """
-    if not (tol > 0):
-        raise InvalidConfig(f"tol must be positive, got {tol}")
-    if hi < lo:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if flo > target or fhi < target:
-        raise BracketError(
-            f"bracket [{lo}, {hi}] with values [{flo}, {fhi}] does not straddle {target}"
-        )
-    return _bisect(f, target, lo, hi, tol, max_iter)
-
-
-def _bisect(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iter: int = MAX_HALVINGS,
-) -> float:
-    """The halving loop of :func:`invert_monotone`, for a bracket known to straddle ``target``."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            return mid
-        if f(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(
-        f"bisection did not reach width {tol} in {max_iter} iterations (width {hi - lo})"
-    )

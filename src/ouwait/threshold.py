@@ -22,12 +22,14 @@ formula over that law.
 Either way an epoch draws k/(1-eps) samples on average, so the budget reads
 ``epoch_mean(tau) >= k / ((1-eps) f_max)``; it is vacuous when f_max >= mu.
 
-The solver bisects the candidate value beta on ``[0, sum of stationary
-variances]``, driving the residual
-``p(beta) = numerator(tau(beta)) - beta * epoch_mean(tau(beta))`` to zero.
-``tau(beta)`` inverts the threshold response at beta and is raised to the
-budget threshold where it falls short of it. ``p`` is strictly decreasing
-over the bracket, and its sign change is asserted before bisecting.
+The solver runs Dinkelbach's iteration on the ratio (Dinkelbach, "On
+nonlinear fractional programming", Management Science 1967). For a value beta,
+the threshold minimising ``numerator - beta * epoch_mean`` over the admissible
+thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
+raised to the budget threshold where it falls short of it. Starting from the
+ratio at the budget threshold, each step sets ``beta`` to the ratio at
+``tau(beta)``; beta never increases, and the iteration stops once a step moves
+it by at most ``tol``.
 """
 
 from __future__ import annotations
@@ -36,12 +38,17 @@ import math
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import series
-from .series import MixtureSpec, _bisect
+from .series import MixtureSpec
 from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemConfig
 
-# The outer bisection cannot narrow its bracket below one float spacing of
-# beta; a tolerance under a few spacings of the bracket's top would stall.
+# A step of beta cannot be resolved below one float spacing of beta, which is
+# at most the variance bound; a tolerance under a few spacings of that bound
+# could never be met by the stopping rule.
 TOL_ULPS = 4
+# Halvings of a threshold inversion, past any float bracket's one-spacing stop.
+MAX_HALVINGS = 200
+# Dinkelbach steps; the iteration converges superlinearly and needs a handful.
+MAX_ITERS = 50
 
 
 class _Law(NamedTuple):
@@ -147,30 +154,45 @@ def search_ceiling(cfg: SystemConfig) -> float:
     return max(saturated, _budget(cfg) + 1.0)
 
 
-def _invert_clamped(
-    f: Callable[[float], float], target: float, hi: float, tol: float
-) -> float:
-    # Zero-threshold clamp: a target at or below f(0) realizes the zero-wait
-    # regime; a target at or above f(hi) returns the ceiling itself, which
-    # the caller rejects if it survives to the optimum. Otherwise the two
-    # ends straddle the target and only the halving loop remains.
+def _invert(f: Callable[[float], float], target: float, hi: float, tol: float) -> float:
+    """Invert the nondecreasing ``f`` at ``target`` by halving ``[0, hi]``.
+
+    A target at or below f(0) realizes the zero-wait regime; a target at or
+    above f(hi) returns the ceiling itself, which the caller rejects if it
+    survives to the optimum. Otherwise the bracket is halved until it is at
+    most ``tol`` wide, or one float spacing wide (the midpoint rounds to an
+    endpoint), since a ``tol`` below the root's float spacing cannot be met.
+    """
     if f(0.0) >= target:
         return 0.0
     if f(hi) <= target:
         return hi
-    return _bisect(f, target, 0.0, hi, tol)
+    lo = 0.0
+    for _ in range(MAX_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            return mid
+        if f(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    raise ConvergenceError(
+        f"bisection did not reach width {tol} in {MAX_HALVINGS} iterations (width {hi - lo})"
+    )
 
 
 def solve(
     cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9, tau_max: Optional[float] = None
 ) -> SolveResult:
-    """Optimal threshold and minimum sum MSE of ``scheme`` by nested bisection.
+    """Optimal threshold and minimum sum MSE of ``scheme`` by Dinkelbach's iteration.
 
-    ``tol`` is the width of the final beta bracket; the threshold inversions
-    run at ``tol / 10`` so the outer residual is not noise-limited.
-    ``tau_max`` caps the threshold search (default :func:`search_ceiling`).
-    Raises :class:`InvalidConfig` for a tolerance below float resolution and
-    when the budget threshold or the optimum reaches ``tau_max``.
+    The iteration stops once a step changes beta by at most ``tol``; the
+    threshold inversions run at ``tol / 10``. The returned beta is the ratio
+    at the returned threshold. ``tau_max`` caps the threshold search (default
+    :func:`search_ceiling`). Raises :class:`InvalidConfig` for a tolerance
+    below float resolution and when the budget threshold or the optimum
+    reaches ``tau_max``, and :class:`ConvergenceError` when beta rises by
+    more than ``tol`` or ``MAX_ITERS`` steps do not meet the stopping rule.
     """
     beta_hi = cfg.total_stationary_variance
     min_tol = TOL_ULPS * math.ulp(beta_hi)
@@ -190,52 +212,37 @@ def solve(
         tau_b = 0.0
     else:
         budget = _budget(cfg)
-        tau_b = _invert_clamped(lambda t: _epoch_mean(t, law), budget, tau_max, inner_tol)
+        tau_b = _invert(lambda t: _epoch_mean(t, law), budget, tau_max, inner_tol)
         if tau_b >= tau_max:
             raise InvalidConfig(
                 f"tau_max={tau_max} cannot meet the sampling budget (expected epoch "
                 f"{_epoch_mean(tau_max, law)} < {budget})"
             )
 
-    def residual(beta: float) -> Tuple[float, float, bool]:
-        tau0 = _invert_clamped(lambda x: _response(x, law), beta, tau_max, inner_tol)
+    numerator, eg = _ratio_terms(tau_b, law)
+    beta = numerator / eg
+    for iters in range(1, MAX_ITERS + 1):
+        tau0 = _invert(lambda x: _response(x, law), beta, tau_max, inner_tol)
         tau = max(tau0, tau_b)
         numerator, eg = _ratio_terms(tau, law)
-        return numerator - beta * eg, tau, tau0 < tau_b
-
-    p_lo, _, _ = residual(0.0)
-    p_hi, _, _ = residual(beta_hi)
-    if not (p_lo > 0 >= p_hi):
-        raise ConvergenceError(
-            f"auxiliary residual lacks a sign change: p(0)={p_lo}, p({beta_hi})={p_hi}"
-        )
-
-    lo, hi = 0.0, beta_hi
-    iters = 0
-    max_iters = int(math.ceil(math.log2(max(beta_hi / tol, 2.0)))) + 8
-    while hi - lo > tol and iters < max_iters:
-        mid = 0.5 * (lo + hi)
-        p_mid, _, _ = residual(mid)
-        if p_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    if hi - lo > tol:
-        raise ConvergenceError(f"outer bisection stalled at width {hi - lo}")
-
-    beta_star = 0.5 * (lo + hi)
-    _, tau_star, binding = residual(beta_star)
-    if tau_star >= tau_max:
+        step = numerator / eg - beta
+        beta = numerator / eg
+        if step > tol:
+            raise ConvergenceError(f"Dinkelbach step raised beta by {step} at iteration {iters}")
+        if abs(step) <= tol:
+            break
+    else:
+        raise ConvergenceError(f"Dinkelbach iteration did not settle in {MAX_ITERS} steps")
+    if tau >= tau_max:
         raise InvalidConfig(
             f"optimal threshold reached the search ceiling tau_max={tau_max}; raise tau_max"
         )
     return SolveResult(
-        tau_star=tau_star,
-        beta_star=beta_star,
-        binding=binding,
+        tau_star=tau,
+        beta_star=beta,
+        binding=tau0 < tau_b,
         outer_iters=iters,
-        achieved_tol=hi - lo,
+        achieved_tol=abs(step),
     )
 
 

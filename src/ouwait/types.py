@@ -12,12 +12,8 @@ class InvalidConfig(ValueError):
     """Raised when a parameter set violates its domain constraints."""
 
 
-class BracketError(ValueError):
-    """Raised when a root bracket does not straddle the target value."""
-
-
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative routine exhausts its iteration budget."""
+    """Raised when an iterative routine exhausts its iteration budget or loses monotonicity."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,14 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal threshold and minimum sum MSE, with solver diagnostics."""
+    """Optimal threshold and minimum sum MSE, with solver diagnostics.
+
+    ``beta_star`` is the long-term average sum MSE that ``tau_star`` achieves,
+    and ``binding`` says whether the sampling budget raised the threshold.
+    ``outer_iters`` counts Dinkelbach steps (one threshold inversion and one
+    ratio evaluation each), and ``achieved_tol`` is the change in beta at the
+    last of them, at most the requested tolerance.
+    """
 
     tau_star: float
     beta_star: float

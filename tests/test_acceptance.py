@@ -17,6 +17,7 @@ Tolerance notes pinned here:
 import math
 import warnings
 import numpy as np
+from scipy.optimize import brentq
 
 from ouwait import (
     MixtureSpec,
@@ -28,7 +29,6 @@ from ouwait import (
     cycle_transform,
     epoch_mean,
     expected_wait,
-    invert_monotone,
     mse_at_tau,
     round_arrays,
     simulate,
@@ -133,8 +133,8 @@ def test_criterion_05_binding_branch_identities():
             cfg = ref_cfg(eps, 0.5)
             res = solve_maf(cfg)
             m = MixtureSpec(k=2, mu=1.0, eps=float(eps))
-            ref = invert_monotone(
-                lambda t: expected_wait(t, m), 2.0 / (1.0 - eps), 0.0, 500.0, tol=1e-11
+            ref = brentq(
+                lambda t: expected_wait(t, m) - 2.0 / (1.0 - eps), 0.0, 500.0, xtol=1e-11
             )
             worst = max(worst, abs(res.tau_star - ref))
             rr_taus.append(solve_rr(cfg).tau_star)

@@ -9,7 +9,6 @@ import pytest
 import ouwait.cli as cli
 from ouwait import (
     Axis,
-    BracketError,
     ConfigFormatError,
     ConvergenceError,
     InvalidConfig,
@@ -265,12 +264,27 @@ class TestMain:
         assert cli.main(["solve-maf"] + args) == 1
         assert flag in one_line_error(capsys)
 
-    def test_bracket_error_is_one_line_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(BracketError("x"))
-        )
-        assert cli.main(["solve-rr"] + SOLVE_ARGS) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "{cfg}", "--tol", "1e-2"],
+            ["solve-maf"] + SOLVE_ARGS + ["--out", "x"],
+            ["simulate"] + SIM_ARGS,
+            ["solve-rr"] + SOLVE_ARGS + ["--bogus"],
+        ],
+        ids=["sweep-ignores-tol", "solve-ignores-out", "simulate-without-scheme", "unknown-flag"],
+    )
+    def test_usage_errors_are_one_line_errors(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "s.cfg"
+        write_config(spec_eps(), os.fspath(cfg))
+        assert cli.main([a.format(cfg=cfg) for a in argv]) == 1
         one_line_error(capsys)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--scheme" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
     def test_solver_guards_are_one_line_errors(self, capsys, command):

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
+import ouwait.threshold as threshold
 from ouwait import (
-    BracketError,
     ConvergenceError,
     InvalidConfig,
     MixtureSpec,
@@ -24,12 +25,11 @@ from ouwait import (
     cycle_transform,
     epoch_mean,
     expected_wait,
-    invert_monotone,
     laplace_exp_service,
     mixture_weights,
 )
 from ouwait.series import _gamma_lower_table
-from ouwait.threshold import _invert_clamped, _law, _response, _transform, search_ceiling
+from ouwait.threshold import _invert, _law, _response, _transform, search_ceiling
 
 M1 = MixtureSpec(k=1, mu=1.0, eps=0.0)
 M2 = MixtureSpec(k=2, mu=1.0, eps=0.3)
@@ -376,19 +376,16 @@ class TestEpsZeroFamilyCoincidence:
 
 class TestInvertMonotone:
     def test_identity(self):
-        assert invert_monotone(lambda x: x, 0.7, 0.0, 1.0, tol=1e-9) == pytest.approx(
-            0.7, abs=1e-9
-        )
+        assert _invert(lambda x: x, 0.7, 1.0, 1e-9) == pytest.approx(0.7, abs=1e-9)
 
     def test_inverts_expected_wait(self):
-        root = invert_monotone(lambda t: expected_wait(t, M1), math.exp(-1), 0.0, 10.0, tol=1e-10)
+        root = _invert(lambda t: expected_wait(t, M1), math.exp(-1), 10.0, 1e-10)
         assert root == pytest.approx(1.0, abs=1e-9)
 
-    def test_bracket_error_is_distinct(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: response(x, PROCS, MAF, 0.3), -1.0, 0.0, 10.0)
+    def test_bracket_error_is_distinct(self, monkeypatch):
+        monkeypatch.setattr(threshold, "MAX_HALVINGS", 3)
         with pytest.raises(ConvergenceError):
-            invert_monotone(lambda x: x, 0.5, 0.0, 1.0, tol=1e-9, max_iter=3)
+            _invert(lambda x: x, 0.5, 1.0, 1e-9)
 
     def test_clamped_inversion_evaluates_each_end_once(self):
         calls = []
@@ -397,9 +394,9 @@ class TestInvertMonotone:
             calls.append(x)
             return x**3
 
-        root = _invert_clamped(f, 0.3, 1.0, 1e-9)
+        root = _invert(f, 0.3, 1.0, 1e-9)
         assert calls.count(0.0) == 1 and calls.count(1.0) == 1
-        assert root == invert_monotone(lambda x: x**3, 0.3, 0.0, 1.0, tol=1e-9)
+        assert root == pytest.approx(brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-12), abs=1e-9)
 
     def test_randomized_monotone_functions(self):
         rng = np.random.default_rng(71)
@@ -407,7 +404,7 @@ class TestInvertMonotone:
             a, b = rng.uniform(0.1, 3.0, size=2)
             f = lambda x: a * x + b * x**3
             target = f(rng.uniform(0, 2))
-            root = invert_monotone(f, target, 0.0, 2.0, tol=1e-11)
+            root = _invert(f, target, 2.0, 1e-11)
             assert f(root) == pytest.approx(target, abs=1e-8)
 
 

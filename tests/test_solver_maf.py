@@ -1,12 +1,18 @@
 """Feedback-scheme solver: fixed points, constraint branch, monotonicity."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import ouwait
 import ouwait.threshold as threshold
 from ouwait import (
+    ConvergenceError,
     InvalidConfig,
     MixtureSpec,
     ProcessParams,
@@ -15,7 +21,6 @@ from ouwait import (
     TruncationWarning,
     epoch_mean,
     expected_wait,
-    invert_monotone,
     mse_at_tau,
     solve_maf,
 )
@@ -75,7 +80,7 @@ def test_binding_threshold_solves_wait_equation(two_process_cfg):
         assert res.binding
         target = (cfg.k / cfg.f_max - cfg.k / cfg.mu) / (1 - eps)
         m = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=eps)
-        ref = invert_monotone(lambda t: expected_wait(t, m), target, 0.0, 400.0, tol=1e-11)
+        ref = brentq(lambda t: expected_wait(t, m) - target, 0.0, 400.0, xtol=1e-11)
         assert res.tau_star == pytest.approx(ref, abs=1e-6)
         # At the binding threshold the realized sampling rate meets the budget.
         eg = epoch_mean(res.tau_star, cfg, MAF)
@@ -154,3 +159,35 @@ def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, mon
     monkeypatch.setattr(threshold, "series", None)
     with pytest.raises(InvalidConfig, match="tol"):
         solve_maf(two_process_cfg, tol=1e-20)
+
+
+def test_dinkelbach_guards(two_process_cfg, monkeypatch):
+    # The interior optimum takes three steps, so one is too few.
+    monkeypatch.setattr(threshold, "MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="settle"):
+        solve_maf(two_process_cfg, tol=TOL)
+    monkeypatch.undo()
+    # Each ratio evaluation sits 0.5 above the last one's offset: beta rises.
+    real, calls = threshold._ratio_terms, []
+
+    def rising(tau, law):
+        calls.append(tau)
+        numerator, eg = real(tau, law)
+        return numerator + 0.5 * len(calls) * eg, eg
+
+    monkeypatch.setattr(threshold, "_ratio_terms", rising)
+    with pytest.raises(ConvergenceError, match="raised beta"):
+        solve_maf(two_process_cfg, tol=TOL)
+
+
+def test_import_and_solve_load_no_root_finder():
+    # scipy.optimize adds about 0.2 s to a fresh process's import and first solve.
+    src = os.path.dirname(os.path.dirname(ouwait.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ouwait as w; "
+        "cfg = w.SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.3, processes="
+        "(w.ProcessParams(0.1, 1.0), w.ProcessParams(0.5, 2.0))); "
+        "w.solve_maf(cfg); w.solve_rr(cfg); "
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import ouwait.series as series
 import ouwait.threshold as threshold
 from ouwait import (
     InvalidConfig,
@@ -13,8 +15,8 @@ from ouwait import (
     Scheme,
     SystemConfig,
     expected_wait,
-    invert_monotone,
     mse_at_tau,
+    solve,
     solve_maf,
     solve_rr,
 )
@@ -64,9 +66,9 @@ def test_binding_threshold_constant_in_erasure_rate(two_process_cfg):
         taus.append(res.tau_star)
     assert max(taus) - min(taus) <= 1e-9
     target = two_process_cfg.k / 0.5 - two_process_cfg.k / two_process_cfg.mu
-    ref = invert_monotone(
-        lambda t: round_wait(t, two_process_cfg.k, two_process_cfg.mu), target, 0.0, 200.0,
-        tol=1e-11,
+    ref = brentq(
+        lambda t: round_wait(t, two_process_cfg.k, two_process_cfg.mu) - target, 0.0, 200.0,
+        xtol=1e-11,
     )
     assert taus[0] == pytest.approx(ref, abs=1e-6)
 
@@ -99,7 +101,7 @@ def test_saturation_onset_near_unit_budget(two_process_cfg):
             break
     assert onset is not None and 0.1 <= onset <= 0.3
     target = 2 / 0.95 - 2.0
-    ref = invert_monotone(lambda t: round_wait(t, 2, 1.0), target, 0.0, 100.0, tol=1e-11)
+    ref = brentq(lambda t: round_wait(t, 2, 1.0) - target, 0.0, 100.0, xtol=1e-11)
     assert solve_rr(replace(cfg95, eps=0.5)).tau_star == pytest.approx(ref, abs=1e-6)
 
 
@@ -142,3 +144,26 @@ def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, mon
     monkeypatch.setattr(threshold, "series", None)
     with pytest.raises(InvalidConfig, match="tol"):
         solve_rr(cfg, tol=1e-20)
+
+
+@pytest.mark.parametrize("scheme", [MAF, RR])
+@pytest.mark.parametrize("f_max, eps", [(1.5, 0.3), (0.5, 0.3), (1.5, 0.7)],
+                         ids=["interior", "binding", "zero-wait"])
+def test_beta_is_the_value_of_the_returned_threshold(two_process_cfg, scheme, f_max, eps):
+    cfg = replace(two_process_cfg, f_max=f_max, eps=eps)
+    res = solve(cfg, scheme, tol=TOL)
+    assert res.beta_star == mse_at_tau(res.tau_star, cfg, scheme)
+
+
+@pytest.mark.parametrize("f_max", [0.5, 1.5])
+def test_solve_evaluates_few_cycle_transforms(two_process_cfg, monkeypatch, f_max):
+    calls = []
+    real = series.cycle_transform
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(series, "cycle_transform", counting)
+    solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
+    assert 0 < len(calls) <= 150

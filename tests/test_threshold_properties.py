@@ -37,7 +37,7 @@ def test_solution_invariants(cfg, scheme):
     res = solve(cfg, scheme, tol=TOL)
     assert 0.0 <= res.tau_star < search_ceiling(cfg)
     assert res.beta_star <= cfg.total_stationary_variance
-    assert res.beta_star == pytest.approx(mse_at_tau(res.tau_star, cfg, scheme), abs=10 * TOL)
+    assert res.beta_star == mse_at_tau(res.tau_star, cfg, scheme)
     if not res.binding:
         assert res.beta_star <= mse_at_tau(0.0, cfg, scheme) + 10 * TOL
 
