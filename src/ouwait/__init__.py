@@ -19,15 +19,8 @@ from .cli import (
     write_csv,
 )
 from .ou import inst_mse, mse_integral, ou_step
-from .series import (
-    MixtureSpec,
-    TruncationWarning,
-    cycle_transform,
-    expected_wait,
-    laplace_exp_service,
-    mixture_weights,
-)
-from .sim import merge_sim_stats, round_arrays, simulate
+from .series import TruncationWarning
+from .sim import simulate
 from .threshold import epoch_mean, mse_at_tau, solve, solve_maf, solve_rr
 from .types import (
     ConvergenceError,
@@ -47,7 +40,6 @@ __all__ = [
     "ConfigFormatError",
     "ConvergenceError",
     "InvalidConfig",
-    "MixtureSpec",
     "ProcessParams",
     "Scheme",
     "SimStats",
@@ -57,18 +49,12 @@ __all__ = [
     "SystemConfig",
     "ThresholdPolicy",
     "TruncationWarning",
-    "cycle_transform",
     "epoch_mean",
-    "expected_wait",
     "inst_mse",
-    "laplace_exp_service",
-    "merge_sim_stats",
-    "mixture_weights",
     "mse_at_tau",
     "mse_integral",
     "ou_step",
     "read_config",
-    "round_arrays",
     "run_sweep",
     "simulate",
     "solve",

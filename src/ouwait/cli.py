@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import math
 import os
 import sys
 import tempfile
@@ -80,6 +81,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise InvalidConfig("grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise InvalidConfig(f"{self.axis.value} grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise InvalidConfig("grid must be strictly increasing")
         if not self.schemes:
@@ -347,7 +350,7 @@ _FLAGS = {
     "fmax": dict(type=float, help="total sampling frequency budget"),
     "theta": dict(type=str, help="comma-separated reversion rates"),
     "sigma_sq": dict(type=str, help="comma-separated squared amplitudes"),
-    "tol": dict(type=float, default=1e-9, help="solver tolerance"),
+    "tol": dict(type=float, default=None, help="solver tolerance (default 1e-9)"),
     "tau_max": dict(type=float, default=None, help="threshold search ceiling"),
     "epochs": dict(type=int, default=None, help="simulation epochs (default 100000)"),
     "seed": dict(type=int, default=None, help="base RNG seed (default 0)"),
@@ -358,10 +361,14 @@ _FLAGS = {
 _SYSTEM_FLAGS = ("k", "mu", "eps", "fmax", "theta", "sigma_sq")
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
     """Register the named flags only, so a flag the subcommand ignores is a usage error."""
     for name in names:
-        p.add_argument("--" + name.replace("_", "-"), **_FLAGS[name])
+        p.add_argument(_flag(name), **_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,7 +381,7 @@ class _Parser(argparse.ArgumentParser):
 def _system_from_args(args: argparse.Namespace) -> SystemConfig:
     missing = [f for f in _SYSTEM_FLAGS if getattr(args, f) is None]
     if missing:
-        raise InvalidConfig(f"missing required flags: {', '.join('--' + m for m in missing)}")
+        raise InvalidConfig(f"missing required flags: {', '.join(map(_flag, missing))}")
     thetas = _parse_floats(args.theta, "--theta", InvalidConfig)
     sigmas = _parse_floats(args.sigma_sq, "--sigma-sq", InvalidConfig)
     if len(thetas) != args.k or len(sigmas) != args.k:
@@ -385,9 +392,14 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
     )
 
 
+def _solver_flags(args: argparse.Namespace) -> Dict[str, float]:
+    """The solver flags given, so that unset ones keep :func:`solve`'s defaults."""
+    return {f: getattr(args, f) for f in ("tol", "tau_max") if getattr(args, f) is not None}
+
+
 def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
     cfg = _system_from_args(args)
-    res = solve(cfg, scheme, tol=args.tol, tau_max=args.tau_max)
+    res = solve(cfg, scheme, **_solver_flags(args))
     print(
         f"scheme={scheme.value} tau_star={res.tau_star:.9g} beta_star={res.beta_star:.9g} "
         f"binding={int(res.binding)} outer_iters={res.outer_iters} "
@@ -399,10 +411,14 @@ def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _system_from_args(args)
     scheme = Scheme(args.scheme)
-    if args.tau is not None:
-        tau = args.tau
+    solver_flags = _solver_flags(args)
+    if args.tau is None:
+        tau = solve(cfg, scheme, **solver_flags).tau_star
+    elif solver_flags:
+        given = ", ".join(map(_flag, solver_flags))
+        raise InvalidConfig(f"{given} set the solver, which --tau bypasses")
     else:
-        tau = solve(cfg, scheme, tol=args.tol, tau_max=args.tau_max).tau_star
+        tau = args.tau
     epochs = args.epochs if args.epochs is not None else 100_000
     seed = args.seed if args.seed is not None else 0
     burn = args.burn_in if args.burn_in is not None else _default_burn_in(epochs)

@@ -7,6 +7,10 @@ Series over the total attempt count rho are truncated once the cumulative
 mixture weight reaches ``1 - 1e-12``; the dropped tail bounds the absolute
 truncation error of every bounded integrand used here. The truncation index is
 capped at ``10 * k / (1 - eps)`` with a warning when the cap binds.
+
+Apart from :class:`TruncationWarning` the names here are internal, and they
+check none of their inputs: ``threshold`` builds every :class:`MixtureSpec`
+from a validated ``SystemConfig`` and passes thresholds in ``[0, tau_max]``.
 """
 
 from __future__ import annotations
@@ -21,18 +25,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.special import gammaln, xlogy
 
-from .types import InvalidConfig
-
 WEIGHT_TAIL = 1e-12
-
-__all__ = [
-    "MixtureSpec",
-    "TruncationWarning",
-    "mixture_weights",
-    "laplace_exp_service",
-    "expected_wait",
-    "cycle_transform",
-]
 
 
 class TruncationWarning(UserWarning):
@@ -51,14 +44,6 @@ class MixtureSpec:
     k: int
     mu: float
     eps: float
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise InvalidConfig(f"mu must be positive, got {self.mu}")
-        if not (0.0 <= self.eps < 1.0):
-            raise InvalidConfig(f"eps must lie in [0, 1), got {self.eps}")
 
     @property
     def mean_total_service(self) -> float:
@@ -129,17 +114,8 @@ def mixture_weights(m: MixtureSpec) -> Tuple[np.ndarray, np.ndarray]:
     return rhos[: idx + 1], w[: idx + 1]
 
 
-def laplace_exp_service(theta: float, mu: float) -> float:
-    """Laplace transform of one exponential service time at rate 2*theta."""
-    if theta <= 0 or mu <= 0:
-        raise InvalidConfig("theta and mu must be positive")
-    return mu / (mu + 2.0 * theta)
-
-
 def expected_wait(tau: float, m: MixtureSpec) -> float:
     """Expected threshold wait E[(tau - Ytot)+] over a cycle's total service Ytot."""
-    if tau < 0:
-        raise InvalidConfig(f"tau must be nonnegative, got {tau}")
     if tau == 0.0:
         return 0.0
     rhos, wts = mixture_weights(m)
@@ -155,8 +131,6 @@ def cycle_transform(tau: float, thetas: ArrayLike, m: MixtureSpec) -> np.ndarray
     Ytot is a cycle's total service. One Poisson table over (theta, count)
     serves all rates at once; the result has the shape of ``thetas``.
     """
-    if tau < 0:
-        raise InvalidConfig(f"tau must be nonnegative, got {tau}")
     rhos, wts = mixture_weights(m)
     a = 2.0 * np.asarray(thetas, dtype=float)[..., None]
     shifted = a + m.mu

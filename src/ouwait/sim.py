@@ -55,12 +55,6 @@ ATTEMPT_CAP = 10**7
 BATCH_COUNT = 100
 TRACE_BLOCK = 1024
 
-__all__ = [
-    "round_arrays",
-    "simulate",
-    "merge_sim_stats",
-]
-
 
 def _streams(seed: int) -> Tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
     service_ss, erasure_ss, ou_ss = np.random.SeedSequence(seed).spawn(3)
@@ -373,63 +367,3 @@ def _write_trace(path: str, scheme: Scheme, cfg: SystemConfig, rounds: RoundArra
             for i, (wi, si, mi, gi, *ts) in enumerate(zip(*columns), start=b0):
                 cells = "\t".join("" if t is None else f"{t:.12g}" for t in ts)
                 fh.write(f"{i}\t{scheme.value}\t{wi:.12g}\t{si:.12g}\t{mi}\t{gi:.12g}\t{cells}\n")
-
-
-def merge_sim_stats(parts: Sequence[SimStats]) -> SimStats:
-    """Combine independent replications by weighted left fold.
-
-    Each ratio estimator is pooled over its own denominator: the MSE
-    estimates and their SEs by each part's time span (epochs times mean epoch
-    length), the inter-sample means by each part's sample count (span over
-    inter-sample mean), and the mean epoch length by epochs. The OU probe
-    means are per delivery, so they and their SE are pooled by epochs; they
-    stay unset unless every part has them. Deterministic for a given
-    ordering; replications must share the scheme and process count.
-    """
-    if not parts:
-        raise InvalidConfig("nothing to merge")
-    if any(p.scheme is not parts[0].scheme for p in parts):
-        raise InvalidConfig("cannot merge statistics across schemes")
-    k = len(parts[0].per_process_mse)
-    if any(len(p.per_process_mse) != k for p in parts):
-        raise InvalidConfig("cannot merge statistics across process counts")
-    epochs = [p.epochs for p in parts]
-    spans = [p.epochs * p.mean_epoch_len for p in parts]
-
-    def wmean(vals, ses, weights) -> Tuple[float, float]:
-        total = sum(weights)
-        m = sum(v * w for v, w in zip(vals, weights)) / total
-        var = sum((s * w) ** 2 for s, w in zip(ses, weights)) / total**2
-        return m, math.sqrt(var)
-
-    sum_mse, sum_mse_se = wmean([p.sum_mse for p in parts], [p.sum_mse_se for p in parts], spans)
-    mel, mel_se = wmean(
-        [p.mean_epoch_len for p in parts], [p.mean_epoch_len_se for p in parts], epochs
-    )
-    per = [
-        wmean([p.per_process_mse[i] for p in parts], [p.per_process_mse_se[i] for p in parts],
-              spans)
-        for i in range(k)
-    ]
-    inter = tuple(
-        sum(spans) / sum(t / p.per_process_inter_sample_mean[i] for t, p in zip(spans, parts))
-        for i in range(k)
-    )
-    probe = {}
-    if all(p.ou_probe_mse is not None for p in parts):
-        diff_ses = [p.ou_probe_diff_se for p in parts]
-        mse, diff_se = wmean([p.ou_probe_mse for p in parts], diff_ses, epochs)
-        ref, _ = wmean([p.ou_probe_ref for p in parts], diff_ses, epochs)
-        probe = dict(ou_probe_mse=mse, ou_probe_ref=ref, ou_probe_diff_se=diff_se)
-    return SimStats(
-        scheme=parts[0].scheme,
-        sum_mse=sum_mse,
-        sum_mse_se=sum_mse_se,
-        per_process_mse=tuple(m for m, _ in per),
-        per_process_mse_se=tuple(se for _, se in per),
-        mean_epoch_len=mel,
-        mean_epoch_len_se=mel_se,
-        per_process_inter_sample_mean=inter,
-        epochs=sum(epochs),
-        **probe,
-    )

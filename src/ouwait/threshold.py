@@ -81,7 +81,7 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
         var=tuple(p.stationary_variance for p in procs),
         thetas=tuple(p.theta for p in procs),
         two_theta=tuple(2.0 * p.theta for p in procs),
-        lap=tuple(series.laplace_exp_service(p.theta, cfg.mu) for p in procs),
+        lap=tuple(cfg.mu / (cfg.mu + 2.0 * p.theta) for p in procs),
     )
 
 
@@ -89,8 +89,15 @@ def _epoch_mean(tau: float, law: _Law) -> float:
     return (series.expected_wait(tau, law.mix) + law.mix.mean_total_service) / (1.0 - law.r)
 
 
+def _check_tau(tau: float) -> None:
+    # Written so that a nan fails the comparison and is rejected.
+    if not 0.0 <= tau < math.inf:
+        raise InvalidConfig(f"tau must be nonnegative and finite, got {tau}")
+
+
 def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Expected epoch length: the wait plus the service it spans, per delivery."""
+    _check_tau(tau)
     return _epoch_mean(tau, _law(cfg, scheme))
 
 
@@ -133,6 +140,7 @@ def _ratio_terms(tau: float, law: _Law) -> Tuple[float, float]:
 
 def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Long-term average sum MSE achieved by threshold ``tau``."""
+    _check_tau(tau)
     numerator, eg = _ratio_terms(tau, _law(cfg, scheme))
     return numerator / eg
 

@@ -20,22 +20,20 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ouwait import (
-    MixtureSpec,
     ProcessParams,
     Scheme,
     SystemConfig,
     ThresholdPolicy,
     TruncationWarning,
-    cycle_transform,
     epoch_mean,
-    expected_wait,
     mse_at_tau,
-    round_arrays,
     simulate,
     solve,
     solve_maf,
     solve_rr,
 )
+from ouwait.series import MixtureSpec, cycle_transform, expected_wait
+from ouwait.sim import round_arrays
 from ouwait.threshold import _law, _response, _transform
 
 REF_PROCS = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0))

@@ -51,6 +51,22 @@ class TestSweepSpec:
         with pytest.raises(InvalidConfig):
             spec_eps(axis=Axis.FMAX, grid=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "axis, first", [("eps", 0.1), ("k", 1.0), ("theta_j", 0.2), ("fmax", 0.5)]
+    )
+    def test_non_finite_grid_rejected_before_any_solve(self, tmp_path, capsys, axis, first, bad):
+        with pytest.raises(InvalidConfig, match="finite"):
+            spec_eps(axis=Axis(axis), grid=(first, float(bad)))
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\ntheta = 0.5, 0.5\nsigma_sq = 1, 1\n"
+            f"axis = {axis}\ngrid = {first}, {bad}\nschemes = maf\n"
+        )
+        assert cli.main(["sweep", os.fspath(path)]) == 1
+        assert "invalid sweep spec" in one_line_error(capsys)
+        assert capsys.readouterr().out == ""
+
     def test_k_axis_needs_symmetric_base(self):
         with pytest.raises(InvalidConfig):
             cli.config_at(BASE, Axis.K, 3)
@@ -251,7 +267,10 @@ class TestMain:
 
     def test_missing_flags_fail_cleanly(self, capsys):
         assert cli.main(["solve-maf", "--k", "2"]) == 1
-        assert "missing required flags" in capsys.readouterr().err
+        # The error names the flags as they are typed.
+        assert one_line_error(capsys) == (
+            "error: missing required flags: --mu, --eps, --fmax, --theta, --sigma-sq"
+        )
 
     def test_sweep_requires_config(self, capsys):
         assert cli.main(["sweep"]) == 1
@@ -271,8 +290,11 @@ class TestMain:
             ["solve-maf"] + SOLVE_ARGS + ["--out", "x"],
             ["simulate"] + SIM_ARGS,
             ["solve-rr"] + SOLVE_ARGS + ["--bogus"],
+            ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tol", "1e-30"],
+            ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tau-max", "-5"],
         ],
-        ids=["sweep-ignores-tol", "solve-ignores-out", "simulate-without-scheme", "unknown-flag"],
+        ids=["sweep-ignores-tol", "solve-ignores-out", "simulate-without-scheme", "unknown-flag",
+             "simulate-tau-ignores-tol", "simulate-tau-ignores-tau-max"],
     )
     def test_usage_errors_are_one_line_errors(self, tmp_path, capsys, argv):
         cfg = tmp_path / "s.cfg"

@@ -1,0 +1,48 @@
+"""The package surface: exactly the names that users, the CLI and the benchmark call.
+
+The benchmark under ``perfbench/`` reaches the package only through
+``ouwait.<name>``; reading its sources as text keeps a later cut of the
+surface from breaking it unnoticed.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import ouwait
+
+PUBLIC = {
+    "Axis", "ConfigFormatError", "ConvergenceError", "InvalidConfig", "ProcessParams",
+    "Scheme", "SimStats", "SolveResult", "SweepRow", "SweepSpec", "SystemConfig",
+    "ThresholdPolicy", "TruncationWarning", "epoch_mean", "inst_mse", "mse_at_tau",
+    "mse_integral", "ou_step", "read_config", "run_sweep", "simulate", "solve",
+    "solve_maf", "solve_rr", "write_config", "write_csv",
+}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_all_is_the_public_surface():
+    assert len(ouwait.__all__) == len(PUBLIC) == 26
+    assert set(ouwait.__all__) == PUBLIC
+    for name in ouwait.__all__:
+        assert getattr(ouwait, name) is not None
+
+
+def benchmark_names() -> set:
+    """Every ``ouwait.<name>`` in the benchmark's sources, and its solver table."""
+    names = set()
+    for fname in ("workloads.py", "run.py"):
+        text = (PERFBENCH / fname).read_text(encoding="utf-8")
+        names.update(re.findall(r"\bouwait\.(\w+)", text))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SOLVERS" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value).values())
+    return names
+
+
+def test_benchmark_names_resolve():
+    names = benchmark_names()
+    assert {"SystemConfig", "simulate", "solve_maf", "solve_rr"} <= names
+    assert sorted(n for n in names if not hasattr(ouwait, n)) == []

@@ -17,18 +17,20 @@ import ouwait.threshold as threshold
 from ouwait import (
     ConvergenceError,
     InvalidConfig,
-    MixtureSpec,
     ProcessParams,
     Scheme,
     SystemConfig,
     TruncationWarning,
-    cycle_transform,
     epoch_mean,
+    mse_at_tau,
+)
+from ouwait.series import (
+    MixtureSpec,
+    _gamma_lower_table,
+    cycle_transform,
     expected_wait,
-    laplace_exp_service,
     mixture_weights,
 )
-from ouwait.series import _gamma_lower_table
 from ouwait.threshold import _invert, _law, _response, _transform, search_ceiling
 
 M1 = MixtureSpec(k=1, mu=1.0, eps=0.0)
@@ -126,14 +128,18 @@ class TestRegIncGamma:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_domain_errors(self):
-        # The table is private; its callers reject a negative argument, and a
-        # shape below one cannot arise because MixtureSpec rejects k < 1.
+        # The table is private; the public entries reject a negative or
+        # non-finite threshold, and a shape below one cannot arise because
+        # SystemConfig rejects k < 1.
+        cfg = system(PROCS, 0.3)
+        for scheme in (MAF, RR):
+            for tau in (-1.0, math.nan, math.inf):
+                with pytest.raises(InvalidConfig, match="tau"):
+                    epoch_mean(tau, cfg, scheme)
+                with pytest.raises(InvalidConfig, match="tau"):
+                    mse_at_tau(tau, cfg, scheme)
         with pytest.raises(InvalidConfig):
-            expected_wait(-1.0, M2)
-        with pytest.raises(InvalidConfig):
-            cycle_transform(-1.0, 0.5, erlang(2, 1.0))
-        with pytest.raises(InvalidConfig):
-            MixtureSpec(k=0, mu=1.0, eps=0.3)
+            SystemConfig(k=0, f_max=1.5, mu=1.0, eps=0.3, processes=())
 
 
 class TestMixtureWeights:
@@ -163,6 +169,11 @@ class TestMixtureWeights:
     def test_mean_matches_wald(self):
         rhos, wts = mixture_weights(M2)
         assert float((rhos * wts).sum()) == pytest.approx(2 / 0.7, rel=1e-9)
+
+
+def laplace_exp_service(theta: float, mu: float) -> float:
+    """The solver's Laplace transform of one exponential service at rate 2 theta."""
+    return _law(system((ProcessParams(theta, 1.0),), 0.0, mu), MAF).lap[0]
 
 
 class TestLaplaceExpService:

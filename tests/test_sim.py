@@ -9,19 +9,15 @@ import pytest
 
 from ouwait import (
     InvalidConfig,
-    MixtureSpec,
     ProcessParams,
     Scheme,
-    SimStats,
     SystemConfig,
     ThresholdPolicy,
-    cycle_transform,
     epoch_mean,
-    merge_sim_stats,
-    round_arrays,
     simulate,
 )
-from ouwait.sim import _ou_probe
+from ouwait.series import MixtureSpec, cycle_transform
+from ouwait.sim import _ou_probe, round_arrays
 from ouwait.threshold import _law, _transform
 
 from event_oracle import ou_probe_loop, run_epoch_maf, run_round_rr
@@ -414,72 +410,3 @@ class TestPinnedEngine:
         assert maf.ou_probe_mse is not None
         assert replace(rr, scheme=MAF) == maf
 
-
-class TestMergeStats:
-    def test_weighted_merge_deterministic_and_consistent(self, two_process_cfg):
-        pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
-        parts = [
-            simulate(two_process_cfg, pol, n_epochs=20000, seed=s, burn_in=100)
-            for s in (1, 2, 3)
-        ]
-        merged = merge_sim_stats(parts)
-        assert merged == merge_sim_stats(parts)
-        again = merge_sim_stats([merge_sim_stats(parts[:2]), parts[2]])
-        assert merged.sum_mse == pytest.approx(again.sum_mse, abs=1e-12)
-        assert merged.epochs == sum(p.epochs for p in parts)
-        lo = min(p.sum_mse for p in parts)
-        hi = max(p.sum_mse for p in parts)
-        assert lo <= merged.sum_mse <= hi
-
-    def test_ratio_estimators_weighted_by_time_span(self):
-        # Equal epochs, but the second part covers three times the time.
-        def part(mean_epoch_len, mse, inter):
-            return SimStats(
-                scheme=MAF, sum_mse=mse, sum_mse_se=0.1, per_process_mse=(mse,),
-                per_process_mse_se=(0.1,), mean_epoch_len=mean_epoch_len,
-                mean_epoch_len_se=0.01, per_process_inter_sample_mean=(inter,), epochs=100,
-            )
-
-        merged = merge_sim_stats([part(1.0, 1.0, 1.0), part(3.0, 2.0, 2.0)])
-        assert merged.sum_mse == pytest.approx(1.75, rel=1e-15)
-        assert merged.per_process_mse == pytest.approx((1.75,), rel=1e-15)
-        se = math.hypot(0.1 * 100, 0.1 * 300) / 400
-        assert merged.sum_mse_se == pytest.approx(se, rel=1e-15)
-        assert merged.per_process_mse_se == pytest.approx((se,), rel=1e-15)
-        # The mean epoch length stays epoch-weighted.
-        assert merged.mean_epoch_len == pytest.approx(2.0, rel=1e-15)
-        assert merged.mean_epoch_len_se == pytest.approx(math.hypot(1.0, 1.0) / 200, rel=1e-15)
-        # Total span over total samples: 400 / (100/1 + 300/2).
-        assert merged.per_process_inter_sample_mean == pytest.approx((1.6,), rel=1e-15)
-        assert merged.epochs == 200
-
-    def test_probe_fields_pooled_by_epochs(self, two_process_cfg):
-        pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
-        a, b = (
-            simulate(two_process_cfg, pol, n_epochs=n, seed=s, burn_in=100, track_ou=True)
-            for n, s in ((2000, 1), (6000, 2))
-        )
-        merged = merge_sim_stats([a, b])
-        na, nb = a.epochs, b.epochs
-        assert merged.ou_probe_mse == pytest.approx(
-            (na * a.ou_probe_mse + nb * b.ou_probe_mse) / (na + nb), rel=1e-15
-        )
-        assert merged.ou_probe_ref == pytest.approx(
-            (na * a.ou_probe_ref + nb * b.ou_probe_ref) / (na + nb), rel=1e-15
-        )
-        se = math.hypot(na * a.ou_probe_diff_se, nb * b.ou_probe_diff_se) / (na + nb)
-        assert merged.ou_probe_diff_se == pytest.approx(se, rel=1e-15)
-        # A part without the probe leaves the merged probe fields unset.
-        plain = replace(b, ou_probe_mse=None, ou_probe_ref=None, ou_probe_diff_se=None)
-        partial = merge_sim_stats([a, plain])
-        assert (partial.ou_probe_mse, partial.ou_probe_ref, partial.ou_probe_diff_se) == (
-            None, None, None
-        )
-
-    def test_merge_rejects_mixed_schemes(self, two_process_cfg):
-        a = simulate(two_process_cfg, ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0),
-                     n_epochs=5000, seed=1, burn_in=50)
-        b = simulate(two_process_cfg, ThresholdPolicy(Scheme.RR_NO_FEEDBACK, 1.0),
-                     n_epochs=5000, seed=1, burn_in=50)
-        with pytest.raises(InvalidConfig):
-            merge_sim_stats([a, b])

@@ -14,16 +14,15 @@ import ouwait.threshold as threshold
 from ouwait import (
     ConvergenceError,
     InvalidConfig,
-    MixtureSpec,
     ProcessParams,
     SystemConfig,
     Scheme,
     TruncationWarning,
     epoch_mean,
-    expected_wait,
     mse_at_tau,
     solve_maf,
 )
+from ouwait.series import MixtureSpec, expected_wait
 
 from event_oracle import run_epoch_maf
 

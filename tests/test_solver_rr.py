@@ -10,16 +10,15 @@ import ouwait.series as series
 import ouwait.threshold as threshold
 from ouwait import (
     InvalidConfig,
-    MixtureSpec,
     ProcessParams,
     Scheme,
     SystemConfig,
-    expected_wait,
     mse_at_tau,
     solve,
     solve_maf,
     solve_rr,
 )
+from ouwait.series import MixtureSpec, expected_wait
 
 TOL = 1e-9
 MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
