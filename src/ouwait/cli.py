@@ -98,6 +98,8 @@ class SweepSpec:
                 raise InvalidConfig(f"fmax grid value {v} must be positive")
         if self.n_epochs < 1:
             raise InvalidConfig("n_epochs must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

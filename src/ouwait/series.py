@@ -6,7 +6,9 @@ here knows the scheduling scheme; ``threshold`` maps each scheme onto a
 Series over the total attempt count rho are truncated once the cumulative
 mixture weight reaches ``1 - 1e-12``; the dropped tail bounds the absolute
 truncation error of every bounded integrand used here. The truncation index is
-capped at ``10 * k / (1 - eps)`` with a warning when the cap binds.
+capped at ``(10 * k + 30) / (1 - eps)`` with a warning when the cap binds, and
+a cap above ``MAX_SERIES_TERMS`` is refused by ``threshold`` before any series
+is built, since its tables would not fit in memory.
 
 Apart from :class:`TruncationWarning` the names here are internal, and they
 check none of their inputs: ``threshold`` builds every :class:`MixtureSpec`
@@ -26,6 +28,7 @@ from numpy.typing import ArrayLike
 from scipy.special import gammaln, xlogy
 
 WEIGHT_TAIL = 1e-12
+MAX_SERIES_TERMS = 10**6
 
 
 class TruncationWarning(UserWarning):
@@ -49,6 +52,13 @@ class MixtureSpec:
     def mean_total_service(self) -> float:
         """Expected total service time per cycle, k / (mu * (1 - eps))."""
         return self.k / (self.mu * (1.0 - self.eps))
+
+    @property
+    def series_cap(self) -> int:
+        """Hard cap on the attempt count rho of the truncated series."""
+        # 10k/(1-eps) tracks the mixture mean; the +30 headroom keeps the 1e-12
+        # tail target reachable for erasure rates into the high nineties.
+        return max(self.k + 1, math.ceil((10.0 * self.k + 30.0) / (1.0 - self.eps)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -95,9 +105,7 @@ def mixture_weights(m: MixtureSpec) -> Tuple[np.ndarray, np.ndarray]:
     """
     if m.eps == 0.0:
         return np.array([m.k]), np.array([1.0])
-    # 10k/(1-eps) tracks the mixture mean; the +30 headroom keeps the 1e-12
-    # tail target reachable for erasure rates into the high nineties.
-    cap = max(m.k + 1, int(math.ceil((10.0 * m.k + 30.0) / (1.0 - m.eps))))
+    cap = m.series_cap
     rhos = np.arange(m.k, cap + 1)
     log_binom = gammaln(rhos) - gammaln(m.k) - gammaln(rhos - m.k + 1)
     w = np.exp(log_binom + (rhos - m.k) * math.log(m.eps) + m.k * math.log1p(-m.eps))

@@ -28,16 +28,34 @@ conditioning value is drawn as one unmeasured round, and ``burn_in``
 initial epochs are discarded on top of that. Standard errors come from batch
 means over epochs (100 batches).
 
+Streaming
+---------
+The round engine :func:`_rounds` yields its rounds in chunks of at most
+``CHUNK_ROUNDS``; :func:`simulate` folds each chunk into its statistics
+before the next one is drawn, and the engine stops once every process has
+``n_epochs`` deliveries. Memory grows with the run length only through the
+one open batch per process. Between chunks the engine carries two values,
+the last round's service total (which sets the next wait) and the clock.
+Each process carries its last delivery and stamp, its delivery and sample
+counts, the batch it has not yet closed and, with the OU probe, the error
+innovation at its last delivery. Every substream is drawn in the same order
+whatever the chunk size, and a batch is summed once, when it closes, so
+every statistic and the trace file are bit-identical for any
+``CHUNK_ROUNDS``.
+
 Randomness is split into named substreams (service, erasure, OU noise) from
 one seed, so identical seeds give bit-identical statistics and both schemes
-can be compared on matched draws.
+can be compared on matched draws. The OU noise is split again into one
+substream per process, so each process's probe draws its normals in its own
+delivery order, independent of how the chunks interleave the processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +63,7 @@ from . import ou
 from .types import (
     ConvergenceError,
     InvalidConfig,
+    ProcessParams,
     Scheme,
     SimStats,
     SystemConfig,
@@ -53,16 +72,12 @@ from .types import (
 
 ATTEMPT_CAP = 10**7
 BATCH_COUNT = 100
-TRACE_BLOCK = 1024
+CHUNK_ROUNDS = 16384
 
 
-def _streams(seed: int) -> Tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    service_ss, erasure_ss, ou_ss = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(service_ss),
-        np.random.default_rng(erasure_ss),
-        np.random.default_rng(ou_ss),
-    )
+def _streams(seed: int) -> List[np.random.SeedSequence]:
+    """The service, erasure and OU-noise substreams of one seed."""
+    return np.random.SeedSequence(seed).spawn(3)
 
 
 def _wait_fractions(cfg: SystemConfig, wait_split: Optional[Sequence[float]]) -> np.ndarray:
@@ -79,7 +94,7 @@ def _wait_fractions(cfg: SystemConfig, wait_split: Optional[Sequence[float]]) ->
 
 @dataclass(frozen=True)
 class RoundArrays:
-    """Per-round aggregates of a run of either scheme (vectorized engine output).
+    """Per-round aggregates of a run of consecutive rounds of either scheme.
 
     A round is one wait followed by one service slot per process, in order.
     With feedback a slot is a retry burst that ends in a delivery, so a round
@@ -98,6 +113,16 @@ class RoundArrays:
     def gamma(self) -> np.ndarray:
         """(r,) round lengths: wait plus service."""
         return self.wait + self.service_total
+
+    def __getitem__(self, rows: slice) -> "RoundArrays":
+        return RoundArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @staticmethod
+    def concat(parts: Sequence["RoundArrays"]) -> "RoundArrays":
+        """Consecutive runs of rounds joined into one."""
+        return RoundArrays(
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RoundArrays))
+        )
 
 
 def _draw_slots(
@@ -136,45 +161,68 @@ def _draw_slots(
     return bursts, last, np.broadcast_to(True, shape), attempts, m
 
 
-def round_arrays(
+def _rounds(
     cfg: SystemConfig,
     scheme: Scheme,
     tau: float,
-    n_rounds: int,
     seed: int,
-    wait_split: Optional[Sequence[float]] = None,
-) -> RoundArrays:
-    """Run ``n_rounds`` chained rounds of ``scheme``, vectorized across rounds.
+    wait_split: Optional[Sequence[float]],
+    n_deliveries: int,
+) -> Iterator[RoundArrays]:
+    """Chained rounds of ``scheme`` until every process has ``n_deliveries``
+    deliveries, in chunks of at most ``CHUNK_ROUNDS``.
 
-    One extra unmeasured round is drawn first to initialize the wait's
-    conditioning value; it is not part of the returned arrays.
+    A chunk holds no more rounds than the process furthest behind is likely
+    to need, so that a short run draws few rounds it does not use.
+
+    The first chunk draws one extra unmeasured round ahead of its rounds to
+    set the first wait's conditioning value, and drops it. A chunk takes only
+    the last round's service total and the clock from the chunk before it.
     """
     if not 0 <= tau < math.inf:
         raise InvalidConfig("tau must be nonnegative and finite")
-    if n_rounds < 1:
-        raise InvalidConfig("n_rounds must be >= 1")
-    service_rng, erasure_rng, _ = _streams(seed)
+    service_ss, erasure_ss, _ = _streams(seed)
+    service_rng = np.random.default_rng(service_ss)
+    erasure_rng = np.random.default_rng(erasure_ss)
     fracs = np.cumsum(_wait_fractions(cfg, wait_split))
-    r = n_rounds + 1
-    slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, service_rng, erasure_rng)
-    totals = slot.sum(axis=1)
-    waits = np.empty(r)
-    waits[0] = 0.0
-    np.maximum(tau - totals[:-1], 0.0, out=waits[1:])
-    starts = np.concatenate(([0.0], np.cumsum(waits + totals)[:-1]))
-    # Slot k ends after the round start, the wait fractions released so far,
-    # and the service of slots 1..k.
-    ends = starts[:, None] + fracs[None, :] * waits[:, None] + np.cumsum(slot, axis=1)
-    stamps = ends - last
-    return RoundArrays(
-        wait=waits[1:],
-        service_total=totals[1:],
-        samples=samples[1:],
-        m=m[1:],
-        delivered=delivered[1:],
-        ends=ends[1:],
-        stamps=stamps[1:],
-    )
+    short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
+    # An infinite previous service total gives the unmeasured round no wait.
+    prev_total, clock, skip = math.inf, 0.0, 1
+    while short.max() > 0:
+        need = int(short.max())
+        if scheme is Scheme.RR_NO_FEEDBACK:
+            # A process delivers in a round with probability 1 - eps: take the
+            # mean count of rounds for its deliveries plus three standard
+            # deviations, so that a run seldom ends in a string of tiny chunks.
+            need = math.ceil((need + 3.0 * math.sqrt(need * cfg.eps)) / (1.0 - cfg.eps))
+        r = min(CHUNK_ROUNDS, need) + skip
+        slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, service_rng, erasure_rng)
+        # Service elapsed by the end of each slot of its round. Adding one
+        # column at a time follows a row cumsum's order and is several times
+        # faster than a reduction along the short process axis.
+        served = np.array(slot)
+        for j in range(1, cfg.k):
+            served[:, j] += served[:, j - 1]
+        totals = served[:, -1]
+        waits = np.maximum(tau - np.concatenate(([prev_total], totals[:-1])), 0.0)
+        starts = np.cumsum(np.concatenate(([clock], waits + totals)))
+        # Slot k ends after the round start, the wait fractions released so
+        # far, and the service of slots 1..k.
+        ends = starts[:-1, None] + fracs[None, :] * waits[:, None] + served
+        prev_total, clock = totals[-1], starts[-1]
+        # Column by column: a reduction down the long axis of a (rounds, k)
+        # array is an order of magnitude slower.
+        short -= [np.count_nonzero(delivered[skip:, j]) for j in range(cfg.k)]
+        yield RoundArrays(
+            wait=waits[skip:],
+            service_total=totals[skip:],
+            samples=samples[skip:],
+            m=m[skip:],
+            delivered=delivered[skip:],
+            ends=ends[skip:],
+            stamps=(ends - last)[skip:],
+        )
+        skip = 0
 
 
 def _batch_edges(count: int) -> np.ndarray:
@@ -182,21 +230,60 @@ def _batch_edges(count: int) -> np.ndarray:
     return np.linspace(0, count, nb + 1).astype(np.int64)
 
 
-def _ratio_batches(values: np.ndarray, spans: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    sums_v = np.add.reduceat(values, edges[:-1])
-    sums_s = np.add.reduceat(spans, edges[:-1])
-    return sums_v / sums_s
-
-
 def _se(batch_vals: np.ndarray) -> float:
     return float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
+
+
+class _Batches:
+    """Per-batch sums of rows of per-span values that arrive in pieces.
+
+    The batches are the index ranges between consecutive ``edges``. Only the
+    pieces of the open batch are kept, and a batch is summed once it is
+    complete, with ``reduceat``, which sums a segment in the same order
+    wherever it starts: the sums do not depend on how the values were split.
+    """
+
+    def __init__(self, rows: int, edges: np.ndarray) -> None:
+        self.edges = edges
+        self.sums = np.empty((rows, len(edges) - 1))
+        self.pieces: List[np.ndarray] = []  # the open batch's values so far
+        self.filled = 0  # values received
+        self.closed = 0  # batches summed
+
+    def add(self, values: np.ndarray) -> None:
+        start, self.filled = self.filled, self.filled + values.shape[1]
+        lo = self.closed
+        hi = int(np.searchsorted(self.edges, self.filled, side="right")) - 1
+        if hi > lo:
+            # Where batches lo..hi-1 end in ``values``, after where lo starts.
+            cuts = self.edges[lo : hi + 1] - start
+            if self.pieces:
+                batch = np.concatenate(self.pieces + [values[:, : cuts[1]]], axis=1)
+                self.sums[:, lo] = np.add.reduceat(batch, [0], axis=1)[:, 0]
+                self.pieces = []
+                lo, cuts = lo + 1, cuts[1:]
+            if hi > lo:
+                self.sums[:, lo:hi] = np.add.reduceat(values[:, : cuts[-1]], cuts[:-1], axis=1)
+            self.closed = hi
+            values = values[:, cuts[-1] :]
+        if values.shape[1]:
+            self.pieces.append(values)
+
+
+@dataclass
+class _OuCarry:
+    """A probe's state at its process's latest delivery: the OU innovation
+    over that delivered sample's own service, or None before any delivery."""
+
+    value: Optional[float] = None
 
 
 def _ou_probe(
     deliveries: np.ndarray,
     stamps: np.ndarray,
-    p,
+    p: ProcessParams,
     rng: np.random.Generator,
+    carry: Optional[_OuCarry] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Co-simulate the true process along one delivery sequence.
 
@@ -204,21 +291,98 @@ def _ou_probe(
     the previous sample's extrapolation and the closed-form error at that
     age. The error ``X(d_i) - X(s_{i-1}) e^{-theta (d_i - s_{i-1})}`` sums the
     OU innovations over (s_{i-1}, d_{i-1}], (d_{i-1}, s_i] and (s_i, d_i], so
-    three exact steps over whole arrays give every error; the stationary
-    start cancels but is still drawn, which keeps the substream's order: one
-    start normal, then z[0] and z[2i+1] for (s_i, d_i] and z[2i] for
-    (d_{i-1}, s_i].
+    three exact steps over whole arrays give every error. Each delivery after
+    the first draws two normals, for (d_{i-1}, s_i] and then (s_i, d_i]. A
+    fresh sequence first draws a stationary start, which cancels but keeps
+    the order of a loop that steps the process itself, and the pair of its
+    first delivery, of which only the second is used.
+
+    ``carry`` continues a sequence over several calls. Once it holds a value,
+    ``deliveries[0]`` and ``stamps[0]`` must repeat the previous call's last
+    delivery, whose innovation comes from ``carry`` rather than a draw. On
+    return ``carry`` holds the innovation at the last delivery.
     """
-    rng.standard_normal()
-    z = rng.standard_normal(size=2 * len(deliveries))
-    z_serve = np.concatenate((z[:1], z[3::2]))
-    carried = ou.ou_step(0.0, deliveries - stamps, p, z_serve)
+    if carry is None:
+        carry = _OuCarry()
+    serve = deliveries[1:] - stamps[1:]
+    if carry.value is None:
+        rng.standard_normal()
+        z = rng.standard_normal(size=2 * len(deliveries))
+        carry.value = ou.ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
+        z = z[2:]
+    else:
+        z = rng.standard_normal(size=2 * len(serve))
+    carried = np.concatenate(([carry.value], ou.ou_step(0.0, serve, p, z[1::2])))
     # Gaps that are exactly zero in event order can round a hair negative in
     # the cumulative time arithmetic; clamp them.
     idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
-    at_stamp = ou.ou_step(carried[:-1], idle, p, z[2::2])
-    errs = ou.ou_step(at_stamp, deliveries[1:] - stamps[1:], p, z_serve[1:]) ** 2
+    at_stamp = ou.ou_step(carried[:-1], idle, p, z[0::2])
+    errs = ou.ou_step(at_stamp, serve, p, z[1::2]) ** 2
+    carry.value = carried[-1]
     return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p)
+
+
+class _Window:
+    """One process's statistics window, fed one chunk of rounds at a time.
+
+    The process's deliveries are counted up to ``n_epochs``. From delivery
+    ``burn_in`` on, every span to the next delivery enters the batches: its
+    error integral and length, and with the probe the realized and
+    closed-form errors at its end. The last delivery and stamp carry over,
+    so a span that straddles two chunks is measured like any other.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        p: ProcessParams,
+        n_epochs: int,
+        burn_in: int,
+        edges: np.ndarray,
+        ou_rng: Optional[np.random.Generator],
+    ) -> None:
+        self.k, self.p = k, p
+        self.n_epochs, self.burn_in = n_epochs, burn_in
+        self.ou_rng = ou_rng
+        self.ou = _OuCarry()
+        self.batches = _Batches(2 if ou_rng is None else 4, edges)
+        self.seen = 0  # deliveries so far
+        self.samples = 0  # samples drawn over the measured spans
+        self.first: Optional[float] = None  # first delivery in the window
+        self.last: Tuple[float, float] = (0.0, 0.0)  # latest delivery and its stamp
+
+    @property
+    def done(self) -> bool:
+        return self.seen == self.n_epochs
+
+    def feed(self, rounds: RoundArrays) -> None:
+        if self.done:
+            return
+        k = self.k
+        hits = np.flatnonzero(rounds.delivered[:, k])[: self.n_epochs - self.seen]
+        opens = max(self.burn_in - self.seen, 0)
+        self.seen += len(hits)
+        if self.seen <= self.burn_in:
+            return
+        # A span's samples are those of the rounds after its first delivery
+        # through its last.
+        lo = hits[opens] + 1 if self.first is None else 0
+        hi = hits[-1] + 1 if self.done else len(rounds.wait)
+        self.samples += int(rounds.samples[lo:hi, k].sum())
+        win = hits[opens:]
+        d, s = rounds.ends[win, k], rounds.stamps[win, k]
+        if self.first is None:
+            self.first = d[0]
+        else:
+            d = np.concatenate(([self.last[0]], d))
+            s = np.concatenate(([self.last[1]], s))
+        self.last = (d[-1], s[-1])
+        if len(d) > 1:
+            gaps = np.diff(d)
+            rows = [ou.mse_integral(d[:-1] - s[:-1], gaps, self.p), gaps]
+            if self.ou_rng is not None:
+                rows.extend(_ou_probe(d, s, self.p, self.ou_rng, self.ou))
+            self.batches.add(np.stack(rows))
 
 
 def simulate(
@@ -236,19 +400,23 @@ def simulate(
     ``n_epochs`` counts per-process delivery epochs including the ``burn_in``
     initial ones that are discarded; the statistics window covers the
     remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
-    which must be at least two for a standard error.
+    which must be at least two for a standard error. ``seed`` is a
+    non-negative integer.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions (default: all of it up front). ``track_ou`` co-simulates
-    each process's path from the OU noise substream and fills the
+    each process's path from its own OU noise substream and fills the
     ``ou_probe_*`` fields: the realized squared estimation error at every
     delivery in the window against the closed-form error at the same age,
     with a standard error from the same batches as the MSE. ``trace_path``
-    writes one tab-separated record per epoch of the last process (see
-    :func:`_write_trace`). Identical arguments give bit-identical results.
+    writes one tab-separated record per epoch of the last process, for its
+    first ``n_epochs`` epochs (see :func:`_write_trace`). Identical arguments
+    give bit-identical results.
     """
     if not isinstance(policy, ThresholdPolicy) or policy.scheme not in Scheme:
         raise InvalidConfig("policy must be a ThresholdPolicy with a known scheme")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
     if n_epochs < 1:
         raise InvalidConfig("n_epochs must be >= 1")
     if not (0 <= burn_in < n_epochs):
@@ -258,60 +426,49 @@ def simulate(
             "need at least three post-burn-in epochs (two spans) for a standard error"
         )
 
-    if policy.scheme is Scheme.MAF_FEEDBACK:
-        n_rounds = n_epochs
-    else:
-        # A process delivers in a round with probability 1 - eps: draw enough
-        # rounds for n_epochs deliveries of each, with an 8-sigma margin.
-        margin = int(math.ceil(8.0 * math.sqrt(n_epochs * max(cfg.eps, 1e-12)))) + 64
-        n_rounds = int(math.ceil((n_epochs + margin) / (1.0 - cfg.eps)))
-    rounds = round_arrays(cfg, policy.scheme, policy.tau, n_rounds, seed, wait_split)
-
-    lo = burn_in
     window = n_epochs - burn_in - 1
     edges = _batch_edges(window)
-    nb = len(edges) - 1
+    if track_ou:
+        ou_rngs = [np.random.default_rng(ss) for ss in _streams(seed)[2].spawn(cfg.k)]
+    else:
+        ou_rngs = [None] * cfg.k
+    windows = [
+        _Window(k, p, n_epochs, burn_in, edges, rng)
+        for k, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
+    ]
+    with contextlib.ExitStack() as stack:
+        chunks = _rounds(cfg, policy.scheme, policy.tau, seed, wait_split, n_epochs)
+        if trace_path is not None:
+            fh = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
+            chunks = _write_trace(fh, policy.scheme, cfg, n_epochs, chunks)
+        for rounds in chunks:
+            for w in windows:
+                w.feed(rounds)
 
+    counts = np.diff(edges).astype(float)
     per_mse = []
     per_mse_se = []
     inter_sample = []
-    sum_batches = np.zeros(nb)
-    epoch_len_batches = np.zeros(nb)
+    sum_batches = np.zeros(len(counts))
+    epoch_len_batches = np.zeros(len(counts))
     mean_epoch_len = 0.0
-    if track_ou:
-        _, _, ou_rng = _streams(seed)
-        ou_err = ou_ref = 0.0
-        diff_batches = np.zeros(nb)
-
-    for k in range(cfg.k):
-        hits = np.flatnonzero(rounds.delivered[:, k])[:n_epochs]
-        if len(hits) < n_epochs:
-            raise ConvergenceError(
-                f"only {len(hits)} deliveries for process {k}, need {n_epochs}"
-            )
-        hits = hits[lo:]
-        d = rounds.ends[hits, k]
-        s = rounds.stamps[hits, k]
-        ages0 = d - s
-        gaps = np.diff(d)
-        ints = ou.mse_integral(ages0[:-1], gaps, cfg.processes[k])
-        span = d[-1] - d[0]
+    ou_err = ou_ref = 0.0
+    diff_batches = np.zeros(len(counts))
+    for w in windows:
+        ints, gaps = w.batches.sums[:2]
+        span = w.last[0] - w.first
         per_mse.append(float(ints.sum() / span))
-        batches_k = _ratio_batches(ints, gaps, edges)
+        batches_k = ints / gaps
         per_mse_se.append(_se(batches_k))
         sum_batches += batches_k
-        epoch_len_batches += _ratio_batches(gaps, np.ones_like(gaps), edges) / cfg.k
-        mean_epoch_len += float(gaps.mean()) / cfg.k
-        n_samples = int(rounds.samples[hits[0] + 1 : hits[-1] + 1, k].sum())
-        inter_sample.append(float(span / n_samples))
+        epoch_len_batches += gaps / counts / cfg.k
+        mean_epoch_len += float(gaps.sum() / window) / cfg.k
+        inter_sample.append(float(span / w.samples))
         if track_ou:
-            errs, refs = _ou_probe(d, s, cfg.processes[k], ou_rng)
-            ou_err += float(errs.mean())
-            ou_ref += float(refs.mean())
-            diff_batches += _ratio_batches(errs - refs, np.ones_like(errs), edges)
-
-    if trace_path is not None:
-        _write_trace(trace_path, policy.scheme, cfg, rounds)
+            errs, refs = w.batches.sums[2:]
+            ou_err += float(errs.sum() / window)
+            ou_ref += float(refs.sum() / window)
+            diff_batches += (errs - refs) / counts
 
     return SimStats(
         scheme=policy.scheme,
@@ -329,41 +486,70 @@ def simulate(
     )
 
 
-def _write_trace(path: str, scheme: Scheme, cfg: SystemConfig, rounds: RoundArrays) -> None:
-    """Dump one delimited record per epoch of the last process.
+def _write_trace(
+    fh: IO[str],
+    scheme: Scheme,
+    cfg: SystemConfig,
+    n_epochs: int,
+    chunks: Iterator[RoundArrays],
+) -> Iterator[RoundArrays]:
+    """Write one delimited record per epoch of the last process, passing each
+    chunk of rounds on once its records are written.
 
     The last process's deliveries partition the rounds into epochs (one round
-    each with feedback). A record sums its rounds' waits, services and ``m``
-    counts, and gives each process's last delivery and stamp within the
-    epoch, or empty cells where that process delivered none. The sums are
-    taken in blocks of ``TRACE_BLOCK`` epochs and the records formatted one
-    at a time, which bounds memory.
+    each with feedback), and its first ``n_epochs`` epochs are written. A
+    record sums its rounds' waits, services and ``m`` counts, and gives each
+    process's last delivery and stamp within the epoch, or empty cells where
+    that process delivered none. The rounds of the epoch still open at a
+    chunk's end carry into the next chunk, so each record is summed over its
+    whole epoch at once; records are formatted one at a time.
     """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
     cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
-    bounds = np.flatnonzero(rounds.delivered[:, cfg.k - 1])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for b0 in range(0, len(bounds), TRACE_BLOCK):
-            last = bounds[b0 : b0 + TRACE_BLOCK]
-            lo = bounds[b0 - 1] + 1 if b0 else 0
-            first = np.concatenate(([lo], last[:-1] + 1))
-            block = slice(lo, last[-1] + 1)
-            w = np.add.reduceat(rounds.wait[block], first - lo)
-            svc = np.add.reduceat(rounds.service_total[block], first - lo)
-            m = np.add.reduceat(rounds.m[block], first - lo)
-            columns = [w.tolist(), svc.tolist(), m.tolist(), (w + svc).tolist()]
-            in_block = np.arange(lo, last[-1] + 1)
-            hits = []
-            for k in range(cfg.k):
-                # Latest delivered round of process k up to each epoch's end.
-                latest = np.maximum.accumulate(np.where(rounds.delivered[block, k], in_block, -1))
-                hits.append(latest[last - lo])
-            for times in (rounds.ends, rounds.stamps):
-                for k, hit in enumerate(hits):
-                    inside = (hit >= first).tolist()
-                    values = times[hit, k].tolist()
-                    columns.append([t if ok else None for t, ok in zip(values, inside)])
-            for i, (wi, si, mi, gi, *ts) in enumerate(zip(*columns), start=b0):
-                cells = "\t".join("" if t is None else f"{t:.12g}" for t in ts)
-                fh.write(f"{i}\t{scheme.value}\t{wi:.12g}\t{si:.12g}\t{mi}\t{gi:.12g}\t{cells}\n")
+    fh.write("\t".join(cols) + "\n")
+    written = 0
+    open_epoch: Optional[RoundArrays] = None
+    for rounds in chunks:
+        if written < n_epochs:
+            block = rounds
+            if open_epoch is not None and len(open_epoch.wait):
+                block = RoundArrays.concat((open_epoch, rounds))
+            last = np.flatnonzero(block.delivered[:, cfg.k - 1])[: n_epochs - written]
+            if len(last):
+                _write_records(fh, scheme, cfg, block[: last[-1] + 1], last, written)
+                written += len(last)
+            open_epoch = block[last[-1] + 1 :] if len(last) else block
+        yield rounds
+
+
+def _write_records(
+    fh: IO[str],
+    scheme: Scheme,
+    cfg: SystemConfig,
+    block: RoundArrays,
+    last: np.ndarray,
+    index: int,
+) -> None:
+    """The records of the epochs that end at rows ``last`` of ``block``, which
+    starts with the first of them; the first is numbered ``index``.
+
+    The cells are gathered into one float table, with nan for the empty
+    ones, and converted to Python one record at a time.
+    """
+    first = np.concatenate(([0], last[:-1] + 1))
+    table = np.empty((len(last), 3 + 2 * cfg.k))
+    np.add.reduceat(block.wait, first, out=table[:, 0])
+    np.add.reduceat(block.service_total, first, out=table[:, 1])
+    np.add(table[:, 0], table[:, 1], out=table[:, 2])
+    rows = np.arange(len(block.wait))
+    for k in range(cfg.k):
+        # Latest delivered round of process k up to each epoch's end.
+        hit = np.maximum.accumulate(np.where(block.delivered[:, k], rows, -1))[last]
+        inside = hit >= first
+        table[:, 3 + k] = np.where(inside, block.ends[hit, k], np.nan)
+        table[:, 3 + cfg.k + k] = np.where(inside, block.stamps[hit, k], np.nan)
+    m = np.add.reduceat(block.m, first).tolist()
+    for i, (record, mi) in enumerate(zip(table, m), start=index):
+        wi, si, gi, *ts = record.tolist()
+        cells = "\t".join("" if t != t else f"{t:.12g}" for t in ts)
+        fh.write(f"{i}\t{scheme.value}\t{wi:.12g}\t{si:.12g}\t{mi}\t{gi:.12g}\t{cells}\n")

@@ -74,6 +74,11 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
         mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps), 0.0
     else:
         mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=0.0), cfg.eps
+    if mix.eps > 0.0 and mix.series_cap > series.MAX_SERIES_TERMS:
+        raise InvalidConfig(
+            f"eps={cfg.eps} is too close to 1 for k={cfg.k}: the attempt-count series "
+            f"would need {mix.series_cap} terms, more than {series.MAX_SERIES_TERMS}"
+        )
     procs = cfg.processes
     return _Law(
         mix=mix,

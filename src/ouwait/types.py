@@ -27,10 +27,18 @@ class ProcessParams:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise InvalidConfig(f"theta must be positive and finite, got {self.theta}")
+        # 2 theta is the decay rate of the error law, so it must be finite too.
+        if not (self.theta > 0 and math.isfinite(2.0 * self.theta)):
+            raise InvalidConfig(
+                f"theta must be positive with 2 * theta finite, got {self.theta}"
+            )
         if not (self.sigma_sq > 0 and math.isfinite(self.sigma_sq)):
             raise InvalidConfig(f"sigma_sq must be positive and finite, got {self.sigma_sq}")
+        if not (0 < self.stationary_variance < math.inf):
+            raise InvalidConfig(
+                f"sigma_sq / (2 * theta) must be positive and finite, got "
+                f"{self.stationary_variance} (sigma_sq={self.sigma_sq}, theta={self.theta})"
+            )
 
     @property
     def stationary_variance(self) -> float:

@@ -3,20 +3,40 @@
 Tests compare the vectorized round engine of :mod:`ouwait.sim` against these
 scalar loops, which draw every service and erasure outcome in event order,
 and the simulator's array-form OU probe against a loop that steps the true
-process from event to event.
+process from event to event. :func:`round_arrays` joins the engine's chunks
+into one run for tests that look at whole runs of rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ouwait import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
 from ouwait import inst_mse, ou_step
-from ouwait.sim import ATTEMPT_CAP
+from ouwait.sim import ATTEMPT_CAP, RoundArrays, _rounds
+
+
+def round_arrays(
+    cfg: SystemConfig,
+    scheme: Scheme,
+    tau: float,
+    n_rounds: int,
+    seed: int,
+    wait_split: Optional[Sequence[float]] = None,
+) -> RoundArrays:
+    """The first ``n_rounds`` rounds of the streaming engine as one run.
+
+    Every process needs a round per delivery, so the engine run for
+    ``n_rounds`` deliveries draws at least ``n_rounds`` rounds.
+    """
+    if n_rounds < 1:
+        raise InvalidConfig("n_rounds must be >= 1")
+    chunks = _rounds(cfg, scheme, tau, seed, wait_split, n_rounds)
+    return RoundArrays.concat(list(chunks))[:n_rounds]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import math
 import os
+import time
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -66,6 +68,22 @@ class TestSweepSpec:
         assert cli.main(["sweep", os.fspath(path)]) == 1
         assert "invalid sweep spec" in one_line_error(capsys)
         assert capsys.readouterr().out == ""
+
+    def test_negative_seed_rejected_before_any_row(self, tmp_path, capsys):
+        with pytest.raises(InvalidConfig, match="seed"):
+            spec_eps(seed=-1)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\ntheta = 0.5, 0.5\nsigma_sq = 1, 1\n"
+            "axis = eps\ngrid = 0.1, 0.2\nschemes = maf\nsim_validate = true\n"
+            "n_epochs = 2000\nseed = -1\n"
+        )
+        with pytest.raises(ConfigFormatError, match="invalid sweep spec: seed"):
+            read_config(os.fspath(path))
+        assert cli.main(["sweep", os.fspath(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: invalid sweep spec: seed") and out.err.count("\n") == 1
 
     def test_k_axis_needs_symmetric_base(self):
         with pytest.raises(InvalidConfig):
@@ -340,6 +358,31 @@ class TestMain:
     def test_unusable_run_length_is_one_line_error(self, capsys, extra):
         assert cli.main(["simulate", "--scheme", "rr"] + SIM_ARGS + extra) == 1
         assert "burn" in one_line_error(capsys)
+
+    def test_negative_seed_is_one_line_error(self, capsys):
+        args = list(SIM_ARGS)
+        args[args.index("--seed") + 1] = "-1"
+        assert cli.main(["simulate", "--scheme", "maf"] + args + ["--epochs", "2000"]) == 1
+        assert one_line_error(capsys) == "error: seed must be a non-negative integer, got -1"
+
+    def test_huge_theta_is_one_line_error(self, capsys):
+        # 2 * theta overflows: the input is refused, with no numpy warning and
+        # no blame on the search ceiling.
+        args = ["--k", "1", "--mu", "1", "--eps", "0", "--fmax", "0.5",
+                "--theta", "1e308", "--sigma-sq", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve-maf"] + args) == 1
+        err = one_line_error(capsys)
+        assert "theta" in err and "tau_max" not in err
+
+    def test_erasure_rate_near_one_fails_fast(self, capsys):
+        args = ["--k", "1", "--mu", "1", "--eps", "0.999999", "--fmax", "0.5",
+                "--theta", "0.5", "--sigma-sq", "1"]
+        start = time.perf_counter()
+        assert cli.main(["solve-maf"] + args) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "eps=0.999999" in one_line_error(capsys)
 
     def test_simulator_failure_exit_code_keeps_every_row(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

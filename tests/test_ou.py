@@ -1,6 +1,7 @@
 """Process-dynamics layer: exact transition and error formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,3 +107,15 @@ def test_process_params_validation():
         ProcessParams(theta=0.0, sigma_sq=1.0)
     with pytest.raises(InvalidConfig):
         ProcessParams(theta=1.0, sigma_sq=-1.0)
+
+
+@pytest.mark.parametrize(
+    "theta, sigma_sq, names",
+    [(1e308, 1.0, "2 * theta"), (1e-300, 1e300, "sigma_sq / (2 * theta)"),
+     (1e300, 1e-300, "sigma_sq / (2 * theta)")],
+    ids=["two-theta-overflows", "variance-overflows", "variance-underflows"],
+)
+def test_process_params_with_unusable_error_law_rejected(theta, sigma_sq, names):
+    # Each input is finite and positive, but the error law built from it is not.
+    with pytest.raises(InvalidConfig, match=re.escape(names)):
+        ProcessParams(theta=theta, sigma_sq=sigma_sq)

@@ -5,7 +5,11 @@ matters: frozen hand values, quadrature over the defining density, and Monte
 Carlo over the defining random variable (3 standard errors, >= 1e6 draws).
 """
 
+import importlib.util
 import math
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from ouwait import (
     mse_at_tau,
 )
 from ouwait.series import (
+    MAX_SERIES_TERMS,
     MixtureSpec,
     _gamma_lower_table,
     cycle_transform,
@@ -169,6 +174,73 @@ class TestMixtureWeights:
     def test_mean_matches_wald(self):
         rhos, wts = mixture_weights(M2)
         assert float((rhos * wts).sum()) == pytest.approx(2 / 0.7, rel=1e-9)
+
+
+class TestSeriesCap:
+    def test_erasure_rate_near_one_refused_before_any_series(self):
+        # The cap (10k + 30) / (1 - eps) is 4e7 terms here; the tables would
+        # take gigabytes, so the law is refused up front.
+        cfg = system((ProcessParams(0.5, 1.0),), 0.999999)
+        assert cfg_cap(cfg) > MAX_SERIES_TERMS
+        for call in (
+            lambda: threshold.solve(cfg, MAF),
+            lambda: mse_at_tau(1.0, cfg, MAF),
+            lambda: epoch_mean(1.0, cfg, MAF),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(InvalidConfig, match="eps=0.999999"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
+    def test_cap_below_the_limit_is_accepted(self):
+        # 8e5 terms at k=1: the law is built, and rr, whose mixture has no
+        # erasures, is never refused.
+        cfg = system((ProcessParams(0.5, 1.0),), 0.99995)
+        assert cfg_cap(cfg) <= MAX_SERIES_TERMS
+        _law(cfg, MAF)
+        _law(system((ProcessParams(0.5, 1.0),), 0.999999), RR)
+
+    def test_reference_solves_unaffected(self):
+        # Every solve the benchmark checks (eps up to 0.9, k up to 64) still
+        # reproduces its stored answer.
+        wl = benchmark_workloads()
+        ref = wl.load_reference()
+        checked = 0
+        for f_max in wl.FULL.fmax_grid:
+            for eps in wl.FULL.eps_grid:
+                cfg = wl.system(wl.REF_PROCS, f_max, eps)
+                for name, scheme in wl.SCHEMES.items():
+                    res = threshold.solve(cfg, scheme)
+                    key = wl.sweep_key(name, f_max, eps)
+                    ref_k = {f: ref[key][f] for f in ("tau_star", "beta_star", "binding")}
+                    assert wl.check_solution(res, ref_k) is None, key
+                    checked += 1
+        for label, cfgs in (
+            ("wide", {k: wl.system(wl.wide_procs(k), **wl.WIDE_SYSTEM) for k in wl.FULL.wide_ks}),
+            ("corner", {None: wl.system(wl.REF_PROCS, **wl.CORNER)}),
+            ("probe", {None: wl.system(wl.REF_PROCS, **wl.PROBE_SYSTEM)}),
+        ):
+            for k, cfg in cfgs.items():
+                for name, scheme in wl.SCHEMES.items():
+                    key = wl.wide_key(name, k) if label == "wide" else f"{label}/{name}"
+                    assert wl.check_solution(threshold.solve(cfg, scheme), ref[key]) is None, key
+                    checked += 1
+        assert checked == len(ref) == 124
+
+
+def cfg_cap(cfg: SystemConfig) -> int:
+    return MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps).series_cap
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, for its configurations and checks."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while it executes.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def laplace_exp_service(theta: float, mu: float) -> float:

@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +20,11 @@ from ouwait import (
     simulate,
 )
 from ouwait.series import MixtureSpec, cycle_transform
-from ouwait.sim import _ou_probe, round_arrays
+import ouwait.sim as sim
+from ouwait.sim import _ou_probe
 from ouwait.threshold import _law, _transform
 
-from event_oracle import ou_probe_loop, run_epoch_maf, run_round_rr
+from event_oracle import ou_probe_loop, round_arrays, run_epoch_maf, run_round_rr
 
 MAF = Scheme.MAF_FEEDBACK
 RR = Scheme.RR_NO_FEEDBACK
@@ -360,6 +364,67 @@ class TestOuProbe:
                           seed=seed, burn_in=100, track_ou=True)
             gaps.append((st.ou_probe_mse - st.ou_probe_ref) / st.ou_probe_diff_se)
         assert 0.8 <= np.std(gaps, ddof=1) <= 1.2
+
+
+class TestStreaming:
+    @pytest.mark.parametrize(
+        "scheme, tau, split", [(MAF, 1.6, (0.5, 0.5)), (RR, 0.7, (0.25, 0.75))], ids=["maf", "rr"]
+    )
+    def test_statistics_and_trace_invariant_to_chunk_size(
+        self, two_process_cfg, tmp_path, monkeypatch, scheme, tau, split
+    ):
+        # Chunks of 5 rounds split every batch, burn-in, OU step and trace
+        # epoch; the results must not change in any bit.
+        runs = []
+        for chunk in (5, 1000, sim.CHUNK_ROUNDS):
+            monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
+            path = tmp_path / f"trace-{chunk}.tsv"
+            st = simulate(two_process_cfg, ThresholdPolicy(scheme, tau), n_epochs=3000, seed=91,
+                          burn_in=150, wait_split=split, track_ou=True, trace_path=os.fspath(path))
+            runs.append((st, path.read_bytes()))
+        (st, trace), *others = runs
+        assert st.ou_probe_mse is not None and trace.count(b"\n") == 3001
+        for other in others:
+            assert other == (st, trace)
+
+    def test_memory_bounded_in_run_length(self):
+        # 4e6 epochs of each scheme at k=2: an engine that holds the whole
+        # run grows by more than 500 MB on these runs, a streaming one by a
+        # few chunks and one open batch per process.
+        code = textwrap.dedent(
+            """
+            import resource
+            from ouwait import ProcessParams, Scheme, SystemConfig, ThresholdPolicy, simulate
+            cfg = SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.5,
+                               processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0)))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for scheme, tau in ((Scheme.MAF_FEEDBACK, 7.76), (Scheme.RR_NO_FEEDBACK, 3.88)):
+                simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=4 * 10**6, seed=5)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 64.0
+
+    def test_high_erasure_rate_without_feedback(self, two_process_cfg):
+        # Ten rounds per delivery: the run draws until every process has its
+        # epochs, with no guess at the round count.
+        cfg = replace(two_process_cfg, eps=0.9)
+        st = simulate(cfg, ThresholdPolicy(RR, 0.7), n_epochs=20000, seed=92, burn_in=100)
+        assert st.epochs == 20000 - 100 - 1
+        ref = epoch_mean(0.7, cfg, RR)
+        assert abs(st.mean_epoch_len - ref) <= 4 * st.mean_epoch_len_se
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_non_negative_integer(self, two_process_cfg, seed):
+        with pytest.raises(InvalidConfig, match="seed must be a non-negative integer"):
+            simulate(two_process_cfg, ThresholdPolicy(MAF, 1.0), n_epochs=100, seed=seed,
+                     burn_in=10)
 
 
 class TestPinnedEngine:
