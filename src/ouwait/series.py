@@ -3,6 +3,11 @@ the expected wait and the cycle transform of a mixture service law. Nothing
 here knows the scheduling scheme; ``threshold`` maps each scheme onto a
 :class:`MixtureSpec`.
 
+Everything rests on one table of log factorials (:func:`_counts`), built
+with ``math.lgamma`` and the Stirling series: the Poisson probabilities behind
+the incomplete-gamma sums and the binomial coefficients of the mixture weights
+both read it, so the module needs numpy alone.
+
 Series over the total attempt count rho are truncated once the cumulative
 mixture weight reaches ``1 - 1e-12``; the dropped tail bounds the absolute
 truncation error of every bounded integrand used here. The truncation index is
@@ -25,10 +30,13 @@ from typing import Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.special import gammaln, xlogy
 
 WEIGHT_TAIL = 1e-12
 MAX_SERIES_TERMS = 10**6
+# The smallest positive float. A Poisson mean is raised to it before its log
+# is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
+# zeros, without the warnings of log 0.
+_TINY = math.ulp(0.0)
 
 
 class TruncationWarning(UserWarning):
@@ -63,9 +71,33 @@ class MixtureSpec:
 
 @functools.lru_cache(maxsize=64)
 def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Counts 0..n_max and their log factorials, read-only since they are shared."""
-    j = np.arange(n_max + 1)
-    log_fact = gammaln(j + 1.0)
+    """Counts 0..n_max and their log factorials, read-only since they are shared.
+
+    The counts are floats, like the attempt counts of :func:`mixture_weights`:
+    the series multiply them by float arrays, and an integer operand would
+    cost a cast on every call.
+
+    log(j!) is ``math.lgamma(j + 1)`` below j = 128 and the Stirling series
+    ``(n + 1/2) log n - n + log(2 pi)/2 + 1/(12n) - 1/(360n^3) + 1/(1260n^5)``
+    from there on, where the first dropped term, 1/(1680 n^7), is at most
+    1.1e-18. The series is summed as ``n (log n - 1)`` plus the small terms:
+    ``log n - 1`` is exact, which keeps these entries within 2 ulp of log(j!)
+    (checked against 200-bit values up to j = 2e4) and within 4 ulp of
+    ``scipy.special.gammaln`` up to j = 1e6.
+    """
+    j = np.arange(n_max + 1.0)
+    small = min(n_max + 1, 128)
+    log_fact = np.empty(n_max + 1)
+    log_fact[:small] = [math.lgamma(i + 1.0) for i in range(small)]
+    n = j[small:]
+    log_n = np.log(n)
+    inv = 1.0 / n
+    inv2 = inv * inv
+    log_fact[small:] = n * (log_n - 1.0) + (
+        0.5 * log_n
+        + 0.5 * math.log(2.0 * math.pi)
+        + inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0))
+    )
     j.flags.writeable = log_fact.flags.writeable = False
     return j, log_fact
 
@@ -74,10 +106,16 @@ def _poisson_pmf(x: ArrayLike, n_max: int) -> np.ndarray:
     """Poisson(x) probabilities for counts 0..n_max, computed in log space.
 
     ``x`` is a scalar or a column of means (shape ``(..., 1)``); counts run
-    along the last axis. ``xlogy`` gives a zero mean its point mass at 0.
+    along the last axis. A zero mean, which only an underflowed ``mu * tau``
+    gives, has its mass at 0 up to 5e-324 at 1.
     """
     j, log_fact = _counts(n_max)
-    return np.exp(xlogy(j, x) - x - log_fact)
+    # A scalar mean stays in math: numpy calls on one float cost microseconds.
+    if isinstance(x, np.ndarray):
+        log_x = np.log(np.maximum(x, _TINY))
+    else:
+        log_x = math.log(max(x, _TINY))
+    return np.exp(j * log_x - x - log_fact)
 
 
 def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
@@ -98,16 +136,20 @@ def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def mixture_weights(m: MixtureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Attempt counts rho >= k and their probabilities, truncated per the module rule.
+    """Attempt counts rho >= k, as floats, and their probabilities, truncated
+    per the module rule.
 
     The weight of rho is ``C(rho-1, k-1) * eps^(rho-k) * (1-eps)^k``, with the
-    binomial coefficient taken in log space to avoid overflow.
+    binomial coefficient taken in log space, from the log-factorial table, to
+    avoid overflow.
     """
     if m.eps == 0.0:
-        return np.array([m.k]), np.array([1.0])
+        return np.array([float(m.k)]), np.array([1.0])
     cap = m.series_cap
-    rhos = np.arange(m.k, cap + 1)
-    log_binom = gammaln(rhos) - gammaln(m.k) - gammaln(rhos - m.k + 1)
+    rhos = np.arange(m.k, cap + 1.0)
+    _, log_fact = _counts(cap)
+    # log C(rho-1, k-1) = log (rho-1)! - log (k-1)! - log (rho-k)!
+    log_binom = log_fact[m.k - 1 : cap] - log_fact[m.k - 1] - log_fact[: cap - m.k + 1]
     w = np.exp(log_binom + (rhos - m.k) * math.log(m.eps) + m.k * math.log1p(-m.eps))
     cum = np.cumsum(w)
     idx = int(np.searchsorted(cum, 1.0 - WEIGHT_TAIL))

@@ -31,8 +31,10 @@ means over epochs (100 batches).
 Streaming
 ---------
 The round engine :func:`_rounds` yields its rounds in chunks of at most
-``CHUNK_ROUNDS``; :func:`simulate` folds each chunk into its statistics
-before the next one is drawn, and the engine stops once every process has
+``CHUNK_ROUNDS`` (with feedback, of at most ``2 (1 - eps) CHUNK_ROUNDS``,
+so that a chunk draws about ``2 k CHUNK_ROUNDS`` samples at most whatever the
+erasure rate); :func:`simulate` folds each chunk into its statistics before
+the next one is drawn, and the engine stops once every process has
 ``n_epochs`` deliveries. Memory grows with the run length only through the
 one open batch per process. Between chunks the engine carries two values,
 the last round's service total (which sets the next wait) and the clock.
@@ -195,6 +197,11 @@ def _rounds(
             # mean count of rounds for its deliveries plus three standard
             # deviations, so that a run seldom ends in a string of tiny chunks.
             need = math.ceil((need + 3.0 * math.sqrt(need * cfg.eps)) / (1.0 - cfg.eps))
+        else:
+            # A feedback round draws k / (1 - eps) samples on average: keep a
+            # chunk's expected count at most 2 k CHUNK_ROUNDS, so that memory
+            # does not grow with 1 / (1 - eps). At eps <= 0.5 this never binds.
+            need = min(need, max(1, int(2.0 * CHUNK_ROUNDS * (1.0 - cfg.eps))))
         r = min(CHUNK_ROUNDS, need) + skip
         slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, service_rng, erasure_rng)
         # Service elapsed by the end of each slot of its round. Adding one

@@ -9,6 +9,7 @@ import importlib.util
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,9 @@ from ouwait import (
 from ouwait.series import (
     MAX_SERIES_TERMS,
     MixtureSpec,
+    _counts,
     _gamma_lower_table,
+    _poisson_pmf,
     cycle_transform,
     expected_wait,
     mixture_weights,
@@ -145,6 +148,55 @@ class TestRegIncGamma:
                     mse_at_tau(tau, cfg, scheme)
         with pytest.raises(InvalidConfig):
             SystemConfig(k=0, f_max=1.5, mu=1.0, eps=0.3, processes=())
+
+
+class TestLogFactorials:
+    def test_table_against_gammaln_up_to_a_million(self):
+        j, log_fact = _counts(10**6)
+        ref = gammaln(j + 1.0)
+        assert np.all(np.abs(log_fact - ref) <= 4 * np.spacing(ref))
+        assert not log_fact.flags.writeable
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.7, 0.95])
+    def test_mixture_weights_against_gammaln_binomials(self, k, eps):
+        # The same closed form with scipy's log-gamma; the largest relative
+        # gap, about 3e-12, sits in the far tail of k=16, eps=0.95.
+        rhos, wts = mixture_weights(MixtureSpec(k=k, mu=1.0, eps=eps))
+        log_binom = gammaln(rhos) - gammaln(k) - gammaln(rhos - k + 1)
+        ref = np.exp(log_binom + (rhos - k) * math.log(eps) + k * math.log1p(-eps))
+        np.testing.assert_allclose(wts, ref, rtol=1e-11, atol=0)
+
+
+class TestPoissonPmf:
+    def test_matches_direct_formula(self):
+        for x in (1e-3, 0.7, 12.5, 240.0):
+            direct = [math.exp(-x) * x**j / math.factorial(j) for j in range(30)]
+            assert _poisson_pmf(x, 29) == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+    def test_zero_mean_is_point_mass_without_warnings(self):
+        # A mean of 0 arises only when mu * tau underflows. It is raised to
+        # the smallest float, which leaves 5e-324 at count 1 and sums to 1.
+        point_mass = [1.0, 5e-324, 0.0, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = _poisson_pmf(0.0, 5)
+            col = _poisson_pmf(np.array([[0.0], [2.0]]), 5)
+            table = _gamma_lower_table(0.0, 6)
+        assert scalar.tolist() == point_mass and scalar.sum() == 1.0
+        assert col[0].tolist() == point_mass
+        assert col[1] == pytest.approx(_poisson_pmf(2.0, 5), rel=1e-15)
+        assert table.tolist() == [0.0] * 6
+
+    def test_underflowed_threshold_is_the_zero_wait_limit(self):
+        # mu * tau underflows to 0, and so does (mu + 2 theta) * tau for the
+        # first rate but not for the second.
+        m = MixtureSpec(k=2, mu=0.2, eps=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = cycle_transform(5e-324, [0.05, 1.0], m)
+            assert expected_wait(5e-324, m) == 0.0
+        assert near == pytest.approx(cycle_transform(0.0, [0.05, 1.0], m), rel=1e-14)
 
 
 class TestMixtureWeights:

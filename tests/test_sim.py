@@ -366,20 +366,58 @@ class TestOuProbe:
         assert 0.8 <= np.std(gaps, ddof=1) <= 1.2
 
 
+def _rss_growth_mb(body: str) -> float:
+    """Growth of peak RSS, in MB, that ``body`` causes in a fresh process after
+    the import; ``body`` may call ``cfg(eps)``, the two-process system at f_max 0.5.
+
+    The peak is read from ``VmHWM`` where there is one: a process spawned by a
+    large one starts with that one's ``ru_maxrss`` on Linux, which would hide
+    the growth.
+    """
+    code = textwrap.dedent(
+        """
+        import resource
+        from ouwait import ProcessParams, Scheme, SystemConfig, ThresholdPolicy, simulate
+        def cfg(eps):
+            return SystemConfig(k=2, f_max=0.5, mu=1.0, eps=eps,
+                                processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0)))
+        def peak_kb():
+            try:
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+            except (OSError, StopIteration):
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak_kb()
+        """
+    ) + textwrap.dedent(body) + "print((peak_kb() - before) / 1024)\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return float(out.stdout)
+
+
 class TestStreaming:
     @pytest.mark.parametrize(
-        "scheme, tau, split", [(MAF, 1.6, (0.5, 0.5)), (RR, 0.7, (0.25, 0.75))], ids=["maf", "rr"]
+        "scheme, tau, split, eps",
+        [(MAF, 1.6, (0.5, 0.5), 0.3), (RR, 0.7, (0.25, 0.75), 0.3), (MAF, 1.6, (0.5, 0.5), 0.9)],
+        ids=["maf", "rr", "maf-eps-0.9"],
     )
     def test_statistics_and_trace_invariant_to_chunk_size(
-        self, two_process_cfg, tmp_path, monkeypatch, scheme, tau, split
+        self, two_process_cfg, tmp_path, monkeypatch, scheme, tau, split, eps
     ):
         # Chunks of 5 rounds split every batch, burn-in, OU step and trace
-        # epoch; the results must not change in any bit.
+        # epoch; the results must not change in any bit. At eps = 0.9 a
+        # feedback chunk holds at most 2 (1 - eps) CHUNK_ROUNDS rounds, one
+        # round when CHUNK_ROUNDS is 5.
+        cfg = replace(two_process_cfg, eps=eps)
         runs = []
         for chunk in (5, 1000, sim.CHUNK_ROUNDS):
             monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
             path = tmp_path / f"trace-{chunk}.tsv"
-            st = simulate(two_process_cfg, ThresholdPolicy(scheme, tau), n_epochs=3000, seed=91,
+            st = simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=3000, seed=91,
                           burn_in=150, wait_split=split, track_ou=True, trace_path=os.fspath(path))
             runs.append((st, path.read_bytes()))
         (st, trace), *others = runs
@@ -391,25 +429,25 @@ class TestStreaming:
         # 4e6 epochs of each scheme at k=2: an engine that holds the whole
         # run grows by more than 500 MB on these runs, a streaming one by a
         # few chunks and one open batch per process.
-        code = textwrap.dedent(
+        grown = _rss_growth_mb(
             """
-            import resource
-            from ouwait import ProcessParams, Scheme, SystemConfig, ThresholdPolicy, simulate
-            cfg = SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.5,
-                               processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0)))
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             for scheme, tau in ((Scheme.MAF_FEEDBACK, 7.76), (Scheme.RR_NO_FEEDBACK, 3.88)):
-                simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=4 * 10**6, seed=5)
-            print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+                simulate(cfg(0.5), ThresholdPolicy(scheme, tau), n_epochs=4 * 10**6, seed=5)
             """
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, timeout=300)
-        assert out.returncode == 0, out.stderr
-        assert float(out.stdout) < 64.0
+        assert grown < 64.0
+
+    def test_memory_bounded_in_erasure_rate(self):
+        # With feedback a round draws k / (1 - eps) samples: chunks of a fixed
+        # round count grew this run by about 52 MB, and about 2.6 GB at
+        # eps = 0.9999.
+        grown = _rss_growth_mb(
+            """
+            simulate(cfg(0.995), ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0),
+                     n_epochs=2 * 10**4, seed=1)
+            """
+        )
+        assert grown < 16.0
 
     def test_high_erasure_rate_without_feedback(self, two_process_cfg):
         # Ten rounds per delivery: the run draws until every process has its

@@ -190,3 +190,26 @@ def test_import_and_solve_load_no_root_finder():
         "sys.exit('scipy.optimize' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # Importing scipy.special alone took about two thirds of a fresh process's
+    # import and first solve; the package needs numpy only.
+    src = os.path.dirname(os.path.dirname(ouwait.__file__))
+    trace = os.fspath(tmp_path / "trace.tsv")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ouwait as w; "
+        "from ouwait import cli; "
+        "cfg = w.SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.3, processes="
+        "(w.ProcessParams(0.1, 1.0), w.ProcessParams(0.5, 2.0))); "
+        "w.solve_maf(cfg); w.solve_rr(cfg); "
+        "w.simulate(cfg, w.ThresholdPolicy(w.Scheme.MAF_FEEDBACK, 1.0), n_epochs=2000, "
+        f"seed=1, burn_in=100, track_ou=True, trace_path={trace!r}); "
+        "rc = cli.main(['solve-maf', '--k', '2', '--mu', '1.0', '--eps', '0.3', "
+        "'--fmax', '1.5', '--theta', '0.1,0.5', '--sigma-sq', '1.0,2.0']); "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(rc or (f'{len(loaded)} scipy modules loaded, first {loaded[:3]}' if loaded else 0))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "tau_star=" in out.stdout and os.path.getsize(trace) > 0
