@@ -69,8 +69,7 @@ class MixtureSpec:
         return max(self.k + 1, math.ceil((10.0 * self.k + 30.0) / (1.0 - self.eps)))
 
 
-@functools.lru_cache(maxsize=64)
-def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+def _log_factorial_table(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
     """Counts 0..n_max and their log factorials, read-only since they are shared.
 
     The counts are floats, like the attempt counts of :func:`mixture_weights`:
@@ -100,6 +99,23 @@ def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
     )
     j.flags.writeable = log_fact.flags.writeable = False
     return j, log_fact
+
+
+# The table of :func:`_log_factorial_table` at the largest length asked for so far.
+_count_table: Tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+
+
+def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Counts 0..n_max and their log factorials, as read-only slices of one table.
+
+    The table is rebuilt only when a longer one is asked for. An entry depends
+    on its count alone, so a slice equals a table built at its own length.
+    """
+    global _count_table
+    if len(_count_table[0]) <= n_max:
+        _count_table = _log_factorial_table(n_max)
+    j, log_fact = _count_table
+    return j[: n_max + 1], log_fact[: n_max + 1]
 
 
 def _poisson_pmf(x: ArrayLike, n_max: int) -> np.ndarray:

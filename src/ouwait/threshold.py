@@ -29,7 +29,10 @@ thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
 raised to the budget threshold where it falls short of it. Starting from the
 ratio at the budget threshold, each step sets ``beta`` to the ratio at
 ``tau(beta)``; beta never increases, and the iteration stops once a step moves
-it by at most ``tol``.
+it by at most ``tol``. Each inversion, of the response at beta and of the
+epoch mean at the budget, runs Brent's method on ``[0, tau_max]`` and returns
+a point within ``tol / 10`` of the crossing, or within one float spacing of
+it when that spacing is wider.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemC
 # at most the variance bound; a tolerance under a few spacings of that bound
 # could never be met by the stopping rule.
 TOL_ULPS = 4
-# Halvings of a threshold inversion, past any float bracket's one-spacing stop.
-MAX_HALVINGS = 200
+# Steps of a threshold inversion, past any float bracket's one-spacing stop.
+MAX_STEPS = 200
 # Dinkelbach steps; the iteration converges superlinearly and needs a handful.
 MAX_ITERS = 50
 
@@ -168,29 +171,70 @@ def search_ceiling(cfg: SystemConfig) -> float:
 
 
 def _invert(f: Callable[[float], float], target: float, hi: float, tol: float) -> float:
-    """Invert the nondecreasing ``f`` at ``target`` by halving ``[0, hi]``.
+    """Invert the nondecreasing ``f`` at ``target`` on ``[0, hi]`` by Brent's method.
 
     A target at or below f(0) realizes the zero-wait regime; a target at or
     above f(hi) returns the ceiling itself, which the caller rejects if it
-    survives to the optimum. Otherwise the bracket is halved until it is at
-    most ``tol`` wide, or one float spacing wide (the midpoint rounds to an
-    endpoint), since a ``tol`` below the root's float spacing cannot be met.
+    survives to the optimum. Otherwise this is Brent's zeroin (Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4) on
+    ``f - target``: inverse quadratic or secant steps, replaced by a halving
+    step whenever they would leave the bracket or fail to shrink it fast
+    enough. The returned point is an end of a bracket of the crossing that is
+    at most ``tol`` wide, or one float spacing wide, since a ``tol`` below the
+    root's float spacing cannot be met. Each end of ``[0, hi]`` is evaluated
+    once.
     """
-    if f(0.0) >= target:
+    fa = f(0.0) - target
+    if fa >= 0.0:
         return 0.0
-    if f(hi) <= target:
+    fb = f(hi) - target
+    if fb <= 0.0:
         return hi
-    lo = 0.0
-    for _ in range(MAX_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
-            return mid
-        if f(mid) > target:
-            hi = mid
+    # b is the best point so far, c the other end of the bracket, a the
+    # previous b; d is the last step and e the one before.
+    a, b = 0.0, hi
+    c, fc = a, fa
+    d = e = b - a
+    step_min = 0.5 * tol
+    for _ in range(MAX_STEPS):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(c - b) <= tol or b + m in (b, c):
+            return b
+        if abs(e) >= step_min and abs(fa) > abs(fb):
+            # Inverse quadratic interpolation through a, b and c, or the
+            # secant through a and b when a is c, as the step p / q.
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # Accept it only inside the bracket and under half the step
+            # before last; otherwise halve.
+            if 2.0 * p < min(3.0 * m * q - abs(step_min * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo = mid
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > step_min else math.copysign(step_min, m)
+        if b in (a, c):
+            # A step below the float spacing: halve instead.
+            b = a + m
+        fb = f(b) - target
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
     raise ConvergenceError(
-        f"bisection did not reach width {tol} in {MAX_HALVINGS} iterations (width {hi - lo})"
+        f"Brent's method did not reach width {tol} in {MAX_STEPS} steps (width {abs(c - b)})"
     )
 
 

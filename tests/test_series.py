@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln
 
+import ouwait.series as series
 import ouwait.threshold as threshold
 from ouwait import (
     ConvergenceError,
@@ -34,6 +35,7 @@ from ouwait.series import (
     MixtureSpec,
     _counts,
     _gamma_lower_table,
+    _log_factorial_table,
     _poisson_pmf,
     cycle_transform,
     expected_wait,
@@ -156,6 +158,16 @@ class TestLogFactorials:
         ref = gammaln(j + 1.0)
         assert np.all(np.abs(log_fact - ref) <= 4 * np.spacing(ref))
         assert not log_fact.flags.writeable
+
+    def test_slices_of_the_grown_table_equal_tables_built_short(self, monkeypatch):
+        # The table grows at 50, 300 and 5000; 200 and 127 are slices of a
+        # longer table, on both sides of the switch to the Stirling series.
+        monkeypatch.setattr(series, "_count_table", (np.empty(0), np.empty(0)))
+        for n_max in (50, 300, 200, 5000, 127):
+            for got, built in zip(_counts(n_max), _log_factorial_table(n_max)):
+                assert got.tobytes() == built.tobytes()
+                assert not got.flags.writeable
+        assert len(series._count_table[0]) == 5001
 
     @pytest.mark.parametrize("k", [1, 2, 4, 16])
     @pytest.mark.parametrize("eps", [0.05, 0.3, 0.7, 0.95])
@@ -293,6 +305,40 @@ def benchmark_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def reference_cases():
+    """The benchmark's stored sweep and wide solves: (key, configuration, scheme)."""
+    wl = benchmark_workloads()
+    cases = [
+        (wl.sweep_key(name, f_max, eps), wl.system(wl.REF_PROCS, f_max, eps), scheme)
+        for f_max in wl.FULL.fmax_grid
+        for eps in wl.FULL.eps_grid
+        for name, scheme in wl.SCHEMES.items()
+    ]
+    cases += [
+        (wl.wide_key(name, k), wl.system(wl.wide_procs(k), **wl.WIDE_SYSTEM), scheme)
+        for k in wl.FULL.wide_ks
+        for name, scheme in wl.SCHEMES.items()
+    ]
+    return wl, cases
+
+
+BENCH, REFERENCE_CASES = reference_cases()
+
+
+@pytest.mark.parametrize("key, cfg, scheme", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_benchmark_reference_solve(key, cfg, scheme):
+    # The benchmark's own tolerances, so a numerical regression shows here
+    # without running it.
+    ref = BENCH.load_reference()[key]
+    res = threshold.solve(cfg, scheme)
+    got = {"tau_star": res.tau_star, "beta_star": res.beta_star}
+    if "zero_wait_mse" in ref:
+        got["zero_wait_mse"] = mse_at_tau(0.0, cfg, scheme)
+    for name, value in got.items():
+        assert math.isclose(value, ref[name], rel_tol=BENCH.REL_TOL, abs_tol=BENCH.ABS_TOL), name
+    assert res.binding == ref["binding"]
 
 
 def laplace_exp_service(theta: float, mu: float) -> float:
@@ -518,9 +564,9 @@ class TestInvertMonotone:
         assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_bracket_error_is_distinct(self, monkeypatch):
-        monkeypatch.setattr(threshold, "MAX_HALVINGS", 3)
+        monkeypatch.setattr(threshold, "MAX_STEPS", 3)
         with pytest.raises(ConvergenceError):
-            _invert(lambda x: x, 0.5, 1.0, 1e-9)
+            _invert(lambda x: x**3, 0.5, 1.0, 1e-9)
 
     def test_clamped_inversion_evaluates_each_end_once(self):
         calls = []

@@ -166,3 +166,18 @@ def test_solve_evaluates_few_cycle_transforms(two_process_cfg, monkeypatch, f_ma
     monkeypatch.setattr(series, "cycle_transform", counting)
     solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
     assert 0 < len(calls) <= 150
+
+
+@pytest.mark.parametrize("f_max, max_calls", [(0.5, 20), (1.5, 45)])
+def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch, f_max, max_calls):
+    # Halving the threshold bracket took 46 and 136 calls here.
+    calls = []
+    real = series.cycle_transform
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(series, "cycle_transform", counting)
+    solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
+    assert 0 < len(calls) <= max_calls

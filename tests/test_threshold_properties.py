@@ -1,5 +1,6 @@
 """Solver invariants over randomly drawn systems, for both schemes."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouwait import ProcessParams, Scheme, SystemConfig, mse_at_tau, solve
-from ouwait.threshold import search_ceiling
+from ouwait.threshold import _invert, search_ceiling
 
 TOL = 1e-9
 # Deterministic draws keep the suite reproducible; few examples keep it quick.
@@ -54,3 +55,46 @@ def test_budget_at_service_rate_never_binds(cfg, scheme):
 def test_schemes_agree_without_erasures(cfg):
     cfg = replace(cfg, eps=0.0)
     assert solve(cfg, Scheme.MAF_FEEDBACK, tol=TOL) == solve(cfg, Scheme.RR_NO_FEEDBACK, tol=TOL)
+
+
+@st.composite
+def inversions(draw):
+    """A nondecreasing function on [0, hi], a target it crosses, and a tolerance."""
+    kind = draw(st.sampled_from(["linear", "cubic", "saturating", "plateau"]))
+    hi = draw(st.floats(0.1, 1000.0))
+    root = hi * draw(st.floats(1e-4, 1.0, exclude_max=True))
+    tol = hi * 10.0 ** draw(st.floats(-15.0, -3.0))
+    scale = draw(st.floats(0.01, 100.0))
+    if kind == "linear":
+        f = lambda x: scale * x
+    elif kind == "cubic":
+        f = lambda x: scale * x**3
+    elif kind == "saturating":
+        # Saturated over most of a bracket 100 times wider than the root.
+        root = hi / 100.0
+        rate = draw(st.floats(0.1, 10.0)) / root
+        f = lambda x: scale * (1.0 - math.exp(-rate * x))
+    else:
+        start = hi * draw(st.floats(0.0, 0.9))
+        width = hi * draw(st.floats(0.0, 0.5))
+        f = lambda x: scale * (min(x, start) + max(x - start - width, 0.0))
+    return f, f(root), hi, tol
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(case=inversions())
+def test_inversion_meets_its_stopping_rule_in_few_evaluations(case):
+    f, target, hi, tol = case
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    x = _invert(counted, target, hi, tol)
+    # The crossing lies within tol of x, or within x's own float spacing.
+    lo = max(0.0, math.nextafter(x - tol, -math.inf))
+    up = min(hi, math.nextafter(x + tol, math.inf))
+    assert f(lo) <= target <= f(up)
+    halvings = math.ceil(math.log2(hi / tol)) + 2
+    assert len(calls) <= 2 * halvings
