@@ -35,7 +35,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .sim import simulate
@@ -49,13 +49,8 @@ from .types import (
     ThresholdPolicy,
 )
 
-CSV_HEADER = (
-    "axis,value,scheme,tau_star,beta_star,binding,zero_wait_mse,sim_mse,sim_stderr,status"
-)
-
-
 class ConfigFormatError(ValueError):
-    """Raised on malformed config files, carrying line and field context."""
+    """Raised on malformed config files, and on per-process lists not of length k."""
 
 
 class Axis(enum.Enum):
@@ -114,6 +109,10 @@ class SweepRow:
     sim_mse: Optional[float]
     sim_stderr: Optional[float]
     status: str = "ok"
+
+
+# One CSV column per SweepRow field, in field order.
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
@@ -179,33 +178,22 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
 
 
 def _fmt(x) -> str:
+    """One CSV cell: None empty, a flag 1 or 0, an enum its value, text as is, a number .12g."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, str):
+        return x
     return f"{x:.12g}"
 
 
 def format_csv(rows: Sequence[SweepRow]) -> str:
     """Sweep rows as CSV text: the header, then one line per row."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.axis.value,
-                    _fmt(r.value),
-                    r.scheme.value,
-                    _fmt(r.tau_star),
-                    _fmt(r.beta_star),
-                    _fmt(r.binding),
-                    _fmt(r.zero_wait_mse),
-                    _fmt(r.sim_mse),
-                    _fmt(r.sim_stderr),
-                    r.status,
-                ]
-            )
-        )
+    names = [f.name for f in fields(SweepRow)]
+    lines = [CSV_HEADER] + [",".join(_fmt(getattr(r, n)) for n in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -224,21 +212,54 @@ def write_csv(rows: Sequence[SweepRow], path: str) -> None:
         raise
 
 
+def _parser(cast, what: str):
+    """A config value parser: ``cast``, failing with ``what`` and the value."""
+
+    def parse(raw: str):
+        try:
+            return cast(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{what} {raw!r}")
+
+    return parse
+
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_floats = _parser(lambda raw: tuple(float(t) for t in raw.split(",") if t.strip()),
+                  "not a number list:")
+_scheme = _parser(Scheme, "unknown scheme")
+_boolean = _parser(lambda raw: _BOOL_WORDS[raw.lower()], "not a boolean:")
+_int = _parser(int, "bad value")
+_float = _parser(float, "bad value")
+
+# Config keys in file order, with their parsers. The first six give the system
+# (see _system); each other key sets the SweepSpec field of its name, and may
+# be left out where that field has a default.
+_CONFIG_KEYS = {
+    "k": _int,
+    "mu": _float,
+    "eps": _float,
+    "fmax": _float,
+    "theta": _floats,
+    "sigma_sq": _floats,
+    "axis": _parser(lambda raw: Axis(raw.lower()), "unknown axis"),
+    "grid": _floats,
+    "schemes": lambda raw: tuple(_scheme(t.strip().lower()) for t in raw.split(",") if t.strip()),
+    "include_zero_wait": _boolean,
+    "sim_validate": _boolean,
+    "n_epochs": _int,
+    "seed": _int,
+}
+_SYSTEM_KEYS = ("k", "mu", "eps", "fmax", "theta", "sigma_sq")
+_OPTIONAL_KEYS = {f.name for f in fields(SweepSpec) if f.default is not MISSING}
 
 
-def _parse_bool(raw: str, field: str, lineno: int) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigFormatError(f"line {lineno}: field '{field}': not a boolean: {raw!r}")
-
-
-def _parse_floats(raw: str, where: str, error: type = ConfigFormatError) -> Tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise error(f"{where}: not a number list: {raw!r}")
+def _system(k: int, mu: float, eps: float, fmax: float, thetas, sigmas) -> SystemConfig:
+    """The system of the six system keys, given one theta and sigma_sq per process."""
+    if len(thetas) != k or len(sigmas) != k:
+        raise ConfigFormatError(f"theta/sigma_sq arrays must each have k={k} entries")
+    processes = tuple(map(ProcessParams, thetas, sigmas))
+    return SystemConfig(k=k, f_max=fmax, mu=mu, eps=eps, processes=processes)
 
 
 def read_config(path: str) -> SweepSpec:
@@ -254,95 +275,51 @@ def read_config(path: str) -> SweepSpec:
             key, _, value = body.partition("=")
             entries[key.strip().lower()] = (value.strip(), lineno)
 
-    def need(field: str) -> Tuple[str, int]:
-        if field not in entries:
-            raise ConfigFormatError(f"missing required field '{field}'")
-        return entries[field]
-
-    def number(field: str, cast):
-        raw, lineno = need(field)
+    values = {}
+    for key, parse in _CONFIG_KEYS.items():
+        if key not in entries:
+            if key in _OPTIONAL_KEYS:
+                continue
+            raise ConfigFormatError(f"missing required field '{key}'")
+        raw, lineno = entries[key]
         try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigFormatError(f"line {lineno}: field '{field}': bad value {raw!r}")
-
-    k = number("k", int)
-    mu = number("mu", float)
-    eps = number("eps", float)
-    fmax = number("fmax", float)
-    theta_raw, theta_line = need("theta")
-    sigma_raw, sigma_line = need("sigma_sq")
-    thetas = _parse_floats(theta_raw, f"line {theta_line}: field 'theta'")
-    sigmas = _parse_floats(sigma_raw, f"line {sigma_line}: field 'sigma_sq'")
-    if len(thetas) != k or len(sigmas) != k:
-        raise ConfigFormatError(
-            f"line {theta_line}: theta/sigma_sq arrays must each have k={k} entries"
-        )
+            values[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigFormatError(f"line {lineno}: field '{key}': {exc}")
     try:
-        base = SystemConfig(
-            k=k, f_max=fmax, mu=mu, eps=eps,
-            processes=tuple(ProcessParams(t, s) for t, s in zip(thetas, sigmas)),
-        )
+        base = _system(*(values.pop(key) for key in _SYSTEM_KEYS))
+    except ConfigFormatError as exc:
+        raise ConfigFormatError(f"line {entries['theta'][1]}: {exc}")
     except InvalidConfig as exc:
         raise ConfigFormatError(f"invalid system parameters: {exc}")
-
-    axis_raw, axis_line = need("axis")
     try:
-        axis = Axis(axis_raw.lower())
-    except ValueError:
-        raise ConfigFormatError(f"line {axis_line}: field 'axis': unknown axis {axis_raw!r}")
-    grid_raw, grid_line = need("grid")
-    grid = _parse_floats(grid_raw, f"line {grid_line}: field 'grid'")
-    schemes_raw, schemes_line = need("schemes")
-    schemes = []
-    for tok in schemes_raw.split(","):
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        try:
-            schemes.append(Scheme(tok))
-        except ValueError:
-            raise ConfigFormatError(
-                f"line {schemes_line}: field 'schemes': unknown scheme {tok!r}"
-            )
-    kwargs = {}
-    if "include_zero_wait" in entries:
-        raw, lineno = entries["include_zero_wait"]
-        kwargs["include_zero_wait"] = _parse_bool(raw, "include_zero_wait", lineno)
-    if "sim_validate" in entries:
-        raw, lineno = entries["sim_validate"]
-        kwargs["sim_validate"] = _parse_bool(raw, "sim_validate", lineno)
-    if "n_epochs" in entries:
-        kwargs["n_epochs"] = number("n_epochs", int)
-    if "seed" in entries:
-        kwargs["seed"] = number("seed", int)
-    try:
-        return SweepSpec(
-            base=base, axis=axis, grid=grid, schemes=tuple(schemes), **kwargs
-        )
+        return SweepSpec(base=base, **values)
     except InvalidConfig as exc:
         raise ConfigFormatError(f"invalid sweep spec: {exc}")
 
 
+def _config_text(value) -> str:
+    """A config value as written: lists comma-separated, flags true or false,
+    enums by value, floats by repr, so that they read back equal."""
+    if isinstance(value, (tuple, list)):
+        return ", ".join(map(_config_text, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def write_config(spec: SweepSpec, path: str) -> None:
     """Emit a config file that reads back to an equal SweepSpec."""
-    lines = [
-        f"k = {spec.base.k}",
-        f"mu = {spec.base.mu!r}",
-        f"eps = {spec.base.eps!r}",
-        f"fmax = {spec.base.f_max!r}",
-        "theta = " + ", ".join(repr(p.theta) for p in spec.base.processes),
-        "sigma_sq = " + ", ".join(repr(p.sigma_sq) for p in spec.base.processes),
-        f"axis = {spec.axis.value}",
-        "grid = " + ", ".join(repr(v) for v in spec.grid),
-        "schemes = " + ", ".join(s.value for s in spec.schemes),
-        f"include_zero_wait = {'true' if spec.include_zero_wait else 'false'}",
-        f"sim_validate = {'true' if spec.sim_validate else 'false'}",
-        f"n_epochs = {spec.n_epochs}",
-        f"seed = {spec.seed}",
-    ]
+    b = spec.base
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    values.update(zip(_SYSTEM_KEYS, (
+        b.k, b.mu, b.eps, b.f_max,
+        tuple(p.theta for p in b.processes), tuple(p.sigma_sq for p in b.processes),
+    )))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {_config_text(values[key])}\n" for key in _CONFIG_KEYS))
 
 
 _FLAGS = {
@@ -360,7 +337,6 @@ _FLAGS = {
                     help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
     "out": dict(type=str, default=None, help="output CSV path"),
 }
-_SYSTEM_FLAGS = ("k", "mu", "eps", "fmax", "theta", "sigma_sq")
 
 
 def _flag(name: str) -> str:
@@ -381,17 +357,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _system_from_args(args: argparse.Namespace) -> SystemConfig:
-    missing = [f for f in _SYSTEM_FLAGS if getattr(args, f) is None]
+    missing = [f for f in _SYSTEM_KEYS if getattr(args, f) is None]
     if missing:
         raise InvalidConfig(f"missing required flags: {', '.join(map(_flag, missing))}")
-    thetas = _parse_floats(args.theta, "--theta", InvalidConfig)
-    sigmas = _parse_floats(args.sigma_sq, "--sigma-sq", InvalidConfig)
-    if len(thetas) != args.k or len(sigmas) != args.k:
-        raise InvalidConfig("theta and sigma-sq need one entry per process")
-    return SystemConfig(
-        k=args.k, f_max=args.fmax, mu=args.mu, eps=args.eps,
-        processes=tuple(ProcessParams(t, s) for t, s in zip(thetas, sigmas)),
-    )
+    lists = []
+    for name in ("theta", "sigma_sq"):
+        try:
+            lists.append(_floats(getattr(args, name)))
+        except ValueError as exc:
+            raise InvalidConfig(f"{_flag(name)}: {exc}")
+    return _system(args.k, args.mu, args.eps, args.fmax, *lists)
 
 
 def _solver_flags(args: argparse.Namespace) -> Dict[str, float]:
@@ -444,20 +419,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not config_path:
         raise ConfigFormatError("sweep needs a config file (positional or --config)")
     spec = read_config(config_path)
-    overrides = {}
-    if args.epochs is not None:
-        overrides["n_epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    base = spec.base
-    for field, attr in (("eps", "eps"), ("mu", "mu"), ("fmax", "f_max")):
-        v = getattr(args, field)
-        if v is not None:
-            base = replace(base, **{attr: v})
-    if base is not spec.base:
-        overrides["base"] = base
-    if overrides:
-        spec = replace(spec, **overrides)
+
+    def given(pairs):
+        return {field: v for flag, field in pairs if (v := getattr(args, flag)) is not None}
+
+    base = replace(spec.base, **given((("eps", "eps"), ("mu", "mu"), ("fmax", "f_max"))))
+    spec = replace(spec, base=base, **given((("epochs", "n_epochs"), ("seed", "seed"))))
     rows = run_sweep(spec)
     if args.out:
         write_csv(rows, args.out)
@@ -473,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve_flags = _SYSTEM_FLAGS + ("tol", "tau_max")
+    solve_flags = _SYSTEM_KEYS + ("tol", "tau_max")
     p_maf = sub.add_parser("solve-maf", help="optimal threshold, feedback scheme")
     _add_flags(p_maf, solve_flags)
     p_maf.set_defaults(func=lambda a: _cmd_solve(a, Scheme.MAF_FEEDBACK))

@@ -245,44 +245,28 @@ class _Batches:
     """Per-batch sums of rows of per-span values that arrive in pieces.
 
     The batches are the index ranges between consecutive ``edges``. Only the
-    pieces of the open batch are kept, and a batch is summed once it is
-    complete, with ``reduceat``, which sums a segment in the same order
-    wherever it starts: the sums do not depend on how the values were split.
+    pieces of the open batch are kept; complete batches are joined and summed
+    with ``reduceat``, which sums a segment in the same order wherever it
+    starts: the sums do not depend on how the values were split.
     """
 
     def __init__(self, rows: int, edges: np.ndarray) -> None:
         self.edges = edges
         self.sums = np.empty((rows, len(edges) - 1))
-        self.pieces: List[np.ndarray] = []  # the open batch's values so far
-        self.filled = 0  # values received
+        self.open: List[np.ndarray] = []  # the open batch's values so far
         self.closed = 0  # batches summed
 
     def add(self, values: np.ndarray) -> None:
-        start, self.filled = self.filled, self.filled + values.shape[1]
-        lo = self.closed
-        hi = int(np.searchsorted(self.edges, self.filled, side="right")) - 1
+        self.open.append(values)
+        lo, start = self.closed, self.edges[self.closed]
+        end = start + sum(piece.shape[1] for piece in self.open)
+        hi = int(np.searchsorted(self.edges, end, side="right")) - 1
         if hi > lo:
-            # Where batches lo..hi-1 end in ``values``, after where lo starts.
-            cuts = self.edges[lo : hi + 1] - start
-            if self.pieces:
-                batch = np.concatenate(self.pieces + [values[:, : cuts[1]]], axis=1)
-                self.sums[:, lo] = np.add.reduceat(batch, [0], axis=1)[:, 0]
-                self.pieces = []
-                lo, cuts = lo + 1, cuts[1:]
-            if hi > lo:
-                self.sums[:, lo:hi] = np.add.reduceat(values[:, : cuts[-1]], cuts[:-1], axis=1)
+            keep = values.shape[1] - (end - self.edges[hi])  # values in batches lo..hi-1
+            joined = np.concatenate(self.open[:-1] + [values[:, :keep]], axis=1)
+            self.sums[:, lo:hi] = np.add.reduceat(joined, self.edges[lo:hi] - start, axis=1)
+            self.open = [values[:, keep:]]
             self.closed = hi
-            values = values[:, cuts[-1] :]
-        if values.shape[1]:
-            self.pieces.append(values)
-
-
-@dataclass
-class _OuCarry:
-    """A probe's state at its process's latest delivery: the OU innovation
-    over that delivered sample's own service, or None before any delivery."""
-
-    value: Optional[float] = None
 
 
 def _ou_probe(
@@ -290,8 +274,8 @@ def _ou_probe(
     stamps: np.ndarray,
     p: ProcessParams,
     rng: np.random.Generator,
-    carry: Optional[_OuCarry] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    carry: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, float]:
     """Co-simulate the true process along one delivery sequence.
 
     At each delivery after the first, returns the realized squared error of
@@ -304,29 +288,26 @@ def _ou_probe(
     the order of a loop that steps the process itself, and the pair of its
     first delivery, of which only the second is used.
 
-    ``carry`` continues a sequence over several calls. Once it holds a value,
-    ``deliveries[0]`` and ``stamps[0]`` must repeat the previous call's last
-    delivery, whose innovation comes from ``carry`` rather than a draw. On
-    return ``carry`` holds the innovation at the last delivery.
+    ``carry`` continues a sequence over several calls: it is the innovation
+    the previous call returned third, at its last delivery, which
+    ``deliveries[0]`` and ``stamps[0]`` must then repeat; that delivery's
+    innovation is taken from it rather than drawn.
     """
-    if carry is None:
-        carry = _OuCarry()
     serve = deliveries[1:] - stamps[1:]
-    if carry.value is None:
+    if carry is None:
         rng.standard_normal()
         z = rng.standard_normal(size=2 * len(deliveries))
-        carry.value = ou.ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
+        carry = ou.ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
         z = z[2:]
     else:
         z = rng.standard_normal(size=2 * len(serve))
-    carried = np.concatenate(([carry.value], ou.ou_step(0.0, serve, p, z[1::2])))
+    carried = np.concatenate(([carry], ou.ou_step(0.0, serve, p, z[1::2])))
     # Gaps that are exactly zero in event order can round a hair negative in
     # the cumulative time arithmetic; clamp them.
     idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
     at_stamp = ou.ou_step(carried[:-1], idle, p, z[0::2])
     errs = ou.ou_step(at_stamp, serve, p, z[1::2]) ** 2
-    carry.value = carried[-1]
-    return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p)
+    return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
 
 
 class _Window:
@@ -351,7 +332,7 @@ class _Window:
         self.k, self.p = k, p
         self.n_epochs, self.burn_in = n_epochs, burn_in
         self.ou_rng = ou_rng
-        self.ou = _OuCarry()
+        self.ou: Optional[float] = None  # probe innovation at the latest delivery
         self.batches = _Batches(2 if ou_rng is None else 4, edges)
         self.seen = 0  # deliveries so far
         self.samples = 0  # samples drawn over the measured spans
@@ -388,7 +369,8 @@ class _Window:
             gaps = np.diff(d)
             rows = [ou.mse_integral(d[:-1] - s[:-1], gaps, self.p), gaps]
             if self.ou_rng is not None:
-                rows.extend(_ou_probe(d, s, self.p, self.ou_rng, self.ou))
+                errs, refs, self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
+                rows += [errs, refs]
             self.batches.add(np.stack(rows))
 
 

@@ -38,7 +38,9 @@ it when that spacing is wider.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from . import series
 from .series import MixtureSpec
@@ -63,6 +65,7 @@ class _Law(NamedTuple):
     thetas: Tuple[float, ...]
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
+    rounds: Dict[float, np.ndarray]  # round transforms L by threshold
 
 
 def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
@@ -90,6 +93,7 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
         thetas=tuple(p.theta for p in procs),
         two_theta=tuple(2.0 * p.theta for p in procs),
         lap=tuple(cfg.mu / (cfg.mu + 2.0 * p.theta) for p in procs),
+        rounds={},
     )
 
 
@@ -109,13 +113,21 @@ def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     return _epoch_mean(tau, _law(cfg, scheme))
 
 
+def _round_transform(tau: float, law: _Law) -> np.ndarray:
+    """Transform L of one round at every rate, computed once per threshold and law:
+    a solve revisits each inversion's bracket ends, and the ratio where one stopped."""
+    if tau not in law.rounds:
+        law.rounds[tau] = series.cycle_transform(tau, law.thetas, law.mix)
+    return law.rounds[tau]
+
+
 def _transform(tau: float, law: _Law) -> List[float]:
     """Epoch transform E[exp(-2 theta * epoch length)] of every process.
 
     Over a geometric(1 - r) number of rounds it is ``(1-r) L / (1 - r L)``,
     with L the transform of one round.
     """
-    L = series.cycle_transform(tau, law.thetas, law.mix)
+    L = _round_transform(tau, law)
     return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
 
 
@@ -126,7 +138,7 @@ def _response(x: float, law: _Law) -> float:
     ``((1-r) / (1 - r L(x)))^2``, which is exactly 1 when every round delivers.
     """
     if law.r > 0.0:
-        L = series.cycle_transform(x, law.thetas, law.mix)
+        L = _round_transform(x, law)
         rounds = (((1.0 - law.r) / (1.0 - law.r * L)) ** 2).tolist()
     else:
         rounds = (1.0,) * len(law.var)

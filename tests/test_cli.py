@@ -154,6 +154,12 @@ class TestCsv:
         write_csv([], path)
         assert open(path).read() == cli.CSV_HEADER + "\n"
 
+    def test_header_is_the_documented_column_list(self):
+        # The columns follow SweepRow's fields; reordering them changes the file.
+        assert cli.CSV_HEADER == (
+            "axis,value,scheme,tau_star,beta_star,binding,zero_wait_mse,sim_mse,sim_stderr,status"
+        )
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = spec_eps(sim_validate=True, n_epochs=4000, seed=5)
         p1 = os.fspath(tmp_path / "a.csv")
@@ -190,6 +196,31 @@ class TestConfigFile:
         )
         path = os.fspath(tmp_path / "sweep.cfg")
         write_config(spec, path)
+        assert read_config(path) == spec
+
+    def test_written_text_is_pinned(self, tmp_path):
+        spec = SweepSpec(
+            base=SystemConfig(
+                k=3, f_max=0.8, mu=2.0, eps=0.25,
+                processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0),
+                           ProcessParams(1.5, 0.25)),
+            ),
+            axis=Axis.THETA_J,
+            grid=(0.05, 0.5, 3.0),
+            schemes=(Scheme.RR_NO_FEEDBACK, Scheme.MAF_FEEDBACK),
+            include_zero_wait=True,
+            sim_validate=True,
+            n_epochs=12345,
+            seed=9,
+        )
+        path = os.fspath(tmp_path / "sweep.cfg")
+        write_config(spec, path)
+        assert open(path, encoding="utf-8").read() == (
+            "k = 3\nmu = 2.0\neps = 0.25\nfmax = 0.8\ntheta = 0.1, 0.5, 1.5\n"
+            "sigma_sq = 1.0, 2.0, 0.25\naxis = theta_j\ngrid = 0.05, 0.5, 3.0\n"
+            "schemes = rr, maf\ninclude_zero_wait = true\nsim_validate = true\n"
+            "n_epochs = 12345\nseed = 9\n"
+        )
         assert read_config(path) == spec
 
     def test_malformed_reports_line_and_field(self, tmp_path):

@@ -264,33 +264,6 @@ class TestSeriesCap:
         _law(cfg, MAF)
         _law(system((ProcessParams(0.5, 1.0),), 0.999999), RR)
 
-    def test_reference_solves_unaffected(self):
-        # Every solve the benchmark checks (eps up to 0.9, k up to 64) still
-        # reproduces its stored answer.
-        wl = benchmark_workloads()
-        ref = wl.load_reference()
-        checked = 0
-        for f_max in wl.FULL.fmax_grid:
-            for eps in wl.FULL.eps_grid:
-                cfg = wl.system(wl.REF_PROCS, f_max, eps)
-                for name, scheme in wl.SCHEMES.items():
-                    res = threshold.solve(cfg, scheme)
-                    key = wl.sweep_key(name, f_max, eps)
-                    ref_k = {f: ref[key][f] for f in ("tau_star", "beta_star", "binding")}
-                    assert wl.check_solution(res, ref_k) is None, key
-                    checked += 1
-        for label, cfgs in (
-            ("wide", {k: wl.system(wl.wide_procs(k), **wl.WIDE_SYSTEM) for k in wl.FULL.wide_ks}),
-            ("corner", {None: wl.system(wl.REF_PROCS, **wl.CORNER)}),
-            ("probe", {None: wl.system(wl.REF_PROCS, **wl.PROBE_SYSTEM)}),
-        ):
-            for k, cfg in cfgs.items():
-                for name, scheme in wl.SCHEMES.items():
-                    key = wl.wide_key(name, k) if label == "wide" else f"{label}/{name}"
-                    assert wl.check_solution(threshold.solve(cfg, scheme), ref[key]) is None, key
-                    checked += 1
-        assert checked == len(ref) == 124
-
 
 def cfg_cap(cfg: SystemConfig) -> int:
     return MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps).series_cap
@@ -308,7 +281,7 @@ def benchmark_workloads():
 
 
 def reference_cases():
-    """The benchmark's stored sweep and wide solves: (key, configuration, scheme)."""
+    """Every solve the benchmark stores: (key, configuration, scheme)."""
     wl = benchmark_workloads()
     cases = [
         (wl.sweep_key(name, f_max, eps), wl.system(wl.REF_PROCS, f_max, eps), scheme)
@@ -321,10 +294,20 @@ def reference_cases():
         for k in wl.FULL.wide_ks
         for name, scheme in wl.SCHEMES.items()
     ]
+    cases += [
+        (f"{label}/{name}", wl.system(wl.REF_PROCS, **system), scheme)
+        for label, system in (("corner", wl.CORNER), ("probe", wl.PROBE_SYSTEM))
+        for name, scheme in wl.SCHEMES.items()
+    ]
     return wl, cases
 
 
 BENCH, REFERENCE_CASES = reference_cases()
+
+
+def test_reference_cases_cover_every_stored_solve():
+    keys = [key for key, _, _ in REFERENCE_CASES]
+    assert sorted(keys) == sorted(BENCH.load_reference()) and len(keys) == 124
 
 
 @pytest.mark.parametrize("key, cfg, scheme", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])

@@ -347,7 +347,7 @@ class TestOuProbe:
         for j, p in enumerate(cfg.processes):
             hits = np.flatnonzero(rounds.delivered[:, j])
             d, s = rounds.ends[hits, j], rounds.stamps[hits, j]
-            errs, refs = _ou_probe(d, s, p, np.random.default_rng(62 + j))
+            errs, refs, _ = _ou_probe(d, s, p, np.random.default_rng(62 + j))
             loop_errs, loop_refs = ou_probe_loop(d, s, p, np.random.default_rng(62 + j))
             assert len(errs) == len(hits) - 1
             assert np.max(np.abs(errs - loop_errs)) <= 1e-12

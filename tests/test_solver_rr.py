@@ -154,20 +154,6 @@ def test_beta_is_the_value_of_the_returned_threshold(two_process_cfg, scheme, f_
     assert res.beta_star == mse_at_tau(res.tau_star, cfg, scheme)
 
 
-@pytest.mark.parametrize("f_max", [0.5, 1.5])
-def test_solve_evaluates_few_cycle_transforms(two_process_cfg, monkeypatch, f_max):
-    calls = []
-    real = series.cycle_transform
-
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(series, "cycle_transform", counting)
-    solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
-    assert 0 < len(calls) <= 150
-
-
 @pytest.mark.parametrize("f_max, max_calls", [(0.5, 20), (1.5, 45)])
 def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch, f_max, max_calls):
     # Halving the threshold bracket took 46 and 136 calls here.
@@ -181,3 +167,5 @@ def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch
     monkeypatch.setattr(series, "cycle_transform", counting)
     solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
     assert 0 < len(calls) <= max_calls
+    # Each threshold's round transform is computed once per solve.
+    assert len(set(calls)) == len(calls)
