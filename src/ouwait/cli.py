@@ -22,7 +22,8 @@ comma-separated)::
     n_epochs = 100000
     seed = 1
 
-CLI flags override file values. Axis ``theta_j`` varies the last process's
+CLI flags override file values, except the one the axis replaces, which is an
+error. Axis ``theta_j`` varies the last process's
 reversion rate; axis ``k`` requires all processes identical and replicates
 the first one. Simulation seeds are derived per row as ``seed + row index``.
 """
@@ -330,7 +331,6 @@ _FLAGS = {
     "theta": dict(type=str, help="comma-separated reversion rates"),
     "sigma_sq": dict(type=str, help="comma-separated squared amplitudes"),
     "tol": dict(type=float, default=None, help="solver tolerance (default 1e-9)"),
-    "tau_max": dict(type=float, default=None, help="threshold search ceiling"),
     "epochs": dict(type=int, default=None, help="simulation epochs (default 100000)"),
     "seed": dict(type=int, default=None, help="base RNG seed (default 0)"),
     "burn_in": dict(type=int, default=None,
@@ -370,8 +370,8 @@ def _system_from_args(args: argparse.Namespace) -> SystemConfig:
 
 
 def _solver_flags(args: argparse.Namespace) -> Dict[str, float]:
-    """The solver flags given, so that unset ones keep :func:`solve`'s defaults."""
-    return {f: getattr(args, f) for f in ("tol", "tau_max") if getattr(args, f) is not None}
+    """``--tol`` if given, so that an unset one keeps :func:`solve`'s default."""
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
@@ -388,12 +388,10 @@ def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _system_from_args(args)
     scheme = Scheme(args.scheme)
-    solver_flags = _solver_flags(args)
     if args.tau is None:
-        tau = solve(cfg, scheme, **solver_flags).tau_star
-    elif solver_flags:
-        given = ", ".join(map(_flag, solver_flags))
-        raise InvalidConfig(f"{given} set the solver, which --tau bypasses")
+        tau = solve(cfg, scheme, **_solver_flags(args)).tau_star
+    elif args.tol is not None:
+        raise InvalidConfig("--tol sets the solver, which --tau bypasses")
     else:
         tau = args.tau
     epochs = args.epochs if args.epochs is not None else 100_000
@@ -415,10 +413,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config_path = args.config_flag or args.config
-    if not config_path:
-        raise ConfigFormatError("sweep needs a config file (positional or --config)")
-    spec = read_config(config_path)
+    spec = read_config(args.config)
+    if {Axis.EPS: args.eps, Axis.FMAX: args.fmax}.get(spec.axis) is not None:
+        axis = spec.axis.value
+        raise InvalidConfig(f"{_flag(axis)} sets a base value that the {axis} axis replaces")
 
     def given(pairs):
         return {field: v for flag, field in pairs if (v := getattr(args, flag)) is not None}
@@ -440,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve_flags = _SYSTEM_KEYS + ("tol", "tau_max")
+    solve_flags = _SYSTEM_KEYS + ("tol",)
     p_maf = sub.add_parser("solve-maf", help="optimal threshold, feedback scheme")
     _add_flags(p_maf, solve_flags)
     p_maf.set_defaults(func=lambda a: _cmd_solve(a, Scheme.MAF_FEEDBACK))
@@ -458,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a config-file sweep, write CSV")
-    p_sweep.add_argument("config", nargs="?", help="sweep config file")
-    p_sweep.add_argument("--config", dest="config_flag", default=None)
+    p_sweep.add_argument("config", help="sweep config file")
     _add_flags(p_sweep, ("mu", "eps", "fmax", "epochs", "seed", "out"))
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -17,7 +17,7 @@ is built, since its tables would not fit in memory.
 
 Apart from :class:`TruncationWarning` the names here are internal, and they
 check none of their inputs: ``threshold`` builds every :class:`MixtureSpec`
-from a validated ``SystemConfig`` and passes thresholds in ``[0, tau_max]``.
+from a validated ``SystemConfig`` and passes thresholds in ``[0, search_ceiling]``.
 """
 
 from __future__ import annotations

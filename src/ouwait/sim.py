@@ -402,8 +402,8 @@ def simulate(
     first ``n_epochs`` epochs (see :func:`_write_trace`). Identical arguments
     give bit-identical results.
     """
-    if not isinstance(policy, ThresholdPolicy) or policy.scheme not in Scheme:
-        raise InvalidConfig("policy must be a ThresholdPolicy with a known scheme")
+    if not isinstance(policy, ThresholdPolicy):
+        raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
     if n_epochs < 1:

@@ -30,15 +30,15 @@ raised to the budget threshold where it falls short of it. Starting from the
 ratio at the budget threshold, each step sets ``beta`` to the ratio at
 ``tau(beta)``; beta never increases, and the iteration stops once a step moves
 it by at most ``tol``. Each inversion, of the response at beta and of the
-epoch mean at the budget, runs Brent's method on ``[0, tau_max]`` and returns
-a point within ``tol / 10`` of the crossing, or within one float spacing of
-it when that spacing is wider.
+epoch mean at the budget, runs Brent's method on ``[0, search_ceiling(cfg)]``
+and returns a point within ``tol / 10`` of the crossing, or within one float
+spacing of it when that spacing is wider.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -76,6 +76,8 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
     the one round always delivers (r = 0); without feedback every round is
     Erlang(k) and delivers with probability 1 - eps.
     """
+    if not isinstance(scheme, Scheme):
+        raise InvalidConfig(f"scheme must be a Scheme, got {scheme!r}")
     if scheme is Scheme.MAF_FEEDBACK:
         mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps), 0.0
     else:
@@ -171,7 +173,7 @@ def _budget(cfg: SystemConfig) -> float:
 
 
 def search_ceiling(cfg: SystemConfig) -> float:
-    """Default threshold ceiling: past every transform's saturation and the budget.
+    """Threshold search ceiling: past every transform's saturation and the budget.
 
     Beyond ``50 / min(2 theta) + k / (mu (1 - eps))`` every transform is
     numerically saturated, and ``epoch_mean(tau) >= tau`` for both schemes,
@@ -250,18 +252,16 @@ def _invert(f: Callable[[float], float], target: float, hi: float, tol: float) -
     )
 
 
-def solve(
-    cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9, tau_max: Optional[float] = None
-) -> SolveResult:
+def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     """Optimal threshold and minimum sum MSE of ``scheme`` by Dinkelbach's iteration.
 
     The iteration stops once a step changes beta by at most ``tol``; the
-    threshold inversions run at ``tol / 10``. The returned beta is the ratio
-    at the returned threshold. ``tau_max`` caps the threshold search (default
-    :func:`search_ceiling`). Raises :class:`InvalidConfig` for a tolerance
-    below float resolution and when the budget threshold or the optimum
-    reaches ``tau_max``, and :class:`ConvergenceError` when beta rises by
-    more than ``tol`` or ``MAX_ITERS`` steps do not meet the stopping rule.
+    threshold inversions run at ``tol / 10`` on ``[0, search_ceiling(cfg)]``.
+    The returned beta is the ratio at the returned threshold. Raises
+    :class:`InvalidConfig` for a tolerance below float resolution, and
+    :class:`ConvergenceError` when beta rises by more than ``tol``,
+    ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum reaches
+    the search ceiling.
     """
     beta_hi = cfg.total_stationary_variance
     min_tol = TOL_ULPS * math.ulp(beta_hi)
@@ -271,27 +271,18 @@ def solve(
             f"of the variance bound {beta_hi:.6g}; got {tol}"
         )
     law = _law(cfg, scheme)
-    if tau_max is None:
-        tau_max = search_ceiling(cfg)
-    elif not (tau_max > 0 and math.isfinite(tau_max)):
-        raise InvalidConfig(f"tau_max must be positive, got {tau_max}")
+    ceiling = search_ceiling(cfg)
     inner_tol = tol / 10.0
 
-    if cfg.f_max >= cfg.mu:
-        tau_b = 0.0
-    else:
-        budget = _budget(cfg)
-        tau_b = _invert(lambda t: _epoch_mean(t, law), budget, tau_max, inner_tol)
-        if tau_b >= tau_max:
-            raise InvalidConfig(
-                f"tau_max={tau_max} cannot meet the sampling budget (expected epoch "
-                f"{_epoch_mean(tau_max, law)} < {budget})"
-            )
+    # epoch_mean(tau) >= tau puts tau_b below the budget, so below the ceiling.
+    tau_b = 0.0
+    if cfg.f_max < cfg.mu:
+        tau_b = _invert(lambda t: _epoch_mean(t, law), _budget(cfg), ceiling, inner_tol)
 
     numerator, eg = _ratio_terms(tau_b, law)
     beta = numerator / eg
     for iters in range(1, MAX_ITERS + 1):
-        tau0 = _invert(lambda x: _response(x, law), beta, tau_max, inner_tol)
+        tau0 = _invert(lambda x: _response(x, law), beta, ceiling, inner_tol)
         tau = max(tau0, tau_b)
         numerator, eg = _ratio_terms(tau, law)
         step = numerator / eg - beta
@@ -302,10 +293,8 @@ def solve(
             break
     else:
         raise ConvergenceError(f"Dinkelbach iteration did not settle in {MAX_ITERS} steps")
-    if tau >= tau_max:
-        raise InvalidConfig(
-            f"optimal threshold reached the search ceiling tau_max={tau_max}; raise tau_max"
-        )
+    if tau >= ceiling:
+        raise ConvergenceError(f"optimal threshold reached the search ceiling {ceiling}")
     return SolveResult(
         tau_star=tau,
         beta_star=beta,
@@ -315,15 +304,11 @@ def solve(
     )
 
 
-def solve_maf(
-    cfg: SystemConfig, tol: float = 1e-9, tau_max: Optional[float] = None
-) -> SolveResult:
+def solve_maf(cfg: SystemConfig, tol: float = 1e-9) -> SolveResult:
     """:func:`solve` for the feedback scheme."""
-    return solve(cfg, Scheme.MAF_FEEDBACK, tol, tau_max)
+    return solve(cfg, Scheme.MAF_FEEDBACK, tol)
 
 
-def solve_rr(
-    cfg: SystemConfig, tol: float = 1e-9, tau_max: Optional[float] = None
-) -> SolveResult:
+def solve_rr(cfg: SystemConfig, tol: float = 1e-9) -> SolveResult:
     """:func:`solve` for the no-feedback scheme."""
-    return solve(cfg, Scheme.RR_NO_FEEDBACK, tol, tau_max)
+    return solve(cfg, Scheme.RR_NO_FEEDBACK, tol)

@@ -91,6 +91,8 @@ class ThresholdPolicy:
     tau: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scheme, Scheme):
+            raise InvalidConfig(f"scheme must be a Scheme, got {self.scheme!r}")
         if not (self.tau >= 0 and math.isfinite(self.tau)):
             raise InvalidConfig(f"tau must be nonnegative and finite, got {self.tau}")
 

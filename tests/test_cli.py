@@ -341,14 +341,19 @@ class TestMain:
             ["solve-rr"] + SOLVE_ARGS + ["--bogus"],
             ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tol", "1e-30"],
             ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tau-max", "-5"],
+            ["sweep", "{cfg}", "--eps", "0.9"],
+            ["sweep", "{fmax_cfg}", "--fmax", "0.9"],
         ],
         ids=["sweep-ignores-tol", "solve-ignores-out", "simulate-without-scheme", "unknown-flag",
-             "simulate-tau-ignores-tol", "simulate-tau-ignores-tau-max"],
+             "simulate-tau-ignores-tol", "simulate-tau-ignores-tau-max",
+             "sweep-eps-axis-ignores-eps", "sweep-fmax-axis-ignores-fmax"],
     )
     def test_usage_errors_are_one_line_errors(self, tmp_path, capsys, argv):
         cfg = tmp_path / "s.cfg"
         write_config(spec_eps(), os.fspath(cfg))
-        assert cli.main([a.format(cfg=cfg) for a in argv]) == 1
+        fmax_cfg = tmp_path / "f.cfg"
+        write_config(spec_eps(axis=Axis.FMAX, grid=(0.5, 1.5)), os.fspath(fmax_cfg))
+        assert cli.main([a.format(cfg=cfg, fmax_cfg=fmax_cfg) for a in argv]) == 1
         one_line_error(capsys)
 
     def test_help_exits_zero(self, capsys):
@@ -359,8 +364,9 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
     def test_solver_guards_are_one_line_errors(self, capsys, command):
+        # The search ceiling is worked out from the system, not set.
         assert cli.main([command] + SOLVE_ARGS + ["--tau-max", "0.5"]) == 1
-        assert "tau_max" in one_line_error(capsys)
+        assert "unrecognized arguments: --tau-max" in one_line_error(capsys)
         assert cli.main([command] + SOLVE_ARGS + ["--tol", "1e-20"]) == 1
         assert "tol" in one_line_error(capsys)
 

@@ -1,15 +1,18 @@
-"""The package surface: exactly the names that users, the CLI and the benchmark call.
+"""The package surface: exactly the names that users, the CLI and the benchmark call,
+and exactly the options each command-line subcommand registers.
 
 The benchmark under ``perfbench/`` reaches the package only through
 ``ouwait.<name>``; reading its sources as text keeps a later cut of the
 surface from breaking it unnoticed.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import ouwait
+from ouwait.cli import build_parser
 
 PUBLIC = {
     "Axis", "ConfigFormatError", "ConvergenceError", "InvalidConfig", "ProcessParams",
@@ -17,6 +20,14 @@ PUBLIC = {
     "ThresholdPolicy", "TruncationWarning", "epoch_mean", "inst_mse", "mse_at_tau",
     "mse_integral", "ou_step", "read_config", "run_sweep", "simulate", "solve",
     "solve_maf", "solve_rr", "write_config", "write_csv",
+}
+SYSTEM_FLAGS = ["--k", "--mu", "--eps", "--fmax", "--theta", "--sigma-sq"]
+SOLVE_FLAGS = ["-h", "--help"] + SYSTEM_FLAGS + ["--tol"]
+COMMAND_LINE = {
+    "solve-maf": SOLVE_FLAGS,
+    "solve-rr": SOLVE_FLAGS,
+    "simulate": SOLVE_FLAGS + ["--epochs", "--seed", "--burn-in", "--scheme", "--tau", "--trace"],
+    "sweep": ["-h", "--help", "config", "--mu", "--eps", "--fmax", "--epochs", "--seed", "--out"],
 }
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -46,3 +57,12 @@ def test_benchmark_names_resolve():
     names = benchmark_names()
     assert {"SystemConfig", "simulate", "solve_maf", "solve_rr"} <= names
     assert sorted(n for n in names if not hasattr(ouwait, n)) == []
+
+
+def test_command_line_is_the_registered_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    registered = {
+        name: [opt for a in p._actions for opt in (a.option_strings or [a.dest])]
+        for name, p in commands.choices.items()
+    }
+    assert registered == COMMAND_LINE

@@ -135,22 +135,23 @@ def test_degenerate_configs_rejected():
 def test_invalid_tolerances(two_process_cfg):
     with pytest.raises(InvalidConfig):
         solve_maf(two_process_cfg, tol=0.0)
-    with pytest.raises(InvalidConfig):
-        solve_maf(two_process_cfg, tau_max=-5.0)
 
 
-def test_optimum_at_search_ceiling_rejected(two_process_cfg):
-    # tau* = 1.6317 lies above this ceiling, which must not clamp silently.
-    with pytest.raises(InvalidConfig, match="tau_max"):
-        solve_maf(two_process_cfg, tau_max=0.5)
-    assert solve_maf(two_process_cfg, tau_max=1e6).tau_star == pytest.approx(1.6317, abs=1e-4)
-
-
-def test_budget_threshold_above_ceiling_rejected(two_process_cfg):
-    from dataclasses import replace
-
-    with pytest.raises(InvalidConfig, match="sampling budget"):
-        solve_maf(replace(two_process_cfg, f_max=0.5), tau_max=1.0)
+@pytest.mark.parametrize("bad", ["maf", "rr", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg, s: ouwait.solve(cfg, s),
+        lambda cfg, s: mse_at_tau(1.0, cfg, s),
+        lambda cfg, s: epoch_mean(1.0, cfg, s),
+        lambda cfg, s: ouwait.ThresholdPolicy(s, 0.7),
+    ],
+    ids=["solve", "mse_at_tau", "epoch_mean", "ThresholdPolicy"],
+)
+def test_scheme_must_be_a_scheme(two_process_cfg, call, bad):
+    # A scheme's value is rejected, neither coerced nor read as the other scheme.
+    with pytest.raises(InvalidConfig, match="scheme must be a Scheme"):
+        call(two_process_cfg, bad)
 
 
 def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, monkeypatch):

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 import ouwait.series as series
 import ouwait.threshold as threshold
 from ouwait import (
+    ConvergenceError,
     InvalidConfig,
     ProcessParams,
     Scheme,
@@ -123,16 +124,14 @@ def test_coincides_with_feedback_solver_without_erasures(two_process_cfg):
         assert solve_maf(cfg, tol=TOL) == solve_rr(cfg, tol=TOL)
 
 
-def test_optimum_at_search_ceiling_rejected(two_process_cfg):
-    # tau* = 0.694 lies above this ceiling, which must not clamp silently.
-    with pytest.raises(InvalidConfig, match="tau_max"):
-        solve_rr(two_process_cfg, tau_max=0.5)
-    assert solve_rr(two_process_cfg, tau_max=1e6).tau_star == pytest.approx(0.694, abs=1e-3)
-
-
-def test_budget_threshold_above_ceiling_rejected(two_process_cfg):
-    with pytest.raises(InvalidConfig, match="sampling budget"):
-        solve_rr(replace(two_process_cfg, f_max=0.5), tau_max=1.0)
+@pytest.mark.parametrize("f_max", [1.5, 0.5], ids=["interior", "binding"])
+@pytest.mark.parametrize("scheme", [MAF, RR])
+def test_optimum_at_search_ceiling_is_an_error(two_process_cfg, monkeypatch, scheme, f_max):
+    # Both optima (tau* 1.6317 and 0.694) and both budget thresholds lie above
+    # this ceiling, which must not clamp silently.
+    monkeypatch.setattr(threshold, "search_ceiling", lambda cfg: 0.5)
+    with pytest.raises(ConvergenceError, match="search ceiling 0.5"):
+        solve(replace(two_process_cfg, f_max=f_max), scheme)
 
 
 def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ouwait import ProcessParams, Scheme, SystemConfig, mse_at_tau, solve
+from ouwait import ProcessParams, Scheme, SystemConfig, epoch_mean, mse_at_tau, solve
 from ouwait.threshold import _invert, search_ceiling
 
 TOL = 1e-9
@@ -48,6 +48,15 @@ def test_solution_invariants(cfg, scheme):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_budget_at_service_rate_never_binds(cfg, scheme):
     assert not solve(replace(cfg, f_max=cfg.mu), scheme, tol=TOL).binding
+
+
+@PROPERTY_SETTINGS
+@given(cfg=systems())
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_search_ceiling_meets_the_budget(cfg, scheme):
+    # So the budget inversion always has its crossing inside [0, search_ceiling].
+    budget = cfg.k / ((1.0 - cfg.eps) * cfg.f_max)
+    assert epoch_mean(search_ceiling(cfg), cfg, scheme) > budget
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
