@@ -22,8 +22,9 @@ comma-separated)::
     n_epochs = 100000
     seed = 1
 
-CLI flags override file values, except the one the axis replaces, which is an
-error. Axis ``theta_j`` varies the last process's
+The file alone sets a sweep. Every key must be known and appear once, and
+every grid point must make a valid system, or the sweep stops before its
+first solve. Axis ``theta_j`` varies the last process's
 reversion rate; axis ``k`` requires all processes identical and replicates
 the first one. Simulation seeds are derived per row as ``seed + row index``.
 """
@@ -84,14 +85,10 @@ class SweepSpec:
         if not self.schemes:
             raise InvalidConfig("at least one scheme required")
         for v in self.grid:
-            if self.axis is Axis.EPS and not (0.0 <= v < 1.0):
-                raise InvalidConfig(f"eps grid value {v} outside [0, 1)")
-            if self.axis is Axis.K and (v < 1 or int(v) != v):
-                raise InvalidConfig(f"k grid value {v} is not a positive integer")
-            if self.axis is Axis.THETA_J and v <= 0:
-                raise InvalidConfig(f"theta grid value {v} must be positive")
-            if self.axis is Axis.FMAX and v <= 0:
-                raise InvalidConfig(f"fmax grid value {v} must be positive")
+            try:
+                config_at(self.base, self.axis, v)
+            except InvalidConfig as exc:
+                raise InvalidConfig(f"{self.axis.value} grid value {v}: {exc}")
         if self.n_epochs < 1:
             raise InvalidConfig("n_epochs must be >= 1")
         if self.seed < 0:
@@ -128,13 +125,10 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
         return replace(base, processes=tuple(procs))
     if len(set(base.processes)) != 1:
         raise InvalidConfig("k-axis sweeps need identical processes in the base config")
+    if not float(value).is_integer():
+        raise InvalidConfig(f"k must be a whole number, got {value}")
     k = int(value)
     return replace(base, k=k, processes=(base.processes[0],) * k)
-
-
-def _default_burn_in(n_epochs: int) -> int:
-    """1000 discarded epochs, fewer where the run leaves under three to measure."""
-    return max(0, min(1000, n_epochs - 3))
 
 
 def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) -> SweepRow:
@@ -150,14 +144,12 @@ def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) ->
     sim_mse = sim_se = None
     status = "ok"
     if spec.sim_validate:
-        burn = _default_burn_in(spec.n_epochs)
         try:
             stats = simulate(
                 cfg,
                 ThresholdPolicy(scheme, res.tau_star),
                 n_epochs=spec.n_epochs,
                 seed=spec.seed + row_index,
-                burn_in=burn,
             )
         except (ConvergenceError, InvalidConfig) as exc:
             status = f"sim_failed:{type(exc).__name__}"
@@ -274,7 +266,14 @@ def read_config(path: str) -> SweepSpec:
             if "=" not in body:
                 raise ConfigFormatError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = body.partition("=")
-            entries[key.strip().lower()] = (value.strip(), lineno)
+            key = key.strip().lower()
+            if key not in _CONFIG_KEYS:
+                raise ConfigFormatError(f"line {lineno}: unknown key '{key}'")
+            if key in entries:
+                raise ConfigFormatError(
+                    f"line {lineno}: key '{key}' already set on line {entries[key][1]}"
+                )
+            entries[key] = (value.strip(), lineno)
 
     values = {}
     for key, parse in _CONFIG_KEYS.items():
@@ -331,8 +330,8 @@ _FLAGS = {
     "theta": dict(type=str, help="comma-separated reversion rates"),
     "sigma_sq": dict(type=str, help="comma-separated squared amplitudes"),
     "tol": dict(type=float, default=None, help="solver tolerance (default 1e-9)"),
-    "epochs": dict(type=int, default=None, help="simulation epochs (default 100000)"),
-    "seed": dict(type=int, default=None, help="base RNG seed (default 0)"),
+    "epochs": dict(type=int, default=100_000, help="simulation epochs (default 100000)"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
     "burn_in": dict(type=int, default=None,
                     help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
     "out": dict(type=str, default=None, help="output CSV path"),
@@ -394,12 +393,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidConfig("--tol sets the solver, which --tau bypasses")
     else:
         tau = args.tau
-    epochs = args.epochs if args.epochs is not None else 100_000
-    seed = args.seed if args.seed is not None else 0
-    burn = args.burn_in if args.burn_in is not None else _default_burn_in(epochs)
     stats = simulate(
-        cfg, ThresholdPolicy(scheme, tau), n_epochs=epochs, seed=seed,
-        burn_in=burn, trace_path=args.trace,
+        cfg, ThresholdPolicy(scheme, tau), n_epochs=args.epochs, seed=args.seed,
+        burn_in=args.burn_in, trace_path=args.trace,
     )
     print(
         f"scheme={scheme.value} tau={tau:.9g} sum_mse={stats.sum_mse:.6g} "
@@ -413,17 +409,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = read_config(args.config)
-    if {Axis.EPS: args.eps, Axis.FMAX: args.fmax}.get(spec.axis) is not None:
-        axis = spec.axis.value
-        raise InvalidConfig(f"{_flag(axis)} sets a base value that the {axis} axis replaces")
-
-    def given(pairs):
-        return {field: v for flag, field in pairs if (v := getattr(args, flag)) is not None}
-
-    base = replace(spec.base, **given((("eps", "eps"), ("mu", "mu"), ("fmax", "f_max"))))
-    spec = replace(spec, base=base, **given((("epochs", "n_epochs"), ("seed", "seed"))))
-    rows = run_sweep(spec)
+    rows = run_sweep(read_config(args.config))
     if args.out:
         write_csv(rows, args.out)
     else:
@@ -457,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a config-file sweep, write CSV")
     p_sweep.add_argument("config", help="sweep config file")
-    _add_flags(p_sweep, ("mu", "eps", "fmax", "epochs", "seed", "out"))
+    _add_flags(p_sweep, ("out",))
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -467,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidConfig, ConfigFormatError, ConvergenceError) as exc:
+    except (InvalidConfig, ConfigFormatError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -379,7 +379,7 @@ def simulate(
     policy: ThresholdPolicy,
     n_epochs: int,
     seed: int,
-    burn_in: int = 1000,
+    burn_in: Optional[int] = None,
     wait_split: Optional[Sequence[float]] = None,
     track_ou: bool = False,
     trace_path: Optional[str] = None,
@@ -389,8 +389,9 @@ def simulate(
     ``n_epochs`` counts per-process delivery epochs including the ``burn_in``
     initial ones that are discarded; the statistics window covers the
     remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
-    which must be at least two for a standard error. ``seed`` is a
-    non-negative integer.
+    which must be at least two for a standard error. ``burn_in`` defaults to
+    1000, or to ``n_epochs - 3`` where that is less, so that any run of at
+    least three epochs has a window. ``seed`` is a non-negative integer.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions (default: all of it up front). ``track_ou`` co-simulates
@@ -408,6 +409,8 @@ def simulate(
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
     if n_epochs < 1:
         raise InvalidConfig("n_epochs must be >= 1")
+    if burn_in is None:
+        burn_in = max(0, min(1000, n_epochs - 3))
     if not (0 <= burn_in < n_epochs):
         raise InvalidConfig("burn_in must satisfy 0 <= burn_in < n_epochs")
     if n_epochs - burn_in < 3:

@@ -66,8 +66,35 @@ class TestSweepSpec:
             f"axis = {axis}\ngrid = {first}, {bad}\nschemes = maf\n"
         )
         assert cli.main(["sweep", os.fspath(path)]) == 1
-        assert "invalid sweep spec" in one_line_error(capsys)
-        assert capsys.readouterr().out == ""
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: invalid sweep spec") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "theta, axis, grid",
+        [("0.5, 0.5", "theta_j", "0.5, 1e308"), ("0.1, 0.5", "k", "1, 2"),
+         ("0.5, 0.5", "k", "1, 2.5")],
+        ids=["theta-overflows", "k-over-unlike-processes", "k-not-whole"],
+    )
+    def test_grid_point_the_system_rejects_fails_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, theta, axis, grid
+    ):
+        thetas = [float(t) for t in theta.split(",")]
+        base = replace(BASE, processes=tuple(ProcessParams(t, 1.0) for t in thetas))
+        with pytest.raises(InvalidConfig, match=f"{axis} grid value"):
+            spec_eps(base=base, axis=Axis(axis), grid=tuple(float(v) for v in grid.split(",")))
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\n"
+            f"theta = {theta}\nsigma_sq = 1, 1\naxis = {axis}\ngrid = {grid}\nschemes = maf\n"
+        )
+        assert cli.main(["sweep", os.fspath(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: invalid sweep spec") and out.err.count("\n") == 1
+        assert calls == []
 
     def test_negative_seed_rejected_before_any_row(self, tmp_path, capsys):
         with pytest.raises(InvalidConfig, match="seed"):
@@ -185,6 +212,12 @@ class TestCsv:
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
 
+VALID_CONFIG = (
+    "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\ntheta = 0.1, 0.5\nsigma_sq = 1, 2\n"
+    "axis = eps\ngrid = 0.0, 0.1\nschemes = maf\n"
+)
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         spec = spec_eps(
@@ -237,6 +270,18 @@ class TestConfigFile:
         path = tmp_path / "missing.cfg"
         path.write_text("k = 2\nmu = 1.0\n")
         with pytest.raises(ConfigFormatError, match="missing required field"):
+            read_config(os.fspath(path))
+
+    def test_unknown_key_names_its_line(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text(VALID_CONFIG + "tau_max = 5\nsim_valdate = true\n")
+        with pytest.raises(ConfigFormatError, match="line 10: unknown key 'tau_max'"):
+            read_config(os.fspath(path))
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text(VALID_CONFIG + "eps = 0.1\n")
+        with pytest.raises(ConfigFormatError, match="line 10: key 'eps' already set on line 3"):
             read_config(os.fspath(path))
 
     def test_comments_and_unknown_scheme(self, tmp_path):
@@ -295,11 +340,12 @@ class TestMain:
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == 4
 
-    def test_sweep_flag_overrides(self, tmp_path):
+    def test_sweep_at_zero_erasure_reproduces_known_threshold(self, tmp_path):
         cfg = tmp_path / "s.cfg"
-        write_config(spec_eps(axis=Axis.FMAX, grid=(0.5, 1.5)), os.fspath(cfg))
+        write_config(spec_eps(base=replace(BASE, eps=0.0), axis=Axis.FMAX, grid=(0.5, 1.5)),
+                     os.fspath(cfg))
         out = tmp_path / "rows.csv"
-        rc = cli.main(["sweep", os.fspath(cfg), "--eps", "0.0", "--out", os.fspath(out)])
+        rc = cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)])
         assert rc == 0
         # At zero erasures with fmax=1.5 the solver reproduces the known value.
         row = open(out).read().strip().split("\n")[2].split(",")
@@ -355,6 +401,21 @@ class TestMain:
         write_config(spec_eps(axis=Axis.FMAX, grid=(0.5, 1.5)), os.fspath(fmax_cfg))
         assert cli.main([a.format(cfg=cfg, fmax_cfg=fmax_cfg) for a in argv]) == 1
         one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "{tmp}/missing.cfg"],
+            ["sweep", "{cfg}", "--out", "{tmp}/no-dir/rows.csv"],
+            ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--trace", "{tmp}/no-dir/epochs.tsv"],
+        ],
+        ids=["missing-config", "out-in-missing-dir", "trace-in-missing-dir"],
+    )
+    def test_file_system_errors_are_one_line_errors(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "s.cfg"
+        write_config(spec_eps(grid=(0.1,)), os.fspath(cfg))
+        assert cli.main([a.format(tmp=tmp_path, cfg=cfg) for a in argv]) == 1
+        assert "No such file or directory" in one_line_error(capsys)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,7 @@ COMMAND_LINE = {
     "solve-maf": SOLVE_FLAGS,
     "solve-rr": SOLVE_FLAGS,
     "simulate": SOLVE_FLAGS + ["--epochs", "--seed", "--burn-in", "--scheme", "--tau", "--trace"],
-    "sweep": ["-h", "--help", "config", "--mu", "--eps", "--fmax", "--epochs", "--seed", "--out"],
+    "sweep": ["-h", "--help", "config", "--out"],
 }
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

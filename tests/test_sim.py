@@ -272,6 +272,14 @@ class TestSimulate:
             simulate(two_process_cfg, pol, n_epochs=100, seed=1, burn_in=10,
                      wait_split=(1.0,))
 
+    @pytest.mark.parametrize("n_epochs, burn_in", [(3, 0), (50, 47), (1500, 1000)])
+    def test_default_burn_in_fits_the_run(self, two_process_cfg, n_epochs, burn_in):
+        pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
+        default = simulate(two_process_cfg, pol, n_epochs=n_epochs, seed=31)
+        assert default == simulate(two_process_cfg, pol, n_epochs=n_epochs, seed=31,
+                                   burn_in=burn_in)
+        assert default.epochs == n_epochs - burn_in - 1
+
     def test_non_finite_inputs_rejected(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
         for split in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan)):
