@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import errno
 import math
 import os
 import sys
@@ -50,6 +51,11 @@ from .types import (
     SystemConfig,
     ThresholdPolicy,
 )
+
+# Last: imported ahead of .sim, series raised the peak RSS of the import by
+# about 0.4 MB.
+from . import series
+
 
 class ConfigFormatError(ValueError):
     """Raised on malformed config files, and on per-process lists not of length k."""
@@ -127,6 +133,10 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
         raise InvalidConfig("k-axis sweeps need identical processes in the base config")
     if not float(value).is_integer():
         raise InvalidConfig(f"k must be a whole number, got {value}")
+    # A round of k slots needs at least k series terms: refuse a larger k
+    # before its k-tuple of processes is built.
+    if value > series.MAX_SERIES_TERMS:
+        raise InvalidConfig(f"k must be at most {series.MAX_SERIES_TERMS}, got {value}")
     k = int(value)
     return replace(base, k=k, processes=(base.processes[0],) * k)
 
@@ -409,6 +419,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # The CSV is written only after every row: find a missing directory now.
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     rows = run_sweep(read_config(args.config))
     if args.out:
         write_csv(rows, args.out)

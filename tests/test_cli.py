@@ -73,8 +73,9 @@ class TestSweepSpec:
     @pytest.mark.parametrize(
         "theta, axis, grid",
         [("0.5, 0.5", "theta_j", "0.5, 1e308"), ("0.1, 0.5", "k", "1, 2"),
-         ("0.5, 0.5", "k", "1, 2.5")],
-        ids=["theta-overflows", "k-over-unlike-processes", "k-not-whole"],
+         ("0.5, 0.5", "k", "1, 2.5"), ("0.5, 0.5", "k", "1, 1e9"), ("0.5, 0.5", "k", "1, 1e300")],
+        ids=["theta-overflows", "k-over-unlike-processes", "k-not-whole", "k-above-series-cap",
+             "k-tuple-overflows"],
     )
     def test_grid_point_the_system_rejects_fails_before_any_solve(
         self, tmp_path, capsys, monkeypatch, theta, axis, grid
@@ -416,6 +417,17 @@ class TestMain:
         write_config(spec_eps(grid=(0.1,)), os.fspath(cfg))
         assert cli.main([a.format(tmp=tmp_path, cfg=cfg) for a in argv]) == 1
         assert "No such file or directory" in one_line_error(capsys)
+
+    def test_out_in_missing_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        cfg = tmp_path / "s.cfg"
+        write_config(spec_eps(), os.fspath(cfg))
+        out = os.fspath(tmp_path / "no-dir" / "rows.csv")
+        assert cli.main(["sweep", os.fspath(cfg), "--out", out]) == 1
+        err = one_line_error(capsys)
+        assert out in err and ".sweep-" not in err
+        assert calls == []
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

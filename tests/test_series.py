@@ -239,6 +239,22 @@ class TestMixtureWeights:
         rhos, wts = mixture_weights(M2)
         assert float((rhos * wts).sum()) == pytest.approx(2 / 0.7, rel=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.7, 0.95])
+    def test_feedback_round_is_erlang_at_the_delivery_rate(self, k, eps):
+        # A geometric(1 - eps) sum of Exp(mu) draws is Exp(mu (1 - eps)), so
+        # a feedback round's service is Erlang(k, mu (1 - eps)).
+        mu, thetas = 1.3, [0.05, 0.5, 2.0]
+        feedback, erlang_round = MixtureSpec(k, mu, eps), erlang(k, mu * (1.0 - eps))
+        for tau in (0.0, 0.4, 2.5, 10.0, 40.0):
+            np.testing.assert_allclose(
+                cycle_transform(tau, thetas, feedback),
+                cycle_transform(tau, thetas, erlang_round), rtol=0, atol=1e-12,
+            )
+            assert expected_wait(tau, feedback) == pytest.approx(
+                expected_wait(tau, erlang_round), rel=0, abs=1e-12 * max(1.0, tau)
+            )
+
 
 class TestSeriesCap:
     def test_erasure_rate_near_one_refused_before_any_series(self):

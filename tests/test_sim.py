@@ -1,5 +1,6 @@
 """Discrete-event simulator: event mechanics, renewal identities, determinism."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -505,6 +506,36 @@ class TestPinnedEngine:
         floats = [float(c) for i, c in enumerate(first) if i not in (0, 1, 4)]
         golden = [float(c) for i, c in enumerate(row) if i not in (0, 1, 4)]
         assert floats == pytest.approx(golden, rel=1e-11)
+
+    # sha256 of whole 5000-epoch trace files, taken from the per-cell
+    # formatter that the one-format-per-record writer replaced. The k=3 rr
+    # case has empty cells; the last case is it again in chunks of 5 rounds.
+    TRACE_SHA256 = {
+        "maf-k2": (2, 0.3, MAF, 1.6, None, 61, None,
+                   "29984daaf91b7077a85a2befa3151e1a28e08dd7d663da81f57c08343839734e"),
+        "rr-k3-split": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, None,
+                        "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
+        "rr-k1-eps0": (1, 0.0, RR, 1.3, None, 63, None,
+                       "64b4a22937ed5f580992507d9316fe17e74afde326c24e16487e0da415ee8007"),
+        "rr-k3-split-chunk5": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, 5,
+                               "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
+    }
+
+    @pytest.mark.parametrize("case", list(TRACE_SHA256))
+    def test_trace_file_bytes(self, tmp_path, monkeypatch, case):
+        k, eps, scheme, tau, split, seed, chunk, digest = self.TRACE_SHA256[case]
+        if chunk is not None:
+            monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
+        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+        cfg = SystemConfig(k=k, f_max=1.5, mu=1.0, eps=eps, processes=procs[:k])
+        path = tmp_path / "trace.tsv"
+        simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=5000, seed=seed, wait_split=split,
+                 trace_path=os.fspath(path))
+        data = path.read_bytes()
+        assert data.count(b"\n") == 5001
+        if k == 3:
+            assert b"\t\t" in data
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_schemes_coincide_without_erasures(self, k):
