@@ -19,7 +19,6 @@ from .cli import (
     write_csv,
 )
 from .ou import inst_mse, mse_integral, ou_step
-from .series import TruncationWarning
 from .sim import simulate
 from .threshold import epoch_mean, mse_at_tau, solve, solve_maf, solve_rr
 from .types import (
@@ -48,7 +47,6 @@ __all__ = [
     "SweepSpec",
     "SystemConfig",
     "ThresholdPolicy",
-    "TruncationWarning",
     "epoch_mean",
     "inst_mse",
     "mse_at_tau",

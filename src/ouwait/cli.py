@@ -133,7 +133,7 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
         raise InvalidConfig("k-axis sweeps need identical processes in the base config")
     if not float(value).is_integer():
         raise InvalidConfig(f"k must be a whole number, got {value}")
-    # A round of k slots needs at least k series terms: refuse a larger k
+    # A round of k slots needs k + 1 series terms: refuse a larger k
     # before its k-tuple of processes is built.
     if value > series.MAX_SERIES_TERMS:
         raise InvalidConfig(f"k must be at most {series.MAX_SERIES_TERMS}, got {value}")

@@ -5,16 +5,16 @@ rule ``w(z) = max(tau - z, 0)`` to minimise E[integrated sum MSE over an
 epoch] / E[epoch length] subject to the sampling budget f_max. The schemes
 differ only in the law of an epoch's service, and :func:`_law` is the one
 place that reads the scheme. An epoch is a geometric(1 - r) number of rounds,
-each with its own wait and served by an Erlang mixture over the round's
-total attempt count:
+each with its own wait and served by an Erlang(k, rate) law:
 
 - Feedback (``maf``): the scheduler retries the stalest process until its
-  sample gets through, so one round serves every process once with a
-  geometric(1 - eps) number of attempts each, and always delivers (r = 0).
+  sample gets through, so one round serves every process once. A
+  geometric(1 - eps) number of Exp(mu) attempts is one Exp(mu (1 - eps))
+  draw, so the round is Erlang(k, mu (1 - eps)), and it always delivers
+  (r = 0).
 - No feedback (``rr``): the scheduler cycles through the processes blindly,
-  one sample each per round, so a round is Erlang(k) (the same mixture at
-  eps = 0) and delivers a given process's sample with probability 1 - eps
-  (r = eps).
+  one sample each per round, so a round is Erlang(k, mu) and delivers a
+  given process's sample with probability 1 - eps (r = eps).
 
 The epoch mean, the epoch transform and the threshold response are each one
 formula over that law.
@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from . import series
-from .series import MixtureSpec
 from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemConfig
 
 # A step of beta cannot be resolved below one float spacing of beta, which is
@@ -59,7 +58,8 @@ MAX_ITERS = 50
 class _Law(NamedTuple):
     """An epoch's service law and the per-process constants the solver reuses."""
 
-    mix: MixtureSpec  # service of one round
+    k: int  # shape of one round's Erlang service
+    rate: float  # rate of one round's Erlang service
     r: float  # probability that a round ends without a delivery
     var: Tuple[float, ...]  # stationary variances
     thetas: Tuple[float, ...]
@@ -71,25 +71,21 @@ class _Law(NamedTuple):
 def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
     """The only place the scheme enters: the law of one epoch's service.
 
-    An epoch is a geometric(1 - r) number of rounds, each served by ``mix``.
-    With feedback the retries absorb the erasures into the attempt counts, so
-    the one round always delivers (r = 0); without feedback every round is
-    Erlang(k) and delivers with probability 1 - eps.
+    An epoch is a geometric(1 - r) number of rounds, each served by an
+    Erlang(k, rate) law. With feedback the retries absorb the erasures into
+    the rate, mu (1 - eps), so the one round always delivers (r = 0); without
+    feedback every round is Erlang(k, mu) and delivers with probability 1 - eps.
     """
     if not isinstance(scheme, Scheme):
         raise InvalidConfig(f"scheme must be a Scheme, got {scheme!r}")
     if scheme is Scheme.MAF_FEEDBACK:
-        mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=cfg.eps), 0.0
+        rate, r = cfg.mu * (1.0 - cfg.eps), 0.0
     else:
-        mix, r = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=0.0), cfg.eps
-    if mix.eps > 0.0 and mix.series_cap > series.MAX_SERIES_TERMS:
-        raise InvalidConfig(
-            f"eps={cfg.eps} is too close to 1 for k={cfg.k}: the attempt-count series "
-            f"would need {mix.series_cap} terms, more than {series.MAX_SERIES_TERMS}"
-        )
+        rate, r = cfg.mu, cfg.eps
     procs = cfg.processes
     return _Law(
-        mix=mix,
+        k=cfg.k,
+        rate=rate,
         r=r,
         var=tuple(p.stationary_variance for p in procs),
         thetas=tuple(p.theta for p in procs),
@@ -100,7 +96,7 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
 
 
 def _epoch_mean(tau: float, law: _Law) -> float:
-    return (series.expected_wait(tau, law.mix) + law.mix.mean_total_service) / (1.0 - law.r)
+    return (series.expected_wait(tau, law.k, law.rate) + law.k / law.rate) / (1.0 - law.r)
 
 
 def _check_tau(tau: float) -> None:
@@ -119,7 +115,7 @@ def _round_transform(tau: float, law: _Law) -> np.ndarray:
     """Transform L of one round at every rate, computed once per threshold and law:
     a solve revisits each inversion's bracket ends, and the ratio where one stopped."""
     if tau not in law.rounds:
-        law.rounds[tau] = series.cycle_transform(tau, law.thetas, law.mix)
+        law.rounds[tau] = series.cycle_transform(tau, law.thetas, law.k, law.rate)
     return law.rounds[tau]
 
 

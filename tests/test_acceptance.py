@@ -15,7 +15,6 @@ Tolerance notes pinned here:
 """
 
 import math
-import warnings
 import numpy as np
 from scipy.optimize import brentq
 
@@ -24,7 +23,6 @@ from ouwait import (
     Scheme,
     SystemConfig,
     ThresholdPolicy,
-    TruncationWarning,
     epoch_mean,
     mse_at_tau,
     simulate,
@@ -32,7 +30,7 @@ from ouwait import (
     solve_maf,
     solve_rr,
 )
-from ouwait.series import MixtureSpec, cycle_transform, expected_wait
+from ouwait.series import cycle_transform, expected_wait
 from ouwait.threshold import _law, _response, _transform
 
 from event_oracle import round_arrays
@@ -111,10 +109,8 @@ def test_criterion_03_zero_erasure_coincidence():
 
 
 def test_criterion_04_erasure_monotonicity():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        maf = [solve_maf(ref_cfg(e, 1.5)).tau_star for e in EPS_GRID]
-        rr = [solve_rr(ref_cfg(e, 1.5)).tau_star for e in EPS_GRID]
+    maf = [solve_maf(ref_cfg(e, 1.5)).tau_star for e in EPS_GRID]
+    rr = [solve_rr(ref_cfg(e, 1.5)).tau_star for e in EPS_GRID]
     ok_maf = all(b >= a - 1e-9 for a, b in zip(maf, maf[1:]))
     ok_rr = all(b <= a + 1e-9 for a, b in zip(rr, rr[1:]))
     report(4, ok_maf and ok_rr,
@@ -126,17 +122,14 @@ def test_criterion_05_binding_branch_identities():
     eps_set = np.arange(0.0, 0.801, 0.1)
     worst = 0.0
     rr_taus = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for eps in eps_set:
-            cfg = ref_cfg(eps, 0.5)
-            res = solve_maf(cfg)
-            m = MixtureSpec(k=2, mu=1.0, eps=float(eps))
-            ref = brentq(
-                lambda t: expected_wait(t, m) - 2.0 / (1.0 - eps), 0.0, 500.0, xtol=1e-11
-            )
-            worst = max(worst, abs(res.tau_star - ref))
-            rr_taus.append(solve_rr(cfg).tau_star)
+    for eps in eps_set:
+        cfg = ref_cfg(eps, 0.5)
+        res = solve_maf(cfg)
+        ref = brentq(
+            lambda t: expected_wait(t, 2, 1.0 - eps) - 2.0 / (1.0 - eps), 0.0, 500.0, xtol=1e-11
+        )
+        worst = max(worst, abs(res.tau_star - ref))
+        rr_taus.append(solve_rr(cfg).tau_star)
     spread = max(rr_taus) - min(rr_taus)
     ok = worst <= 1e-6 and spread <= 1e-6
     report(5, ok, f"feedback binding |tau - inverse|<={worst:.2e}; "
@@ -170,16 +163,14 @@ def test_criterion_08_dominance_and_crossover():
     # the unconstrained optimum precisely because zero wait is infeasible.
     worst_gap = -math.inf
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for f_max in (0.5, 0.95, 1.5):
-            for eps in EPS_GRID:
-                cfg = ref_cfg(float(eps), f_max)
-                for scheme in Scheme:
-                    res = solve(cfg, scheme)
-                    if f_max >= cfg.mu or not res.binding:
-                        worst_gap = max(worst_gap, res.beta_star - mse_at_tau(0.0, cfg, scheme))
-                        checked += 1
+    for f_max in (0.5, 0.95, 1.5):
+        for eps in EPS_GRID:
+            cfg = ref_cfg(float(eps), f_max)
+            for scheme in Scheme:
+                res = solve(cfg, scheme)
+                if f_max >= cfg.mu or not res.binding:
+                    worst_gap = max(worst_gap, res.beta_star - mse_at_tau(0.0, cfg, scheme))
+                    checked += 1
     dominance_ok = checked > 0 and worst_gap <= 1e-9
 
     crossover = None
@@ -222,20 +213,18 @@ def test_criterion_10_property_suites(two_process_cfg):
 
     # Series functions against Monte Carlo draws of their defining variables.
     rng = np.random.default_rng(1010)
-    m = MixtureSpec(k=2, mu=1.0, eps=0.3)
     counts = rng.geometric(0.7, size=(10**6, 2)).sum(axis=1)
     totals = rng.standard_gamma(counts)
     tau = 1.3
     w = np.maximum(tau - totals, 0.0)
     se = w.std(ddof=1) / 1000
-    assert abs(expected_wait(tau, m) - w.mean()) <= 3 * se
+    assert abs(expected_wait(tau, 2, 0.7) - w.mean()) <= 3 * se
     for th in (0.1, 0.5):
         v = np.exp(-2 * th * np.maximum(tau, totals))
-        assert abs(cycle_transform(tau, th, m) - v.mean()) <= 3 * v.std(ddof=1) / 1000
+        assert abs(cycle_transform(tau, th, 2, 0.7) - v.mean()) <= 3 * v.std(ddof=1) / 1000
     rounds = rng.standard_gamma(2, size=10**6)
     v = np.exp(-1.0 * np.maximum(tau, rounds))
-    erlang = MixtureSpec(k=2, mu=1.0, eps=0.0)
-    assert abs(cycle_transform(tau, 0.5, erlang) - v.mean()) <= 3 * v.std(ddof=1) / 1000
+    assert abs(cycle_transform(tau, 0.5, 2, 1.0) - v.mean()) <= 3 * v.std(ddof=1) / 1000
     notes.append("series-vs-MC 3se")
 
     # Family coincidences at zero erasure rate: both schemes map onto one law.
@@ -257,7 +246,7 @@ def test_criterion_10_property_suites(two_process_cfg):
     paired = np.maximum(1.6, arrays.service_total)
     for p in two_process_cfg.processes:
         v = np.exp(-2 * p.theta * paired)
-        ref = cycle_transform(1.6, p.theta, MixtureSpec(k=2, mu=1.0, eps=0.3))
+        ref = cycle_transform(1.6, p.theta, 2, 0.7)
         assert abs(v.mean() - ref) <= 3 * v.std(ddof=1) / math.sqrt(len(v))
     rounds = round_arrays(
         two_process_cfg, Scheme.RR_NO_FEEDBACK, 0.7, n_rounds=4 * 10**5, seed=1012

@@ -486,13 +486,17 @@ class TestMain:
         err = one_line_error(capsys)
         assert "theta" in err and "tau_max" not in err
 
-    def test_erasure_rate_near_one_fails_fast(self, capsys):
+    def test_erasure_rate_near_one_solves_fast(self, capsys):
+        # With feedback a round is Exp(1 - eps), so the binding threshold is
+        # x / (1 - eps) with x + exp(-x) = 2, about 1.84140566e6 here.
         args = ["--k", "1", "--mu", "1", "--eps", "0.999999", "--fmax", "0.5",
                 "--theta", "0.5", "--sigma-sq", "1"]
         start = time.perf_counter()
-        assert cli.main(["solve-maf"] + args) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve-maf"] + args) == 0
         assert time.perf_counter() - start < 1.0
-        assert "eps=0.999999" in one_line_error(capsys)
+        assert "tau_star=1841405.66 " in capsys.readouterr().out
 
     def test_simulator_failure_exit_code_keeps_every_row(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"

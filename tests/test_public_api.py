@@ -17,9 +17,9 @@ from ouwait.cli import build_parser
 PUBLIC = {
     "Axis", "ConfigFormatError", "ConvergenceError", "InvalidConfig", "ProcessParams",
     "Scheme", "SimStats", "SolveResult", "SweepRow", "SweepSpec", "SystemConfig",
-    "ThresholdPolicy", "TruncationWarning", "epoch_mean", "inst_mse", "mse_at_tau",
-    "mse_integral", "ou_step", "read_config", "run_sweep", "simulate", "solve",
-    "solve_maf", "solve_rr", "write_config", "write_csv",
+    "ThresholdPolicy", "epoch_mean", "inst_mse", "mse_at_tau", "mse_integral", "ou_step",
+    "read_config", "run_sweep", "simulate", "solve", "solve_maf", "solve_rr",
+    "write_config", "write_csv",
 }
 SYSTEM_FLAGS = ["--k", "--mu", "--eps", "--fmax", "--theta", "--sigma-sq"]
 SOLVE_FLAGS = ["-h", "--help"] + SYSTEM_FLAGS + ["--tol"]
@@ -33,7 +33,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_all_is_the_public_surface():
-    assert len(ouwait.__all__) == len(PUBLIC) == 26
+    assert len(ouwait.__all__) == len(PUBLIC) == 25
     assert set(ouwait.__all__) == PUBLIC
     for name in ouwait.__all__:
         assert getattr(ouwait, name) is not None

@@ -20,7 +20,7 @@ from ouwait import (
     epoch_mean,
     simulate,
 )
-from ouwait.series import MixtureSpec, cycle_transform
+from ouwait.series import cycle_transform
 import ouwait.sim as sim
 from ouwait.sim import _ou_probe
 from ouwait.threshold import _law, _transform
@@ -155,14 +155,13 @@ class TestBatchEngine:
     def test_transform_identity_maf(self, two_process_cfg):
         # The epoch transform pairs each cycle's service total with the wait
         # that total induces, i.e. exp(-2 theta max(tau, total)).
-        m = MixtureSpec(k=2, mu=1.0, eps=0.3)
         tau = 1.6
         arrays = round_arrays(two_process_cfg, MAF, tau, n_rounds=10**6, seed=16)
         paired = np.maximum(tau, arrays.service_total)
         for p in two_process_cfg.processes:
             vals = np.exp(-2 * p.theta * paired)
             se = vals.std(ddof=1) / 1000
-            assert abs(vals.mean() - cycle_transform(tau, p.theta, m)) <= 3 * se
+            assert abs(vals.mean() - cycle_transform(tau, p.theta, 2, 0.7)) <= 3 * se
 
     def test_transform_identity_rr(self, two_process_cfg):
         # Per-epoch transform: sum of max(tau, round total) over the epoch's
@@ -192,7 +191,7 @@ class TestBatchEngine:
         physical = np.exp(-(arrays.wait + arrays.service_total))
         paired = np.exp(-np.maximum(tau, arrays.service_total))
         se = physical.std(ddof=1) / 1000
-        ref = cycle_transform(tau, 0.5, MixtureSpec(k=1, mu=1.0, eps=0.5))
+        ref = cycle_transform(tau, 0.5, 1, 0.5)
         assert physical.mean() > ref + 10 * se
         assert abs(paired.mean() - ref) <= 3 * se
 

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +16,11 @@ from ouwait import (
     ProcessParams,
     SystemConfig,
     Scheme,
-    TruncationWarning,
     epoch_mean,
     mse_at_tau,
     solve_maf,
 )
-from ouwait.series import MixtureSpec, expected_wait
+from ouwait.series import expected_wait
 
 from event_oracle import run_epoch_maf
 
@@ -78,8 +76,8 @@ def test_binding_threshold_solves_wait_equation(two_process_cfg):
         res = solve_maf(cfg, tol=TOL)
         assert res.binding
         target = (cfg.k / cfg.f_max - cfg.k / cfg.mu) / (1 - eps)
-        m = MixtureSpec(k=cfg.k, mu=cfg.mu, eps=eps)
-        ref = brentq(lambda t: expected_wait(t, m) - target, 0.0, 400.0, xtol=1e-11)
+        rate = cfg.mu * (1 - eps)
+        ref = brentq(lambda t: expected_wait(t, cfg.k, rate) - target, 0.0, 400.0, xtol=1e-11)
         assert res.tau_star == pytest.approx(ref, abs=1e-6)
         # At the binding threshold the realized sampling rate meets the budget.
         eg = epoch_mean(res.tau_star, cfg, MAF)
@@ -89,14 +87,12 @@ def test_binding_threshold_solves_wait_equation(two_process_cfg):
 def test_threshold_nondecreasing_in_erasure_rate(two_process_cfg):
     from dataclasses import replace
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for fmax in (0.5, 0.95, 1.5):
-            taus = [
-                solve_maf(replace(two_process_cfg, f_max=fmax, eps=e)).tau_star
-                for e in np.arange(0.0, 0.901, 0.05)
-            ]
-            assert all(b >= a - 1e-9 for a, b in zip(taus, taus[1:]))
+    for fmax in (0.5, 0.95, 1.5):
+        taus = [
+            solve_maf(replace(two_process_cfg, f_max=fmax, eps=e)).tau_star
+            for e in np.arange(0.0, 0.901, 0.05)
+        ]
+        assert all(b >= a - 1e-9 for a, b in zip(taus, taus[1:]))
 
 
 def test_beta_increases_with_erasure_rate(two_process_cfg):

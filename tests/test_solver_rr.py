@@ -19,7 +19,7 @@ from ouwait import (
     solve_maf,
     solve_rr,
 )
-from ouwait.series import MixtureSpec, expected_wait
+from ouwait.series import expected_wait
 
 TOL = 1e-9
 MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
@@ -27,7 +27,7 @@ MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
 
 def round_wait(tau: float, k: int, mu: float) -> float:
     """Expected wait E[(tau - Y)+] over one Erlang(k, mu) round."""
-    return expected_wait(tau, MixtureSpec(k=k, mu=mu, eps=0.0))
+    return expected_wait(tau, k, mu)
 
 
 def test_zero_threshold_anchor(single_process_cfg):
