@@ -29,10 +29,16 @@ thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
 raised to the budget threshold where it falls short of it. Starting from the
 ratio at the budget threshold, each step sets ``beta`` to the ratio at
 ``tau(beta)``; beta never increases, and the iteration stops once a step moves
-it by at most ``tol``. Each inversion, of the response at beta and of the
-epoch mean at the budget, runs Brent's method on ``[0, search_ceiling(cfg)]``
-and returns a point within ``tol / 10`` of the crossing, or within one float
-spacing of it when that spacing is wider.
+it by at most ``tol``. Each inversion runs Brent's method on a bracket the
+solve already holds, and returns a point within ``tol / 10`` of the crossing,
+or within one float spacing of it when that spacing is wider:
+
+- the epoch mean at the budget ``B``, on ``[max(0, B(1-r) - k/rate), B(1-r)]``,
+  since ``E[max(tau, Y)]`` lies in ``[tau, tau + k/rate]`` for a round Y;
+- the response at beta, on ``[tau_b, hi]``, where ``hi`` is the search
+  ceiling at the first step and then the threshold the previous step
+  returned: beta never rises, so neither does tau(beta). A binding solve
+  stops after one response evaluation, at ``tau_b``.
 """
 
 from __future__ import annotations
@@ -173,36 +179,40 @@ def search_ceiling(cfg: SystemConfig) -> float:
 
     Beyond ``50 / min(2 theta) + k / (mu (1 - eps))`` every transform is
     numerically saturated, and ``epoch_mean(tau) >= tau`` for both schemes,
-    so the budget threshold lies below ``_budget(cfg) + 1``.
+    so the budget threshold lies at or below ``_budget(cfg)``. Doubling it
+    keeps a margin that no rounding absorbs, however large the budget.
     """
     slowest = min(2.0 * p.theta for p in cfg.processes)
     saturated = 50.0 / slowest + cfg.k / (cfg.mu * (1.0 - cfg.eps))
-    return max(saturated, _budget(cfg) + 1.0)
+    return max(saturated, 2.0 * _budget(cfg))
 
 
-def _invert(f: Callable[[float], float], target: float, hi: float, tol: float) -> float:
-    """Invert the nondecreasing ``f`` at ``target`` on ``[0, hi]`` by Brent's method.
+def _invert(
+    f: Callable[[float], float], target: float, hi: float, tol: float, *, lo: float = 0.0
+) -> float:
+    """Invert the nondecreasing ``f`` at ``target`` on ``[lo, hi]`` by Brent's method.
 
-    A target at or below f(0) realizes the zero-wait regime; a target at or
-    above f(hi) returns the ceiling itself, which the caller rejects if it
-    survives to the optimum. Otherwise this is Brent's zeroin (Brent,
+    A target at or below f(lo) returns ``lo``: the zero-wait regime when
+    ``lo`` is 0, the budget threshold when it binds. A target at or above
+    f(hi) returns ``hi``, which the caller rejects if it is the search ceiling
+    and survives to the optimum. Otherwise this is Brent's zeroin (Brent,
     "Algorithms for Minimization without Derivatives", 1973, ch. 4) on
     ``f - target``: inverse quadratic or secant steps, replaced by a halving
     step whenever they would leave the bracket or fail to shrink it fast
     enough. The returned point is an end of a bracket of the crossing that is
     at most ``tol`` wide, or one float spacing wide, since a ``tol`` below the
-    root's float spacing cannot be met. Each end of ``[0, hi]`` is evaluated
-    once.
+    root's float spacing cannot be met. Each end of ``[lo, hi]`` is evaluated
+    at most once.
     """
-    fa = f(0.0) - target
+    fa = f(lo) - target
     if fa >= 0.0:
-        return 0.0
+        return lo
     fb = f(hi) - target
     if fb <= 0.0:
         return hi
     # b is the best point so far, c the other end of the bracket, a the
     # previous b; d is the last step and e the one before.
-    a, b = 0.0, hi
+    a, b = lo, hi
     c, fc = a, fa
     d = e = b - a
     step_min = 0.5 * tol
@@ -252,12 +262,18 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     """Optimal threshold and minimum sum MSE of ``scheme`` by Dinkelbach's iteration.
 
     The iteration stops once a step changes beta by at most ``tol``; the
-    threshold inversions run at ``tol / 10`` on ``[0, search_ceiling(cfg)]``.
-    The returned beta is the ratio at the returned threshold. Raises
-    :class:`InvalidConfig` for a tolerance below float resolution, and
-    :class:`ConvergenceError` when beta rises by more than ``tol``,
-    ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum reaches
-    the search ceiling.
+    threshold inversions run at ``tol / 10``. Each response inversion after
+    the first is capped at the previous step's threshold. That point may sit
+    up to ``tol / 10`` below its own crossing, but the new crossing lies at or
+    below the old one, so a capped inversion still returns a point within
+    ``tol / 10`` of its crossing and the stopping rule keeps its meaning. The
+    returned beta is the ratio at the returned threshold. Raises
+    :class:`InvalidConfig` for a tolerance below float resolution, or when the
+    optimum reaches the search ceiling because no threshold lowers the ratio
+    by ``TOL_ULPS`` float spacings of the variance bound (as at eps = 1 - 1e-15
+    with k = 64); and :class:`ConvergenceError` when beta rises by more than
+    ``tol``, ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum
+    otherwise reaches the search ceiling.
     """
     beta_hi = cfg.total_stationary_variance
     min_tol = TOL_ULPS * math.ulp(beta_hi)
@@ -270,16 +286,19 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     ceiling = search_ceiling(cfg)
     inner_tol = tol / 10.0
 
-    # epoch_mean(tau) >= tau puts tau_b below the budget, so below the ceiling.
     tau_b = 0.0
     if cfg.f_max < cfg.mu:
-        tau_b = _invert(lambda t: _epoch_mean(t, law), _budget(cfg), ceiling, inner_tol)
+        top = _budget(cfg) * (1.0 - law.r)
+        tau_b = _invert(
+            lambda t: _epoch_mean(t, law), _budget(cfg), top, inner_tol,
+            lo=max(0.0, top - law.k / law.rate),
+        )
 
     numerator, eg = _ratio_terms(tau_b, law)
     beta = numerator / eg
+    tau = ceiling
     for iters in range(1, MAX_ITERS + 1):
-        tau0 = _invert(lambda x: _response(x, law), beta, ceiling, inner_tol)
-        tau = max(tau0, tau_b)
+        tau = _invert(lambda x: _response(x, law), beta, tau, inner_tol, lo=tau_b)
         numerator, eg = _ratio_terms(tau, law)
         step = numerator / eg - beta
         beta = numerator / eg
@@ -290,11 +309,21 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     else:
         raise ConvergenceError(f"Dinkelbach iteration did not settle in {MAX_ITERS} steps")
     if tau >= ceiling:
+        # No threshold lowers the ratio by more than this below the variance
+        # bound; under a few of its float spacings, beta is rounding noise.
+        gain = sum(
+            v * lap / a for v, lap, a in zip(law.var, law.lap, law.two_theta)
+        ) / _epoch_mean(0.0, law)
+        if gain < min_tol:
+            raise InvalidConfig(
+                f"eps = {cfg.eps!r} leaves the sum MSE flat: no threshold lowers it more "
+                f"than {gain:.3g} below its bound {beta_hi:.6g}, under {TOL_ULPS} float spacings"
+            )
         raise ConvergenceError(f"optimal threshold reached the search ceiling {ceiling}")
     return SolveResult(
         tau_star=tau,
         beta_star=beta,
-        binding=tau0 < tau_b,
+        binding=tau_b > 0.0 and tau == tau_b,
         outer_iters=iters,
         achieved_tol=abs(step),
     )

@@ -102,7 +102,9 @@ class SolveResult:
     """Optimal threshold and minimum sum MSE, with solver diagnostics.
 
     ``beta_star`` is the long-term average sum MSE that ``tau_star`` achieves,
-    and ``binding`` says whether the sampling budget raised the threshold.
+    and ``binding`` says whether the sampling budget fixed the threshold: the
+    budget threshold is positive and the threshold response there already
+    meets the optimal ratio, so ``tau_star`` is the budget threshold itself.
     ``outer_iters`` counts Dinkelbach steps (one threshold inversion and one
     ratio evaluation each), and ``achieved_tol`` is the change in beta at the
     last of them, at most the requested tolerance.

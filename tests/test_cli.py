@@ -444,6 +444,17 @@ class TestMain:
         assert "tol" in one_line_error(capsys)
 
     @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
+    def test_flat_sum_mse_near_unit_erasure_is_one_line_error(self, capsys, command):
+        # At k = 64 and eps = 1 - 1e-15 no threshold moves the sum MSE by a
+        # float spacing, so the solve is refused and the error names eps.
+        k = 64
+        thetas = ",".join(repr(0.1 + 0.4 * i / (k - 1)) for i in range(k))
+        args = ["--k", str(k), "--mu", "1", "--eps", repr(1.0 - 1e-15), "--fmax", "1.5",
+                "--theta", thetas, "--sigma-sq", ",".join(["1"] * k)]
+        assert cli.main([command] + args) == 1
+        assert "eps = 0.999999999999999 leaves the sum MSE flat" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
     def test_tolerance_below_threshold_spacing_solves(self, capsys, command):
         # The binding threshold sits near 10 or above, where one float spacing
         # exceeds the inner inversions' tol / 10 = 1e-15.

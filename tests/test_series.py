@@ -320,6 +320,40 @@ def test_erasure_rate_near_one_solves_at_the_delivery_rate(scheme, scale):
     assert res.tau_star * scale == pytest.approx(delivery_root(), rel=1e-9)
 
 
+EPS_FLAT = 1.0 - 1e-15
+
+
+@pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+@pytest.mark.parametrize("f_max", [0.5, 1.5])
+@pytest.mark.parametrize("k", [1, 4, 64])
+def test_erasure_rate_within_float_resolution_of_one(k, f_max, scheme):
+    # An epoch of at least k / (1 - eps) lets no threshold lower the sum MSE
+    # by more than about V / (2 theta k / (1 - eps)): 23 and 3.6 float
+    # spacings of its bound V at k = 1 and 4, which still solve, and 0.13 at
+    # k = 64, where the optimum is rounding noise and the solve is refused.
+    procs = tuple(ProcessParams(float(t), 1.0) for t in np.linspace(0.1, 0.5, k))
+    cfg = SystemConfig(k=k, f_max=f_max, mu=1.0, eps=EPS_FLAT, processes=procs)
+    if k == 64:
+        with pytest.raises(InvalidConfig, match=f"eps = {EPS_FLAT!r} leaves the sum MSE flat"):
+            threshold.solve(cfg, scheme)
+        return
+    res = threshold.solve(cfg, scheme)
+    assert 0.0 <= res.tau_star < search_ceiling(cfg)
+    assert res.beta_star <= cfg.total_stationary_variance
+    assert res.binding == (f_max < cfg.mu)
+
+
+@pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+def test_budget_threshold_beyond_unit_float_spacing_solves(scheme):
+    # At f_max = 1e-16 the budget threshold rounds to 1e16, where a margin
+    # of 1 above the budget vanished and the solve blamed the search ceiling.
+    cfg = SystemConfig(k=1, f_max=1e-16, mu=1.0, eps=0.0, processes=(ProcessParams(0.5, 1.0),))
+    res = threshold.solve(cfg, scheme)
+    assert res.binding
+    assert res.tau_star == pytest.approx(1e16, rel=1e-15)
+    assert res.tau_star < search_ceiling(cfg)
+
+
 @pytest.mark.parametrize("k, eps", [(2, 0.9), (64, 0.7)])
 def test_feedback_solve_tables_stay_within_shape(monkeypatch, k, eps):
     # An Erlang(k) law needs Poisson terms 0..k and no more; a series over the
@@ -392,6 +426,30 @@ def test_benchmark_reference_solve(key, cfg, scheme):
     for name, value in got.items():
         assert math.isclose(value, ref[name], rel_tol=BENCH.REL_TOL, abs_tol=BENCH.ABS_TOL), name
     assert res.binding == ref["binding"]
+
+
+@pytest.mark.parametrize("k", BENCH.FULL.wide_ks)
+@pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+def test_binding_solve_evaluates_the_response_once(monkeypatch, k, scheme):
+    # The inversion starts at the budget threshold and stops there: one
+    # response evaluation, on the round transform the first ratio has taken.
+    transforms, responses = [], []
+    real_transform, real_response = series.cycle_transform, threshold._response
+
+    def counting_transform(*args):
+        transforms.append(args[0])
+        return real_transform(*args)
+
+    def counting_response(*args):
+        responses.append(args[0])
+        return real_response(*args)
+
+    monkeypatch.setattr(series, "cycle_transform", counting_transform)
+    monkeypatch.setattr(threshold, "_response", counting_response)
+    res = threshold.solve(BENCH.system(BENCH.wide_procs(k), **BENCH.WIDE_SYSTEM), scheme)
+    assert res.binding
+    assert responses == [res.tau_star]
+    assert len(transforms) <= 1
 
 
 def laplace_exp_service(theta: float, mu: float) -> float:

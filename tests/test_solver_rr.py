@@ -153,9 +153,11 @@ def test_beta_is_the_value_of_the_returned_threshold(two_process_cfg, scheme, f_
     assert res.beta_star == mse_at_tau(res.tau_star, cfg, scheme)
 
 
-@pytest.mark.parametrize("f_max, max_calls", [(0.5, 20), (1.5, 45)])
+@pytest.mark.parametrize("f_max, max_calls", [(0.5, 1), (1.5, 20)])
 def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch, f_max, max_calls):
-    # Halving the threshold bracket took 46 and 136 calls here.
+    # Halving the threshold bracket took 46 and 136 calls here, and Brent's
+    # method on [0, search_ceiling] 14 and 29. The binding solve stops at the
+    # budget threshold, whose transform the first ratio has already taken.
     calls = []
     real = series.cycle_transform
 

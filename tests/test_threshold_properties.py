@@ -107,3 +107,29 @@ def test_inversion_meets_its_stopping_rule_in_few_evaluations(case):
     assert f(lo) <= target <= f(up)
     halvings = math.ceil(math.log2(hi / tol)) + 2
     assert len(calls) <= 2 * halvings
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(case=inversions(), frac=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+def test_inversion_from_a_lower_bracket_end(case, frac):
+    f, target, hi, tol = case
+    lo = hi * frac
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    x = _invert(counted, target, hi, tol, lo=lo)
+    assert calls.count(lo) <= 1 and calls.count(hi) <= 1
+    if f(lo) >= target or lo == hi:
+        assert x == lo
+    elif f(hi) <= target:
+        assert x == hi
+    else:
+        # The crossing lies within tol of x, or within x's own float spacing.
+        down = max(lo, math.nextafter(x - tol, -math.inf))
+        up = min(hi, math.nextafter(x + tol, math.inf))
+        assert lo <= x <= hi and f(down) <= target <= f(up)
+    halvings = math.ceil(math.log2(hi / tol)) + 2
+    assert len(calls) <= 2 * halvings
