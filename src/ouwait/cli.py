@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .sim import simulate
-from .threshold import mse_at_tau, solve
+from .threshold import _mse, _solve, solve
 from .types import (
     ConvergenceError,
     InvalidConfig,
@@ -144,13 +144,14 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
 def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) -> SweepRow:
     cfg = config_at(spec.base, spec.axis, value)
     try:
-        res = solve(cfg, scheme)
+        res, law = _solve(cfg, scheme)
     except (ConvergenceError, InvalidConfig) as exc:
         return SweepRow(
             spec.axis, value, scheme, None, None, None, None, None, None,
             status=f"solver_failed:{type(exc).__name__}",
         )
-    zero_wait = mse_at_tau(0.0, cfg, scheme) if spec.include_zero_wait else None
+    # The solve's own law already holds the zero-wait round transform.
+    zero_wait = _mse(0.0, law) if spec.include_zero_wait else None
     sim_mse = sim_se = None
     status = "ok"
     if spec.sim_validate:

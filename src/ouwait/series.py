@@ -8,6 +8,13 @@ Their terms are read from one table of log factorials (:func:`_counts`), built
 with ``math.lgamma`` and the Stirling series, so the module needs numpy alone.
 A law of shape k needs the terms of counts 0..k, whatever its rate.
 
+:func:`expected_wait` and :func:`cycle_transform` are each assembled from
+three pieces that ``threshold`` also calls directly, so that it can keep them
+per law: the wait with ``P(k, rate tau)`` from one table
+(:func:`_wait_terms`), the threshold-free Laplace columns
+(:func:`_laplace_terms`), and the transform from those two
+(:func:`_transform_terms`).
+
 The names here are internal, and they check none of their inputs:
 ``threshold`` passes a shape and a rate taken from a validated
 ``SystemConfig``, and thresholds in ``[0, search_ceiling]``.
@@ -28,6 +35,9 @@ MAX_SERIES_TERMS = 10**6
 # is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
 # zeros, without the warnings of log 0.
 _TINY = math.ulp(0.0)
+# Columns over the rates of a cycle transform: 2 theta, rate + 2 theta and
+# (rate / (rate + 2 theta))^k.
+_LaplaceTerms = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _log_factorial_table(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -110,13 +120,43 @@ def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
     return np.maximum(1.0 - upper, 0.0)
 
 
+def _wait_terms(tau: float, k: int, rate: float) -> Tuple[float, float]:
+    """The wait E[(tau - Y)+] for an Erlang(k, rate) service Y, and P(Y < tau).
+
+    One table of P(i, rate tau) for shapes 1..k+1 gives both: the wait is
+    ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``, and its entry
+    ``P(k, rate tau)`` is also the wait's slope in tau.
+    """
+    if tau == 0.0:
+        return 0.0, 0.0
+    g = _gamma_lower_table(rate * tau, k + 1)
+    return max(float(tau * g[k - 1] - (k / rate) * g[k]), 0.0), float(g[k - 1])
+
+
 def expected_wait(tau: float, k: int, rate: float) -> float:
     """Expected threshold wait E[(tau - Y)+] for an Erlang(k, rate) service Y:
     ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``."""
+    return _wait_terms(tau, k, rate)[0]
+
+
+def _laplace_terms(thetas: ArrayLike, k: int, rate: float) -> _LaplaceTerms:
+    """The threshold-free columns of the cycle transform, one row per rate in
+    ``thetas``: ``2 theta``, ``rate + 2 theta`` and ``(rate / (rate + 2 theta))^k``."""
+    a = 2.0 * np.asarray(thetas, dtype=float)[..., None]
+    shifted = a + rate
+    return a, shifted, np.exp(k * np.log(rate / shifted))
+
+
+def _transform_terms(tau: float, p_rate: float, laplace: _LaplaceTerms, k: int) -> np.ndarray:
+    """The cycle transform from ``p_rate = P(k, rate tau)`` and :func:`_laplace_terms`."""
+    a, shifted, lap_pow = laplace
     if tau == 0.0:
-        return 0.0
-    g = _gamma_lower_table(rate * tau, k + 1)
-    return max(float(tau * g[k - 1] - (k / rate) * g[k]), 0.0)
+        # No wait: the Laplace transform of the service alone.
+        return lap_pow[..., 0]
+    # The upper tail at the shifted rate is the Poisson cumulative itself:
+    # evaluating it directly avoids the 1 - (1 - tiny) cancellation.
+    q_shift = np.minimum(_poisson_pmf(shifted * tau, k - 1).cumsum(axis=-1)[..., -1:], 1.0)
+    return (np.exp(-a * tau) * p_rate + lap_pow * q_shift)[..., 0]
 
 
 def cycle_transform(tau: float, thetas: ArrayLike, k: int, rate: float) -> np.ndarray:
@@ -127,14 +167,5 @@ def cycle_transform(tau: float, thetas: ArrayLike, k: int, rate: float) -> np.nd
     Q(k, (rate + 2 theta) tau)``. One Poisson table over (theta, count) serves
     all rates at once; the result has the shape of ``thetas``.
     """
-    a = 2.0 * np.asarray(thetas, dtype=float)[..., None]
-    shifted = a + rate
-    lap_pow = np.exp(k * np.log(rate / shifted))
-    if tau == 0.0:
-        # No wait: the Laplace transform of the service alone.
-        return lap_pow[..., 0]
-    p_rate = _gamma_lower_table(rate * tau, k)[-1]
-    # The upper tail at the shifted rate is the Poisson cumulative itself:
-    # evaluating it directly avoids the 1 - (1 - tiny) cancellation.
-    q_shift = np.minimum(_poisson_pmf(shifted * tau, k - 1).cumsum(axis=-1)[..., -1:], 1.0)
-    return (np.exp(-a * tau) * p_rate + lap_pow * q_shift)[..., 0]
+    p_rate = _wait_terms(tau, k, rate)[1]
+    return _transform_terms(tau, p_rate, _laplace_terms(thetas, k, rate), k)

@@ -29,22 +29,34 @@ thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
 raised to the budget threshold where it falls short of it. Starting from the
 ratio at the budget threshold, each step sets ``beta`` to the ratio at
 ``tau(beta)``; beta never increases, and the iteration stops once a step moves
-it by at most ``tol``. Each inversion runs Brent's method on a bracket the
-solve already holds, and returns a point within ``tol / 10`` of the crossing,
-or within one float spacing of it when that spacing is wider:
+it by at most ``tol``. Each inversion runs on a bracket the solve already
+holds, and returns a point within ``tol / 10`` of the crossing, or within one
+float spacing of it when that spacing is wider:
 
 - the epoch mean at the budget ``B``, on ``[max(0, B(1-r) - k/rate), B(1-r)]``,
-  since ``E[max(tau, Y)]`` lies in ``[tau, tau + k/rate]`` for a round Y;
-- the response at beta, on ``[tau_b, hi]``, where ``hi`` is the search
-  ceiling at the first step and then the threshold the previous step
-  returned: beta never rises, so neither does tau(beta). A binding solve
-  stops after one response evaluation, at ``tau_b``.
+  since ``E[max(tau, Y)]`` lies in ``[tau, tau + k/rate]`` for a round Y, by
+  Newton's method (:func:`_newton`). The epoch mean is convex and increasing
+  in tau, with slope ``P(k, rate tau) / (1 - r)``, so the iterates started at
+  the upper end fall monotonically onto the crossing. A halving step toward
+  the lower end replaces any step that would leave the bracket or that a
+  slope underflowed to 0 would make infinite, and the iteration stops once a
+  step is at most ``tol / 10`` or one float spacing;
+- the response at beta, on ``[tau_b, hi]``, by Brent's method, where ``hi``
+  is the search ceiling at the first step and then the threshold the
+  previous step returned: beta never rises, so neither does tau(beta). A
+  binding solve stops after one response evaluation, at ``tau_b``.
+
+One Poisson table per threshold serves the epoch mean, its slope and the
+``P(k, rate tau)`` term of the round transform: the law keeps each
+threshold's wait, round transform and ratio, so no threshold is evaluated
+twice in one solve.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -61,17 +73,25 @@ MAX_STEPS = 200
 MAX_ITERS = 50
 
 
-class _Law(NamedTuple):
-    """An epoch's service law and the per-process constants the solver reuses."""
+@dataclass(frozen=True)
+class _Law:
+    """An epoch's service law and the per-process constants the solver reuses.
+
+    The fields after ``lap`` follow from those before it, so laws compare by
+    the first six alone.
+    """
 
     k: int  # shape of one round's Erlang service
     rate: float  # rate of one round's Erlang service
     r: float  # probability that a round ends without a delivery
     var: Tuple[float, ...]  # stationary variances
-    thetas: Tuple[float, ...]
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
-    rounds: Dict[float, np.ndarray]  # round transforms L by threshold
+    laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free columns
+    # Each threshold's round wait and its slope P(k, rate tau), from one table.
+    waits: Dict[float, Tuple[float, float]] = field(default_factory=dict, compare=False)
+    rounds: Dict[float, np.ndarray] = field(default_factory=dict, compare=False)  # L by threshold
+    ratios: Dict[float, float] = field(default_factory=dict, compare=False)  # sum MSE by threshold
 
 
 def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
@@ -89,20 +109,28 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
     else:
         rate, r = cfg.mu, cfg.eps
     procs = cfg.processes
+    thetas = tuple(p.theta for p in procs)
     return _Law(
         k=cfg.k,
         rate=rate,
         r=r,
         var=tuple(p.stationary_variance for p in procs),
-        thetas=tuple(p.theta for p in procs),
-        two_theta=tuple(2.0 * p.theta for p in procs),
-        lap=tuple(cfg.mu / (cfg.mu + 2.0 * p.theta) for p in procs),
-        rounds={},
+        two_theta=tuple(2.0 * t for t in thetas),
+        lap=tuple(cfg.mu / (cfg.mu + 2.0 * t) for t in thetas),
+        laplace=series._laplace_terms(thetas, cfg.k, rate),
     )
 
 
+def _wait(tau: float, law: _Law) -> Tuple[float, float]:
+    """A round's wait E[(tau - Y)+] and its slope P(Y < tau), computed once per
+    threshold and law: the epoch mean, its slope and the round transform share them."""
+    if tau not in law.waits:
+        law.waits[tau] = series._wait_terms(tau, law.k, law.rate)
+    return law.waits[tau]
+
+
 def _epoch_mean(tau: float, law: _Law) -> float:
-    return (series.expected_wait(tau, law.k, law.rate) + law.k / law.rate) / (1.0 - law.r)
+    return (_wait(tau, law)[0] + law.k / law.rate) / (1.0 - law.r)
 
 
 def _check_tau(tau: float) -> None:
@@ -121,7 +149,7 @@ def _round_transform(tau: float, law: _Law) -> np.ndarray:
     """Transform L of one round at every rate, computed once per threshold and law:
     a solve revisits each inversion's bracket ends, and the ratio where one stopped."""
     if tau not in law.rounds:
-        law.rounds[tau] = series.cycle_transform(tau, law.thetas, law.k, law.rate)
+        law.rounds[tau] = series._transform_terms(tau, _wait(tau, law)[1], law.laplace, law.k)
     return law.rounds[tau]
 
 
@@ -162,11 +190,20 @@ def _ratio_terms(tau: float, law: _Law) -> Tuple[float, float]:
     return numerator, eg
 
 
+def _mse(tau: float, law: _Law) -> float:
+    """The ratio at ``tau``, computed once per threshold and law: a binding
+    solve returns the threshold its first ratio took, and a sweep's zero-wait
+    column reads the ratio at 0 from the solve's law."""
+    if tau not in law.ratios:
+        numerator, eg = _ratio_terms(tau, law)
+        law.ratios[tau] = numerator / eg
+    return law.ratios[tau]
+
+
 def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Long-term average sum MSE achieved by threshold ``tau``."""
     _check_tau(tau)
-    numerator, eg = _ratio_terms(tau, _law(cfg, scheme))
-    return numerator / eg
+    return _mse(tau, _law(cfg, scheme))
 
 
 def _budget(cfg: SystemConfig) -> float:
@@ -258,6 +295,56 @@ def _invert(
     )
 
 
+def _newton(
+    f: Callable[[float], Tuple[float, float]], target: float, hi: float, tol: float, *, lo: float
+) -> float:
+    """Invert the convex nondecreasing ``f`` at ``target`` on ``[lo, hi]`` by
+    Newton's method from ``hi``; ``f`` returns its value and its slope.
+
+    The tangent of a convex function lies below it, so from above the
+    crossing each Newton step lands at or above the crossing again, and the
+    iterates fall monotonically onto it. Every evaluation moves an end of the
+    bracket ``[lo, hi]`` to the point evaluated. A step that would leave that
+    bracket, or that a slope underflowed to 0 would make infinite, is
+    replaced by a halving step. The iteration stops once a step is at most
+    ``tol`` or one float spacing and returns the point it reached: a halving
+    step that short leaves the crossing within it, and so does a Newton step,
+    whose error after the step is quadratic in its length.
+    """
+    t = hi
+    for _ in range(MAX_STEPS):
+        value, slope = f(t)
+        excess = value - target
+        if excess == 0.0:
+            return t
+        if excess > 0.0:
+            hi = t
+        else:
+            lo = t
+        nxt = t - excess / slope if slope > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= max(tol, math.ulp(t)):
+            return nxt
+        t = nxt
+    raise ConvergenceError(f"Newton's method did not settle within {tol} in {MAX_STEPS} steps")
+
+
+def _budget_threshold(cfg: SystemConfig, law: _Law, tol: float) -> float:
+    """The threshold whose epoch mean meets the budget, within ``tol``: Newton's
+    method on the bracket and with the slope the module docstring gives."""
+    budget = _budget(cfg)
+    top = budget * (1.0 - law.r)
+    lo = max(0.0, top - law.k / law.rate)
+    if lo == 0.0 and _epoch_mean(0.0, law) >= budget:
+        # An f_max within rounding of mu: zero wait already meets the budget,
+        # and at tau = 0 the epoch mean costs no table.
+        return 0.0
+    return _newton(
+        lambda t: (_epoch_mean(t, law), _wait(t, law)[1] / (1.0 - law.r)), budget, top, tol, lo=lo
+    )
+
+
 def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     """Optimal threshold and minimum sum MSE of ``scheme`` by Dinkelbach's iteration.
 
@@ -275,6 +362,11 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     ``tol``, ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum
     otherwise reaches the search ceiling.
     """
+    return _solve(cfg, scheme, tol)[0]
+
+
+def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveResult, _Law]:
+    """:func:`solve`, and the law it evaluated, whose memos later ratios reuse."""
     beta_hi = cfg.total_stationary_variance
     min_tol = TOL_ULPS * math.ulp(beta_hi)
     if not (math.isfinite(tol) and tol >= min_tol):
@@ -286,22 +378,15 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     ceiling = search_ceiling(cfg)
     inner_tol = tol / 10.0
 
-    tau_b = 0.0
-    if cfg.f_max < cfg.mu:
-        top = _budget(cfg) * (1.0 - law.r)
-        tau_b = _invert(
-            lambda t: _epoch_mean(t, law), _budget(cfg), top, inner_tol,
-            lo=max(0.0, top - law.k / law.rate),
-        )
+    tau_b = _budget_threshold(cfg, law, inner_tol) if cfg.f_max < cfg.mu else 0.0
 
-    numerator, eg = _ratio_terms(tau_b, law)
-    beta = numerator / eg
+    beta = _mse(tau_b, law)
     tau = ceiling
     for iters in range(1, MAX_ITERS + 1):
         tau = _invert(lambda x: _response(x, law), beta, tau, inner_tol, lo=tau_b)
-        numerator, eg = _ratio_terms(tau, law)
-        step = numerator / eg - beta
-        beta = numerator / eg
+        ratio = _mse(tau, law)
+        step = ratio - beta
+        beta = ratio
         if step > tol:
             raise ConvergenceError(f"Dinkelbach step raised beta by {step} at iteration {iters}")
         if abs(step) <= tol:
@@ -326,7 +411,7 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
         binding=tau_b > 0.0 and tau == tau_b,
         outer_iters=iters,
         achieved_tol=abs(step),
-    )
+    ), law
 
 
 def solve_maf(cfg: SystemConfig, tol: float = 1e-9) -> SolveResult:

@@ -4,11 +4,13 @@ import math
 import os
 import time
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import ouwait.cli as cli
+import ouwait.series as series
 from ouwait import (
     Axis,
     ConfigFormatError,
@@ -18,6 +20,7 @@ from ouwait import (
     Scheme,
     SweepSpec,
     SystemConfig,
+    mse_at_tau,
     read_config,
     run_sweep,
     write_config,
@@ -85,7 +88,7 @@ class TestSweepSpec:
         with pytest.raises(InvalidConfig, match=f"{axis} grid value"):
             spec_eps(base=base, axis=Axis(axis), grid=tuple(float(v) for v in grid.split(",")))
         calls = []
-        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **kw: calls.append(a))
         path = tmp_path / "sweep.cfg"
         path.write_text(
             "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\n"
@@ -150,9 +153,41 @@ class TestRunSweep:
         assert row.zero_wait_mse is not None and row.zero_wait_mse >= row.beta_star - 1e-9
         assert row.sim_mse is not None and row.sim_stderr is not None
 
+    @pytest.mark.parametrize("f_max", [1.5, 0.5], ids=["slack", "binding"])
+    def test_zero_wait_column_reuses_the_solve_law(self, monkeypatch, f_max):
+        # The zero-wait ratio reads the round transform at tau = 0 from the
+        # law the solve built: it adds no Poisson table and no Laplace powers.
+        # Rebuilding the law took 300 round transforms against 262 at f_max 1.5.
+        calls = Counter()
+        for name in ("_poisson_pmf", "_laplace_terms", "_transform_terms"):
+            real = getattr(series, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(series, name, counting)
+        grid = tuple(round(0.05 * i, 2) for i in range(19))
+        counts = []
+        for include in (False, True):
+            calls.clear()
+            spec = spec_eps(base=replace(BASE, f_max=f_max), grid=grid,
+                            schemes=(Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK),
+                            include_zero_wait=include)
+            rows = run_sweep(spec)
+            counts.append(dict(calls))
+        assert counts[1]["_poisson_pmf"] == counts[0]["_poisson_pmf"]
+        assert counts[1]["_laplace_terms"] == counts[0]["_laplace_terms"] == len(rows)
+        if f_max >= BASE.mu:
+            # tau_b = 0: the solve's first ratio took the transform at 0 already.
+            assert counts[1]["_transform_terms"] == counts[0]["_transform_terms"]
+        for row in rows:
+            cfg = cli.config_at(spec.base, spec.axis, row.value)
+            assert row.zero_wait_mse == mse_at_tau(0.0, cfg, row.scheme)
+
     def test_solver_failure_is_row_local(self, monkeypatch):
         calls = {"n": 0}
-        real = cli.solve
+        real = cli._solve
 
         def flaky(cfg, *a, **kw):
             calls["n"] += 1
@@ -160,7 +195,7 @@ class TestRunSweep:
                 raise ConvergenceError("forced")
             return real(cfg, *a, **kw)
 
-        monkeypatch.setattr(cli, "solve", flaky)
+        monkeypatch.setattr(cli, "_solve", flaky)
         rows = run_sweep(spec_eps())
         assert [r.status for r in rows] == ["ok", "solver_failed:ConvergenceError", "ok"]
         assert rows[1].tau_star is None
@@ -198,7 +233,7 @@ class TestCsv:
 
     def test_no_nan_cells_and_sentinel_status(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
+            cli, "_solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
         )
         path = os.fspath(tmp_path / "fail.csv")
         write_csv(run_sweep(spec_eps(grid=(0.1,))), path)
@@ -354,7 +389,7 @@ class TestMain:
 
     def test_failed_grid_point_sets_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            cli, "solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
+            cli, "_solve", lambda *a, **kw: (_ for _ in ()).throw(ConvergenceError("x"))
         )
         cfg = tmp_path / "s.cfg"
         write_config(spec_eps(grid=(0.1,)), os.fspath(cfg))
@@ -420,7 +455,7 @@ class TestMain:
 
     def test_out_in_missing_directory_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **kw: calls.append(a))
         cfg = tmp_path / "s.cfg"
         write_config(spec_eps(), os.fspath(cfg))
         out = os.fspath(tmp_path / "no-dir" / "rows.csv")

@@ -434,7 +434,7 @@ def test_binding_solve_evaluates_the_response_once(monkeypatch, k, scheme):
     # The inversion starts at the budget threshold and stops there: one
     # response evaluation, on the round transform the first ratio has taken.
     transforms, responses = [], []
-    real_transform, real_response = series.cycle_transform, threshold._response
+    real_transform, real_response = series._transform_terms, threshold._response
 
     def counting_transform(*args):
         transforms.append(args[0])
@@ -444,12 +444,132 @@ def test_binding_solve_evaluates_the_response_once(monkeypatch, k, scheme):
         responses.append(args[0])
         return real_response(*args)
 
-    monkeypatch.setattr(series, "cycle_transform", counting_transform)
+    monkeypatch.setattr(series, "_transform_terms", counting_transform)
     monkeypatch.setattr(threshold, "_response", counting_response)
     res = threshold.solve(BENCH.system(BENCH.wide_procs(k), **BENCH.WIDE_SYSTEM), scheme)
     assert res.binding
     assert responses == [res.tau_star]
     assert len(transforms) <= 1
+
+
+# Poisson tables of the six wide binding solves by (k, scheme): Brent's method
+# on the budget bracket, with the wait and the round transform each building
+# their own table, took 10, 9 and 8 for k = 4, 16 and 64 under both schemes.
+WIDE_TABLES = {(4, MAF): 5, (4, RR): 5, (16, MAF): 5, (16, RR): 4, (64, MAF): 3, (64, RR): 3}
+
+
+@pytest.mark.parametrize("k", BENCH.FULL.wide_ks)
+@pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+def test_wide_binding_solve_poisson_tables(monkeypatch, k, scheme):
+    # One table per threshold serves the epoch mean, its slope and P(k, rate
+    # tau) in the round transform; the shifted-rate table is the only other.
+    calls = []
+    real = series._poisson_pmf
+
+    def counting(x, n_max):
+        calls.append(n_max)
+        return real(x, n_max)
+
+    monkeypatch.setattr(series, "_poisson_pmf", counting)
+    assert threshold.solve(BENCH.system(BENCH.wide_procs(k), **BENCH.WIDE_SYSTEM), scheme).binding
+    assert len(calls) == WIDE_TABLES[k, scheme]
+
+
+@pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+def test_solver_round_terms_equal_the_series_formulas(scheme):
+    # The solver's memoized wait and round transform are the tested formulas,
+    # bit for bit, on the thresholds it evaluates and on a grid.
+    cfg = system(PROCS, 0.3)
+    law = _law(cfg, scheme)
+    thetas = [p.theta for p in PROCS]
+    for tau in [0.0, 5e-324, 1e-9, *np.linspace(0.01, 40.0, 57)]:
+        tau = float(tau)
+        L = threshold._round_transform(tau, law)
+        assert np.array_equal(L, cycle_transform(tau, thetas, law.k, law.rate))
+        assert threshold._wait(tau, law)[0] == expected_wait(tau, law.k, law.rate)
+        assert epoch_mean(tau, cfg, scheme) == threshold._epoch_mean(tau, law)
+
+
+# The budget-threshold grid: shapes, erasure rates and budgets from the
+# unbinding edge (f_max just under mu) to a budget threshold near 1e24.
+NEWTON_KS = (1, 4, 64)
+NEWTON_EPS = (0.0, 0.5, 0.999999)
+NEWTON_FMAX = (1e-16, 0.5, 0.95, 1.0 - 1e-9)
+
+
+class TestNewtonBudgetThreshold:
+    @pytest.mark.parametrize("f_max", NEWTON_FMAX)
+    @pytest.mark.parametrize("eps", NEWTON_EPS)
+    @pytest.mark.parametrize("k", NEWTON_KS)
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_against_brentq(self, scheme, k, eps, f_max):
+        tol = 1e-10  # the inversions' tolerance at the default solve tolerance
+        procs = tuple(ProcessParams(float(t), 1.0) for t in np.linspace(0.1, 0.5, k))
+        cfg = SystemConfig(k=k, f_max=f_max, mu=1.0, eps=eps, processes=procs)
+        law = _law(cfg, scheme)
+        budget = threshold._budget(cfg)
+        top = budget * (1.0 - law.r)
+        lo = max(0.0, top - law.k / law.rate)
+        tau_b = threshold._budget_threshold(cfg, law, tol)
+
+        def excess(t):
+            return epoch_mean(t, cfg, scheme) - budget
+
+        if excess(top) <= 0.0:
+            root = top
+        elif excess(lo) >= 0.0:
+            root = lo
+        else:
+            root = brentq(excess, lo, top, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        assert lo <= tau_b <= top
+        if abs(tau_b - root) > max(tol, math.ulp(tau_b)):
+            # Where the slope P(k, rate tau) is small, as at f_max = 1 - 1e-9,
+            # the computed epoch mean stays within its rounding error of the
+            # budget over an interval wider than tol: each of its k + 1
+            # Poisson terms is good to about one float spacing of 1, scaled
+            # by at most tau + k/rate. That interval is the crossing, and both
+            # roots must lie in it.
+            noise = (k + 1) * np.finfo(float).eps * (top + law.k / law.rate) / (1.0 - law.r)
+            between = np.linspace(min(tau_b, root), max(tau_b, root), 41)
+            assert max(abs(excess(float(t))) for t in between) <= noise
+
+    def test_zero_slope_takes_halving_steps(self):
+        # Convex and flat at 1 on [0, 1]: the target 1/2 lies below the whole
+        # bracket, so the Newton steps overshoot the lower end and then meet
+        # a slope of 0. Each must halve the bracket instead of stepping to inf.
+        points = []
+
+        def f(t):
+            points.append(t)
+            excess = max(t - 1.0, 0.0)
+            return 1.0 + excess * excess, 2.0 * excess
+
+        tol = 1e-10
+        t = threshold._newton(f, 0.5, 3.0, tol, lo=0.0)
+        assert 0.0 <= t <= tol
+        assert all(0.0 <= x <= 3.0 for x in points)
+        flat = [i for i, x in enumerate(points) if x < 1.0]
+        assert flat and flat == list(range(flat[0], len(points)))
+        # The first flat point halves the bracket [0, 1.15...] the overshooting
+        # step would have left; every later one halves its predecessor.
+        assert all(points[i + 1] == 0.5 * points[i] for i in flat[:-1])
+
+    def test_quadratic_convergence_from_above(self):
+        points = []
+
+        def f(t):
+            points.append(t)
+            return math.exp(t), math.exp(t)
+
+        t = threshold._newton(f, math.e, 3.0, 1e-12, lo=0.0)
+        assert t == pytest.approx(1.0, abs=1e-12)
+        assert all(b < a for a, b in zip(points, points[1:]))
+        assert len(points) <= 8
+
+    def test_step_limit_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(threshold, "MAX_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            threshold._newton(lambda t: (math.exp(t), math.exp(t)), math.e, 3.0, 1e-12, lo=0.0)
 
 
 def laplace_exp_service(theta: float, mu: float) -> float:

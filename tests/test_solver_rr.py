@@ -159,13 +159,13 @@ def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch
     # method on [0, search_ceiling] 14 and 29. The binding solve stops at the
     # budget threshold, whose transform the first ratio has already taken.
     calls = []
-    real = series.cycle_transform
+    real = series._transform_terms
 
     def counting(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(series, "cycle_transform", counting)
+    monkeypatch.setattr(series, "_transform_terms", counting)
     solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
     assert 0 < len(calls) <= max_calls
     # Each threshold's round transform is computed once per solve.
