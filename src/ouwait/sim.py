@@ -19,8 +19,10 @@ differ only in what a slot is, which :func:`_draw_slots` alone decides:
 - Blind round robin: a slot is one fresh sample; erasures are discovered only
   at the receiver, so a process's epoch spans a geometric number of rounds.
 
-At zero erasure rate both draws consume the service stream identically, so
-the two schemes simulate the same system sample for sample.
+At zero erasure rate every slot is one sample that gets through, and both
+schemes take the same single draw of the service stream, so they simulate
+the same system sample for sample. The erasure substream is drawn only when
+the erasure rate is positive.
 
 A process's age resets at each of its deliveries to the delivering attempt's
 own service time (samples are stamped when generated). The first wait's
@@ -82,11 +84,7 @@ def _streams(seed: int) -> List[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(3)
 
 
-def _wait_fractions(cfg: SystemConfig, wait_split: Optional[Sequence[float]]) -> np.ndarray:
-    if wait_split is None:
-        f = np.zeros(cfg.k)
-        f[0] = 1.0
-        return f
+def _wait_fractions(cfg: SystemConfig, wait_split: Sequence[float]) -> np.ndarray:
     f = np.asarray(wait_split, dtype=float)
     # Written so that a nan fails every comparison and is rejected.
     if f.shape != (cfg.k,) or not (np.all(f >= 0) and abs(f.sum() - 1.0) <= 1e-9):
@@ -139,17 +137,23 @@ def _draw_slots(
     Returns each slot's service, the service of its last sample, whether that
     sample was delivered, the samples drawn per slot, and each round's count
     in the trace's ``m_total``: transmissions with feedback, one without.
+
+    Without feedback, and with feedback at zero erasure rate, a slot is one
+    sample: one draw of ``(r, k)`` services gives every slot, and the erasure
+    substream is drawn only when the erasure rate is positive. A feedback
+    burst of one attempt would draw the same services in the same order.
     """
     shape = (r, cfg.k)
-    if scheme is Scheme.RR_NO_FEEDBACK:
+    if scheme is Scheme.RR_NO_FEEDBACK or cfg.eps == 0.0:
         services = service_rng.exponential(1.0 / cfg.mu, size=shape)
-        delivered = erasure_rng.random(size=shape) >= cfg.eps
+        if cfg.eps > 0.0:
+            delivered = erasure_rng.random(size=shape) >= cfg.eps
+        else:
+            delivered = np.broadcast_to(True, shape)
         one = np.int64(1)
-        return services, services, delivered, np.broadcast_to(one, shape), np.broadcast_to(one, r)
-    if cfg.eps > 0.0:
-        attempts = erasure_rng.geometric(1.0 - cfg.eps, size=shape)
-    else:
-        attempts = np.ones(shape, dtype=np.int64)
+        m = one if scheme is Scheme.RR_NO_FEEDBACK else np.int64(cfg.k)
+        return services, services, delivered, np.broadcast_to(one, shape), np.broadcast_to(m, r)
+    attempts = erasure_rng.geometric(1.0 - cfg.eps, size=shape)
     if attempts.max() > ATTEMPT_CAP:
         raise ConvergenceError(f"attempt cap {ATTEMPT_CAP} exceeded in one burst")
     flat = attempts.ravel()
@@ -186,7 +190,8 @@ def _rounds(
     service_ss, erasure_ss, _ = _streams(seed)
     service_rng = np.random.default_rng(service_ss)
     erasure_rng = np.random.default_rng(erasure_ss)
-    fracs = np.cumsum(_wait_fractions(cfg, wait_split))
+    # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
+    fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
     short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
     # An infinite previous service total gives the unmeasured round no wait.
     prev_total, clock, skip = math.inf, 0.0, 1
@@ -214,8 +219,12 @@ def _rounds(
         waits = np.maximum(tau - np.concatenate(([prev_total], totals[:-1])), 0.0)
         starts = np.cumsum(np.concatenate(([clock], waits + totals)))
         # Slot k ends after the round start, the wait fractions released so
-        # far, and the service of slots 1..k.
-        ends = starts[:-1, None] + fracs[None, :] * waits[:, None] + served
+        # far, and the service of slots 1..k. With the whole wait up front
+        # every fraction would be 1.0: the sum is the same without the product.
+        if fracs is None:
+            ends = (starts[:-1] + waits)[:, None] + served
+        else:
+            ends = starts[:-1, None] + fracs[None, :] * waits[:, None] + served
         prev_total, clock = totals[-1], starts[-1]
         # Column by column: a reduction down the long axis of a (rounds, k)
         # array is an order of magnitude slower.
@@ -357,7 +366,12 @@ class _Window:
         lo = hits[opens] + 1 if self.first is None else 0
         hi = hits[-1] + 1 if self.done else len(rounds.wait)
         self.samples += int(rounds.samples[lo:hi, k].sum())
-        win = hits[opens:]
+        # Where every row from the first delivers (always with feedback), the
+        # window's rows are a slice.
+        if len(hits) == 0 or hits[-1] == len(hits) - 1:
+            win = slice(opens, len(hits))
+        else:
+            win = hits[opens:]
         d, s = rounds.ends[win, k], rounds.stamps[win, k]
         if self.first is None:
             self.first = d[0]

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,13 +94,16 @@ class _Law:
     ratios: Dict[float, float] = field(default_factory=dict, compare=False)  # sum MSE by threshold
 
 
-def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
+def _law(
+    cfg: SystemConfig, scheme: Scheme, var: Optional[Tuple[float, ...]] = None
+) -> _Law:
     """The only place the scheme enters: the law of one epoch's service.
 
     An epoch is a geometric(1 - r) number of rounds, each served by an
     Erlang(k, rate) law. With feedback the retries absorb the erasures into
     the rate, mu (1 - eps), so the one round always delivers (r = 0); without
     feedback every round is Erlang(k, mu) and delivers with probability 1 - eps.
+    ``var`` passes in the stationary variances where the caller already has them.
     """
     if not isinstance(scheme, Scheme):
         raise InvalidConfig(f"scheme must be a Scheme, got {scheme!r}")
@@ -114,7 +117,7 @@ def _law(cfg: SystemConfig, scheme: Scheme) -> _Law:
         k=cfg.k,
         rate=rate,
         r=r,
-        var=tuple(p.stationary_variance for p in procs),
+        var=tuple(p.stationary_variance for p in procs) if var is None else var,
         two_theta=tuple(2.0 * t for t in thetas),
         lap=tuple(cfg.mu / (cfg.mu + 2.0 * t) for t in thetas),
         laplace=series._laplace_terms(thetas, cfg.k, rate),
@@ -367,14 +370,16 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
 
 def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveResult, _Law]:
     """:func:`solve`, and the law it evaluated, whose memos later ratios reuse."""
-    beta_hi = cfg.total_stationary_variance
+    # Each variance once, for the tol guard ahead of any series work and for the law.
+    var = tuple(p.stationary_variance for p in cfg.processes)
+    beta_hi = sum(var)
     min_tol = TOL_ULPS * math.ulp(beta_hi)
     if not (math.isfinite(tol) and tol >= min_tol):
         raise InvalidConfig(
             f"tol must be finite and at least {min_tol:.3g}, {TOL_ULPS} float spacings "
             f"of the variance bound {beta_hi:.6g}; got {tol}"
         )
-    law = _law(cfg, scheme)
+    law = _law(cfg, scheme, var)
     ceiling = search_ceiling(cfg)
     inner_tol = tol / 10.0
 

@@ -410,8 +410,14 @@ def _rss_growth_mb(body: str) -> float:
 class TestStreaming:
     @pytest.mark.parametrize(
         "scheme, tau, split, eps",
-        [(MAF, 1.6, (0.5, 0.5), 0.3), (RR, 0.7, (0.25, 0.75), 0.3), (MAF, 1.6, (0.5, 0.5), 0.9)],
-        ids=["maf", "rr", "maf-eps-0.9"],
+        [
+            (MAF, 1.6, (0.5, 0.5), 0.3),
+            (RR, 0.7, (0.25, 0.75), 0.3),
+            (MAF, 1.6, (0.5, 0.5), 0.9),
+            (MAF, 1.6, None, 0.0),
+            (RR, 0.7, None, 0.3),
+        ],
+        ids=["maf", "rr", "maf-eps-0.9", "maf-eps-0-nosplit", "rr-nosplit"],
     )
     def test_statistics_and_trace_invariant_to_chunk_size(
         self, two_process_cfg, tmp_path, monkeypatch, scheme, tau, split, eps
@@ -419,7 +425,9 @@ class TestStreaming:
         # Chunks of 5 rounds split every batch, burn-in, OU step and trace
         # epoch; the results must not change in any bit. At eps = 0.9 a
         # feedback chunk holds at most 2 (1 - eps) CHUNK_ROUNDS rounds, one
-        # round when CHUNK_ROUNDS is 5.
+        # round when CHUNK_ROUNDS is 5. Without a split, slot ends skip the
+        # fraction product, and where every row delivers (feedback) the
+        # window reads its deliveries by slice, cut at burn-in and batch edges.
         cfg = replace(two_process_cfg, eps=eps)
         runs = []
         for chunk in (5, 1000, sim.CHUNK_ROUNDS):
@@ -509,6 +517,9 @@ class TestPinnedEngine:
     # sha256 of whole 5000-epoch trace files, taken from the per-cell
     # formatter that the one-format-per-record writer replaced. The k=3 rr
     # case has empty cells; the last case is it again in chunks of 5 rounds.
+    # The eps = 0 feedback pair was taken when such a slot was still drawn as
+    # a one-attempt retry burst; its explicit split puts the whole wait up
+    # front like the default, through the general slot-end formula.
     TRACE_SHA256 = {
         "maf-k2": (2, 0.3, MAF, 1.6, None, 61, None,
                    "29984daaf91b7077a85a2befa3151e1a28e08dd7d663da81f57c08343839734e"),
@@ -516,6 +527,10 @@ class TestPinnedEngine:
                         "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
         "rr-k1-eps0": (1, 0.0, RR, 1.3, None, 63, None,
                        "64b4a22937ed5f580992507d9316fe17e74afde326c24e16487e0da415ee8007"),
+        "maf-k2-eps0": (2, 0.0, MAF, 1.6, None, 64, None,
+                        "0285de89ba5911fd133dc5bdd2885772f32b8ea41cd3b61b528ddcb064f3494d"),
+        "maf-k2-eps0-split": (2, 0.0, MAF, 1.6, (1.0, 0.0), 64, None,
+                              "0285de89ba5911fd133dc5bdd2885772f32b8ea41cd3b61b528ddcb064f3494d"),
         "rr-k3-split-chunk5": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, 5,
                                "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
     }
