@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import enum
 import errno
+import inspect
 import math
 import os
 import sys
@@ -216,14 +217,19 @@ def write_csv(rows: Sequence[SweepRow], path: str) -> None:
         raise
 
 
+class _BadValue(argparse.ArgumentTypeError, ValueError):
+    """A value a parser refuses: argparse reports it under its flag, and
+    :func:`read_config` under its line and key."""
+
+
 def _parser(cast, what: str):
-    """A config value parser: ``cast``, failing with ``what`` and the value."""
+    """A config key's or flag's value parser: ``cast``, failing with ``what`` and the value."""
 
     def parse(raw: str):
         try:
             return cast(raw)
         except (KeyError, ValueError):
-            raise ValueError(f"{what} {raw!r}")
+            raise _BadValue(f"{what} {raw!r}")
 
     return parse
 
@@ -333,30 +339,27 @@ def write_config(spec: SweepSpec, path: str) -> None:
         fh.write("".join(f"{key} = {_config_text(values[key])}\n" for key in _CONFIG_KEYS))
 
 
+# Every option, by flag. A subcommand registers only the flags it reads, so a
+# flag it ignores is a usage error; the system flags parse as their config keys.
 _FLAGS = {
-    "k": dict(type=int, help="number of processes"),
-    "mu": dict(type=float, help="service rate"),
-    "eps": dict(type=float, help="erasure probability"),
-    "fmax": dict(type=float, help="total sampling frequency budget"),
-    "theta": dict(type=str, help="comma-separated reversion rates"),
-    "sigma_sq": dict(type=str, help="comma-separated squared amplitudes"),
-    "tol": dict(type=float, default=None, help="solver tolerance (default 1e-9)"),
-    "epochs": dict(type=int, default=100_000, help="simulation epochs (default 100000)"),
-    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-    "burn_in": dict(type=int, default=None,
-                    help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
-    "out": dict(type=str, default=None, help="output CSV path"),
+    "--scheme": dict(type=_scheme, required=True, help="maf (feedback) or rr (no feedback)"),
+    "--k": dict(type=_int, required=True, help="number of processes"),
+    "--mu": dict(type=_float, required=True, help="service rate"),
+    "--eps": dict(type=_float, required=True, help="erasure probability"),
+    "--fmax": dict(type=_float, required=True, help="total sampling frequency budget"),
+    "--theta": dict(type=_floats, required=True, help="comma-separated reversion rates"),
+    "--sigma-sq": dict(type=_floats, required=True, help="comma-separated squared amplitudes"),
+    "--tol": dict(type=float, default=inspect.signature(solve).parameters["tol"].default,
+                  help="solver tolerance (default %(default)g)"),
+    "--tau": dict(type=float, default=None, help="threshold (defaults to the solver's optimum)"),
+    "--epochs": dict(type=int, default=100_000, help="simulation epochs (default %(default)d)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default %(default)d)"),
+    "--burn-in": dict(type=int, default=None,
+                      help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
+    "--trace": dict(type=str, default=None, help="epoch trace dump path"),
+    "config": dict(help="sweep config file"),
+    "--out": dict(type=str, default=None, help="output CSV path"),
 }
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _add_flags(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    """Register the named flags only, so a flag the subcommand ignores is a usage error."""
-    for name in names:
-        p.add_argument(_flag(name), **_FLAGS[name])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -367,28 +370,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _system_from_args(args: argparse.Namespace) -> SystemConfig:
-    missing = [f for f in _SYSTEM_KEYS if getattr(args, f) is None]
-    if missing:
-        raise InvalidConfig(f"missing required flags: {', '.join(map(_flag, missing))}")
-    lists = []
-    for name in ("theta", "sigma_sq"):
-        try:
-            lists.append(_floats(getattr(args, name)))
-        except ValueError as exc:
-            raise InvalidConfig(f"{_flag(name)}: {exc}")
-    return _system(args.k, args.mu, args.eps, args.fmax, *lists)
+    return _system(*(getattr(args, key) for key in _SYSTEM_KEYS))
 
 
-def _solver_flags(args: argparse.Namespace) -> Dict[str, float]:
-    """``--tol`` if given, so that an unset one keeps :func:`solve`'s default."""
-    return {} if args.tol is None else {"tol": args.tol}
-
-
-def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
-    cfg = _system_from_args(args)
-    res = solve(cfg, scheme, **_solver_flags(args))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    res = solve(_system_from_args(args), args.scheme, args.tol)
     print(
-        f"scheme={scheme.value} tau_star={res.tau_star:.9g} beta_star={res.beta_star:.9g} "
+        f"scheme={args.scheme.value} tau_star={res.tau_star:.9g} beta_star={res.beta_star:.9g} "
         f"binding={int(res.binding)} outer_iters={res.outer_iters} "
         f"achieved_tol={res.achieved_tol:.3g}"
     )
@@ -397,19 +385,13 @@ def _cmd_solve(args: argparse.Namespace, scheme: Scheme) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _system_from_args(args)
-    scheme = Scheme(args.scheme)
-    if args.tau is None:
-        tau = solve(cfg, scheme, **_solver_flags(args)).tau_star
-    elif args.tol is not None:
-        raise InvalidConfig("--tol sets the solver, which --tau bypasses")
-    else:
-        tau = args.tau
+    tau = solve(cfg, args.scheme, args.tol).tau_star if args.tau is None else args.tau
     stats = simulate(
-        cfg, ThresholdPolicy(scheme, tau), n_epochs=args.epochs, seed=args.seed,
+        cfg, ThresholdPolicy(args.scheme, tau), n_epochs=args.epochs, seed=args.seed,
         burn_in=args.burn_in, trace_path=args.trace,
     )
     print(
-        f"scheme={scheme.value} tau={tau:.9g} sum_mse={stats.sum_mse:.6g} "
+        f"scheme={args.scheme.value} tau={tau:.9g} sum_mse={stats.sum_mse:.6g} "
         f"(se {stats.sum_mse_se:.2g}) mean_epoch={stats.mean_epoch_len:.6g} "
         f"epochs={stats.epochs}"
     )
@@ -431,35 +413,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all(r.status == "ok" for r in rows) else 2
 
 
+_SYSTEM_FLAGS = ("--scheme", "--k", "--mu", "--eps", "--fmax", "--theta", "--sigma-sq")
+
+# Each subcommand: its name, handler, help and flags. A tuple of flags is a
+# mutually exclusive group: --tol steers the solver that --tau bypasses.
+_COMMANDS = (
+    ("solve", _cmd_solve, "optimal threshold and minimum sum MSE of one scheme",
+     _SYSTEM_FLAGS + ("--tol",)),
+    ("simulate", _cmd_simulate, "Monte Carlo run at a given or optimal threshold",
+     _SYSTEM_FLAGS + (("--tol", "--tau"), "--epochs", "--seed", "--burn-in", "--trace")),
+    ("sweep", _cmd_sweep, "evaluate a config-file sweep, write CSV", ("config", "--out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ouwait",
         description="Threshold-waiting solver and simulator for shared-queue remote estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve_flags = _SYSTEM_KEYS + ("tol",)
-    p_maf = sub.add_parser("solve-maf", help="optimal threshold, feedback scheme")
-    _add_flags(p_maf, solve_flags)
-    p_maf.set_defaults(func=lambda a: _cmd_solve(a, Scheme.MAF_FEEDBACK))
-
-    p_rr = sub.add_parser("solve-rr", help="optimal threshold, no-feedback scheme")
-    _add_flags(p_rr, solve_flags)
-    p_rr.set_defaults(func=lambda a: _cmd_solve(a, Scheme.RR_NO_FEEDBACK))
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run at a given or optimal threshold")
-    _add_flags(p_sim, solve_flags + ("epochs", "seed", "burn_in"))
-    p_sim.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
-    p_sim.add_argument("--tau", type=float, default=None,
-                       help="threshold (defaults to the solver's optimum)")
-    p_sim.add_argument("--trace", type=str, default=None, help="epoch trace dump path")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate a config-file sweep, write CSV")
-    p_sweep.add_argument("config", help="sweep config file")
-    _add_flags(p_sweep, ("out",))
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in flags:
+            group = p.add_mutually_exclusive_group() if isinstance(flag, tuple) else p
+            for one in flag if isinstance(flag, tuple) else (flag,):
+                group.add_argument(one, **_FLAGS[one])
     return parser
 
 

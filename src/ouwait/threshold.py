@@ -29,9 +29,10 @@ thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
 raised to the budget threshold where it falls short of it. Starting from the
 ratio at the budget threshold, each step sets ``beta`` to the ratio at
 ``tau(beta)``; beta never increases, and the iteration stops once a step moves
-it by at most ``tol``. Each inversion runs on a bracket the solve already
-holds, and returns a point within ``tol / 10`` of the crossing, or within one
-float spacing of it when that spacing is wider:
+it by at most ``tol``, or raises it by no more than the ratio's rounding. Each
+inversion runs on a bracket the solve already holds, and returns a point
+within ``tol / 10`` of the crossing, or within one float spacing of it when
+that spacing is wider:
 
 - the epoch mean at the budget ``B``, on ``[max(0, B(1-r) - k/rate), B(1-r)]``,
   since ``E[max(tau, Y)]`` lies in ``[tau, tau + k/rate]`` for a round Y, by
@@ -209,6 +210,12 @@ def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     return _mse(tau, _law(cfg, scheme))
 
 
+def _transient(law: _Law) -> float:
+    """The numerator's largest possible drop below ``var * epoch_mean``:
+    sum of var lap / (2 theta), reached when every epoch transform is 0."""
+    return sum(v * lap / a for v, lap, a in zip(law.var, law.lap, law.two_theta))
+
+
 def _budget(cfg: SystemConfig) -> float:
     """Least admissible expected epoch length, k / ((1-eps) f_max)."""
     return cfg.k / ((1.0 - cfg.eps) * cfg.f_max)
@@ -362,7 +369,8 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     optimum reaches the search ceiling because no threshold lowers the ratio
     by ``TOL_ULPS`` float spacings of the variance bound (as at eps = 1 - 1e-15
     with k = 64); and :class:`ConvergenceError` when beta rises by more than
-    ``tol``, ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum
+    both ``tol`` and the ratio's rounding bound (see :class:`SolveResult`),
+    ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum
     otherwise reaches the search ceiling.
     """
     return _solve(cfg, scheme, tol)[0]
@@ -393,7 +401,15 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
         step = ratio - beta
         beta = ratio
         if step > tol:
-            raise ConvergenceError(f"Dinkelbach step raised beta by {step} at iteration {iters}")
+            # A rise within the ratio's own rounding is noise at the optimum:
+            # a few float spacings of the numerator's largest term per process,
+            # over the epoch mean.
+            noise = TOL_ULPS * law.k * math.ulp(_transient(law)) / _epoch_mean(tau, law)
+            if step > noise:
+                raise ConvergenceError(
+                    f"Dinkelbach step raised beta by {step} at iteration {iters}"
+                )
+            break
         if abs(step) <= tol:
             break
     else:
@@ -401,9 +417,7 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
     if tau >= ceiling:
         # No threshold lowers the ratio by more than this below the variance
         # bound; under a few of its float spacings, beta is rounding noise.
-        gain = sum(
-            v * lap / a for v, lap, a in zip(law.var, law.lap, law.two_theta)
-        ) / _epoch_mean(0.0, law)
+        gain = _transient(law) / _epoch_mean(0.0, law)
         if gain < min_tol:
             raise InvalidConfig(
                 f"eps = {cfg.eps!r} leaves the sum MSE flat: no threshold lowers it more "

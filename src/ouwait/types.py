@@ -107,7 +107,11 @@ class SolveResult:
     meets the optimal ratio, so ``tau_star`` is the budget threshold itself.
     ``outer_iters`` counts Dinkelbach steps (one threshold inversion and one
     ratio evaluation each), and ``achieved_tol`` is the change in beta at the
-    last of them, at most the requested tolerance.
+    last of them. It is at most the larger of the requested tolerance and the
+    ratio's rounding bound: ``TOL_ULPS * k`` float spacings of
+    ``sum(var * mu / ((mu + 2 theta) * 2 theta))`` over all processes, divided
+    by the epoch mean at ``tau_star``. A rise of beta within that bound is
+    rounding noise at the optimum, and ends the iteration there.
     """
 
     tau_star: float

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
@@ -351,10 +353,10 @@ def one_line_error(capsys) -> str:
 class TestMain:
     def test_solve_subcommands(self, capsys):
         args = SOLVE_ARGS
-        assert cli.main(["solve-maf"] + args) == 0
+        assert cli.main(["solve", "--scheme", "maf"] + args) == 0
         out = capsys.readouterr().out
         assert "tau_star=1.63169" in out
-        assert cli.main(["solve-rr"] + args) == 0
+        assert cli.main(["solve", "--scheme", "rr"] + args) == 0
         assert "tau_star=0.693995" in capsys.readouterr().out
 
     def test_simulate_subcommand(self, capsys):
@@ -365,6 +367,22 @@ class TestMain:
         ])
         assert rc == 0
         assert "sum_mse=0.7" in capsys.readouterr().out
+
+    def test_simulate_without_tau_runs_at_the_solved_threshold(self, capsys):
+        args = ["simulate", "--scheme", "maf"] + SOLVE_ARGS + ["--epochs", "2000", "--seed", "1"]
+        assert cli.main(args) == 0
+        # The threshold that solve prints as tau_star.
+        assert "tau=1.63169363 " in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_command_line(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "ouwait", "solve", "--scheme", "rr"] + SOLVE_ARGS,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert "tau_star=0.693995" in out.stdout
 
     def test_sweep_subcommand_and_exit_codes(self, tmp_path, capsys):
         cfg = tmp_path / "s.cfg"
@@ -397,10 +415,18 @@ class TestMain:
         assert cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)]) == 2
 
     def test_missing_flags_fail_cleanly(self, capsys):
-        assert cli.main(["solve-maf", "--k", "2"]) == 1
+        assert cli.main(["solve", "--scheme", "maf", "--k", "2"]) == 1
         # The error names the flags as they are typed.
         assert one_line_error(capsys) == (
-            "error: missing required flags: --mu, --eps, --fmax, --theta, --sigma-sq"
+            "error: ouwait solve: the following arguments are required: "
+            "--mu, --eps, --fmax, --theta, --sigma-sq"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_unknown_scheme_is_one_line_error(self, capsys, command):
+        assert cli.main([command, "--scheme", "fifo"] + SOLVE_ARGS) == 1
+        assert one_line_error(capsys) == (
+            f"error: ouwait {command}: argument --scheme: unknown scheme 'fifo'"
         )
 
     def test_sweep_requires_config(self, capsys):
@@ -411,16 +437,16 @@ class TestMain:
     def test_malformed_number_list_is_one_line_error(self, capsys, flag):
         args = list(SOLVE_ARGS)
         args[args.index(flag) + 1] = "0.1,abc"
-        assert cli.main(["solve-maf"] + args) == 1
+        assert cli.main(["solve", "--scheme", "maf"] + args) == 1
         assert flag in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "{cfg}", "--tol", "1e-2"],
-            ["solve-maf"] + SOLVE_ARGS + ["--out", "x"],
+            ["solve", "--scheme", "maf"] + SOLVE_ARGS + ["--out", "x"],
             ["simulate"] + SIM_ARGS,
-            ["solve-rr"] + SOLVE_ARGS + ["--bogus"],
+            ["solve", "--scheme", "rr"] + SOLVE_ARGS + ["--bogus"],
             ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tol", "1e-30"],
             ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--tau-max", "-5"],
             ["sweep", "{cfg}", "--eps", "0.9"],
@@ -470,32 +496,35 @@ class TestMain:
         assert exc.value.code == 0
         assert "--scheme" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
-    def test_solver_guards_are_one_line_errors(self, capsys, command):
+    @pytest.mark.parametrize("scheme", ["maf", "rr"], ids=["solve-maf", "solve-rr"])
+    def test_solver_guards_are_one_line_errors(self, capsys, scheme):
+        command = ["solve", "--scheme", scheme]
         # The search ceiling is worked out from the system, not set.
-        assert cli.main([command] + SOLVE_ARGS + ["--tau-max", "0.5"]) == 1
+        assert cli.main(command + SOLVE_ARGS + ["--tau-max", "0.5"]) == 1
         assert "unrecognized arguments: --tau-max" in one_line_error(capsys)
-        assert cli.main([command] + SOLVE_ARGS + ["--tol", "1e-20"]) == 1
+        assert cli.main(command + SOLVE_ARGS + ["--tol", "1e-20"]) == 1
         assert "tol" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
-    def test_flat_sum_mse_near_unit_erasure_is_one_line_error(self, capsys, command):
+    @pytest.mark.parametrize("scheme", ["maf", "rr"], ids=["solve-maf", "solve-rr"])
+    def test_flat_sum_mse_near_unit_erasure_is_one_line_error(self, capsys, scheme):
+        command = ["solve", "--scheme", scheme]
         # At k = 64 and eps = 1 - 1e-15 no threshold moves the sum MSE by a
         # float spacing, so the solve is refused and the error names eps.
         k = 64
         thetas = ",".join(repr(0.1 + 0.4 * i / (k - 1)) for i in range(k))
         args = ["--k", str(k), "--mu", "1", "--eps", repr(1.0 - 1e-15), "--fmax", "1.5",
                 "--theta", thetas, "--sigma-sq", ",".join(["1"] * k)]
-        assert cli.main([command] + args) == 1
+        assert cli.main(command + args) == 1
         assert "eps = 0.999999999999999 leaves the sum MSE flat" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("command", ["solve-maf", "solve-rr"])
-    def test_tolerance_below_threshold_spacing_solves(self, capsys, command):
+    @pytest.mark.parametrize("scheme", ["maf", "rr"], ids=["solve-maf", "solve-rr"])
+    def test_tolerance_below_threshold_spacing_solves(self, capsys, scheme):
+        command = ["solve", "--scheme", scheme]
         # The binding threshold sits near 10 or above, where one float spacing
         # exceeds the inner inversions' tol / 10 = 1e-15.
         args = ["--k", "2", "--mu", "1", "--eps", "0.3", "--fmax", "0.2",
                 "--theta", "0.1,0.5", "--sigma-sq", "1,2", "--tol", "1e-14"]
-        assert cli.main([command] + args) == 0
+        assert cli.main(command + args) == 0
         out = capsys.readouterr().out
         assert "binding=1" in out
         assert float(out.split("achieved_tol=")[1]) <= 1e-14
@@ -528,7 +557,7 @@ class TestMain:
                 "--theta", "1e308", "--sigma-sq", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(["solve-maf"] + args) == 1
+            assert cli.main(["solve", "--scheme", "maf"] + args) == 1
         err = one_line_error(capsys)
         assert "theta" in err and "tau_max" not in err
 
@@ -540,7 +569,7 @@ class TestMain:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(["solve-maf"] + args) == 0
+            assert cli.main(["solve", "--scheme", "maf"] + args) == 0
         assert time.perf_counter() - start < 1.0
         assert "tau_star=1841405.66 " in capsys.readouterr().out
 

@@ -21,12 +21,11 @@ PUBLIC = {
     "read_config", "run_sweep", "simulate", "solve", "solve_maf", "solve_rr",
     "write_config", "write_csv",
 }
-SYSTEM_FLAGS = ["--k", "--mu", "--eps", "--fmax", "--theta", "--sigma-sq"]
+SYSTEM_FLAGS = ["--scheme", "--k", "--mu", "--eps", "--fmax", "--theta", "--sigma-sq"]
 SOLVE_FLAGS = ["-h", "--help"] + SYSTEM_FLAGS + ["--tol"]
 COMMAND_LINE = {
-    "solve-maf": SOLVE_FLAGS,
-    "solve-rr": SOLVE_FLAGS,
-    "simulate": SOLVE_FLAGS + ["--epochs", "--seed", "--burn-in", "--scheme", "--tau", "--trace"],
+    "solve": SOLVE_FLAGS,
+    "simulate": SOLVE_FLAGS + ["--tau", "--epochs", "--seed", "--burn-in", "--trace"],
     "sweep": ["-h", "--help", "config", "--out"],
 }
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

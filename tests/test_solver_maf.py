@@ -202,8 +202,8 @@ def test_runtime_loads_no_scipy(tmp_path):
         "w.solve_maf(cfg); w.solve_rr(cfg); "
         "w.simulate(cfg, w.ThresholdPolicy(w.Scheme.MAF_FEEDBACK, 1.0), n_epochs=2000, "
         f"seed=1, burn_in=100, track_ou=True, trace_path={trace!r}); "
-        "rc = cli.main(['solve-maf', '--k', '2', '--mu', '1.0', '--eps', '0.3', "
-        "'--fmax', '1.5', '--theta', '0.1,0.5', '--sigma-sq', '1.0,2.0']); "
+        "rc = cli.main(['solve', '--scheme', 'maf', '--k', '2', '--mu', '1.0', '--eps', "
+        "'0.3', '--fmax', '1.5', '--theta', '0.1,0.5', '--sigma-sq', '1.0,2.0']); "
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
         "sys.exit(rc or (f'{len(loaded)} scipy modules loaded, first {loaded[:3]}' if loaded else 0))"
     )

@@ -170,3 +170,18 @@ def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch
     assert 0 < len(calls) <= max_calls
     # Each threshold's round transform is computed once per solve.
     assert len(set(calls)) == len(calls)
+
+
+def test_rise_within_the_ratios_rounding_ends_the_iteration():
+    # The variance bound is 4e4, so the ratio carries rounding of a few 1e-9:
+    # its second step rises by 6.19e-9, more than tol but well within the
+    # ratio's rounding bound, and the solve stops there instead of raising.
+    cfg = SystemConfig(k=1, f_max=20.0, mu=3.0, eps=0.5, processes=(ProcessParams(0.001, 80.0),))
+    res = solve_rr(cfg)
+    assert res.tau_star == pytest.approx(2.21778846e-4, rel=1e-8)
+    assert res.beta_star == pytest.approx(79.875733095, rel=1e-11)
+    assert not res.binding
+    law = threshold._law(cfg, RR)
+    noise = (threshold.TOL_ULPS * cfg.k * np.spacing(threshold._transient(law))
+             / threshold._epoch_mean(res.tau_star, law))
+    assert 1e-9 < res.achieved_tol <= noise
