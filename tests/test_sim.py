@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ouwait import (
     InvalidConfig,
@@ -428,10 +430,12 @@ class TestStreaming:
         # round when CHUNK_ROUNDS is 5. Without a split, slot ends skip the
         # fraction product, and where every row delivers (feedback) the
         # window reads its deliveries by slice, cut at burn-in and batch edges.
+        # The trace is also printed in blocks of 1 and 7 records.
         cfg = replace(two_process_cfg, eps=eps)
         runs = []
-        for chunk in (5, 1000, sim.CHUNK_ROUNDS):
+        for chunk, block in ((5, 1), (1000, 7), (sim.CHUNK_ROUNDS, sim._TRACE_BLOCK)):
             monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
+            monkeypatch.setattr(sim, "_TRACE_BLOCK", block)
             path = tmp_path / f"trace-{chunk}.tsv"
             st = simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=3000, seed=91,
                           burn_in=150, wait_split=split, track_ou=True, trace_path=os.fspath(path))
@@ -465,6 +469,26 @@ class TestStreaming:
         )
         assert grown < 16.0
 
+    def test_trace_memory_bounded(self):
+        # Traced 2e5-epoch runs of each scheme, after the same runs untraced
+        # in the same process: the growth counts from the untraced runs' peak.
+        # The writer that printed one record at a time with `%` grew it by
+        # about 2.0 MB (k = 2, Linux x86-64, numpy 2.4); the block printer
+        # may add at most 0.5 MB to that.
+        runs = textwrap.dedent(
+            """
+            for scheme, tau in ((Scheme.MAF_FEEDBACK, 1.6), (Scheme.RR_NO_FEEDBACK, 0.7)):
+                simulate(cfg(0.3), ThresholdPolicy(scheme, tau), n_epochs=2 * 10**5, seed=7,
+                         trace_path=path)
+            """
+        )
+        grown = _rss_growth_mb(
+            "path = None\n" + runs + "before = peak_kb()\nimport os, tempfile\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    path = os.path.join(tmp, 'trace.tsv')\n" + textwrap.indent(runs, "    ")
+        )
+        assert grown <= 2.0 + 0.5
+
     def test_high_erasure_rate_without_feedback(self, two_process_cfg):
         # Ten rounds per delivery: the run draws until every process has its
         # epochs, with no guess at the round count.
@@ -479,6 +503,55 @@ class TestStreaming:
         with pytest.raises(InvalidConfig, match="seed must be a non-negative integer"):
             simulate(two_process_cfg, ThresholdPolicy(MAF, 1.0), n_epochs=100, seed=seed,
                      burn_in=10)
+
+
+def _near(x: float, ulps: int) -> float:
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# Deterministic draws keep the suite reproducible.
+PRINTER_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Zeros, infinities, nan, subnormals and negatives; values near the ends of
+# the printer's fast path and of %.12g's fixed notation; 12-digit decimal
+# ties (m + 0.5) / 10**j; and values whose 12-digit mantissa rounds up to
+# 10**12.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-3, -1.0]),
+    st.builds(_near, st.sampled_from([1e-5, 1e-4, 1e-3, 1.0, 10.0, 1e11, 1e12, 1e13]),
+              st.integers(-3, 3)),
+    st.builds(lambda m, j: (m + 0.5) / 10**j, st.integers(10**11, 10**12 - 1), st.integers(0, 16)),
+    st.builds(lambda d, e: (10**12 - d) * 10.0 ** (e - 11), st.floats(0.0, 0.6),
+              st.integers(-5, 13)),
+)
+
+
+def _printed(cells, formats):
+    """The lines that the trace printer makes of a table, cells split at tabs."""
+    cells = np.array(cells, dtype=float).reshape(len(cells), len(formats))
+    text, keep = sim._CellPrinter(len(cells), formats)(cells)
+    return [line.split("\t") for line in text[keep].tobytes().decode("ascii").split("\n")[:-1]]
+
+
+class TestTracePrinter:
+    # The trace printer must print every cell as Python's `%` would, byte for
+    # byte, with nan as an empty cell.
+    @PRINTER_SETTINGS
+    @given(st.lists(st.one_of(st.floats(), EDGE_FLOATS), min_size=1, max_size=64))
+    def test_floats_print_as_percent_g(self, values):
+        expected = [["" if math.isnan(v) else "%.12g" % v] for v in values]
+        assert _printed(values, ("%.12g",)) == expected
+
+    @PRINTER_SETTINGS
+    @given(st.lists(st.tuples(st.integers(0, 2**53), st.floats(), st.integers(0, 2**53)),
+                    min_size=1, max_size=64))
+    def test_integer_columns_print_as_percent_d(self, rows):
+        # The epoch_index and m_total columns hold integers below 2**53, exact
+        # in the float table; past 10**12 Python prints them.
+        expected = [["%d" % i, "" if math.isnan(v) else "%.12g" % v, "%d" % m] for i, v, m in rows]
+        assert _printed(rows, ("%d", "%.12g", "%d")) == expected
 
 
 class TestPinnedEngine:
@@ -519,7 +592,10 @@ class TestPinnedEngine:
     # case has empty cells; the last case is it again in chunks of 5 rounds.
     # The eps = 0 feedback pair was taken when such a slot was still drawn as
     # a one-attempt retry burst; its explicit split puts the whole wait up
-    # front like the default, through the general slot-end formula.
+    # front like the default, through the general slot-end formula. The
+    # tau = 0 case (every wait cell exactly 0) and the k=4 rr case at
+    # eps = 0.9 (many empty cells and long epochs) were taken from the
+    # one-format-per-record writer that the block printer replaced.
     TRACE_SHA256 = {
         "maf-k2": (2, 0.3, MAF, 1.6, None, 61, None,
                    "29984daaf91b7077a85a2befa3151e1a28e08dd7d663da81f57c08343839734e"),
@@ -533,6 +609,10 @@ class TestPinnedEngine:
                               "0285de89ba5911fd133dc5bdd2885772f32b8ea41cd3b61b528ddcb064f3494d"),
         "rr-k3-split-chunk5": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, 5,
                                "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
+        "maf-k2-tau0": (2, 0.3, MAF, 0.0, None, 65, None,
+                        "0b3c1a4bae3c2cd13611c08e39e6d573039a8cc99f19adfd83683be1a6bd5003"),
+        "rr-k4-eps0.9": (4, 0.9, RR, 0.7, None, 66, None,
+                         "bddf03c0674f304e319096ba2349d84dde3a4cb24de03834396672224e683a60"),
     }
 
     @pytest.mark.parametrize("case", list(TRACE_SHA256))
@@ -540,15 +620,18 @@ class TestPinnedEngine:
         k, eps, scheme, tau, split, seed, chunk, digest = self.TRACE_SHA256[case]
         if chunk is not None:
             monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
-        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5),
+                 ProcessParams(2.0, 4.0))
         cfg = SystemConfig(k=k, f_max=1.5, mu=1.0, eps=eps, processes=procs[:k])
         path = tmp_path / "trace.tsv"
         simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=5000, seed=seed, wait_split=split,
                  trace_path=os.fspath(path))
         data = path.read_bytes()
         assert data.count(b"\n") == 5001
-        if k == 3:
+        if k >= 3:
             assert b"\t\t" in data
+        if tau == 0.0:
+            assert {line.split(b"\t")[2] for line in data.splitlines()[1:]} == {b"0"}
         assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [1, 2, 3])
