@@ -15,7 +15,9 @@ differ only in what a slot is, which :func:`_draw_slots` alone decides:
 
 - Feedback: a slot is a retry burst that redraws a fresh sample on every
   erased attempt until one gets through, so a feedback epoch is one round of
-  K retry bursts.
+  K retry bursts. A burst is drawn whole, not attempt by attempt: its
+  attempt count, the service of its failed attempts and that of its
+  delivering attempt, from the same joint law.
 - Blind round robin: a slot is one fresh sample; erasures are discovered only
   at the receiver, so a process's epoch spans a geometric number of rounds.
 
@@ -33,25 +35,32 @@ means over epochs (100 batches).
 Streaming
 ---------
 The round engine :func:`_rounds` yields its rounds in chunks of at most
-``CHUNK_ROUNDS`` (with feedback, of at most ``2 (1 - eps) CHUNK_ROUNDS``,
-so that a chunk draws about ``2 k CHUNK_ROUNDS`` samples at most whatever the
-erasure rate); :func:`simulate` folds each chunk into its statistics before
-the next one is drawn, and the engine stops once every process has
+``CHUNK_ROUNDS``, whose arrays have one entry per slot whatever the erasure
+rate; :func:`simulate` folds each chunk into its statistics before the next
+one is drawn, and the engine stops once every process has
 ``n_epochs`` deliveries. Memory grows with the run length only through the
 one open batch per process. Between chunks the engine carries two values,
 the last round's service total (which sets the next wait) and the clock.
-Each process carries its last delivery and stamp, its delivery and sample
-counts, the batch it has not yet closed and, with the OU probe, the error
-innovation at its last delivery. Every substream is drawn in the same order
-whatever the chunk size, and a batch is summed once, when it closes, so
-every statistic and the trace file are bit-identical for any
-``CHUNK_ROUNDS``.
+Each process carries its last delivery and stamp, its delivery count, the
+samples drawn since its last delivery, the batch it has not yet closed and,
+with the OU probe, the error innovation at its last delivery. Every
+substream is drawn in the same order whatever the chunk size, and a batch is
+summed once, when it closes, so every statistic and the trace file are
+bit-identical for any ``CHUNK_ROUNDS``.
 
-Randomness is split into named substreams (service, erasure, OU noise) from
-one seed, so identical seeds give bit-identical statistics and both schemes
-can be compared on matched draws. The OU noise is split again into one
-substream per process, so each process's probe draws its normals in its own
-delivery order, independent of how the chunks interleave the processes.
+Randomness is split into four named substreams from one seed, so identical
+seeds give bit-identical statistics and both schemes can be compared on
+matched draws:
+
+- service: the service time of each slot's last sample, its only one
+  without feedback;
+- erasure: one uniform per slot, which erases a sample without feedback and
+  gives the failed attempts of a burst with feedback;
+- OU noise: split again into one substream per process, so each process's
+  probe draws its normals in its own delivery order, independent of how the
+  chunks interleave the processes;
+- failed service: the total service of a burst's failed attempts, drawn only
+  for the bursts that have any.
 """
 
 from __future__ import annotations
@@ -66,7 +75,6 @@ import numpy as np
 
 from . import ou
 from .types import (
-    ConvergenceError,
     InvalidConfig,
     ProcessParams,
     Scheme,
@@ -75,14 +83,14 @@ from .types import (
     ThresholdPolicy,
 )
 
-ATTEMPT_CAP = 10**7
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
 
 
 def _streams(seed: int) -> List[np.random.SeedSequence]:
-    """The service, erasure and OU-noise substreams of one seed."""
-    return np.random.SeedSequence(seed).spawn(3)
+    """The service, erasure, OU-noise and failed-service substreams of one
+    seed. The first three are the children of ``spawn(3)``."""
+    return np.random.SeedSequence(seed).spawn(4)
 
 
 def _wait_fractions(cfg: SystemConfig, wait_split: Sequence[float]) -> np.ndarray:
@@ -132,6 +140,7 @@ def _draw_slots(
     r: int,
     service_rng: np.random.Generator,
     erasure_rng: np.random.Generator,
+    failed_rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Service of ``r`` rounds of k slots: the only place the scheme enters.
 
@@ -143,6 +152,18 @@ def _draw_slots(
     sample: one draw of ``(r, k)`` services gives every slot, and the erasure
     substream is drawn only when the erasure rate is positive. A feedback
     burst of one attempt would draw the same services in the same order.
+
+    Otherwise a feedback slot is a burst of a geometric(1 - eps) count n of
+    Exp(mu) attempts, of which only the last is delivered, drawn per slot
+    rather than per attempt. The service substream draws the delivering
+    attempt's service for every slot, and one uniform ``u`` per slot from the
+    erasure substream says whether an attempt failed (``u < eps``). Given
+    that, ``w = (eps - u) / eps`` is uniform on (0, 1] (``u / eps`` could
+    round to 1), so the failed count ``n - 1`` is
+    ``1 + floor(log w / log eps)`` by inversion, and the failed-service
+    substream draws their total service, Gamma(n - 1, mu), on those slots
+    only. Each substream is drawn in slot order, one quantity each, so the
+    draws do not depend on how the rounds are cut into chunks.
     """
     shape = (r, cfg.k)
     if scheme is Scheme.RR_NO_FEEDBACK or cfg.eps == 0.0:
@@ -154,18 +175,24 @@ def _draw_slots(
         one = np.int64(1)
         m = one if scheme is Scheme.RR_NO_FEEDBACK else np.int64(cfg.k)
         return services, services, delivered, np.broadcast_to(one, shape), np.broadcast_to(m, r)
-    attempts = erasure_rng.geometric(1.0 - cfg.eps, size=shape)
-    if attempts.max() > ATTEMPT_CAP:
-        raise ConvergenceError(f"attempt cap {ATTEMPT_CAP} exceeded in one burst")
-    flat = attempts.ravel()
-    services = service_rng.exponential(1.0 / cfg.mu, size=int(flat.sum()))
-    drawn = np.cumsum(flat)
-    bursts = np.add.reduceat(services, drawn - flat).reshape(shape)
-    last = services[drawn - 1].reshape(shape)
+    last = service_rng.exponential(1.0 / cfg.mu, size=shape)
+    u = erasure_rng.random(size=shape).reshape(-1)
+    # Integer indices: three boolean-mask updates cost about twice as much.
+    hit = np.flatnonzero(u < cfg.eps)
+    w = cfg.eps - u[hit]
+    w /= cfg.eps
+    np.log(w, out=w)
+    w /= math.log(cfg.eps)
+    failed = np.floor(w, out=w).astype(np.int64)
+    failed += 1
+    samples = np.ones(shape, np.int64)
+    samples.reshape(-1)[hit] += failed
+    bursts = last.copy()
+    bursts.reshape(-1)[hit] += failed_rng.standard_gamma(failed) / cfg.mu
     # A product with ones sums each round's attempts several times faster
     # than a reduction along the short process axis.
-    m = attempts @ np.ones(cfg.k, dtype=np.int64)
-    return bursts, last, np.broadcast_to(True, shape), attempts, m
+    m = samples @ np.ones(cfg.k, dtype=np.int64)
+    return bursts, last, np.broadcast_to(True, shape), samples, m
 
 
 def _rounds(
@@ -188,9 +215,8 @@ def _rounds(
     """
     if not 0 <= tau < math.inf:
         raise InvalidConfig("tau must be nonnegative and finite")
-    service_ss, erasure_ss, _ = _streams(seed)
-    service_rng = np.random.default_rng(service_ss)
-    erasure_rng = np.random.default_rng(erasure_ss)
+    service_ss, erasure_ss, _, failed_ss = _streams(seed)
+    rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
     # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
     fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
     short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
@@ -203,13 +229,8 @@ def _rounds(
             # mean count of rounds for its deliveries plus three standard
             # deviations, so that a run seldom ends in a string of tiny chunks.
             need = math.ceil((need + 3.0 * math.sqrt(need * cfg.eps)) / (1.0 - cfg.eps))
-        else:
-            # A feedback round draws k / (1 - eps) samples on average: keep a
-            # chunk's expected count at most 2 k CHUNK_ROUNDS, so that memory
-            # does not grow with 1 / (1 - eps). At eps <= 0.5 this never binds.
-            need = min(need, max(1, int(2.0 * CHUNK_ROUNDS * (1.0 - cfg.eps))))
         r = min(CHUNK_ROUNDS, need) + skip
-        slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, service_rng, erasure_rng)
+        slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, *rngs)
         # Service elapsed by the end of each slot of its round. Adding one
         # column at a time follows a row cumsum's order and is several times
         # faster than a reduction along the short process axis.
@@ -252,27 +273,38 @@ def _se(batch_vals: np.ndarray) -> float:
 
 
 class _Batches:
-    """Per-batch sums of rows of per-span values that arrive in pieces.
+    """Per-batch sums of rows of per-span values that arrive in pieces, and
+    of one integer count per span.
 
     The batches are the index ranges between consecutive ``edges``. Only the
     pieces of the open batch are kept; complete batches are joined and summed
     with ``reduceat``, which sums a segment in the same order wherever it
-    starts: the sums do not depend on how the values were split.
+    starts: the sums do not depend on how the values were split. Integer sums
+    are exact in any order, so each piece's counts are summed at once.
     """
 
     def __init__(self, rows: int, edges: np.ndarray) -> None:
         self.edges = edges
         self.sums = np.empty((rows, len(edges) - 1))
+        self.counts = np.zeros(len(edges) - 1, np.int64)
         self.open: List[np.ndarray] = []  # the open batch's values so far
         self.closed = 0  # batches summed
+        self.spans = 0  # spans added
 
-    def add(self, values: np.ndarray) -> None:
-        self.open.append(values)
+    def add(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """The next spans: ``values`` holds a column per span, ``counts``
+        an integer per span."""
         lo, start = self.closed, self.edges[self.closed]
-        end = start + sum(piece.shape[1] for piece in self.open)
-        hi = int(np.searchsorted(self.edges, end, side="right")) - 1
+        first = self.spans
+        self.spans += values.shape[1]
+        # The edges inside this piece split its counts between its batches.
+        cuts = self.edges[lo + 1 : np.searchsorted(self.edges, self.spans)] - first
+        sums = np.add.reduceat(counts, np.concatenate(([0], cuts)))
+        self.counts[lo : lo + len(sums)] += sums
+        self.open.append(values)
+        hi = int(np.searchsorted(self.edges, self.spans, side="right")) - 1
         if hi > lo:
-            keep = values.shape[1] - (end - self.edges[hi])  # values in batches lo..hi-1
+            keep = values.shape[1] - (self.spans - self.edges[hi])  # values in batches lo..hi-1
             joined = np.concatenate(self.open[:-1] + [values[:, :keep]], axis=1)
             self.sums[:, lo:hi] = np.add.reduceat(joined, self.edges[lo:hi] - start, axis=1)
             self.open = [values[:, keep:]]
@@ -345,7 +377,7 @@ class _Window:
         self.ou: Optional[float] = None  # probe innovation at the latest delivery
         self.batches = _Batches(2 if ou_rng is None else 4, edges)
         self.seen = 0  # deliveries so far
-        self.samples = 0  # samples drawn over the measured spans
+        self.pending = 0  # samples drawn since the latest delivery
         self.first: Optional[float] = None  # first delivery in the window
         self.last: Tuple[float, float] = (0.0, 0.0)  # latest delivery and its stamp
 
@@ -362,23 +394,35 @@ class _Window:
         self.seen += len(hits)
         if self.seen <= self.burn_in:
             return
+        # The samples of the epoch that ends at each delivery, the first one
+        # with those drawn since the latest delivery before this chunk.
+        col = rounds.samples[:, k]
+        if len(hits) == 0 or hits[-1] == len(hits) - 1:
+            # Every row from the first delivers (always with feedback): the
+            # window's rows are a slice, and each epoch is its round.
+            win = slice(opens, len(hits))
+            epochs = col[: len(hits)]
+            if self.pending:
+                epochs = np.concatenate((epochs[:1] + self.pending, epochs[1:]))
+        else:
+            # Without feedback a slot is one sample: an epoch's samples are
+            # its rounds, which costs less to count than to sum.
+            win = hits[opens:]
+            epochs = hits - np.concatenate(([-1 - self.pending], hits[:-1]))
+        if len(hits):
+            self.pending = int(col[hits[-1] + 1 :].sum())
+        else:
+            self.pending += int(col.sum())
         # A span's samples are those of the rounds after its first delivery
         # through its last.
-        lo = hits[opens] + 1 if self.first is None else 0
-        hi = hits[-1] + 1 if self.done else len(rounds.wait)
-        self.samples += int(rounds.samples[lo:hi, k].sum())
-        # Where every row from the first delivers (always with feedback), the
-        # window's rows are a slice.
-        if len(hits) == 0 or hits[-1] == len(hits) - 1:
-            win = slice(opens, len(hits))
-        else:
-            win = hits[opens:]
         d, s = rounds.ends[win, k], rounds.stamps[win, k]
         if self.first is None:
             self.first = d[0]
+            spans = epochs[opens + 1 :]
         else:
             d = np.concatenate(([self.last[0]], d))
             s = np.concatenate(([self.last[1]], s))
+            spans = epochs
         self.last = (d[-1], s[-1])
         if len(d) > 1:
             gaps = np.diff(d)
@@ -386,7 +430,7 @@ class _Window:
             if self.ou_rng is not None:
                 errs, refs, self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
                 rows += [errs, refs]
-            self.batches.add(np.stack(rows))
+            self.batches.add(np.stack(rows), spans)
 
 
 def simulate(
@@ -456,6 +500,7 @@ def simulate(
     per_mse = []
     per_mse_se = []
     inter_sample = []
+    inter_sample_se = []
     sum_batches = np.zeros(len(counts))
     epoch_len_batches = np.zeros(len(counts))
     mean_epoch_len = 0.0
@@ -463,6 +508,7 @@ def simulate(
     diff_batches = np.zeros(len(counts))
     for w in windows:
         ints, gaps = w.batches.sums[:2]
+        samples = w.batches.counts
         span = w.last[0] - w.first
         per_mse.append(float(ints.sum() / span))
         batches_k = ints / gaps
@@ -470,7 +516,8 @@ def simulate(
         sum_batches += batches_k
         epoch_len_batches += gaps / counts / cfg.k
         mean_epoch_len += float(gaps.sum() / window) / cfg.k
-        inter_sample.append(float(span / w.samples))
+        inter_sample.append(float(span / samples.sum()))
+        inter_sample_se.append(_se(gaps / samples))
         if track_ou:
             errs, refs = w.batches.sums[2:]
             ou_err += float(errs.sum() / window)
@@ -486,6 +533,7 @@ def simulate(
         mean_epoch_len=mean_epoch_len,
         mean_epoch_len_se=_se(epoch_len_batches),
         per_process_inter_sample_mean=tuple(inter_sample),
+        per_process_inter_sample_se=tuple(inter_sample_se),
         epochs=window,
         ou_probe_mse=ou_err if track_ou else None,
         ou_probe_ref=ou_ref if track_ou else None,
@@ -507,9 +555,10 @@ def _write_trace(
     each with feedback), and its first ``n_epochs`` epochs are written. A
     record sums its rounds' waits, services and ``m`` counts, and gives each
     process's last delivery and stamp within the epoch, or empty cells where
-    that process delivered none. The rounds of the epoch still open at a
-    chunk's end carry into the next chunk, so each record is summed over its
-    whole epoch at once. The records are printed in blocks by one
+    that process delivered none. A copy of the rounds of the epoch still open
+    at a chunk's end carries into the next chunk, where it is joined with the
+    rest of that epoch's rounds only, so each record is summed over its whole
+    epoch at once. The records are printed in blocks by one
     :class:`_CellPrinter` (see :func:`_write_records`).
     """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
@@ -518,17 +567,29 @@ def _write_trace(
     written = 0
     formats = ("%d", "%.12g", "%.12g", "%d") + ("%.12g",) * (1 + 2 * cfg.k)
     printer = _CellPrinter(_TRACE_BLOCK, formats)
-    open_epoch: Optional[RoundArrays] = None
+    carry: Optional[RoundArrays] = None  # a copy of the open epoch's rounds
     for rounds in chunks:
         if written < n_epochs:
-            block = rounds
-            if open_epoch is not None and len(open_epoch.wait):
-                block = RoundArrays.concat((open_epoch, rounds))
-            last = np.flatnonzero(block.delivered[:, cfg.k - 1])[: n_epochs - written]
+            last = np.flatnonzero(rounds.delivered[:, cfg.k - 1])[: n_epochs - written]
+            start = 0  # the chunk's first round not yet written or carried
+            if carry is not None:
+                # Only the rounds of the epoch that straddles the chunk edge
+                # are joined to the carried ones.
+                start = last[0] + 1 if len(last) else len(rounds.wait)
+                carry = RoundArrays.concat((carry, rounds[:start]))
+                if len(last):
+                    _write_records(fh, printer, scheme, cfg, carry,
+                                   np.array([len(carry.wait) - 1]), written)
+                    written += 1
+                    last, carry = last[1:], None
             if len(last):
-                _write_records(fh, printer, scheme, cfg, block[: last[-1] + 1], last, written)
+                _write_records(fh, printer, scheme, cfg, rounds[start : last[-1] + 1],
+                               last - start, written)
                 written += len(last)
-            open_epoch = block[last[-1] + 1 :] if len(last) else block
+                start = last[-1] + 1
+            if carry is None and start < len(rounds.wait) and written < n_epochs:
+                # A copy, so that the chunk is not kept alive with its tail.
+                carry = RoundArrays.concat((rounds[start:],))
         yield rounds
 
 

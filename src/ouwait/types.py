@@ -126,12 +126,16 @@ class SimStats:
     """Estimates from one simulation run, with batch-means standard errors.
 
     ``epochs`` counts the post-burn-in epochs that entered the statistics.
-    The OU probe fields are set only when path co-simulation is on, and are
-    taken at the same deliveries: ``ou_probe_mse`` is the summed per-process
-    mean of the realized squared estimation error at each delivery,
-    ``ou_probe_ref`` the summed mean of the closed-form error at the same
-    ages, and ``ou_probe_diff_se`` the batch-means standard error of their
-    difference, which is zero in expectation.
+    ``per_process_inter_sample_mean`` is each process's time per sample drawn,
+    and ``per_process_inter_sample_se`` its standard error from the same
+    batches, which counts the variance of the samples per epoch as well as
+    that of the epoch lengths. The OU probe fields are set only when path
+    co-simulation is on, and are taken at the same deliveries:
+    ``ou_probe_mse`` is the summed per-process mean of the realized squared
+    estimation error at each delivery, ``ou_probe_ref`` the summed mean of
+    the closed-form error at the same ages, and ``ou_probe_diff_se`` the
+    batch-means standard error of their difference, which is zero in
+    expectation.
     """
 
     scheme: Scheme
@@ -142,6 +146,7 @@ class SimStats:
     mean_epoch_len: float
     mean_epoch_len_se: float
     per_process_inter_sample_mean: Tuple[float, ...]
+    per_process_inter_sample_se: Tuple[float, ...]
     epochs: int
     ou_probe_mse: Optional[float] = None
     ou_probe_ref: Optional[float] = None

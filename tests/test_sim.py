@@ -179,6 +179,30 @@ class TestBatchEngine:
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - refs[k]) <= 3 * se
 
+    @pytest.mark.parametrize("eps", [0.5, 0.97])
+    def test_feedback_slot_law(self, two_process_cfg, eps):
+        # A feedback slot is a geometric(1 - eps) count n of Exp(mu) attempts,
+        # so its service is Exp(mu (1 - eps)), and Erlang(n, mu) given n. The
+        # last check fails for a draw that makes n and the service of the
+        # failed attempts independent.
+        cfg = replace(two_process_cfg, eps=eps)
+        rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(71).spawn(3)]
+        burst, last, delivered, n, m = sim._draw_slots(cfg, MAF, 4 * 10**5, *rngs)
+        assert np.all(delivered) and np.array_equal(m, n.sum(axis=1))
+        burst, last, n = burst.ravel(), last.ravel(), n.ravel()
+
+        def assert_mean(values, mean):
+            se = values.std(ddof=1) / math.sqrt(len(values))
+            assert abs(values.mean() - mean) <= 4 * se
+
+        rate = cfg.mu * (1 - eps)
+        assert_mean(burst, 1 / rate)
+        assert_mean((burst - burst.mean()) ** 2, 1 / rate**2)
+        assert_mean(last, 1 / cfg.mu)
+        assert_mean(n, 1 / (1 - eps))
+        assert_mean(n == 1, 1 - eps)
+        assert_mean(burst[n == 3], 3 / cfg.mu)
+
     def test_chained_pairing_skews_the_transform(self):
         # Pairing a cycle's wait with the next cycle's services (the physical
         # inter-delivery window) yields a strictly larger transform than the
@@ -227,9 +251,10 @@ class TestSimulate:
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, res.tau_star)
         st = simulate(cfg, pol, n_epochs=2 * 10**5, seed=23, burn_in=500)
         floor = cfg.k / cfg.f_max
-        for mean_gap in st.per_process_inter_sample_mean:
+        for mean_gap, se in zip(st.per_process_inter_sample_mean,
+                                st.per_process_inter_sample_se):
             # Budget met with equality at the binding threshold; allow noise.
-            assert mean_gap >= floor - 3 * st.mean_epoch_len_se
+            assert mean_gap >= floor - 3 * se
             assert mean_gap == pytest.approx(floor, rel=0.02)
 
     def test_wait_split_preserves_epoch_lengths_and_mse(self, two_process_cfg):
@@ -425,11 +450,11 @@ class TestStreaming:
         self, two_process_cfg, tmp_path, monkeypatch, scheme, tau, split, eps
     ):
         # Chunks of 5 rounds split every batch, burn-in, OU step and trace
-        # epoch; the results must not change in any bit. At eps = 0.9 a
-        # feedback chunk holds at most 2 (1 - eps) CHUNK_ROUNDS rounds, one
-        # round when CHUNK_ROUNDS is 5. Without a split, slot ends skip the
-        # fraction product, and where every row delivers (feedback) the
-        # window reads its deliveries by slice, cut at burn-in and batch edges.
+        # epoch; the results must not change in any bit. At eps = 0.9 most
+        # feedback slots draw a failed-service gamma, from its own substream
+        # in slot order. Without a split, slot ends skip the fraction
+        # product, and where every row delivers (feedback) the window reads
+        # its deliveries by slice, cut at burn-in and batch edges.
         # The trace is also printed in blocks of 1 and 7 records.
         cfg = replace(two_process_cfg, eps=eps)
         runs = []
@@ -556,15 +581,17 @@ class TestTracePrinter:
 
 class TestPinnedEngine:
     # Golden values computed with the separate per-scheme engines that the
-    # round engine replaced; any change in the order the RNG substreams are
-    # consumed moves them far beyond rel 1e-12. Trace cells are printed to 12
-    # significant digits, so they are compared at rel 1e-11.
+    # round engine replaced, the feedback ones again when its bursts came to
+    # be drawn per slot rather than per attempt; any change in the order the
+    # RNG substreams are consumed moves them far beyond rel 1e-12. Trace
+    # cells are printed to 12 significant digits, so they are compared at
+    # rel 1e-11.
     GOLDEN = {
         MAF: (
             1.6, (0.5, 0.5), 41,
-            (3.848962303111655, 0.008833474118362501, 3.062393868011049),
-            ["0", "maf", "0", "7.207415197", "3", "7.207415197",
-             "5.93957386877", "8.83054907184", "1.62313387484", "6.1095105414"],
+            (3.8410202219178706, 0.009214053437070513, 3.0577411439282045),
+            ["0", "maf", "0", "4.48637666657", "2", "4.48637666657",
+             "10.2622694757", "10.4322061483", "5.94582948173", "10.2622694757"],
         ),
         RR: (
             0.7, (0.25, 0.75), 42,
@@ -595,10 +622,12 @@ class TestPinnedEngine:
     # front like the default, through the general slot-end formula. The
     # tau = 0 case (every wait cell exactly 0) and the k=4 rr case at
     # eps = 0.9 (many empty cells and long epochs) were taken from the
-    # one-format-per-record writer that the block printer replaced.
+    # one-format-per-record writer that the block printer replaced. The two
+    # feedback cases at eps = 0.3 were taken again when feedback bursts came
+    # to be drawn per slot rather than per attempt.
     TRACE_SHA256 = {
         "maf-k2": (2, 0.3, MAF, 1.6, None, 61, None,
-                   "29984daaf91b7077a85a2befa3151e1a28e08dd7d663da81f57c08343839734e"),
+                   "65235fe15c2b483e438468a1648389b3fd9d2b9e2e4ae7d5160306933099953e"),
         "rr-k3-split": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, None,
                         "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
         "rr-k1-eps0": (1, 0.0, RR, 1.3, None, 63, None,
@@ -610,7 +639,7 @@ class TestPinnedEngine:
         "rr-k3-split-chunk5": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, 5,
                                "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
         "maf-k2-tau0": (2, 0.3, MAF, 0.0, None, 65, None,
-                        "0b3c1a4bae3c2cd13611c08e39e6d573039a8cc99f19adfd83683be1a6bd5003"),
+                        "743ea9aa14a080bc799d8b59259a9fa215cc6de24e731ce1643eeb598d3e7b3c"),
         "rr-k4-eps0.9": (4, 0.9, RR, 0.7, None, 66, None,
                          "bddf03c0674f304e319096ba2349d84dde3a4cb24de03834396672224e683a60"),
     }
