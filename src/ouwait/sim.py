@@ -357,8 +357,8 @@ class _Window:
 
     The process's deliveries are counted up to ``n_epochs``. From delivery
     ``burn_in`` on, every span to the next delivery enters the batches: its
-    error integral and length, and with the probe the realized and
-    closed-form errors at its end. The last delivery and stamp carry over,
+    error integral, length and sample count, and with the probe the realized
+    and closed-form errors at its end. The last delivery and stamp carry over,
     so a span that straddles two chunks is measured like any other.
     """
 
