@@ -118,11 +118,6 @@ class RoundArrays:
     ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
     stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
 
-    @property
-    def gamma(self) -> np.ndarray:
-        """(r,) round lengths: wait plus service."""
-        return self.wait + self.service_total
-
     def __getitem__(self, rows: slice) -> "RoundArrays":
         return RoundArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
 

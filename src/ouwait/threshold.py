@@ -22,30 +22,33 @@ formula over that law.
 Either way an epoch draws k/(1-eps) samples on average, so the budget reads
 ``epoch_mean(tau) >= k / ((1-eps) f_max)``; it is vacuous when f_max >= mu.
 
-The solver runs Dinkelbach's iteration on the ratio (Dinkelbach, "On
-nonlinear fractional programming", Management Science 1967). For a value beta,
-the threshold minimising ``numerator - beta * epoch_mean`` over the admissible
-thresholds is ``tau(beta)``: the inverse of the threshold response at beta,
-raised to the budget threshold where it falls short of it. Starting from the
-ratio at the budget threshold, each step sets ``beta`` to the ratio at
-``tau(beta)``; beta never increases, and the iteration stops once a step moves
-it by at most ``tol``, or raises it by no more than the ratio's rounding. Each
-inversion runs on a bracket the solve already holds, and returns a point
-within ``tol / 10`` of the crossing, or within one float spacing of it when
-that spacing is wider:
+The solver finds the optimum from the ratio's first-order condition (Sun et
+al., "Update or Wait: How to Keep Your Data Fresh", IEEE Trans. Inf. Theory
+2017; Ornee and Sun, IEEE/ACM Trans. Netw. 2021). With N the numerator and D
+the epoch mean, ``N' = D' * response``, so the ratio's slope is ``(D'/D) h``
+with ``h = response - ratio`` and ``D' = P(k, rate tau) / (1 - r) > 0``: the
+ratio falls while h is negative and rises once it is positive. h changes sign
+once on ``[tau_b, search_ceiling]``, where tau_b is the budget threshold (0
+when the budget is vacuous), and each root is found by Newton's method
+(:func:`_newton`), within ``tol / 10`` of the crossing, or within one float
+spacing of it when that spacing is wider:
 
-- the epoch mean at the budget ``B``, on ``[max(0, B(1-r) - k/rate), B(1-r)]``,
-  since ``E[max(tau, Y)]`` lies in ``[tau, tau + k/rate]`` for a round Y, by
-  Newton's method (:func:`_newton`). The epoch mean is convex and increasing
-  in tau, with slope ``P(k, rate tau) / (1 - r)``, so the iterates started at
-  the upper end fall monotonically onto the crossing. A halving step toward
-  the lower end replaces any step that would leave the bracket or that a
-  slope underflowed to 0 would make infinite, and the iteration stops once a
-  step is at most ``tol / 10`` or one float spacing;
-- the response at beta, on ``[tau_b, hi]``, by Brent's method, where ``hi``
-  is the search ceiling at the first step and then the threshold the
-  previous step returned: beta never rises, so neither does tau(beta). A
-  binding solve stops after one response evaluation, at ``tau_b``.
+- the budget threshold: the epoch mean at the budget ``B``, on
+  ``[max(0, B(1-r) - k/rate), B(1-r)]``, since ``E[max(tau, Y)]`` lies in
+  ``[tau, tau + k/rate]`` for a round Y. The epoch mean is convex and
+  increasing in tau, with slope ``P(k, rate tau) / (1 - r)``, so the iterates
+  started at the upper end fall monotonically onto the crossing;
+- the optimum: where ``h(tau_b) >= 0`` the ratio rises from tau_b on, so tau_b
+  is the optimum, and a binding solve makes one response evaluation.
+  Otherwise it is the root of h on ``[tau_b, search_ceiling]``, started where
+  the delivering response ``sum v (1 - lap exp(-2 theta tau))`` meets the
+  ratio at tau_b. That response needs no table and lies at or below the
+  response, so its crossing, itself a Newton root from tau_b, lies at or above
+  the optimum. Where it stays below that ratio up to the search ceiling, the
+  iteration starts at the ceiling, and a root there is an error.
+
+In both, a halving step replaces any step that would leave the bracket or
+that a slope of 0 or less would make.
 
 One Poisson table per threshold serves the epoch mean, its slope and the
 ``P(k, rate tau)`` term of the round transform: the law keeps each
@@ -68,10 +71,8 @@ from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemC
 # at most the variance bound; a tolerance under a few spacings of that bound
 # could never be met by the stopping rule.
 TOL_ULPS = 4
-# Steps of a threshold inversion, past any float bracket's one-spacing stop.
+# Steps of a Newton iteration, past any float bracket's one-spacing stop.
 MAX_STEPS = 200
-# Dinkelbach steps; the iteration converges superlinearly and needs a handful.
-MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
 
 def _round_transform(tau: float, law: _Law) -> np.ndarray:
     """Transform L of one round at every rate, computed once per threshold and law:
-    a solve revisits each inversion's bracket ends, and the ratio where one stopped."""
+    the ratio, the response and the first-order slope at a threshold share it."""
     if tau not in law.rounds:
         law.rounds[tau] = series._transform_terms(tau, _wait(tau, law)[1], law.laplace, law.k)
     return law.rounds[tau]
@@ -167,21 +168,55 @@ def _transform(tau: float, law: _Law) -> List[float]:
     return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
 
 
-def _response(x: float, law: _Law) -> float:
-    """Threshold response, increasing in x; its inverse at beta is tau(beta).
-
-    Each process's term carries the squared geometric-round correction
-    ``((1-r) / (1 - r L(x)))^2``, which is exactly 1 when every round delivers.
-    """
+def _round_factors(x: float, law: _Law) -> List[float]:
+    """Each process's geometric-round factor ``q = (1-r) / (1 - r L(x))``,
+    exactly 1 when every round delivers."""
     if law.r > 0.0:
-        L = _round_transform(x, law)
-        rounds = (((1.0 - law.r) / (1.0 - law.r * L)) ** 2).tolist()
-    else:
-        rounds = (1.0,) * len(law.var)
+        return ((1.0 - law.r) / (1.0 - law.r * _round_transform(x, law))).tolist()
+    return [1.0] * len(law.var)
+
+
+def _response(x: float, law: _Law) -> float:
+    """Threshold response ``sum v (1 - lap exp(-2 theta x) q^2)``, increasing
+    in x; it meets the ratio at the optimum."""
     return sum(
-        v * (1.0 - lap * math.exp(-a * x) * c)
-        for v, lap, a, c in zip(law.var, law.lap, law.two_theta, rounds)
+        v * (1.0 - lap * math.exp(-a * x) * (q * q))
+        for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law))
     )
+
+
+def _first_order(x: float, law: _Law) -> Tuple[float, float]:
+    """The first-order residual ``h = response - ratio`` at x, and its slope.
+
+    With D the epoch mean, the ratio's slope is ``(D'/D) h``, and ``D'/D`` is
+    ``P(k, rate x)`` over the round's wait plus mean service. A process's
+    response term has slope ``v lap e a q^2 (1 + 2 q r e P(k, rate x) / (1-r))``
+    with ``e = exp(-a x)``, ``a = 2 theta``, since L falls with slope
+    ``-a e P(k, rate x)``. Everything comes from the threshold's memoised wait
+    and round transform.
+    """
+    wait, p = _wait(x, law)
+    s = 2.0 * law.r * p / (1.0 - law.r)
+    response = slope = 0.0
+    for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law)):
+        e = math.exp(-a * x)
+        term = lap * e * (q * q)
+        response += v * (1.0 - term)
+        slope += v * term * a * (1.0 + q * e * s)
+    h = response - _mse(x, law)
+    return h, slope - h * p / (wait + law.k / law.rate)
+
+
+def _delivering_response(x: float, law: _Law) -> Tuple[float, float]:
+    """The response with every round delivering, ``sum v (1 - lap exp(-2 theta x))``,
+    and its slope. It needs no table, and it lies at or below the response
+    since every ``q`` is at most 1."""
+    value = slope = 0.0
+    for v, lap, a in zip(law.var, law.lap, law.two_theta):
+        d = v * lap * math.exp(-a * x)
+        value += v - d
+        slope += a * d
+    return value, slope
 
 
 def _ratio_terms(tau: float, law: _Law) -> Tuple[float, float]:
@@ -234,94 +269,30 @@ def search_ceiling(cfg: SystemConfig) -> float:
     return max(saturated, 2.0 * _budget(cfg))
 
 
-def _invert(
-    f: Callable[[float], float], target: float, hi: float, tol: float, *, lo: float = 0.0
-) -> float:
-    """Invert the nondecreasing ``f`` at ``target`` on ``[lo, hi]`` by Brent's method.
-
-    A target at or below f(lo) returns ``lo``: the zero-wait regime when
-    ``lo`` is 0, the budget threshold when it binds. A target at or above
-    f(hi) returns ``hi``, which the caller rejects if it is the search ceiling
-    and survives to the optimum. Otherwise this is Brent's zeroin (Brent,
-    "Algorithms for Minimization without Derivatives", 1973, ch. 4) on
-    ``f - target``: inverse quadratic or secant steps, replaced by a halving
-    step whenever they would leave the bracket or fail to shrink it fast
-    enough. The returned point is an end of a bracket of the crossing that is
-    at most ``tol`` wide, or one float spacing wide, since a ``tol`` below the
-    root's float spacing cannot be met. Each end of ``[lo, hi]`` is evaluated
-    at most once.
-    """
-    fa = f(lo) - target
-    if fa >= 0.0:
-        return lo
-    fb = f(hi) - target
-    if fb <= 0.0:
-        return hi
-    # b is the best point so far, c the other end of the bracket, a the
-    # previous b; d is the last step and e the one before.
-    a, b = lo, hi
-    c, fc = a, fa
-    d = e = b - a
-    step_min = 0.5 * tol
-    for _ in range(MAX_STEPS):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        m = 0.5 * (c - b)
-        if fb == 0.0 or abs(c - b) <= tol or b + m in (b, c):
-            return b
-        if abs(e) >= step_min and abs(fa) > abs(fb):
-            # Inverse quadratic interpolation through a, b and c, or the
-            # secant through a and b when a is c, as the step p / q.
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            # Accept it only inside the bracket and under half the step
-            # before last; otherwise halve.
-            if 2.0 * p < min(3.0 * m * q - abs(step_min * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > step_min else math.copysign(step_min, m)
-        if b in (a, c):
-            # A step below the float spacing: halve instead.
-            b = a + m
-        fb = f(b) - target
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    raise ConvergenceError(
-        f"Brent's method did not reach width {tol} in {MAX_STEPS} steps (width {abs(c - b)})"
-    )
-
-
 def _newton(
-    f: Callable[[float], Tuple[float, float]], target: float, hi: float, tol: float, *, lo: float
+    f: Callable[[float], Tuple[float, float]],
+    target: float,
+    hi: float,
+    tol: float,
+    *,
+    lo: float,
+    start: Optional[float] = None,
 ) -> float:
-    """Invert the convex nondecreasing ``f`` at ``target`` on ``[lo, hi]`` by
-    Newton's method from ``hi``; ``f`` returns its value and its slope.
+    """Find where ``f`` crosses ``target`` on ``[lo, hi]`` by Newton's method
+    from ``start``, which defaults to ``hi``. ``f`` returns its value and its
+    slope, and lies below ``target`` before the crossing and above it after.
 
-    The tangent of a convex function lies below it, so from above the
-    crossing each Newton step lands at or above the crossing again, and the
-    iterates fall monotonically onto it. Every evaluation moves an end of the
-    bracket ``[lo, hi]`` to the point evaluated. A step that would leave that
-    bracket, or that a slope underflowed to 0 would make infinite, is
-    replaced by a halving step. The iteration stops once a step is at most
-    ``tol`` or one float spacing and returns the point it reached: a halving
-    step that short leaves the crossing within it, and so does a Newton step,
-    whose error after the step is quadratic in its length.
+    Every evaluation moves an end of the bracket ``[lo, hi]`` to the point
+    evaluated, by the sign of its excess. A step that would leave that
+    bracket, or that a slope of 0 or less would make, is replaced by a halving
+    step. The iteration stops once a step is at most ``tol`` or one float
+    spacing and returns the point it reached: a halving step that short
+    leaves the crossing within it, and so does a Newton step, whose error
+    after the step is quadratic in its length. For a convex ``f`` the tangent
+    lies below it, so from above the crossing each Newton step lands at or
+    above the crossing again, and the iterates fall monotonically onto it.
     """
-    t = hi
+    t = hi if start is None else start
     for _ in range(MAX_STEPS):
         value, slope = f(t)
         excess = value - target
@@ -356,22 +327,20 @@ def _budget_threshold(cfg: SystemConfig, law: _Law, tol: float) -> float:
 
 
 def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
-    """Optimal threshold and minimum sum MSE of ``scheme`` by Dinkelbach's iteration.
+    """Optimal threshold and minimum sum MSE of ``scheme``: the budget threshold,
+    or the sign change of ``h = response - ratio`` above it (see the module
+    docstring).
 
-    The iteration stops once a step changes beta by at most ``tol``; the
-    threshold inversions run at ``tol / 10``. Each response inversion after
-    the first is capped at the previous step's threshold. That point may sit
-    up to ``tol / 10`` below its own crossing, but the new crossing lies at or
-    below the old one, so a capped inversion still returns a point within
-    ``tol / 10`` of its crossing and the stopping rule keeps its meaning. The
-    returned beta is the ratio at the returned threshold. Raises
-    :class:`InvalidConfig` for a tolerance below float resolution, or when the
-    optimum reaches the search ceiling because no threshold lowers the ratio
-    by ``TOL_ULPS`` float spacings of the variance bound (as at eps = 1 - 1e-15
-    with k = 64); and :class:`ConvergenceError` when beta rises by more than
-    both ``tol`` and the ratio's rounding bound (see :class:`SolveResult`),
-    ``MAX_ITERS`` steps do not meet the stopping rule, or the optimum
-    otherwise reaches the search ceiling.
+    The threshold lies within ``tol / 10`` of the crossing, or within one
+    float spacing of it when that spacing is wider, and the returned beta is
+    the ratio at the returned threshold. Raises :class:`InvalidConfig` for a
+    tolerance below float resolution, or when the optimum reaches the search
+    ceiling because no threshold lowers the ratio by ``TOL_ULPS`` float
+    spacings of the variance bound (as at eps = 1 - 1e-15 with k = 64); and
+    :class:`ConvergenceError` when beta exceeds the ratio at the budget
+    threshold by more than both ``tol`` and the ratio's rounding bound (see
+    :class:`SolveResult`), a Newton iteration does not settle in
+    ``MAX_STEPS`` steps, or the optimum otherwise reaches the search ceiling.
     """
     return _solve(cfg, scheme, tol)[0]
 
@@ -393,27 +362,27 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
 
     tau_b = _budget_threshold(cfg, law, inner_tol) if cfg.f_max < cfg.mu else 0.0
 
-    beta = _mse(tau_b, law)
-    tau = ceiling
-    for iters in range(1, MAX_ITERS + 1):
-        tau = _invert(lambda x: _response(x, law), beta, tau, inner_tol, lo=tau_b)
-        ratio = _mse(tau, law)
-        step = ratio - beta
-        beta = ratio
-        if step > tol:
-            # A rise within the ratio's own rounding is noise at the optimum:
-            # a few float spacings of the numerator's largest term per process,
-            # over the epoch mean.
-            noise = TOL_ULPS * law.k * math.ulp(_transient(law)) / _epoch_mean(tau, law)
-            if step > noise:
-                raise ConvergenceError(
-                    f"Dinkelbach step raised beta by {step} at iteration {iters}"
-                )
-            break
-        if abs(step) <= tol:
-            break
+    beta_b = _mse(tau_b, law)
+    if _response(tau_b, law) >= beta_b:
+        # The ratio rises from tau_b on: the budget threshold, or zero wait.
+        tau = tau_b
     else:
-        raise ConvergenceError(f"Dinkelbach iteration did not settle in {MAX_ITERS} steps")
+        start = ceiling
+        if _delivering_response(ceiling, law)[0] >= beta_b:
+            start = _newton(
+                lambda x: _delivering_response(x, law), beta_b, ceiling, inner_tol,
+                lo=tau_b, start=tau_b,
+            )
+        tau = _newton(
+            lambda x: _first_order(x, law), 0.0, ceiling, inner_tol, lo=tau_b, start=start
+        )
+    beta = _mse(tau, law)
+    rise = beta - beta_b
+    # No threshold above tau_b has a larger ratio, up to the ratio's own
+    # rounding: a few float spacings of the numerator's largest term per
+    # process, over the epoch mean.
+    if rise > tol and rise > TOL_ULPS * law.k * math.ulp(_transient(law)) / _epoch_mean(tau, law):
+        raise ConvergenceError(f"the solve raised beta by {rise} above its budget-threshold value")
     if tau >= ceiling:
         # No threshold lowers the ratio by more than this below the variance
         # bound; under a few of its float spacings, beta is rounding noise.
@@ -428,8 +397,8 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
         tau_star=tau,
         beta_star=beta,
         binding=tau_b > 0.0 and tau == tau_b,
-        outer_iters=iters,
-        achieved_tol=abs(step),
+        outer_iters=len(law.ratios),
+        achieved_tol=0.0 if tau == tau_b else abs(_response(tau, law) - beta),
     ), law
 
 

@@ -105,13 +105,15 @@ class SolveResult:
     and ``binding`` says whether the sampling budget fixed the threshold: the
     budget threshold is positive and the threshold response there already
     meets the optimal ratio, so ``tau_star`` is the budget threshold itself.
-    ``outer_iters`` counts Dinkelbach steps (one threshold inversion and one
-    ratio evaluation each), and ``achieved_tol`` is the change in beta at the
-    last of them. It is at most the larger of the requested tolerance and the
+    ``outer_iters`` counts the thresholds whose ratio the solve evaluated,
+    and ``achieved_tol`` is the first-order residual ``|response(tau_star) -
+    beta_star|`` at an optimum above the budget threshold, or 0 where the
+    solve stops at the budget threshold (binding, or zero wait); neither costs
+    a table. The solve raises instead when ``beta_star`` exceeds the ratio at
+    the budget threshold by more than both the requested tolerance and the
     ratio's rounding bound: ``TOL_ULPS * k`` float spacings of
-    ``sum(var * mu / ((mu + 2 theta) * 2 theta))`` over all processes, divided
-    by the epoch mean at ``tau_star``. A rise of beta within that bound is
-    rounding noise at the optimum, and ends the iteration there.
+    ``sum(var * mu / ((mu + 2 theta) * 2 theta))`` over all processes,
+    divided by the epoch mean at ``tau_star``.
     """
 
     tau_star: float

@@ -43,7 +43,7 @@ from ouwait.series import (
     cycle_transform,
     expected_wait,
 )
-from ouwait.threshold import _invert, _law, _response, _transform, search_ceiling
+from ouwait.threshold import _law, _newton, _response, _transform, search_ceiling
 
 # A feedback round as attempts: process count, attempt rate and erasure rate.
 ATTEMPTS2 = (2, 1.0, 0.3)
@@ -786,37 +786,44 @@ class TestEpsZeroFamilyCoincidence:
 
 
 class TestInvertMonotone:
+    # Newton's method on nondecreasing functions that return their slope,
+    # started at either end of the bracket or inside it.
     def test_identity(self):
-        assert _invert(lambda x: x, 0.7, 1.0, 1e-9) == pytest.approx(0.7, abs=1e-9)
+        assert _newton(lambda x: (x, 1.0), 0.7, 1.0, 1e-9, lo=0.0) == pytest.approx(0.7, abs=1e-9)
 
     def test_inverts_expected_wait(self):
-        root = _invert(lambda t: expected_wait(t, *M1), math.exp(-1), 10.0, 1e-10)
+        # The wait's slope is P(k, rate t), the second of its terms; the slope
+        # of 0 at the start takes a halving step.
+        root = _newton(lambda t: series._wait_terms(t, *M1), math.exp(-1), 10.0, 1e-10,
+                       lo=0.0, start=0.0)
         assert root == pytest.approx(1.0, abs=1e-9)
 
     def test_bracket_error_is_distinct(self, monkeypatch):
         monkeypatch.setattr(threshold, "MAX_STEPS", 3)
         with pytest.raises(ConvergenceError):
-            _invert(lambda x: x**3, 0.5, 1.0, 1e-9)
+            _newton(lambda x: (x**3, 3.0 * x * x), 0.5, 1.0, 1e-9, lo=0.0)
 
     def test_clamped_inversion_evaluates_each_end_once(self):
-        calls = []
+        for start in (0.0, 1.0):
+            calls = []
 
-        def f(x):
-            calls.append(x)
-            return x**3
+            def f(x):
+                calls.append(x)
+                return x**3, 3.0 * x * x
 
-        root = _invert(f, 0.3, 1.0, 1e-9)
-        assert calls.count(0.0) == 1 and calls.count(1.0) == 1
-        assert root == pytest.approx(brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-12), abs=1e-9)
+            root = _newton(f, 0.3, 1.0, 1e-9, lo=0.0, start=start)
+            assert calls.count(start) == 1 and calls.count(1.0 - start) <= 1
+            cube_root = brentq(lambda x: x**3 - 0.3, 0.0, 1.0, xtol=1e-12)
+            assert root == pytest.approx(cube_root, abs=1e-9)
 
     def test_randomized_monotone_functions(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             a, b = rng.uniform(0.1, 3.0, size=2)
-            f = lambda x: a * x + b * x**3
-            target = f(rng.uniform(0, 2))
-            root = _invert(f, target, 2.0, 1e-11)
-            assert f(root) == pytest.approx(target, abs=1e-8)
+            f = lambda x: (a * x + b * x**3, a + 3.0 * b * x * x)
+            target = f(rng.uniform(0, 2))[0]
+            root = _newton(f, target, 2.0, 1e-11, lo=0.0, start=rng.uniform(0, 2))
+            assert f(root)[0] == pytest.approx(target, abs=1e-8)
 
 
 def test_default_tau_max_saturates_transforms():

@@ -157,9 +157,9 @@ def test_tolerance_below_float_resolution_rejected_up_front(two_process_cfg, mon
         solve_maf(two_process_cfg, tol=1e-20)
 
 
-def test_dinkelbach_guards(two_process_cfg, monkeypatch):
-    # The interior optimum takes three steps, so one is too few.
-    monkeypatch.setattr(threshold, "MAX_ITERS", 1)
+def test_convergence_guards(two_process_cfg, monkeypatch):
+    # The interior optimum takes several Newton steps, so one is too few.
+    monkeypatch.setattr(threshold, "MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="settle"):
         solve_maf(two_process_cfg, tol=TOL)
     monkeypatch.undo()

@@ -155,8 +155,9 @@ def test_beta_is_the_value_of_the_returned_threshold(two_process_cfg, scheme, f_
 
 @pytest.mark.parametrize("f_max, max_calls", [(0.5, 1), (1.5, 20)])
 def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch, f_max, max_calls):
-    # Halving the threshold bracket took 46 and 136 calls here, and Brent's
-    # method on [0, search_ceiling] 14 and 29. The binding solve stops at the
+    # Halving the threshold bracket took 46 and 136 calls here, Brent's
+    # method on [0, search_ceiling] 14 and 29, and Newton's method on the
+    # first-order residual takes 1 and 8. The binding solve stops at the
     # budget threshold, whose transform the first ratio has already taken.
     calls = []
     real = series._transform_terms
@@ -172,16 +173,17 @@ def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch
     assert len(set(calls)) == len(calls)
 
 
-def test_rise_within_the_ratios_rounding_ends_the_iteration():
-    # The variance bound is 4e4, so the ratio carries rounding of a few 1e-9:
-    # its second step rises by 6.19e-9, more than tol but well within the
-    # ratio's rounding bound, and the solve stops there instead of raising.
+def test_optimum_within_the_ratios_rounding_of_the_exact_one():
+    # The variance bound is 4e4, so the ratio carries rounding of a few 1e-9,
+    # more than tol. The optimum of the 50-digit ratio (mpmath, k = 1, one
+    # exponential round) is tau* = 2.2177882827038765e-4 with beta* =
+    # 79.875733087418991: beta must lie within the ratio's rounding bound of
+    # it, and tau within that bound over the response's slope there (about 80).
     cfg = SystemConfig(k=1, f_max=20.0, mu=3.0, eps=0.5, processes=(ProcessParams(0.001, 80.0),))
     res = solve_rr(cfg)
-    assert res.tau_star == pytest.approx(2.21778846e-4, rel=1e-8)
-    assert res.beta_star == pytest.approx(79.875733095, rel=1e-11)
     assert not res.binding
     law = threshold._law(cfg, RR)
     noise = (threshold.TOL_ULPS * cfg.k * np.spacing(threshold._transient(law))
              / threshold._epoch_mean(res.tau_star, law))
-    assert 1e-9 < res.achieved_tol <= noise
+    assert abs(res.beta_star - 79.875733087418991) <= noise
+    assert abs(res.tau_star - 2.2177882827038765e-4) <= noise / 80.0

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouwait import ProcessParams, Scheme, SystemConfig, epoch_mean, mse_at_tau, solve
-from ouwait.threshold import _invert, search_ceiling
+import ouwait.threshold as threshold
+from ouwait.threshold import _newton, search_ceiling
 
 TOL = 1e-9
 # Deterministic draws keep the suite reproducible; few examples keep it quick.
@@ -66,28 +67,53 @@ def test_schemes_agree_without_erasures(cfg):
     assert solve(cfg, Scheme.MAF_FEEDBACK, tol=TOL) == solve(cfg, Scheme.RR_NO_FEEDBACK, tol=TOL)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(cfg=systems())
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_optimum_is_the_sign_change_of_the_first_order_residual(cfg, scheme):
+    # h = response - ratio changes sign at tau*, and the solve binds exactly
+    # when h is already nonnegative at a positive budget threshold.
+    res, law = threshold._solve(cfg, scheme, TOL)
+    tau_b = threshold._budget_threshold(cfg, law, TOL / 10) if cfg.f_max < cfg.mu else 0.0
+
+    def h(x):
+        return threshold._response(x, law) - threshold._mse(x, law)
+
+    assert res.binding == (tau_b > 0.0 and h(tau_b) >= 0.0)
+    if res.tau_star > tau_b:
+        # The ratio's rounding bound, as the solve's own guard reads it.
+        noise = (threshold.TOL_ULPS * cfg.k * math.ulp(threshold._transient(law))
+                 / threshold._epoch_mean(res.tau_star, law))
+        assert h(max(0.0, res.tau_star - TOL / 10)) <= noise
+        assert h(res.tau_star + TOL / 10) >= -noise
+
+
 @st.composite
 def inversions(draw):
-    """A nondecreasing function on [0, hi], a target it crosses, and a tolerance."""
+    """A nondecreasing function on [0, hi] that returns its slope, a target it
+    crosses, and a tolerance."""
     kind = draw(st.sampled_from(["linear", "cubic", "saturating", "plateau"]))
     hi = draw(st.floats(0.1, 1000.0))
     root = hi * draw(st.floats(1e-4, 1.0, exclude_max=True))
     tol = hi * 10.0 ** draw(st.floats(-15.0, -3.0))
     scale = draw(st.floats(0.01, 100.0))
     if kind == "linear":
-        f = lambda x: scale * x
+        f = lambda x: (scale * x, scale)
     elif kind == "cubic":
-        f = lambda x: scale * x**3
+        f = lambda x: (scale * x**3, 3.0 * scale * x * x)
     elif kind == "saturating":
         # Saturated over most of a bracket 100 times wider than the root.
         root = hi / 100.0
         rate = draw(st.floats(0.1, 10.0)) / root
-        f = lambda x: scale * (1.0 - math.exp(-rate * x))
+        f = lambda x: (scale * (1.0 - math.exp(-rate * x)), scale * rate * math.exp(-rate * x))
     else:
         start = hi * draw(st.floats(0.0, 0.9))
         width = hi * draw(st.floats(0.0, 0.5))
-        f = lambda x: scale * (min(x, start) + max(x - start - width, 0.0))
-    return f, f(root), hi, tol
+        f = lambda x: (
+            scale * (min(x, start) + max(x - start - width, 0.0)),
+            0.0 if start <= x <= start + width else scale,
+        )
+    return f, f(root)[0], hi, tol
 
 
 @settings(PROPERTY_SETTINGS, max_examples=400)
@@ -100,11 +126,11 @@ def test_inversion_meets_its_stopping_rule_in_few_evaluations(case):
         calls.append(x)
         return f(x)
 
-    x = _invert(counted, target, hi, tol)
+    x = _newton(counted, target, hi, tol, lo=0.0)
     # The crossing lies within tol of x, or within x's own float spacing.
     lo = max(0.0, math.nextafter(x - tol, -math.inf))
     up = min(hi, math.nextafter(x + tol, math.inf))
-    assert f(lo) <= target <= f(up)
+    assert f(lo)[0] <= target <= f(up)[0]
     halvings = math.ceil(math.log2(hi / tol)) + 2
     assert len(calls) <= 2 * halvings
 
@@ -120,16 +146,16 @@ def test_inversion_from_a_lower_bracket_end(case, frac):
         calls.append(x)
         return f(x)
 
-    x = _invert(counted, target, hi, tol, lo=lo)
+    x = _newton(counted, target, hi, tol, lo=lo, start=lo)
     assert calls.count(lo) <= 1 and calls.count(hi) <= 1
-    if f(lo) >= target or lo == hi:
+    # The crossing lies within tol of x, or within x's own float spacing.
+    down = max(lo, math.nextafter(x - tol, -math.inf))
+    up = min(hi, math.nextafter(x + tol, math.inf))
+    if f(lo)[0] >= target or lo == hi:
         assert x == lo
-    elif f(hi) <= target:
-        assert x == hi
+    elif f(hi)[0] < target:
+        assert x <= hi == up
     else:
-        # The crossing lies within tol of x, or within x's own float spacing.
-        down = max(lo, math.nextafter(x - tol, -math.inf))
-        up = min(hi, math.nextafter(x + tol, math.inf))
-        assert lo <= x <= hi and f(down) <= target <= f(up)
+        assert lo <= x <= hi and f(down)[0] <= target <= f(up)[0]
     halvings = math.ceil(math.log2(hi / tol)) + 2
     assert len(calls) <= 2 * halvings
