@@ -178,7 +178,8 @@ def test_optimum_within_the_ratios_rounding_of_the_exact_one():
     # more than tol. The optimum of the 50-digit ratio (mpmath, k = 1, one
     # exponential round) is tau* = 2.2177882827038765e-4 with beta* =
     # 79.875733087418991: beta must lie within the ratio's rounding bound of
-    # it, and tau within that bound over the response's slope there (about 80).
+    # it, tau within that bound over the response's slope there (about 80),
+    # and the first-order residual within the bound.
     cfg = SystemConfig(k=1, f_max=20.0, mu=3.0, eps=0.5, processes=(ProcessParams(0.001, 80.0),))
     res = solve_rr(cfg)
     assert not res.binding
@@ -187,3 +188,4 @@ def test_optimum_within_the_ratios_rounding_of_the_exact_one():
              / threshold._epoch_mean(res.tau_star, law))
     assert abs(res.beta_star - 79.875733087418991) <= noise
     assert abs(res.tau_star - 2.2177882827038765e-4) <= noise / 80.0
+    assert res.achieved_tol <= noise
