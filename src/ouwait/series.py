@@ -3,17 +3,21 @@ the cycle transform of an Erlang(k, rate) service law. Nothing here knows the
 scheduling scheme; ``threshold`` maps each scheme onto a shape k and a rate.
 
 The regularized incomplete gamma functions P(k, x) and Q(k, x) = 1 - P(k, x)
-at integer shape k are finite Poisson sums, ``Q(k, x) = sum_{j<k} e^-x x^j / j!``.
-Their terms are read from one table of log factorials (:func:`_counts`), built
-with ``math.lgamma`` and the Stirling series, so the module needs numpy alone.
-A law of shape k needs the terms of counts 0..k, whatever its rate.
+at integer shape k are finite Poisson sums, ``Q(k, x) = sum_{j<k} p_j(x)``
+with ``p_j(x) = e^-x x^j / j!``. Their terms are read from one table of log
+factorials (:func:`_counts`), built with ``math.lgamma`` and the Stirling
+series, so the module needs numpy alone. A law of shape k needs the terms of
+counts 0..k, whatever its rate.
 
-:func:`expected_wait` and :func:`cycle_transform` are each assembled from
-three pieces that ``threshold`` also calls directly, so that it can keep them
-per law: the wait with ``P(k, rate tau)`` from one table
-(:func:`_wait_terms`), the threshold-free Laplace columns
-(:func:`_laplace_terms`), and the transform from those two
-(:func:`_transform_terms`).
+One Poisson table at ``x = rate tau`` serves a threshold: the wait, its slope
+``P(k, x)`` and the cycle transform, which is the positive-term sum
+``exp(-2 theta tau) (P(k, x) + sum_{j<k} lambda^(k-j) p_j(x))`` with
+``lambda = rate / (rate + 2 theta)``. Only ``P(k, x) = 1 - sum_{j<k} p_j(x)``
+cancels. :func:`expected_wait` and :func:`cycle_transform` are each assembled
+from three pieces that ``threshold`` also calls directly, so that it can keep
+them per law: the wait, ``P(k, x)`` and the table (:func:`_wait_table`), the
+threshold-free powers (:func:`_laplace_terms`), and the transform from those
+two (:func:`_transform_terms`).
 
 The names here are internal, and they check none of their inputs:
 ``threshold`` passes a shape and a rate taken from a validated
@@ -23,7 +27,7 @@ The names here are internal, and they check none of their inputs:
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -35,9 +39,9 @@ MAX_SERIES_TERMS = 10**6
 # is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
 # zeros, without the warnings of log 0.
 _TINY = math.ulp(0.0)
-# Columns over the rates of a cycle transform: 2 theta, rate + 2 theta and
-# (rate / (rate + 2 theta))^k.
-_LaplaceTerms = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# The threshold-free terms of a cycle transform, by rate: 2 theta, and the
+# powers lambda^(k-j) for counts j = 0..k-1, lambda = rate / (rate + 2 theta).
+_LaplaceTerms = Tuple[np.ndarray, np.ndarray]
 
 
 def _log_factorial_table(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -120,6 +124,20 @@ def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
     return np.maximum(1.0 - upper, 0.0)
 
 
+def _wait_table(tau: float, k: int, rate: float) -> Tuple[float, float, Optional[np.ndarray]]:
+    """:func:`_wait_terms`, and the Poisson(rate tau) probabilities of counts
+    0..k-1 that :func:`_transform_terms` reads; None at ``tau = 0``, where the
+    transform needs none."""
+    if tau == 0.0:
+        return 0.0, 0.0, None
+    pmf = _poisson_pmf(rate * tau, k)
+    # Entries k - 1 and k of :func:`_gamma_lower_table`, formed as it forms them.
+    upper = pmf.cumsum()
+    p_k = max(1.0 - float(upper[k - 1]), 0.0)
+    p_next = max(1.0 - float(upper[k]), 0.0)
+    return max(tau * p_k - (k / rate) * p_next, 0.0), p_k, pmf[:k]
+
+
 def _wait_terms(tau: float, k: int, rate: float) -> Tuple[float, float]:
     """The wait E[(tau - Y)+] for an Erlang(k, rate) service Y, and P(Y < tau).
 
@@ -127,45 +145,47 @@ def _wait_terms(tau: float, k: int, rate: float) -> Tuple[float, float]:
     ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``, and its entry
     ``P(k, rate tau)`` is also the wait's slope in tau.
     """
-    if tau == 0.0:
-        return 0.0, 0.0
-    g = _gamma_lower_table(rate * tau, k + 1)
-    return max(float(tau * g[k - 1] - (k / rate) * g[k]), 0.0), float(g[k - 1])
+    return _wait_table(tau, k, rate)[:2]
 
 
 def expected_wait(tau: float, k: int, rate: float) -> float:
     """Expected threshold wait E[(tau - Y)+] for an Erlang(k, rate) service Y:
     ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``."""
-    return _wait_terms(tau, k, rate)[0]
+    return _wait_table(tau, k, rate)[0]
 
 
 def _laplace_terms(thetas: ArrayLike, k: int, rate: float) -> _LaplaceTerms:
-    """The threshold-free columns of the cycle transform, one row per rate in
-    ``thetas``: ``2 theta``, ``rate + 2 theta`` and ``(rate / (rate + 2 theta))^k``."""
-    a = 2.0 * np.asarray(thetas, dtype=float)[..., None]
-    shifted = a + rate
-    return a, shifted, np.exp(k * np.log(rate / shifted))
+    """The threshold-free terms of the cycle transform at the rates ``thetas``:
+    ``2 theta``, and a row of powers ``lambda^(k-j)`` for j = 0..k-1 per rate,
+    with ``lambda = rate / (rate + 2 theta)``."""
+    a = 2.0 * np.asarray(thetas, dtype=float)
+    log_lam = np.log(rate / (a + rate))[..., None]
+    return a, np.exp(np.arange(k, 0, -1.0) * log_lam)
 
 
-def _transform_terms(tau: float, p_rate: float, laplace: _LaplaceTerms, k: int) -> np.ndarray:
-    """The cycle transform from ``p_rate = P(k, rate tau)`` and :func:`_laplace_terms`."""
-    a, shifted, lap_pow = laplace
+def _transform_terms(
+    tau: float, p_rate: float, pmf: Optional[np.ndarray], laplace: _LaplaceTerms
+) -> np.ndarray:
+    """The cycle transform from the threshold's :func:`_wait_table` terms,
+    ``p_rate = P(k, rate tau)`` and the probabilities ``pmf``, and
+    :func:`_laplace_terms`."""
+    a, powers = laplace
     if tau == 0.0:
-        # No wait: the Laplace transform of the service alone.
-        return lap_pow[..., 0]
-    # The upper tail at the shifted rate is the Poisson cumulative itself:
-    # evaluating it directly avoids the 1 - (1 - tiny) cancellation.
-    q_shift = np.minimum(_poisson_pmf(shifted * tau, k - 1).cumsum(axis=-1)[..., -1:], 1.0)
-    return (np.exp(-a * tau) * p_rate + lap_pow * q_shift)[..., 0]
+        # No wait: the Laplace transform of the service alone, lambda^k.
+        return powers[..., 0]
+    return np.exp(-a * tau) * (p_rate + (powers * pmf).sum(axis=-1))
 
 
 def cycle_transform(tau: float, thetas: ArrayLike, k: int, rate: float) -> np.ndarray:
     """Cycle transform E[exp(-2 theta max(tau, Y))] at every rate in ``thetas``,
     for an Erlang(k, rate) service Y.
 
-    It is ``exp(-2 theta tau) P(k, rate tau) + (rate / (rate + 2 theta))^k
-    Q(k, (rate + 2 theta) tau)``. One Poisson table over (theta, count) serves
-    all rates at once; the result has the shape of ``thetas``.
+    With ``lambda = rate / (rate + 2 theta)``, ``x = rate tau`` and the Poisson
+    probabilities ``p_j(x)``, it is ``exp(-2 theta tau) (P(k, x) + sum_{j<k}
+    lambda^(k-j) p_j(x))``: the term ``lambda^k Q(k, (rate + 2 theta) tau)``
+    of the direct form equals ``exp(-2 theta tau) sum_{j<k} lambda^(k-j)
+    p_j(x)``, so the wait's one Poisson table serves every rate at once. The
+    result has the shape of ``thetas``.
     """
-    p_rate = _wait_terms(tau, k, rate)[1]
-    return _transform_terms(tau, p_rate, _laplace_terms(thetas, k, rate), k)
+    _, p_rate, pmf = _wait_table(tau, k, rate)
+    return _transform_terms(tau, p_rate, pmf, _laplace_terms(thetas, k, rate))

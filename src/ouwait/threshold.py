@@ -51,9 +51,9 @@ In both, a halving step replaces any step that would leave the bracket or
 that a slope of 0 or less would make.
 
 One Poisson table per threshold serves the epoch mean, its slope and the
-``P(k, rate tau)`` term of the round transform: the law keeps each
-threshold's wait, round transform and ratio, so no threshold is evaluated
-twice in one solve.
+round transform, whose terms are that table's probabilities (see ``series``):
+the law keeps each threshold's wait, round transform and ratio, so no
+threshold is evaluated twice in one solve.
 """
 
 from __future__ import annotations
@@ -89,9 +89,12 @@ class _Law:
     var: Tuple[float, ...]  # stationary variances
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
-    laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free columns
-    # Each threshold's round wait and its slope P(k, rate tau), from one table.
-    waits: Dict[float, Tuple[float, float]] = field(default_factory=dict, compare=False)
+    laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free terms
+    # Each threshold's round wait, its slope P(k, rate tau) and the Poisson
+    # table they came from, which the round transform reads.
+    waits: Dict[float, Tuple[float, float, Optional[np.ndarray]]] = field(
+        default_factory=dict, compare=False
+    )
     rounds: Dict[float, np.ndarray] = field(default_factory=dict, compare=False)  # L by threshold
     ratios: Dict[float, float] = field(default_factory=dict, compare=False)  # sum MSE by threshold
 
@@ -126,11 +129,12 @@ def _law(
     )
 
 
-def _wait(tau: float, law: _Law) -> Tuple[float, float]:
-    """A round's wait E[(tau - Y)+] and its slope P(Y < tau), computed once per
-    threshold and law: the epoch mean, its slope and the round transform share them."""
+def _wait(tau: float, law: _Law) -> Tuple[float, float, Optional[np.ndarray]]:
+    """A round's wait E[(tau - Y)+], its slope P(Y < tau) and their Poisson
+    table, computed once per threshold and law: the epoch mean, its slope and
+    the round transform share them."""
     if tau not in law.waits:
-        law.waits[tau] = series._wait_terms(tau, law.k, law.rate)
+        law.waits[tau] = series._wait_table(tau, law.k, law.rate)
     return law.waits[tau]
 
 
@@ -154,7 +158,8 @@ def _round_transform(tau: float, law: _Law) -> np.ndarray:
     """Transform L of one round at every rate, computed once per threshold and law:
     the ratio, the response and the first-order slope at a threshold share it."""
     if tau not in law.rounds:
-        law.rounds[tau] = series._transform_terms(tau, _wait(tau, law)[1], law.laplace, law.k)
+        _, p, pmf = _wait(tau, law)
+        law.rounds[tau] = series._transform_terms(tau, p, pmf, law.laplace)
     return law.rounds[tau]
 
 
@@ -162,10 +167,12 @@ def _transform(tau: float, law: _Law) -> List[float]:
     """Epoch transform E[exp(-2 theta * epoch length)] of every process.
 
     Over a geometric(1 - r) number of rounds it is ``(1-r) L / (1 - r L)``,
-    with L the transform of one round.
+    with L the transform of one round: L itself when every round delivers.
     """
     L = _round_transform(tau, law)
-    return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
+    if law.r > 0.0:
+        return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
+    return L.tolist()
 
 
 def _round_factors(x: float, law: _Law) -> List[float]:
@@ -195,7 +202,7 @@ def _first_order(x: float, law: _Law) -> Tuple[float, float]:
     ``-a e P(k, rate x)``. Everything comes from the threshold's memoised wait
     and round transform.
     """
-    wait, p = _wait(x, law)
+    wait, p, _ = _wait(x, law)
     s = 2.0 * law.r * p / (1.0 - law.r)
     response = slope = 0.0
     for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law)):
