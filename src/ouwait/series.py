@@ -92,60 +92,34 @@ def _counts(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
     return j[: n_max + 1], log_fact[: n_max + 1]
 
 
-def _poisson_pmf(x: ArrayLike, n_max: int) -> np.ndarray:
+def _poisson_pmf(x: float, n_max: int) -> np.ndarray:
     """Poisson(x) probabilities for counts 0..n_max, computed in log space.
 
-    ``x`` is a scalar or a column of means (shape ``(..., 1)``); counts run
-    along the last axis. A zero mean, which only an underflowed ``mu * tau``
-    gives, has its mass at 0 up to 5e-324 at 1.
+    A zero mean, which only an underflowed ``rate * tau`` gives, has its mass
+    at 0 up to 5e-324 at 1.
     """
     j, log_fact = _counts(n_max)
-    # A scalar mean stays in math: numpy calls on one float cost microseconds.
-    if isinstance(x, np.ndarray):
-        log_x = np.log(np.maximum(x, _TINY))
-    else:
-        log_x = math.log(max(x, _TINY))
-    return np.exp(j * log_x - x - log_fact)
-
-
-def _gamma_lower_table(x: float, y_max: int) -> np.ndarray:
-    """Regularized lower incomplete gamma at integer shapes 1..y_max, one pass.
-
-    Entry ``i`` holds ``(1/i!) * integral_0^x t^i e^(-t) dt``, the value for
-    shape ``i + 1``, through the finite Poisson-sum identity
-    ``1 - exp(-x) * sum_{j<=i} x^j / j!``. Terms are formed in log space (no
-    overflow for any x) and accumulated by one running sum, so the absolute
-    error grows with the number of terms: against ``scipy.special.gammainc``
-    it stays below 2e-13 for shapes up to 400 and 2e-11 up to 1e4. Values
-    near zero lose relative precision to the final cancellation but stay
-    within the same absolute bound.
-    """
-    upper = _poisson_pmf(x, y_max - 1).cumsum()
-    return np.maximum(1.0 - upper, 0.0)
+    # The mean stays in math: numpy calls on one float cost microseconds.
+    return np.exp(j * math.log(max(x, _TINY)) - x - log_fact)
 
 
 def _wait_table(tau: float, k: int, rate: float) -> Tuple[float, float, Optional[np.ndarray]]:
-    """:func:`_wait_terms`, and the Poisson(rate tau) probabilities of counts
-    0..k-1 that :func:`_transform_terms` reads; None at ``tau = 0``, where the
-    transform needs none."""
+    """The wait E[(tau - Y)+] for an Erlang(k, rate) service Y, its slope
+    ``P(k, x) = P(Y < tau)`` at ``x = rate tau``, and the probabilities p_j(x)
+    of counts 0..k-1 that :func:`_transform_terms` reads (None at tau = 0).
+
+    The wait is ``tau P(k, x) - (k / rate) P(k + 1, x)``, both entries read
+    off one running sum, ``P(i, x) = 1 - sum_{j<i} p_j(x)``, whose absolute
+    error grows with the shape: it is within 2e-13 of ``scipy.special.gammainc``
+    below shape 400, so a small entry loses relative precision.
+    """
     if tau == 0.0:
         return 0.0, 0.0, None
     pmf = _poisson_pmf(rate * tau, k)
-    # Entries k - 1 and k of :func:`_gamma_lower_table`, formed as it forms them.
     upper = pmf.cumsum()
     p_k = max(1.0 - float(upper[k - 1]), 0.0)
     p_next = max(1.0 - float(upper[k]), 0.0)
     return max(tau * p_k - (k / rate) * p_next, 0.0), p_k, pmf[:k]
-
-
-def _wait_terms(tau: float, k: int, rate: float) -> Tuple[float, float]:
-    """The wait E[(tau - Y)+] for an Erlang(k, rate) service Y, and P(Y < tau).
-
-    One table of P(i, rate tau) for shapes 1..k+1 gives both: the wait is
-    ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``, and its entry
-    ``P(k, rate tau)`` is also the wait's slope in tau.
-    """
-    return _wait_table(tau, k, rate)[:2]
 
 
 def expected_wait(tau: float, k: int, rate: float) -> float:

@@ -53,7 +53,10 @@ that a slope of 0 or less would make.
 One Poisson table per threshold serves the epoch mean, its slope and the
 round transform, whose terms are that table's probabilities (see ``series``):
 the law keeps each threshold's wait, round transform and ratio, so no
-threshold is evaluated twice in one solve.
+threshold is evaluated twice in one solve. Processes that share a theta share
+one row of the transform's powers. The response and its slope are one formula
+(:func:`_response`), which reads no table with feedback; h and its slope
+(:func:`_first_order`) are read off it and the ratio.
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ class _Law:
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
     laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free terms
+    # Each process's row of ``laplace``, or None when every process has its own.
+    rows: Optional[np.ndarray] = field(compare=False)
     # Each threshold's round wait, its slope P(k, rate tau) and the Poisson
     # table they came from, which the round transform reads.
     waits: Dict[float, Tuple[float, float, Optional[np.ndarray]]] = field(
@@ -118,6 +123,12 @@ def _law(
         rate, r = cfg.mu, cfg.eps
     procs = cfg.processes
     thetas = tuple(p.theta for p in procs)
+    # Processes that share a theta share one row of the k-column powers, so
+    # that k copies of a process hold k powers rather than k^2.
+    distinct, rows = thetas, None
+    if len(set(thetas)) < cfg.k:
+        index = {t: i for i, t in enumerate(dict.fromkeys(thetas))}
+        distinct, rows = tuple(index), np.array([index[t] for t in thetas])
     return _Law(
         k=cfg.k,
         rate=rate,
@@ -125,7 +136,8 @@ def _law(
         var=tuple(p.stationary_variance for p in procs) if var is None else var,
         two_theta=tuple(2.0 * t for t in thetas),
         lap=tuple(cfg.mu / (cfg.mu + 2.0 * t) for t in thetas),
-        laplace=series._laplace_terms(thetas, cfg.k, rate),
+        laplace=series._laplace_terms(distinct, cfg.k, rate),
+        rows=rows,
     )
 
 
@@ -159,7 +171,8 @@ def _round_transform(tau: float, law: _Law) -> np.ndarray:
     the ratio, the response and the first-order slope at a threshold share it."""
     if tau not in law.rounds:
         _, p, pmf = _wait(tau, law)
-        law.rounds[tau] = series._transform_terms(tau, p, pmf, law.laplace)
+        L = series._transform_terms(tau, p, pmf, law.laplace)
+        law.rounds[tau] = L if law.rows is None else L[law.rows]
     return law.rounds[tau]
 
 
@@ -183,33 +196,33 @@ def _round_factors(x: float, law: _Law) -> List[float]:
     return [1.0] * len(law.var)
 
 
-def _response(x: float, law: _Law) -> float:
+def _response(x: float, law: _Law) -> Tuple[float, float]:
     """Threshold response ``sum v (1 - lap exp(-2 theta x) q^2)``, increasing
-    in x; it meets the ratio at the optimum."""
-    return sum(
-        v * (1.0 - lap * math.exp(-a * x) * (q * q))
-        for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law))
-    )
+    in x, and its slope; the response meets the ratio at the optimum.
+
+    A process's term has slope ``v lap e a q^2 (1 + 2 q r e P(k, rate x) / (1-r))``
+    with ``e = exp(-a x)``, ``a = 2 theta``, since L falls with slope
+    ``-a e P(k, rate x)``. With feedback r = 0, so no table is read.
+    """
+    s = 2.0 * law.r * _wait(x, law)[1] / (1.0 - law.r) if law.r > 0.0 else 0.0
+    value = slope = 0.0
+    for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law)):
+        e = math.exp(-a * x)
+        term = lap * e * (q * q)
+        value += v * (1.0 - term)
+        slope += v * term * a * (1.0 + q * e * s)
+    return value, slope
 
 
 def _first_order(x: float, law: _Law) -> Tuple[float, float]:
     """The first-order residual ``h = response - ratio`` at x, and its slope.
 
     With D the epoch mean, the ratio's slope is ``(D'/D) h``, and ``D'/D`` is
-    ``P(k, rate x)`` over the round's wait plus mean service. A process's
-    response term has slope ``v lap e a q^2 (1 + 2 q r e P(k, rate x) / (1-r))``
-    with ``e = exp(-a x)``, ``a = 2 theta``, since L falls with slope
-    ``-a e P(k, rate x)``. Everything comes from the threshold's memoised wait
-    and round transform.
+    ``P(k, rate x)`` over the round's wait plus mean service. Everything comes
+    from the threshold's memoised wait and round transform.
     """
+    response, slope = _response(x, law)
     wait, p, _ = _wait(x, law)
-    s = 2.0 * law.r * p / (1.0 - law.r)
-    response = slope = 0.0
-    for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law)):
-        e = math.exp(-a * x)
-        term = lap * e * (q * q)
-        response += v * (1.0 - term)
-        slope += v * term * a * (1.0 + q * e * s)
     h = response - _mse(x, law)
     return h, slope - h * p / (wait + law.k / law.rate)
 
@@ -294,10 +307,14 @@ def _newton(
     bracket, or that a slope of 0 or less would make, is replaced by a halving
     step. The iteration stops once a step is at most ``tol`` or one float
     spacing and returns the point it reached: a halving step that short
-    leaves the crossing within it, and so does a Newton step, whose error
-    after the step is quadratic in its length. For a convex ``f`` the tangent
-    lies below it, so from above the crossing each Newton step lands at or
-    above the crossing again, and the iterates fall monotonically onto it.
+    leaves the crossing within it, and at a simple root so does a Newton step,
+    whose error is quadratic in its length. At a flat zero it is not: for
+    ``f = x^3`` on ``[0, 1]``, target 1e-12 and tol 1e-3 it returns 1.7e-3 from
+    ``lo`` and 1.5e-3 from ``hi``, against a root at 1e-4. h has a simple root
+    at the optimum; the budget threshold meets a flat zero only when f_max is
+    within rounding of mu. For a convex ``f`` the tangent lies below it, so
+    from above the crossing each Newton step lands at or above the crossing
+    again, and the iterates fall monotonically onto it.
     """
     t = hi if start is None else start
     for _ in range(MAX_STEPS):
@@ -370,7 +387,7 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
     tau_b = _budget_threshold(cfg, law, inner_tol) if cfg.f_max < cfg.mu else 0.0
 
     beta_b = _mse(tau_b, law)
-    if _response(tau_b, law) >= beta_b:
+    if _response(tau_b, law)[0] >= beta_b:
         # The ratio rises from tau_b on: the budget threshold, or zero wait.
         tau = tau_b
     else:
@@ -405,7 +422,7 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
         beta_star=beta,
         binding=tau_b > 0.0 and tau == tau_b,
         outer_iters=len(law.ratios),
-        achieved_tol=0.0 if tau == tau_b else abs(_response(tau, law) - beta),
+        achieved_tol=0.0 if tau == tau_b else abs(_response(tau, law)[0] - beta),
     ), law
 
 

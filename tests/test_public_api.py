@@ -65,3 +65,28 @@ def test_command_line_is_the_registered_options():
         for name, p in commands.choices.items()
     }
     assert registered == COMMAND_LINE
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # A private function or class that only the tests call is a test engine
+    # kept in the package. Names are read from the code alone, so a mention in
+    # a docstring or a comment is no caller.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(ouwait.__file__).resolve().parent.glob("*.py"))
+    ]
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(private - referenced) == []

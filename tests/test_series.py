@@ -15,6 +15,7 @@ import importlib.util
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,15 +32,16 @@ from ouwait import (
     InvalidConfig,
     ProcessParams,
     Scheme,
+    SolveResult,
     SystemConfig,
     epoch_mean,
     mse_at_tau,
 )
 from ouwait.series import (
     _counts,
-    _gamma_lower_table,
     _log_factorial_table,
     _poisson_pmf,
+    _wait_table,
     cycle_transform,
     expected_wait,
 )
@@ -72,7 +74,7 @@ def rr_epoch_transform(tau: float, theta: float, k: int, mu: float, eps: float) 
 
 def response(x: float, procs, scheme: Scheme, eps: float) -> float:
     """The solver's threshold response of ``scheme`` for ``procs`` at unit mu."""
-    return _response(x, _law(system(procs, eps), scheme))
+    return _response(x, _law(system(procs, eps), scheme))[0]
 
 
 def mixture_weights(k: int, eps: float):
@@ -134,8 +136,8 @@ def draw_cycle_totals(k: int, mu: float, eps: float, n, rng):
 
 
 def reg_inc_gamma(x: float, y: int) -> float:
-    """The table's entry for shape ``y`` alone."""
-    return float(_gamma_lower_table(x, y)[y - 1])
+    """P(y, x), as the solver's wait reads it off its Poisson table."""
+    return _wait_table(x, y, 1.0)[1]
 
 
 def nb_weight(rho: int, k: int, eps: float) -> float:
@@ -146,7 +148,7 @@ def nb_weight(rho: int, k: int, eps: float) -> float:
 
 class TestRegIncGamma:
     def test_zero_argument(self):
-        assert np.all(_gamma_lower_table(0.0, 5) == 0.0)
+        assert [reg_inc_gamma(0.0, y) for y in range(1, 6)] == [0.0] * 5
 
     def test_exponential_cdf(self):
         assert reg_inc_gamma(1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-14)
@@ -159,7 +161,7 @@ class TestRegIncGamma:
         for _ in range(200):
             y = int(rng.integers(1, 400))
             x = rng.uniform(0, 500)
-            table = _gamma_lower_table(x, y)
+            table = [reg_inc_gamma(x, i) for i in range(1, y + 1)]
             assert table == pytest.approx(gammainc(np.arange(1, y + 1), x), abs=2e-13)
 
     def test_against_quadrature(self):
@@ -234,12 +236,9 @@ class TestPoissonPmf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scalar = _poisson_pmf(0.0, 5)
-            col = _poisson_pmf(np.array([[0.0], [2.0]]), 5)
-            table = _gamma_lower_table(0.0, 6)
+            table = [reg_inc_gamma(0.0, y) for y in range(1, 7)]
         assert scalar.tolist() == point_mass and scalar.sum() == 1.0
-        assert col[0].tolist() == point_mass
-        assert col[1] == pytest.approx(_poisson_pmf(2.0, 5), rel=1e-15)
-        assert table.tolist() == [0.0] * 6
+        assert table == [0.0] * 6
 
     def test_underflowed_threshold_is_the_zero_wait_limit(self):
         # mu * tau underflows to 0, and so does (mu + 2 theta) * tau for the
@@ -371,6 +370,24 @@ def test_feedback_solve_tables_stay_within_shape(monkeypatch, k, eps):
     threshold.solve(cfg, MAF)
     mse_at_tau(0.0, cfg, MAF)
     assert lengths and max(lengths) <= k + 1
+
+
+def test_shared_theta_transform_memory_is_linear_in_k():
+    # Processes of one theta share one row of the round transform's k-column
+    # powers: 2000 copies held a 2000 x 2000 matrix, a 64.6 MB peak.
+    cfg = system((ProcessParams(0.5, 1.0),) * 2000, 0.3)
+    tracemalloc.start()
+    try:
+        res = threshold.solve(cfg, RR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # The result of the solve that held the whole matrix, bit for bit.
+    assert res == SolveResult(
+        tau_star=7.24422751548402, beta_star=1999.6499999999523, binding=False,
+        outer_iters=10, achieved_tol=9.049472282640636e-11,
+    )
 
 
 def benchmark_workloads():
@@ -803,7 +820,7 @@ class TestEpsZeroFamilyCoincidence:
         for tau in np.linspace(0, 15, 120):
             assert epoch_mean(tau, cfg0, MAF) == epoch_mean(tau, cfg0, RR)
             assert _transform(tau, maf) == _transform(tau, rr)
-            assert _response(tau, maf) == _response(tau, rr)
+            assert _response(tau, maf)[0] == _response(tau, rr)[0]
 
 
 class TestInvertMonotone:
@@ -815,7 +832,7 @@ class TestInvertMonotone:
     def test_inverts_expected_wait(self):
         # The wait's slope is P(k, rate t), the second of its terms; the slope
         # of 0 at the start takes a halving step.
-        root = _newton(lambda t: series._wait_terms(t, *M1), math.exp(-1), 10.0, 1e-10,
+        root = _newton(lambda t: _wait_table(t, *M1)[:2], math.exp(-1), 10.0, 1e-10,
                        lo=0.0, start=0.0)
         assert root == pytest.approx(1.0, abs=1e-9)
 

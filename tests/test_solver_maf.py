@@ -48,7 +48,7 @@ def test_self_consistency_and_first_order(two_process_cfg):
     assert not res.binding
     # Unconstrained optimum sits where the threshold response meets the value.
     law = threshold._law(two_process_cfg, MAF)
-    assert threshold._response(res.tau_star, law) == pytest.approx(res.beta_star, abs=10 * TOL)
+    assert threshold._response(res.tau_star, law)[0] == pytest.approx(res.beta_star, abs=10 * TOL)
     assert res.achieved_tol <= TOL
     assert 0 <= res.beta_star <= two_process_cfg.total_stationary_variance
 

@@ -51,7 +51,7 @@ def test_self_consistency_first_order_local_opt(two_process_cfg):
                                           abs=10 * TOL)
     assert not res.binding
     law = threshold._law(two_process_cfg, RR)
-    assert threshold._response(res.tau_star, law) == pytest.approx(res.beta_star, abs=10 * TOL)
+    assert threshold._response(res.tau_star, law)[0] == pytest.approx(res.beta_star, abs=10 * TOL)
     for delta in (1e-3, 1e-2):
         for tau in (res.tau_star - delta, res.tau_star + delta):
             assert mse_at_tau(tau, two_process_cfg, RR) >= res.beta_star - 10 * TOL

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,7 +78,7 @@ def test_optimum_is_the_sign_change_of_the_first_order_residual(cfg, scheme):
     tau_b = threshold._budget_threshold(cfg, law, TOL / 10) if cfg.f_max < cfg.mu else 0.0
 
     def h(x):
-        return threshold._response(x, law) - threshold._mse(x, law)
+        return threshold._response(x, law)[0] - threshold._mse(x, law)
 
     assert res.binding == (tau_b > 0.0 and h(tau_b) >= 0.0)
     if res.tau_star > tau_b:
@@ -86,6 +87,26 @@ def test_optimum_is_the_sign_change_of_the_first_order_residual(cfg, scheme):
                  / threshold._epoch_mean(res.tau_star, law))
         assert h(max(0.0, res.tau_star - TOL / 10)) <= noise
         assert h(res.tau_star + TOL / 10) >= -noise
+
+
+SLOPE_PROCS = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.3, 0.5))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("eps", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_response_and_first_order_slopes_match_central_differences(scheme, eps, k):
+    # The slopes Newton's method steps on, against the five-point central
+    # difference of the values they belong to; its error is O(d^4), about 1e-9
+    # relative at this step, where h' passes near 0 past the optimum.
+    cfg = SystemConfig(k=k, f_max=1.5, mu=1.0, eps=eps, processes=SLOPE_PROCS[:k])
+    law = threshold._law(cfg, scheme)
+    for x in np.linspace(0.05, 6.0, 60):
+        d = 1e-3 * x
+        for f in (threshold._response, threshold._first_order):
+            g = [f(x + i * d, law)[0] for i in (-2, -1, 1, 2)]
+            central = (8.0 * (g[2] - g[1]) - (g[3] - g[0])) / (12.0 * d)
+            assert f(x, law)[1] == pytest.approx(central, rel=1e-6), (f.__name__, x)
 
 
 @st.composite
