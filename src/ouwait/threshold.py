@@ -121,8 +121,9 @@ def _law(
         rate, r = cfg.mu * (1.0 - cfg.eps), 0.0
     else:
         rate, r = cfg.mu, cfg.eps
-    procs = cfg.processes
+    procs, mu = cfg.processes, cfg.mu
     thetas = tuple(p.theta for p in procs)
+    two_theta = tuple(2.0 * t for t in thetas)
     # Processes that share a theta share one row of the k-column powers, so
     # that k copies of a process hold k powers rather than k^2.
     distinct, rows = thetas, None
@@ -134,8 +135,8 @@ def _law(
         rate=rate,
         r=r,
         var=tuple(p.stationary_variance for p in procs) if var is None else var,
-        two_theta=tuple(2.0 * t for t in thetas),
-        lap=tuple(cfg.mu / (cfg.mu + 2.0 * t) for t in thetas),
+        two_theta=two_theta,
+        lap=tuple(mu / (mu + a) for a in two_theta),
         laplace=series._laplace_terms(distinct, cfg.k, rate),
         rows=rows,
     )

@@ -374,7 +374,7 @@ def test_feedback_solve_tables_stay_within_shape(monkeypatch, k, eps):
 
 def test_shared_theta_transform_memory_is_linear_in_k():
     # Processes of one theta share one row of the round transform's k-column
-    # powers: 2000 copies held a 2000 x 2000 matrix, a 64.6 MB peak.
+    # powers; a row per process would make 2000 x 2000 of them, a 64.6 MB peak.
     cfg = system((ProcessParams(0.5, 1.0),) * 2000, 0.3)
     tracemalloc.start()
     try:
@@ -820,7 +820,7 @@ class TestEpsZeroFamilyCoincidence:
         for tau in np.linspace(0, 15, 120):
             assert epoch_mean(tau, cfg0, MAF) == epoch_mean(tau, cfg0, RR)
             assert _transform(tau, maf) == _transform(tau, rr)
-            assert _response(tau, maf)[0] == _response(tau, rr)[0]
+            assert _response(tau, maf) == _response(tau, rr)
 
 
 class TestInvertMonotone:
