@@ -128,11 +128,11 @@ def expected_wait(tau: float, k: int, rate: float) -> float:
     return _wait_table(tau, k, rate)[0]
 
 
-def _laplace_terms(thetas: ArrayLike, k: int, rate: float) -> _LaplaceTerms:
-    """The threshold-free terms of the cycle transform at the rates ``thetas``:
-    ``2 theta``, and a row of powers ``lambda^(k-j)`` for j = 0..k-1 per rate,
-    with ``lambda = rate / (rate + 2 theta)``."""
-    a = 2.0 * np.asarray(thetas, dtype=float)
+def _laplace_terms(two_theta: ArrayLike, k: int, rate: float) -> _LaplaceTerms:
+    """The threshold-free terms of the cycle transform at the decay rates
+    ``two_theta``: those rates, and a row of powers ``lambda^(k-j)`` for
+    j = 0..k-1 per rate, with ``lambda = rate / (rate + 2 theta)``."""
+    a = np.asarray(two_theta, dtype=float)
     log_lam = np.log(rate / (a + rate))[..., None]
     return a, np.exp(np.arange(k, 0, -1.0) * log_lam)
 
@@ -162,4 +162,6 @@ def cycle_transform(tau: float, thetas: ArrayLike, k: int, rate: float) -> np.nd
     result has the shape of ``thetas``.
     """
     _, p_rate, pmf = _wait_table(tau, k, rate)
-    return _transform_terms(tau, p_rate, pmf, _laplace_terms(thetas, k, rate))
+    return _transform_terms(
+        tau, p_rate, pmf, _laplace_terms(2.0 * np.asarray(thetas, dtype=float), k, rate)
+    )

@@ -78,12 +78,13 @@ TOL_ULPS = 4
 MAX_STEPS = 200
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Law:
     """An epoch's service law and the per-process constants the solver reuses.
 
     The fields after ``lap`` follow from those before it, so laws compare by
-    the first six alone.
+    the first six alone. Every solve builds one, so it is not frozen, which
+    would set each field through ``object.__setattr__``.
     """
 
     k: int  # shape of one round's Erlang service
@@ -93,8 +94,7 @@ class _Law:
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
     laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free terms
-    # Each process's row of ``laplace``, or None when every process has its own.
-    rows: Optional[np.ndarray] = field(compare=False)
+    rows: np.ndarray = field(compare=False)  # each process's row of ``laplace``
     # Each threshold's round wait, its slope P(k, rate tau) and the Poisson
     # table they came from, which the round transform reads.
     waits: Dict[float, Tuple[float, float, Optional[np.ndarray]]] = field(
@@ -122,23 +122,21 @@ def _law(
     else:
         rate, r = cfg.mu, cfg.eps
     procs, mu = cfg.processes, cfg.mu
-    thetas = tuple(p.theta for p in procs)
-    two_theta = tuple(2.0 * t for t in thetas)
-    # Processes that share a theta share one row of the k-column powers, so
-    # that k copies of a process hold k powers rather than k^2.
-    distinct, rows = thetas, None
-    if len(set(thetas)) < cfg.k:
-        index = {t: i for i, t in enumerate(dict.fromkeys(thetas))}
-        distinct, rows = tuple(index), np.array([index[t] for t in thetas])
+    # List comprehensions, which build these tuples faster than generators.
+    two_theta = tuple([2.0 * p.theta for p in procs])
+    # Processes that share a theta, and so a decay rate 2 theta, share one row
+    # of the k-column powers: k copies of a process hold k powers, not k^2.
+    index: Dict[float, int] = {}
+    rows = [index.setdefault(a, len(index)) for a in two_theta]
     return _Law(
         k=cfg.k,
         rate=rate,
         r=r,
         var=tuple(p.stationary_variance for p in procs) if var is None else var,
         two_theta=two_theta,
-        lap=tuple(mu / (mu + a) for a in two_theta),
-        laplace=series._laplace_terms(distinct, cfg.k, rate),
-        rows=rows,
+        lap=tuple([mu / (mu + a) for a in two_theta]),
+        laplace=series._laplace_terms(tuple(index), cfg.k, rate),
+        rows=np.array(rows),
     )
 
 
@@ -172,8 +170,7 @@ def _round_transform(tau: float, law: _Law) -> np.ndarray:
     the ratio, the response and the first-order slope at a threshold share it."""
     if tau not in law.rounds:
         _, p, pmf = _wait(tau, law)
-        L = series._transform_terms(tau, p, pmf, law.laplace)
-        law.rounds[tau] = L if law.rows is None else L[law.rows]
+        law.rounds[tau] = series._transform_terms(tau, p, pmf, law.laplace)[law.rows]
     return law.rounds[tau]
 
 
@@ -243,10 +240,9 @@ def _delivering_response(x: float, law: _Law) -> Tuple[float, float]:
 def _ratio_terms(tau: float, law: _Law) -> Tuple[float, float]:
     """Expected integrated sum MSE over an epoch, and the expected epoch length."""
     eg = _epoch_mean(tau, law)
-    numerator = sum(
-        v * (eg - (lap / a) * (1.0 - f))
-        for v, lap, a, f in zip(law.var, law.lap, law.two_theta, _transform(tau, law))
-    )
+    numerator = 0.0
+    for v, lap, a, f in zip(law.var, law.lap, law.two_theta, _transform(tau, law)):
+        numerator += v * (eg - (lap / a) * (1.0 - f))
     return numerator, eg
 
 
@@ -285,7 +281,7 @@ def search_ceiling(cfg: SystemConfig) -> float:
     so the budget threshold lies at or below ``_budget(cfg)``. Doubling it
     keeps a margin that no rounding absorbs, however large the budget.
     """
-    slowest = min(2.0 * p.theta for p in cfg.processes)
+    slowest = 2.0 * min([p.theta for p in cfg.processes])
     saturated = 50.0 / slowest + cfg.k / (cfg.mu * (1.0 - cfg.eps))
     return max(saturated, 2.0 * _budget(cfg))
 
@@ -373,7 +369,7 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
 def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveResult, _Law]:
     """:func:`solve`, and the law it evaluated, whose memos later ratios reuse."""
     # Each variance once, for the tol guard ahead of any series work and for the law.
-    var = tuple(p.stationary_variance for p in cfg.processes)
+    var = tuple([p.stationary_variance for p in cfg.processes])
     beta_hi = sum(var)
     min_tol = TOL_ULPS * math.ulp(beta_hi)
     if not (math.isfinite(tol) and tol >= min_tol):

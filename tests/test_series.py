@@ -32,7 +32,6 @@ from ouwait import (
     InvalidConfig,
     ProcessParams,
     Scheme,
-    SolveResult,
     SystemConfig,
     epoch_mean,
     mse_at_tau,
@@ -148,7 +147,11 @@ def nb_weight(rho: int, k: int, eps: float) -> float:
 
 class TestRegIncGamma:
     def test_zero_argument(self):
-        assert [reg_inc_gamma(0.0, y) for y in range(1, 6)] == [0.0] * 5
+        # At tau = 5e-324 and rate 0.5 the mean rate * tau underflows to 0 while
+        # tau stays positive, so the table is built and summed at a mean of 0.
+        waits = [_wait_table(5e-324, y, 0.5) for y in range(1, 6)]
+        assert [w[1] for w in waits] == [0.0] * 5
+        assert all(w[2] is not None for w in waits)
 
     def test_exponential_cdf(self):
         assert reg_inc_gamma(1.0, 1) == pytest.approx(1 - math.exp(-1), abs=1e-14)
@@ -236,9 +239,11 @@ class TestPoissonPmf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scalar = _poisson_pmf(0.0, 5)
-            table = [reg_inc_gamma(0.0, y) for y in range(1, 7)]
+            # rate * tau underflows to 0 at a positive tau, as in test_zero_argument.
+            tables = [_wait_table(5e-324, y, 0.5) for y in range(1, 7)]
         assert scalar.tolist() == point_mass and scalar.sum() == 1.0
-        assert table == [0.0] * 6
+        assert [t[1] for t in tables] == [0.0] * 6
+        assert [t[2].tolist() for t in tables] == [point_mass[:y] for y in range(1, 7)]
 
     def test_underflowed_threshold_is_the_zero_wait_limit(self):
         # mu * tau underflows to 0, and so does (mu + 2 theta) * tau for the
@@ -375,19 +380,32 @@ def test_feedback_solve_tables_stay_within_shape(monkeypatch, k, eps):
 def test_shared_theta_transform_memory_is_linear_in_k():
     # Processes of one theta share one row of the round transform's k-column
     # powers; a row per process would make 2000 x 2000 of them, a 64.6 MB peak.
-    cfg = system((ProcessParams(0.5, 1.0),) * 2000, 0.3)
+    # In a mix of shared and distinct thetas each process reads its own rate's row.
+    mix = system([ProcessParams(t, s) for t, s in ((0.1, 1.0), (0.5, 2.0), (0.1, 3.0))], 0.3)
+    law = _law(mix, RR)
+    assert law.laplace[1].shape == (2, 3)
+    for tau in (0.0, 0.7, 4.0):
+        L = threshold._round_transform(tau, law)
+        assert np.array_equal(L, cycle_transform(tau, [0.1, 0.5, 0.1], 3, law.rate))
+    k = 2000
+    cfg = system((ProcessParams(0.5, 1.0),) * k, 0.3)
     tracemalloc.start()
     try:
-        res = threshold.solve(cfg, RR)
+        res, law = threshold._solve(cfg, RR)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    # The result of the solve that held the whole matrix, bit for bit.
-    assert res == SolveResult(
-        tau_star=7.24422751548402, beta_star=1999.6499999999523, binding=False,
-        outer_iters=10, achieved_tol=9.049472282640636e-11,
-    )
+    # Every process's transform is the one-rate series formula, bit for bit,
+    # at every threshold the solve evaluated.
+    assert len(law.rounds) > 2
+    for tau, L in law.rounds.items():
+        assert L.tolist() == cycle_transform(tau, [0.5], k, law.rate).tolist() * k
+    # The optimum that a row per process gives (tau* 7.24422751548402, beta*
+    # 1999.6499999999523), to within the rounding of a sum over 2000 processes.
+    assert res.tau_star == pytest.approx(7.24422751548402, rel=1e-9)
+    assert res.beta_star == pytest.approx(1999.6499999999523, rel=1e-12)
+    assert not res.binding and res.achieved_tol <= 1e-9
 
 
 def benchmark_workloads():
