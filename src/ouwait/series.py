@@ -1,6 +1,7 @@
 """Analytic building blocks: incomplete-gamma sums, and the expected wait and
-the cycle transform of an Erlang(k, rate) service law. Nothing here knows the
-scheduling scheme; ``threshold`` maps each scheme onto a shape k and a rate.
+the transform of an Erlang(k, rate) service round (:class:`ErlangRound`).
+Nothing here knows the scheduling scheme; ``threshold`` maps each scheme onto
+a shape k and a rate.
 
 The regularized incomplete gamma functions P(k, x) and Q(k, x) = 1 - P(k, x)
 at integer shape k are finite Poisson sums, ``Q(k, x) = sum_{j<k} p_j(x)``
@@ -9,15 +10,13 @@ factorials (:func:`_counts`), built with ``math.lgamma`` and the Stirling
 series, so the module needs numpy alone. A law of shape k needs the terms of
 counts 0..k, whatever its rate.
 
-One Poisson table at ``x = rate tau`` serves a threshold: the wait, its slope
-``P(k, x)`` and the cycle transform, which is the positive-term sum
-``exp(-2 theta tau) (P(k, x) + sum_{j<k} lambda^(k-j) p_j(x))`` with
-``lambda = rate / (rate + 2 theta)``. Only ``P(k, x) = 1 - sum_{j<k} p_j(x)``
-cancels. :func:`expected_wait` and :func:`cycle_transform` are each assembled
-from three pieces that ``threshold`` also calls directly, so that it can keep
-them per law: the wait, ``P(k, x)`` and the table (:func:`_wait_table`), the
-threshold-free powers (:func:`_laplace_terms`), and the transform from those
-two (:func:`_transform_terms`).
+One Poisson table at ``x = rate tau`` (:func:`_wait_table`) serves a
+threshold: the wait, its slope ``P(k, x)`` and the transform at every decay
+rate, which is the positive-term sum ``exp(-2 theta tau) (P(k, x) +
+sum_{j<k} lambda^(k-j) p_j(x))`` with ``lambda = rate / (rate + 2 theta)``.
+Only ``P(k, x) = 1 - sum_{j<k} p_j(x)`` cancels. :class:`ErlangRound` owns
+that table: it keeps each threshold's wait and transform, so a solve builds
+one table per threshold it visits.
 
 The names here are internal, and they check none of their inputs:
 ``threshold`` passes a shape and a rate taken from a validated
@@ -27,10 +26,9 @@ The names here are internal, and they check none of their inputs:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 # The largest process count the CLI accepts (``cli.config_at``), so that no
 # Poisson table grows past MAX_SERIES_TERMS + 1 entries.
@@ -39,9 +37,6 @@ MAX_SERIES_TERMS = 10**6
 # is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
 # zeros, without the warnings of log 0.
 _TINY = math.ulp(0.0)
-# The threshold-free terms of a cycle transform, by rate: 2 theta, and the
-# powers lambda^(k-j) for counts j = 0..k-1, lambda = rate / (rate + 2 theta).
-_LaplaceTerms = Tuple[np.ndarray, np.ndarray]
 
 
 def _log_factorial_table(n_max: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,7 +101,7 @@ def _poisson_pmf(x: float, n_max: int) -> np.ndarray:
 def _wait_table(tau: float, k: int, rate: float) -> Tuple[float, float, Optional[np.ndarray]]:
     """The wait E[(tau - Y)+] for an Erlang(k, rate) service Y, its slope
     ``P(k, x) = P(Y < tau)`` at ``x = rate tau``, and the probabilities p_j(x)
-    of counts 0..k-1 that :func:`_transform_terms` reads (None at tau = 0).
+    of counts 0..k-1 that the round transform reads (None at tau = 0).
 
     The wait is ``tau P(k, x) - (k / rate) P(k + 1, x)``, both entries read
     off one running sum, ``P(i, x) = 1 - sum_{j<i} p_j(x)``, whose absolute
@@ -122,46 +117,50 @@ def _wait_table(tau: float, k: int, rate: float) -> Tuple[float, float, Optional
     return max(tau * p_k - (k / rate) * p_next, 0.0), p_k, pmf[:k]
 
 
-def expected_wait(tau: float, k: int, rate: float) -> float:
-    """Expected threshold wait E[(tau - Y)+] for an Erlang(k, rate) service Y:
-    ``tau P(k, rate tau) - (k / rate) P(k + 1, rate tau)``."""
-    return _wait_table(tau, k, rate)[0]
+class ErlangRound:
+    """One round's Erlang(k, rate) service Y, seen by processes of decay rates
+    ``two_theta``: the wait and each process's transform, once per threshold.
 
-
-def _laplace_terms(two_theta: ArrayLike, k: int, rate: float) -> _LaplaceTerms:
-    """The threshold-free terms of the cycle transform at the decay rates
-    ``two_theta``: those rates, and a row of powers ``lambda^(k-j)`` for
-    j = 0..k-1 per rate, with ``lambda = rate / (rate + 2 theta)``."""
-    a = np.asarray(two_theta, dtype=float)
-    log_lam = np.log(rate / (a + rate))[..., None]
-    return a, np.exp(np.arange(k, 0, -1.0) * log_lam)
-
-
-def _transform_terms(
-    tau: float, p_rate: float, pmf: Optional[np.ndarray], laplace: _LaplaceTerms
-) -> np.ndarray:
-    """The cycle transform from the threshold's :func:`_wait_table` terms,
-    ``p_rate = P(k, rate tau)`` and the probabilities ``pmf``, and
-    :func:`_laplace_terms`."""
-    a, powers = laplace
-    if tau == 0.0:
-        # No wait: the Laplace transform of the service alone, lambda^k.
-        return powers[..., 0]
-    return np.exp(-a * tau) * (p_rate + (powers * pmf).sum(axis=-1))
-
-
-def cycle_transform(tau: float, thetas: ArrayLike, k: int, rate: float) -> np.ndarray:
-    """Cycle transform E[exp(-2 theta max(tau, Y))] at every rate in ``thetas``,
-    for an Erlang(k, rate) service Y.
-
-    With ``lambda = rate / (rate + 2 theta)``, ``x = rate tau`` and the Poisson
-    probabilities ``p_j(x)``, it is ``exp(-2 theta tau) (P(k, x) + sum_{j<k}
-    lambda^(k-j) p_j(x))``: the term ``lambda^k Q(k, (rate + 2 theta) tau)``
-    of the direct form equals ``exp(-2 theta tau) sum_{j<k} lambda^(k-j)
-    p_j(x)``, so the wait's one Poisson table serves every rate at once. The
-    result has the shape of ``thetas``.
+    Processes that share a decay rate share one row of the threshold-free
+    powers ``lambda^(k-j)``, j = 0..k-1, with ``lambda = rate / (rate + 2
+    theta)``: k copies of a process hold k powers, not k^2.
     """
-    _, p_rate, pmf = _wait_table(tau, k, rate)
-    return _transform_terms(
-        tau, p_rate, pmf, _laplace_terms(2.0 * np.asarray(thetas, dtype=float), k, rate)
-    )
+
+    def __init__(self, k: int, rate: float, two_theta: Sequence[float]) -> None:
+        self.k, self.rate = k, rate
+        index: Dict[float, int] = {}
+        self._rows = np.array([index.setdefault(a, len(index)) for a in two_theta])
+        self._a = np.array(tuple(index))
+        log_lam = np.log(rate / (self._a + rate))[:, None]
+        self._powers = np.exp(np.arange(k, 0, -1.0) * log_lam)
+        self._waits: Dict[float, Tuple[float, float]] = {}
+        # Each threshold's Poisson table, until its transform has read it.
+        self._tables: Dict[float, Optional[np.ndarray]] = {}
+        self._transforms: Dict[float, np.ndarray] = {}
+
+    def wait(self, tau: float) -> Tuple[float, float]:
+        """The wait E[(tau - Y)+] and its slope P(k, rate tau) (:func:`_wait_table`)."""
+        if tau not in self._waits:
+            wait, p, self._tables[tau] = _wait_table(tau, self.k, self.rate)
+            self._waits[tau] = wait, p
+        return self._waits[tau]
+
+    def transform(self, tau: float) -> np.ndarray:
+        """Each process's transform E[exp(-2 theta max(tau, Y))].
+
+        With ``x = rate tau`` and the wait's Poisson probabilities ``p_j(x)``,
+        it is ``exp(-2 theta tau) (P(k, x) + sum_{j<k} lambda^(k-j) p_j(x))``:
+        the term ``lambda^k Q(k, (rate + 2 theta) tau)`` of the direct form
+        equals ``exp(-2 theta tau) sum_{j<k} lambda^(k-j) p_j(x)``, so one
+        table serves every decay rate.
+        """
+        if tau not in self._transforms:
+            p = self.wait(tau)[1]
+            pmf = self._tables.pop(tau)
+            if pmf is None:
+                # No wait: the Laplace transform of the service alone, lambda^k.
+                L = self._powers[:, 0]
+            else:
+                L = np.exp(-self._a * tau) * (p + (self._powers * pmf).sum(axis=-1))
+            self._transforms[tau] = L[self._rows]
+        return self._transforms[tau]

@@ -445,7 +445,8 @@ def simulate(
     remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
     which must be at least two for a standard error. ``burn_in`` defaults to
     1000, or to ``n_epochs - 3`` where that is less, so that any run of at
-    least three epochs has a window. ``seed`` is a non-negative integer.
+    least three epochs has a window. ``n_epochs`` and ``burn_in`` are integers,
+    and ``seed`` is a non-negative integer.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions (default: all of it up front). ``track_ou`` co-simulates
@@ -461,12 +462,14 @@ def simulate(
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
-    if n_epochs < 1:
-        raise InvalidConfig("n_epochs must be >= 1")
+    if not isinstance(n_epochs, (int, np.integer)) or n_epochs < 1:
+        raise InvalidConfig(f"n_epochs must be an integer >= 1, got {n_epochs!r}")
     if burn_in is None:
         burn_in = max(0, min(1000, n_epochs - 3))
-    if not (0 <= burn_in < n_epochs):
-        raise InvalidConfig("burn_in must satisfy 0 <= burn_in < n_epochs")
+    if not isinstance(burn_in, (int, np.integer)) or not 0 <= burn_in < n_epochs:
+        raise InvalidConfig(
+            f"burn_in must be an integer with 0 <= burn_in < n_epochs, got {burn_in!r}"
+        )
     if n_epochs - burn_in < 3:
         raise InvalidConfig(
             "need at least three post-burn-in epochs (two spans) for a standard error"

@@ -51,10 +51,9 @@ In both, a halving step replaces any step that would leave the bracket or
 that a slope of 0 or less would make.
 
 One Poisson table per threshold serves the epoch mean, its slope and the
-round transform, whose terms are that table's probabilities (see ``series``):
-the law keeps each threshold's wait, round transform and ratio, so no
-threshold is evaluated twice in one solve. Processes that share a theta share
-one row of the transform's powers. The response and its slope are one formula
+round transform: the law's round (``series.ErlangRound``) keeps each
+threshold's wait and transform, and the law keeps its ratio, so no threshold
+is evaluated twice in one solve. The response and its slope are one formula
 (:func:`_response`), which reads no table with feedback; h and its slope
 (:func:`_first_order`) are read off it and the ratio.
 """
@@ -64,8 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import series
 from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemConfig
@@ -93,14 +90,7 @@ class _Law:
     var: Tuple[float, ...]  # stationary variances
     two_theta: Tuple[float, ...]
     lap: Tuple[float, ...]  # mu / (mu + 2 theta)
-    laplace: series._LaplaceTerms = field(compare=False)  # the round transform's tau-free terms
-    rows: np.ndarray = field(compare=False)  # each process's row of ``laplace``
-    # Each threshold's round wait, its slope P(k, rate tau) and the Poisson
-    # table they came from, which the round transform reads.
-    waits: Dict[float, Tuple[float, float, Optional[np.ndarray]]] = field(
-        default_factory=dict, compare=False
-    )
-    rounds: Dict[float, np.ndarray] = field(default_factory=dict, compare=False)  # L by threshold
+    round: series.ErlangRound = field(compare=False)  # wait and transform L by threshold
     ratios: Dict[float, float] = field(default_factory=dict, compare=False)  # sum MSE by threshold
 
 
@@ -124,10 +114,6 @@ def _law(
     procs, mu = cfg.processes, cfg.mu
     # List comprehensions, which build these tuples faster than generators.
     two_theta = tuple([2.0 * p.theta for p in procs])
-    # Processes that share a theta, and so a decay rate 2 theta, share one row
-    # of the k-column powers: k copies of a process hold k powers, not k^2.
-    index: Dict[float, int] = {}
-    rows = [index.setdefault(a, len(index)) for a in two_theta]
     return _Law(
         k=cfg.k,
         rate=rate,
@@ -135,22 +121,12 @@ def _law(
         var=tuple(p.stationary_variance for p in procs) if var is None else var,
         two_theta=two_theta,
         lap=tuple([mu / (mu + a) for a in two_theta]),
-        laplace=series._laplace_terms(tuple(index), cfg.k, rate),
-        rows=np.array(rows),
+        round=series.ErlangRound(cfg.k, rate, two_theta),
     )
 
 
-def _wait(tau: float, law: _Law) -> Tuple[float, float, Optional[np.ndarray]]:
-    """A round's wait E[(tau - Y)+], its slope P(Y < tau) and their Poisson
-    table, computed once per threshold and law: the epoch mean, its slope and
-    the round transform share them."""
-    if tau not in law.waits:
-        law.waits[tau] = series._wait_table(tau, law.k, law.rate)
-    return law.waits[tau]
-
-
 def _epoch_mean(tau: float, law: _Law) -> float:
-    return (_wait(tau, law)[0] + law.k / law.rate) / (1.0 - law.r)
+    return (law.round.wait(tau)[0] + law.k / law.rate) / (1.0 - law.r)
 
 
 def _check_tau(tau: float) -> None:
@@ -165,22 +141,13 @@ def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     return _epoch_mean(tau, _law(cfg, scheme))
 
 
-def _round_transform(tau: float, law: _Law) -> np.ndarray:
-    """Transform L of one round at every rate, computed once per threshold and law:
-    the ratio, the response and the first-order slope at a threshold share it."""
-    if tau not in law.rounds:
-        _, p, pmf = _wait(tau, law)
-        law.rounds[tau] = series._transform_terms(tau, p, pmf, law.laplace)[law.rows]
-    return law.rounds[tau]
-
-
 def _transform(tau: float, law: _Law) -> List[float]:
     """Epoch transform E[exp(-2 theta * epoch length)] of every process.
 
     Over a geometric(1 - r) number of rounds it is ``(1-r) L / (1 - r L)``,
     with L the transform of one round: L itself when every round delivers.
     """
-    L = _round_transform(tau, law)
+    L = law.round.transform(tau)
     if law.r > 0.0:
         return ((1.0 - law.r) * L / (1.0 - law.r * L)).tolist()
     return L.tolist()
@@ -190,7 +157,7 @@ def _round_factors(x: float, law: _Law) -> List[float]:
     """Each process's geometric-round factor ``q = (1-r) / (1 - r L(x))``,
     exactly 1 when every round delivers."""
     if law.r > 0.0:
-        return ((1.0 - law.r) / (1.0 - law.r * _round_transform(x, law))).tolist()
+        return ((1.0 - law.r) / (1.0 - law.r * law.round.transform(x))).tolist()
     return [1.0] * len(law.var)
 
 
@@ -202,7 +169,7 @@ def _response(x: float, law: _Law) -> Tuple[float, float]:
     with ``e = exp(-a x)``, ``a = 2 theta``, since L falls with slope
     ``-a e P(k, rate x)``. With feedback r = 0, so no table is read.
     """
-    s = 2.0 * law.r * _wait(x, law)[1] / (1.0 - law.r) if law.r > 0.0 else 0.0
+    s = 2.0 * law.r * law.round.wait(x)[1] / (1.0 - law.r) if law.r > 0.0 else 0.0
     value = slope = 0.0
     for v, lap, a, q in zip(law.var, law.lap, law.two_theta, _round_factors(x, law)):
         e = math.exp(-a * x)
@@ -220,7 +187,7 @@ def _first_order(x: float, law: _Law) -> Tuple[float, float]:
     from the threshold's memoised wait and round transform.
     """
     response, slope = _response(x, law)
-    wait, p, _ = _wait(x, law)
+    wait, p = law.round.wait(x)
     h = response - _mse(x, law)
     return h, slope - h * p / (wait + law.k / law.rate)
 
@@ -343,7 +310,8 @@ def _budget_threshold(cfg: SystemConfig, law: _Law, tol: float) -> float:
         # and at tau = 0 the epoch mean costs no table.
         return 0.0
     return _newton(
-        lambda t: (_epoch_mean(t, law), _wait(t, law)[1] / (1.0 - law.r)), budget, top, tol, lo=lo
+        lambda t: (_epoch_mean(t, law), law.round.wait(t)[1] / (1.0 - law.r)),
+        budget, top, tol, lo=lo,
     )
 
 

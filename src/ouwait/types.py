@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -63,8 +64,9 @@ class SystemConfig:
     processes: Tuple[ProcessParams, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        # A float k would reach numpy only as a table length, and fail there.
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
         if len(self.processes) != self.k:
             raise InvalidConfig(
                 f"process list length {len(self.processes)} does not match k={self.k}"

@@ -1,6 +1,28 @@
 import pytest
 
+import ouwait.series as series
 from ouwait import ProcessParams, SystemConfig
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Every ``series.ErlangRound`` the package builds during the test, each
+    with ``computed``: the thresholds whose transform it computed, in order."""
+    built = []
+
+    class Recording(series.ErlangRound):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.computed = []
+            built.append(self)
+
+        def transform(self, tau):
+            if tau not in self._transforms:
+                self.computed.append(tau)
+            return super().transform(tau)
+
+    monkeypatch.setattr(series, "ErlangRound", Recording)
+    return built
 
 
 @pytest.fixture

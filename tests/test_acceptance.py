@@ -30,10 +30,10 @@ from ouwait import (
     solve_maf,
     solve_rr,
 )
-from ouwait.series import cycle_transform, expected_wait
 from ouwait.threshold import _law, _response, _transform
 
 from event_oracle import round_arrays
+from round_terms import cycle_transform, expected_wait
 
 REF_PROCS = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0))
 EPS_GRID = np.arange(0.0, 0.901, 0.05)

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import warnings
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -156,33 +155,34 @@ class TestRunSweep:
         assert row.sim_mse is not None and row.sim_stderr is not None
 
     @pytest.mark.parametrize("f_max", [1.5, 0.5], ids=["slack", "binding"])
-    def test_zero_wait_column_reuses_the_solve_law(self, monkeypatch, f_max):
+    def test_zero_wait_column_reuses_the_solve_law(self, monkeypatch, rounds, f_max):
         # The zero-wait ratio reads the round transform at tau = 0 from the
-        # law the solve built: it adds no Poisson table and no Laplace powers.
+        # law the solve built: it adds no Poisson table and no round.
         # Rebuilding the law took 300 round transforms against 262 at f_max 1.5.
-        calls = Counter()
-        for name in ("_poisson_pmf", "_laplace_terms", "_transform_terms"):
-            real = getattr(series, name)
+        tables = []
+        real = series._poisson_pmf
 
-            def counting(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
+        def counting(*args):
+            tables.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(series, name, counting)
+        monkeypatch.setattr(series, "_poisson_pmf", counting)
         grid = tuple(round(0.05 * i, 2) for i in range(19))
         counts = []
         for include in (False, True):
-            calls.clear()
+            tables.clear()
+            rounds.clear()
             spec = spec_eps(base=replace(BASE, f_max=f_max), grid=grid,
                             schemes=(Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK),
                             include_zero_wait=include)
             rows = run_sweep(spec)
-            counts.append(dict(calls))
-        assert counts[1]["_poisson_pmf"] == counts[0]["_poisson_pmf"]
-        assert counts[1]["_laplace_terms"] == counts[0]["_laplace_terms"] == len(rows)
+            counts.append({"tables": len(tables), "rounds": len(rounds),
+                           "transforms": sum(len(r.computed) for r in rounds)})
+        assert counts[1]["tables"] == counts[0]["tables"]
+        assert counts[1]["rounds"] == counts[0]["rounds"] == len(rows)
         if f_max >= BASE.mu:
             # tau_b = 0: the solve's first ratio took the transform at 0 already.
-            assert counts[1]["_transform_terms"] == counts[0]["_transform_terms"]
+            assert counts[1]["transforms"] == counts[0]["transforms"]
         for row in rows:
             cfg = cli.config_at(spec.base, spec.axis, row.value)
             assert row.zero_wait_mse == mse_at_tau(0.0, cfg, row.scheme)

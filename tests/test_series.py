@@ -36,15 +36,10 @@ from ouwait import (
     epoch_mean,
     mse_at_tau,
 )
-from ouwait.series import (
-    _counts,
-    _log_factorial_table,
-    _poisson_pmf,
-    _wait_table,
-    cycle_transform,
-    expected_wait,
-)
+from ouwait.series import _counts, _log_factorial_table, _poisson_pmf, _wait_table
 from ouwait.threshold import _law, _newton, _response, _transform, search_ceiling
+
+from round_terms import cycle_transform, expected_wait
 
 # A feedback round as attempts: process count, attempt rate and erasure rate.
 ATTEMPTS2 = (2, 1.0, 0.3)
@@ -383,9 +378,9 @@ def test_shared_theta_transform_memory_is_linear_in_k():
     # In a mix of shared and distinct thetas each process reads its own rate's row.
     mix = system([ProcessParams(t, s) for t, s in ((0.1, 1.0), (0.5, 2.0), (0.1, 3.0))], 0.3)
     law = _law(mix, RR)
-    assert law.laplace[1].shape == (2, 3)
+    assert law.round._powers.shape == (2, 3)
     for tau in (0.0, 0.7, 4.0):
-        L = threshold._round_transform(tau, law)
+        L = law.round.transform(tau)
         assert np.array_equal(L, cycle_transform(tau, [0.1, 0.5, 0.1], 3, law.rate))
     k = 2000
     cfg = system((ProcessParams(0.5, 1.0),) * k, 0.3)
@@ -398,8 +393,8 @@ def test_shared_theta_transform_memory_is_linear_in_k():
     assert peak < 4e6
     # Every process's transform is the one-rate series formula, bit for bit,
     # at every threshold the solve evaluated.
-    assert len(law.rounds) > 2
-    for tau, L in law.rounds.items():
+    assert len(law.round._transforms) > 2
+    for tau, L in law.round._transforms.items():
         assert L.tolist() == cycle_transform(tau, [0.5], k, law.rate).tolist() * k
     # The optimum that a row per process gives (tau* 7.24422751548402, beta*
     # 1999.6499999999523), to within the rounding of a sum over 2000 processes.
@@ -465,26 +460,22 @@ def test_benchmark_reference_solve(key, cfg, scheme):
 
 @pytest.mark.parametrize("k", BENCH.FULL.wide_ks)
 @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
-def test_binding_solve_evaluates_the_response_once(monkeypatch, k, scheme):
+def test_binding_solve_evaluates_the_response_once(monkeypatch, rounds, k, scheme):
     # The inversion starts at the budget threshold and stops there: one
     # response evaluation, on the round transform the first ratio has taken.
-    transforms, responses = [], []
-    real_transform, real_response = series._transform_terms, threshold._response
-
-    def counting_transform(*args):
-        transforms.append(args[0])
-        return real_transform(*args)
+    responses = []
+    real_response = threshold._response
 
     def counting_response(*args):
         responses.append(args[0])
         return real_response(*args)
 
-    monkeypatch.setattr(series, "_transform_terms", counting_transform)
     monkeypatch.setattr(threshold, "_response", counting_response)
     res = threshold.solve(BENCH.system(BENCH.wide_procs(k), **BENCH.WIDE_SYSTEM), scheme)
     assert res.binding
     assert responses == [res.tau_star]
-    assert len(transforms) <= 1
+    (law_round,) = rounds
+    assert len(law_round.computed) <= 1
 
 
 # Poisson tables of the six wide binding solves by (k, scheme): Brent's method
@@ -513,16 +504,16 @@ def test_wide_binding_solve_poisson_tables(monkeypatch, k, scheme):
 
 @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
 def test_solver_round_terms_equal_the_series_formulas(scheme):
-    # The solver's memoized wait and round transform are the tested formulas,
-    # bit for bit, on the thresholds it evaluates and on a grid.
+    # The law's memoized wait and round transform are those of a fresh round
+    # at its shape and rate, bit for bit, on a grid of thresholds.
     cfg = system(PROCS, 0.3)
     law = _law(cfg, scheme)
     thetas = [p.theta for p in PROCS]
     for tau in [0.0, 5e-324, 1e-9, *np.linspace(0.01, 40.0, 57)]:
         tau = float(tau)
-        L = threshold._round_transform(tau, law)
+        L = law.round.transform(tau)
         assert np.array_equal(L, cycle_transform(tau, thetas, law.k, law.rate))
-        assert threshold._wait(tau, law)[0] == expected_wait(tau, law.k, law.rate)
+        assert law.round.wait(tau)[0] == expected_wait(tau, law.k, law.rate)
         assert epoch_mean(tau, cfg, scheme) == threshold._epoch_mean(tau, law)
 
 

@@ -22,12 +22,12 @@ from ouwait import (
     epoch_mean,
     simulate,
 )
-from ouwait.series import cycle_transform
 import ouwait.sim as sim
 from ouwait.sim import _ou_probe
 from ouwait.threshold import _law, _transform
 
 from event_oracle import ou_probe_loop, round_arrays, run_epoch_maf, run_round_rr
+from round_terms import cycle_transform
 
 MAF = Scheme.MAF_FEEDBACK
 RR = Scheme.RR_NO_FEEDBACK
@@ -531,6 +531,14 @@ class TestStreaming:
         with pytest.raises(InvalidConfig, match="seed must be a non-negative integer"):
             simulate(two_process_cfg, ThresholdPolicy(MAF, 1.0), n_epochs=100, seed=seed,
                      burn_in=10)
+
+    @pytest.mark.parametrize("n_epochs, burn_in", [(1e4, None), (100.0, 10), (100, 10.0)],
+                             ids=["float-epochs", "float-epochs-and-burn-in", "float-burn-in"])
+    def test_epoch_counts_must_be_integers(self, two_process_cfg, n_epochs, burn_in):
+        # A float count once reached the statistics window as a slice index.
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            simulate(two_process_cfg, ThresholdPolicy(MAF, 1.0), n_epochs=n_epochs, seed=1,
+                     burn_in=burn_in)
 
 
 def _near(x: float, ulps: int) -> float:

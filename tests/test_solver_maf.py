@@ -20,9 +20,9 @@ from ouwait import (
     mse_at_tau,
     solve_maf,
 )
-from ouwait.series import expected_wait
 
 from event_oracle import run_epoch_maf
+from round_terms import expected_wait
 
 TOL = 1e-9
 MAF = Scheme.MAF_FEEDBACK
@@ -126,6 +126,13 @@ def test_degenerate_configs_rejected():
     with pytest.raises(InvalidConfig):
         SystemConfig(k=2, f_max=1.0, mu=1.0, eps=0.0,
                      processes=(ProcessParams(0.5, 1.0),))
+
+
+@pytest.mark.parametrize("k", [2.0, 1.5, "2"])
+def test_non_integer_k_rejected(k):
+    # A float k once passed, and the solve failed inside numpy.
+    with pytest.raises(InvalidConfig, match="k must be an integer"):
+        SystemConfig(k=k, f_max=1.5, mu=1.0, eps=0.3, processes=(ProcessParams(0.5, 1.0),) * 2)
 
 
 def test_invalid_tolerances(two_process_cfg):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import ouwait.series as series
 import ouwait.threshold as threshold
 from ouwait import (
     ConvergenceError,
@@ -19,15 +18,11 @@ from ouwait import (
     solve_maf,
     solve_rr,
 )
-from ouwait.series import expected_wait
+
+from round_terms import expected_wait
 
 TOL = 1e-9
 MAF, RR = Scheme.MAF_FEEDBACK, Scheme.RR_NO_FEEDBACK
-
-
-def round_wait(tau: float, k: int, mu: float) -> float:
-    """Expected wait E[(tau - Y)+] over one Erlang(k, mu) round."""
-    return expected_wait(tau, k, mu)
 
 
 def test_zero_threshold_anchor(single_process_cfg):
@@ -67,7 +62,7 @@ def test_binding_threshold_constant_in_erasure_rate(two_process_cfg):
     assert max(taus) - min(taus) <= 1e-9
     target = two_process_cfg.k / 0.5 - two_process_cfg.k / two_process_cfg.mu
     ref = brentq(
-        lambda t: round_wait(t, two_process_cfg.k, two_process_cfg.mu) - target, 0.0, 200.0,
+        lambda t: expected_wait(t, two_process_cfg.k, two_process_cfg.mu) - target, 0.0, 200.0,
         xtol=1e-11,
     )
     assert taus[0] == pytest.approx(ref, abs=1e-6)
@@ -101,7 +96,7 @@ def test_saturation_onset_near_unit_budget(two_process_cfg):
             break
     assert onset is not None and 0.1 <= onset <= 0.3
     target = 2 / 0.95 - 2.0
-    ref = brentq(lambda t: round_wait(t, 2, 1.0) - target, 0.0, 100.0, xtol=1e-11)
+    ref = brentq(lambda t: expected_wait(t, 2, 1.0) - target, 0.0, 100.0, xtol=1e-11)
     assert solve_rr(replace(cfg95, eps=0.5)).tau_star == pytest.approx(ref, abs=1e-6)
 
 
@@ -154,20 +149,14 @@ def test_beta_is_the_value_of_the_returned_threshold(two_process_cfg, scheme, f_
 
 
 @pytest.mark.parametrize("f_max, max_calls", [(0.5, 1), (1.5, 20)])
-def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, monkeypatch, f_max, max_calls):
+def test_brent_inversions_pin_cycle_transform_calls(two_process_cfg, rounds, f_max, max_calls):
     # Halving the threshold bracket took 46 and 136 calls here, Brent's
     # method on [0, search_ceiling] 14 and 29, and Newton's method on the
     # first-order residual takes 1 and 8. The binding solve stops at the
     # budget threshold, whose transform the first ratio has already taken.
-    calls = []
-    real = series._transform_terms
-
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(series, "_transform_terms", counting)
     solve_rr(replace(two_process_cfg, f_max=f_max), tol=TOL)
+    (law_round,) = rounds
+    calls = law_round.computed
     assert 0 < len(calls) <= max_calls
     # Each threshold's round transform is computed once per solve.
     assert len(set(calls)) == len(calls)
