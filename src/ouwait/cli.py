@@ -35,7 +35,6 @@ import argparse
 import enum
 import errno
 import inspect
-import math
 import os
 import sys
 import tempfile
@@ -44,14 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .sim import simulate
 from .threshold import _mse, _solve, solve
-from .types import (
-    ConvergenceError,
-    InvalidConfig,
-    ProcessParams,
-    Scheme,
-    SystemConfig,
-    ThresholdPolicy,
-)
+from .types import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
+from .types import _NONNEGATIVE, ThresholdPolicy, _count, _real
 
 # Last: imported ahead of .sim, series raised the peak RSS of the import by
 # about 0.4 MB.
@@ -83,10 +76,13 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_epochs", _count("n_epochs", self.n_epochs, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        # Every axis value is nonnegative; config_at checks each axis's own range.
+        name = f"{self.axis.value} grid value"
+        object.__setattr__(self, "grid", tuple(_real(name, v, _NONNEGATIVE) for v in self.grid))
         if not self.grid:
             raise InvalidConfig("grid must be nonempty")
-        if not all(math.isfinite(v) for v in self.grid):
-            raise InvalidConfig(f"{self.axis.value} grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise InvalidConfig("grid must be strictly increasing")
         if not self.schemes:
@@ -96,10 +92,6 @@ class SweepSpec:
                 config_at(self.base, self.axis, v)
             except InvalidConfig as exc:
                 raise InvalidConfig(f"{self.axis.value} grid value {v}: {exc}")
-        if self.n_epochs < 1:
-            raise InvalidConfig("n_epochs must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +115,12 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
     """Instantiate the base config at one axis value."""
     if axis is Axis.EPS:
-        return replace(base, eps=float(value))
+        return replace(base, eps=value)
     if axis is Axis.FMAX:
-        return replace(base, f_max=float(value))
+        return replace(base, f_max=value)
     if axis is Axis.THETA_J:
         procs = list(base.processes)
-        procs[-1] = replace(procs[-1], theta=float(value))
+        procs[-1] = replace(procs[-1], theta=value)
         return replace(base, processes=tuple(procs))
     if len(set(base.processes)) != 1:
         raise InvalidConfig("k-axis sweeps need identical processes in the base config")
@@ -349,12 +341,12 @@ _FLAGS = {
     "--fmax": dict(type=_float, required=True, help="total sampling frequency budget"),
     "--theta": dict(type=_floats, required=True, help="comma-separated reversion rates"),
     "--sigma-sq": dict(type=_floats, required=True, help="comma-separated squared amplitudes"),
-    "--tol": dict(type=float, default=inspect.signature(solve).parameters["tol"].default,
+    "--tol": dict(type=_float, default=inspect.signature(solve).parameters["tol"].default,
                   help="solver tolerance (default %(default)g)"),
-    "--tau": dict(type=float, default=None, help="threshold (defaults to the solver's optimum)"),
-    "--epochs": dict(type=int, default=100_000, help="simulation epochs (default %(default)d)"),
-    "--seed": dict(type=int, default=0, help="RNG seed (default %(default)d)"),
-    "--burn-in": dict(type=int, default=None,
+    "--tau": dict(type=_float, default=None, help="threshold (defaults to the solver's optimum)"),
+    "--epochs": dict(type=_int, default=100_000, help="simulation epochs (default %(default)d)"),
+    "--seed": dict(type=_int, default=0, help="RNG seed (default %(default)d)"),
+    "--burn-in": dict(type=_int, default=None,
                       help="discarded initial epochs (default 1000, or epochs - 3 if less)"),
     "--trace": dict(type=str, default=None, help="epoch trace dump path"),
     "config": dict(help="sweep config file"),

@@ -23,7 +23,7 @@ def ou_step(x: ArrayLike, dt: ArrayLike, p: ProcessParams, z: ArrayLike) -> Arra
     the mean-reverting Gaussian transition law. No time discretization error.
     """
     dt = np.asarray(dt, dtype=float)
-    if np.any(dt < 0):
+    if not np.all(dt >= 0):
         raise InvalidConfig("dt must be nonnegative")
     decay = np.exp(-p.theta * dt)
     cond_sd = np.sqrt(p.stationary_variance * -np.expm1(-2.0 * p.theta * dt))
@@ -38,7 +38,7 @@ def inst_mse(age: ArrayLike, p: ProcessParams) -> ArrayLike:
     sample, saturating at the stationary variance as the age grows.
     """
     age = np.asarray(age, dtype=float)
-    if np.any(age < 0):
+    if not np.all(age >= 0):
         raise InvalidConfig("age must be nonnegative")
     out = p.stationary_variance * -np.expm1(-2.0 * p.theta * age)
     return float(out) if out.ndim == 0 else out
@@ -52,7 +52,7 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     """
     age0 = np.asarray(age0, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    if np.any(age0 < 0) or np.any(dt < 0):
+    if not (np.all(age0 >= 0) and np.all(dt >= 0)):
         raise InvalidConfig("age0 and dt must be nonnegative")
     two_theta = 2.0 * p.theta
     out = p.stationary_variance * (

@@ -74,14 +74,8 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ou
-from .types import (
-    InvalidConfig,
-    ProcessParams,
-    Scheme,
-    SimStats,
-    SystemConfig,
-    ThresholdPolicy,
-)
+from .types import InvalidConfig, ProcessParams, Scheme, SimStats, SystemConfig, ThresholdPolicy
+from .types import _count
 
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
@@ -208,8 +202,6 @@ def _rounds(
     set the first wait's conditioning value, and drops it. A chunk takes only
     the last round's service total and the clock from the chunk before it.
     """
-    if not 0 <= tau < math.inf:
-        raise InvalidConfig("tau must be nonnegative and finite")
     service_ss, erasure_ss, _, failed_ss = _streams(seed)
     rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
     # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
@@ -445,8 +437,8 @@ def simulate(
     remaining ``n_epochs - burn_in - 1`` inter-delivery spans of each process,
     which must be at least two for a standard error. ``burn_in`` defaults to
     1000, or to ``n_epochs - 3`` where that is less, so that any run of at
-    least three epochs has a window. ``n_epochs`` and ``burn_in`` are integers,
-    and ``seed`` is a non-negative integer.
+    least three epochs has a window. ``n_epochs``, ``burn_in`` and ``seed`` are
+    integers, never a bool or a float, and ``seed`` is non-negative.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions (default: all of it up front). ``track_ou`` co-simulates
@@ -460,16 +452,11 @@ def simulate(
     """
     if not isinstance(policy, ThresholdPolicy):
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(n_epochs, (int, np.integer)) or n_epochs < 1:
-        raise InvalidConfig(f"n_epochs must be an integer >= 1, got {n_epochs!r}")
+    seed = _count("seed", seed, 0)
+    n_epochs = _count("n_epochs", n_epochs, 1)
     if burn_in is None:
         burn_in = max(0, min(1000, n_epochs - 3))
-    if not isinstance(burn_in, (int, np.integer)) or not 0 <= burn_in < n_epochs:
-        raise InvalidConfig(
-            f"burn_in must be an integer with 0 <= burn_in < n_epochs, got {burn_in!r}"
-        )
+    burn_in = _count("burn_in", burn_in, 0, n_epochs)
     if n_epochs - burn_in < 3:
         raise InvalidConfig(
             "need at least three post-burn-in epochs (two spans) for a standard error"

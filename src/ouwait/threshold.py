@@ -65,7 +65,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import series
-from .types import ConvergenceError, InvalidConfig, Scheme, SolveResult, SystemConfig
+from .types import _NONNEGATIVE, ConvergenceError, InvalidConfig, Scheme, SolveResult
+from .types import SystemConfig, _real
 
 # A step of beta cannot be resolved below one float spacing of beta, which is
 # at most the variance bound; a tolerance under a few spacings of that bound
@@ -129,16 +130,9 @@ def _epoch_mean(tau: float, law: _Law) -> float:
     return (law.round.wait(tau)[0] + law.k / law.rate) / (1.0 - law.r)
 
 
-def _check_tau(tau: float) -> None:
-    # Written so that a nan fails the comparison and is rejected.
-    if not 0.0 <= tau < math.inf:
-        raise InvalidConfig(f"tau must be nonnegative and finite, got {tau}")
-
-
 def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Expected epoch length: the wait plus the service it spans, per delivery."""
-    _check_tau(tau)
-    return _epoch_mean(tau, _law(cfg, scheme))
+    return _epoch_mean(_real("tau", tau, _NONNEGATIVE), _law(cfg, scheme))
 
 
 def _transform(tau: float, law: _Law) -> List[float]:
@@ -225,8 +219,7 @@ def _mse(tau: float, law: _Law) -> float:
 
 def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Long-term average sum MSE achieved by threshold ``tau``."""
-    _check_tau(tau)
-    return _mse(tau, _law(cfg, scheme))
+    return _mse(_real("tau", tau, _NONNEGATIVE), _law(cfg, scheme))
 
 
 def _transient(law: _Law) -> float:
@@ -320,15 +313,15 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     or the sign change of ``h = response - ratio`` above it (see the module
     docstring).
 
-    The threshold lies within ``tol / 10`` of the crossing, or within one
-    float spacing of it when that spacing is wider, and the returned beta is
-    the ratio at the returned threshold. Raises :class:`InvalidConfig` for a
-    tolerance below float resolution, or when the optimum reaches the search
-    ceiling because no threshold lowers the ratio by ``TOL_ULPS`` float
-    spacings of the variance bound (as at eps = 1 - 1e-15 with k = 64); and
-    :class:`ConvergenceError` when beta exceeds the ratio at the budget
-    threshold by more than both ``tol`` and the ratio's rounding bound (see
-    :class:`SolveResult`), a Newton iteration does not settle in
+    The threshold lies within ``tol / 10`` of the crossing, or within one float
+    spacing of it when that spacing is wider, and the returned beta is the ratio
+    at the returned threshold. Raises :class:`InvalidConfig` for a tolerance
+    that is not a real number at or above float resolution, or when the optimum
+    reaches the search ceiling because no threshold lowers the ratio by
+    ``TOL_ULPS`` float spacings of the variance bound (as at eps = 1 - 1e-15
+    with k = 64); and :class:`ConvergenceError` when beta exceeds the ratio at
+    the budget threshold by more than both ``tol`` and the ratio's rounding
+    bound (see :class:`SolveResult`), a Newton iteration does not settle in
     ``MAX_STEPS`` steps, or the optimum otherwise reaches the search ceiling.
     """
     return _solve(cfg, scheme, tol)[0]
@@ -336,11 +329,12 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
 
 def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveResult, _Law]:
     """:func:`solve`, and the law it evaluated, whose memos later ratios reuse."""
+    tol = _real("tol", tol)
     # Each variance once, for the tol guard ahead of any series work and for the law.
     var = tuple([p.stationary_variance for p in cfg.processes])
     beta_hi = sum(var)
     min_tol = TOL_ULPS * math.ulp(beta_hi)
-    if not (math.isfinite(tol) and tol >= min_tol):
+    if not tol >= min_tol:
         raise InvalidConfig(
             f"tol must be finite and at least {min_tol:.3g}, {TOL_ULPS} float spacings "
             f"of the variance bound {beta_hi:.6g}; got {tol}"

@@ -17,6 +17,43 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative routine exhausts its iteration budget or loses monotonicity."""
 
 
+# The ranges of the real inputs, as ``lo <= x < hi`` and in words. A positive range
+# starts at the least positive float. 2 * theta, the decay rate of the error law,
+# must be finite too, which it is exactly below 2 ** 1023.
+_POSITIVE = (math.ulp(0.0), math.inf, "be positive and finite")
+_NONNEGATIVE = (0.0, math.inf, "be nonnegative and finite")
+_FRACTION = (0.0, 1.0, "lie in [0, 1)")
+_RATE = (math.ulp(0.0), 2.0**1023, "be positive with 2 * {} finite")
+
+
+def _real(name: str, x, within: tuple = _POSITIVE) -> float:
+    """``x`` as a Python float, if it is a real number, not a bool, in the range
+    ``within``; anything else raises InvalidConfig naming ``name``."""
+    lo, hi, words = within
+    y = x
+    if type(x) is not float:
+        try:
+            y = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        except OverflowError:  # an integer past the float range
+            y = math.nan
+    if not lo <= y < hi:  # a nan fails the comparison
+        raise InvalidConfig(f"{name} must {words.format(name)}, got {x!r}")
+    return y
+
+
+def _count(name: str, x, lo: int, hi: float = math.inf) -> int:
+    """``x`` as a Python int, if it is an integer, not a bool, with ``lo <= x < hi``;
+    anything else raises InvalidConfig naming ``name``."""
+    y = x
+    if type(x) is not int:
+        y = int(x) if isinstance(x, numbers.Integral) and not isinstance(x, bool) else math.nan
+    if not lo <= y < hi:
+        want = f"an integer with {lo} <= {name} < {hi}" if hi < math.inf else (
+            "a non-negative integer" if lo == 0 else f"an integer >= {lo}")
+        raise InvalidConfig(f"{name} must be {want}, got {x!r}")
+    return y
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Mean-reversion rate and squared diffusion amplitude of one process.
@@ -28,13 +65,8 @@ class ProcessParams:
     sigma_sq: float
 
     def __post_init__(self) -> None:
-        # 2 theta is the decay rate of the error law, so it must be finite too.
-        if not (self.theta > 0 and math.isfinite(2.0 * self.theta)):
-            raise InvalidConfig(
-                f"theta must be positive with 2 * theta finite, got {self.theta}"
-            )
-        if not (self.sigma_sq > 0 and math.isfinite(self.sigma_sq)):
-            raise InvalidConfig(f"sigma_sq must be positive and finite, got {self.sigma_sq}")
+        object.__setattr__(self, "theta", _real("theta", self.theta, _RATE))
+        object.__setattr__(self, "sigma_sq", _real("sigma_sq", self.sigma_sq))
         if not (0 < self.stationary_variance < math.inf):
             raise InvalidConfig(
                 f"sigma_sq / (2 * theta) must be positive and finite, got "
@@ -65,18 +97,14 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # A float k would reach numpy only as a table length, and fail there.
-        if not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise InvalidConfig(f"k must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "k", _count("k", self.k, 1))
         if len(self.processes) != self.k:
             raise InvalidConfig(
                 f"process list length {len(self.processes)} does not match k={self.k}"
             )
-        if not (self.f_max > 0 and math.isfinite(self.f_max)):
-            raise InvalidConfig(f"f_max must be positive, got {self.f_max}")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise InvalidConfig(f"mu must be positive, got {self.mu}")
-        if not (0.0 <= self.eps < 1.0):
-            raise InvalidConfig(f"eps must lie in [0, 1), got {self.eps}")
+        object.__setattr__(self, "f_max", _real("f_max", self.f_max))
+        object.__setattr__(self, "mu", _real("mu", self.mu))
+        object.__setattr__(self, "eps", _real("eps", self.eps, _FRACTION))
         object.__setattr__(self, "processes", tuple(self.processes))
 
     @property
@@ -95,8 +123,7 @@ class ThresholdPolicy:
     def __post_init__(self) -> None:
         if not isinstance(self.scheme, Scheme):
             raise InvalidConfig(f"scheme must be a Scheme, got {self.scheme!r}")
-        if not (self.tau >= 0 and math.isfinite(self.tau)):
-            raise InvalidConfig(f"tau must be nonnegative and finite, got {self.tau}")
+        object.__setattr__(self, "tau", _real("tau", self.tau, _NONNEGATIVE))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ouwait import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
-from ouwait import inst_mse, ou_step
+from ouwait import ThresholdPolicy, inst_mse, ou_step
 from ouwait.sim import RoundArrays, _rounds
 
 ATTEMPT_CAP = 10**7  # attempts one burst of the event loop may take
@@ -33,10 +33,13 @@ def round_arrays(
     """The first ``n_rounds`` rounds of the streaming engine as one run.
 
     Every process needs a round per delivery, so the engine run for
-    ``n_rounds`` deliveries draws at least ``n_rounds`` rounds.
+    ``n_rounds`` deliveries draws at least ``n_rounds`` rounds. The threshold
+    reaches the engine as :func:`ouwait.simulate` passes it, through a
+    ``ThresholdPolicy``, which rejects a negative or non-finite one.
     """
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
+    tau = ThresholdPolicy(scheme, tau).tau
     chunks = _rounds(cfg, scheme, tau, seed, wait_split, n_rounds)
     return RoundArrays.concat(list(chunks))[:n_rounds]
 

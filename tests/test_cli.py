@@ -117,6 +117,15 @@ class TestSweepSpec:
         assert out.out == ""
         assert out.err.startswith("error: invalid sweep spec: seed") and out.err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value", [("n_epochs", 5000.0), ("seed", 1.0)])
+    def test_float_count_rejected_before_any_row(self, monkeypatch, field, value):
+        # A float n_epochs was once accepted, and then every row's simulation failed.
+        calls = []
+        monkeypatch.setattr(cli, "_solve", lambda *a, **kw: calls.append(a))
+        with pytest.raises(InvalidConfig, match=f"{field} must be"):
+            run_sweep(spec_eps(sim_validate=True, **{field: value}))
+        assert calls == []
+
     def test_k_axis_needs_symmetric_base(self):
         with pytest.raises(InvalidConfig):
             cli.config_at(BASE, Axis.K, 3)
@@ -543,6 +552,19 @@ class TestMain:
     def test_unusable_run_length_is_one_line_error(self, capsys, extra):
         assert cli.main(["simulate", "--scheme", "rr"] + SIM_ARGS + extra) == 1
         assert "burn" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, field", [("--mu", "mu"), ("--eps", "eps"), ("--fmax", "f_max"),
+                                             ("--theta", "theta"), ("--tol", "tol"), ("--tau", "tau")])
+    def test_non_finite_number_is_one_line_error(self, capsys, flag, field, bad):
+        if flag == "--tau":
+            args = ["simulate", "--scheme", "rr"] + SIM_ARGS
+        else:
+            args = ["solve", "--scheme", "maf"] + SOLVE_ARGS + ["--tol", "1e-9"]
+        i = args.index(flag) + 1
+        args[i] = ",".join([bad] + args[i].split(",")[1:])  # the first of a list
+        assert cli.main(args) == 1
+        assert f"error: {field} must" in one_line_error(capsys)
 
     def test_negative_seed_is_one_line_error(self, capsys):
         args = list(SIM_ARGS)

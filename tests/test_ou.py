@@ -25,9 +25,10 @@ class TestOuStep:
     def test_conditional_mean_decay(self):
         assert ou_step(1.0, 2.0, P, 0.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
-    def test_negative_horizon_rejected(self):
+    @pytest.mark.parametrize("dt", [-0.1, math.nan])
+    def test_negative_horizon_rejected(self, dt):
         with pytest.raises(InvalidConfig):
-            ou_step(0.0, -0.1, P, 0.0)
+            ou_step(0.0, dt, P, 0.0)
 
     def test_long_horizon_reaches_stationary_variance(self):
         rng = np.random.default_rng(101)
@@ -64,9 +65,10 @@ class TestInstMse:
         assert np.all(np.diff(vals) > 0)
         assert np.all(vals <= P.stationary_variance)
 
-    def test_negative_age_rejected(self):
+    @pytest.mark.parametrize("age", [-1e-9, math.nan])
+    def test_negative_age_rejected(self, age):
         with pytest.raises(InvalidConfig):
-            inst_mse(-1e-9, P)
+            inst_mse(age, P)
 
 
 class TestMseIntegral:
@@ -95,11 +97,12 @@ class TestMseIntegral:
             split = mse_integral(a, d1, P) + mse_integral(a + d1, d2, P)
             assert abs(whole - split) < 1e-12
 
-    def test_negative_inputs_rejected(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_inputs_rejected(self, bad):
         with pytest.raises(InvalidConfig):
-            mse_integral(-1.0, 1.0, P)
+            mse_integral(bad, 1.0, P)
         with pytest.raises(InvalidConfig):
-            mse_integral(1.0, -1.0, P)
+            mse_integral(1.0, bad, P)
 
 
 def test_process_params_validation():
