@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .sim import simulate
 from .threshold import _mse, _solve, solve
 from .types import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
-from .types import _NONNEGATIVE, ThresholdPolicy, _count, _real
+from .types import _NONNEGATIVE, ThresholdPolicy, _count, _flag, _real
 
 # Last: imported ahead of .sim, series raised the peak RSS of the import by
 # about 0.4 MB.
@@ -76,6 +76,14 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.axis, Axis):
+            raise InvalidConfig(f"axis must be an Axis, got {self.axis!r}")
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+        for scheme in self.schemes:
+            if not isinstance(scheme, Scheme):
+                raise InvalidConfig(f"schemes must hold Schemes, got {scheme!r}")
+        for flag in ("include_zero_wait", "sim_validate"):
+            object.__setattr__(self, flag, _flag(flag, getattr(self, flag)))
         object.__setattr__(self, "n_epochs", _count("n_epochs", self.n_epochs, 1))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         # Every axis value is nonnegative; config_at checks each axis's own range.

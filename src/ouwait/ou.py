@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-from .types import InvalidConfig, ProcessParams
+from .types import InvalidConfig, ProcessParams, _reals
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -22,12 +22,12 @@ def ou_step(x: ArrayLike, dt: ArrayLike, p: ProcessParams, z: ArrayLike) -> Arra
     Returns ``x * exp(-theta*dt) + sqrt(sigma_sq * (1 - exp(-2*theta*dt)) / (2*theta)) * z``,
     the mean-reverting Gaussian transition law. No time discretization error.
     """
-    dt = np.asarray(dt, dtype=float)
+    x, dt, z = _reals("x", x), _reals("dt", dt), _reals("z", z)
     if not np.all(dt >= 0):
         raise InvalidConfig("dt must be nonnegative")
     decay = np.exp(-p.theta * dt)
     cond_sd = np.sqrt(p.stationary_variance * -np.expm1(-2.0 * p.theta * dt))
-    out = np.asarray(x, dtype=float) * decay + cond_sd * np.asarray(z, dtype=float)
+    out = x * decay + cond_sd * z
     return float(out) if out.ndim == 0 else out
 
 
@@ -37,7 +37,7 @@ def inst_mse(age: ArrayLike, p: ProcessParams) -> ArrayLike:
     Equals ``(sigma_sq / 2 theta) * (1 - exp(-2 theta age))``: zero for a fresh
     sample, saturating at the stationary variance as the age grows.
     """
-    age = np.asarray(age, dtype=float)
+    age = _reals("age", age)
     if not np.all(age >= 0):
         raise InvalidConfig("age must be nonnegative")
     out = p.stationary_variance * -np.expm1(-2.0 * p.theta * age)
@@ -50,8 +50,7 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     Used by the simulator to accumulate error exactly between events instead of
     time-stepping. Additive over adjacent subintervals.
     """
-    age0 = np.asarray(age0, dtype=float)
-    dt = np.asarray(dt, dtype=float)
+    age0, dt = _reals("age0", age0), _reals("dt", dt)
     if not (np.all(age0 >= 0) and np.all(dt >= 0)):
         raise InvalidConfig("age0 and dt must be nonnegative")
     two_theta = 2.0 * p.theta

@@ -48,6 +48,13 @@ substream is drawn in the same order whatever the chunk size, and a batch is
 summed once, when it closes, so every statistic and the trace file are
 bit-identical for any ``CHUNK_ROUNDS``.
 
+The statistics are read off one table of the processes' batch sums, a
+(k, batches) array for each of the error integral, the span length and, with
+the probe, the realized and closed-form errors. A row is summed pairwise, as
+numpy sums a 1-D array; sums across processes, arrays or scalars
+(:func:`_in_order`), add one process after the other, except ``sum_mse``,
+which is Python's ``sum`` of the per-process means.
+
 Randomness is split into four named substreams from one seed, so identical
 seeds give bit-identical statistics and both schemes can be compared on
 matched draws:
@@ -75,7 +82,7 @@ import numpy as np
 
 from . import ou
 from .types import InvalidConfig, ProcessParams, Scheme, SimStats, SystemConfig, ThresholdPolicy
-from .types import _count
+from .types import _count, _flag, _reals
 
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
@@ -88,7 +95,7 @@ def _streams(seed: int) -> List[np.random.SeedSequence]:
 
 
 def _wait_fractions(cfg: SystemConfig, wait_split: Sequence[float]) -> np.ndarray:
-    f = np.asarray(wait_split, dtype=float)
+    f = _reals("wait_split", wait_split)
     # Written so that a nan fails every comparison and is rejected.
     if f.shape != (cfg.k,) or not (np.all(f >= 0) and abs(f.sum() - 1.0) <= 1e-9):
         raise InvalidConfig("wait_split must be k nonnegative fractions summing to 1")
@@ -255,8 +262,15 @@ def _batch_edges(count: int) -> np.ndarray:
     return np.linspace(0, count, nb + 1).astype(np.int64)
 
 
-def _se(batch_vals: np.ndarray) -> float:
-    return float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals)))
+def _se(batch_vals: np.ndarray) -> np.ndarray:
+    """The batch-means standard error of each row of ``batch_vals``."""
+    return np.std(batch_vals, axis=-1, ddof=1) / math.sqrt(batch_vals.shape[-1])
+
+
+def _in_order(values: np.ndarray) -> float:
+    """The sum of ``values`` added one at a time in order, as ``+=`` in a loop
+    would: a cumsum's last entry, where a 1-D sum would be pairwise."""
+    return float(values.cumsum()[-1])
 
 
 class _Batches:
@@ -441,19 +455,20 @@ def simulate(
     integers, never a bool or a float, and ``seed`` is non-negative.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
-    fixed fractions (default: all of it up front). ``track_ou`` co-simulates
-    each process's path from its own OU noise substream and fills the
-    ``ou_probe_*`` fields: the realized squared estimation error at every
-    delivery in the window against the closed-form error at the same age,
-    with a standard error from the same batches as the MSE. ``trace_path``
-    writes one tab-separated record per epoch of the last process, for its
-    first ``n_epochs`` epochs (see :func:`_write_trace`). Identical arguments
-    give bit-identical results.
+    fixed fractions, integers or floats (default: all of it up front).
+    ``track_ou``, a bool, co-simulates each process's path from its own OU
+    noise substream and fills the ``ou_probe_*`` fields: the realized squared
+    estimation error at every delivery in the window against the closed-form
+    error at the same age, with a standard error from the same batches as the
+    MSE. ``trace_path`` writes one tab-separated record per epoch of the last
+    process, for its first ``n_epochs`` epochs (see :func:`_write_trace`).
+    Identical arguments give bit-identical results.
     """
     if not isinstance(policy, ThresholdPolicy):
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
     seed = _count("seed", seed, 0)
     n_epochs = _count("n_epochs", n_epochs, 1)
+    track_ou = _flag("track_ou", track_ou)
     if burn_in is None:
         burn_in = max(0, min(1000, n_epochs - 3))
     burn_in = _count("burn_in", burn_in, 0, n_epochs)
@@ -482,47 +497,26 @@ def simulate(
                 w.feed(rounds)
 
     counts = np.diff(edges).astype(float)
-    per_mse = []
-    per_mse_se = []
-    inter_sample = []
-    inter_sample_se = []
-    sum_batches = np.zeros(len(counts))
-    epoch_len_batches = np.zeros(len(counts))
-    mean_epoch_len = 0.0
-    ou_err = ou_ref = 0.0
-    diff_batches = np.zeros(len(counts))
-    for w in windows:
-        ints, gaps = w.batches.sums[:2]
-        samples = w.batches.counts
-        span = w.last[0] - w.first
-        per_mse.append(float(ints.sum() / span))
-        batches_k = ints / gaps
-        per_mse_se.append(_se(batches_k))
-        sum_batches += batches_k
-        epoch_len_batches += gaps / counts / cfg.k
-        mean_epoch_len += float(gaps.sum() / window) / cfg.k
-        inter_sample.append(float(span / samples.sum()))
-        inter_sample_se.append(_se(gaps / samples))
-        if track_ou:
-            errs, refs = w.batches.sums[2:]
-            ou_err += float(errs.sum() / window)
-            ou_ref += float(refs.sum() / window)
-            diff_batches += (errs - refs) / counts
-
+    # One table of batch sums, each row (k, batches): see Streaming for the sums' order.
+    ints, gaps, *probe = np.stack([w.batches.sums for w in windows], axis=1)
+    errs, refs = probe or (None, None)
+    samples = np.stack([w.batches.counts for w in windows])
+    span = np.array([w.last[0] - w.first for w in windows])
+    per_mse, batch_mse = ints.sum(axis=1) / span, ints / gaps
     return SimStats(
         scheme=policy.scheme,
-        sum_mse=float(sum(per_mse)),
-        sum_mse_se=_se(sum_batches),
-        per_process_mse=tuple(per_mse),
-        per_process_mse_se=tuple(per_mse_se),
-        mean_epoch_len=mean_epoch_len,
-        mean_epoch_len_se=_se(epoch_len_batches),
-        per_process_inter_sample_mean=tuple(inter_sample),
-        per_process_inter_sample_se=tuple(inter_sample_se),
+        sum_mse=sum(per_mse.tolist()),
+        sum_mse_se=float(_se(batch_mse.sum(axis=0))),
+        per_process_mse=tuple(per_mse.tolist()),
+        per_process_mse_se=tuple(_se(batch_mse).tolist()),
+        mean_epoch_len=_in_order(gaps.sum(axis=1) / window / cfg.k),
+        mean_epoch_len_se=float(_se((gaps / counts / cfg.k).sum(axis=0))),
+        per_process_inter_sample_mean=tuple((span / samples.sum(axis=1)).tolist()),
+        per_process_inter_sample_se=tuple(_se(gaps / samples).tolist()),
         epochs=window,
-        ou_probe_mse=ou_err if track_ou else None,
-        ou_probe_ref=ou_ref if track_ou else None,
-        ou_probe_diff_se=_se(diff_batches) if track_ou else None,
+        ou_probe_mse=_in_order(errs.sum(axis=1) / window) if probe else None,
+        ou_probe_ref=_in_order(refs.sum(axis=1) / window) if probe else None,
+        ou_probe_diff_se=float(_se(((errs - refs) / counts).sum(axis=0))) if probe else None,
     )
 
 

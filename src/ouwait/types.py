@@ -8,6 +8,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 
 class InvalidConfig(ValueError):
     """Raised when a parameter set violates its domain constraints."""
@@ -52,6 +54,24 @@ def _count(name: str, x, lo: int, hi: float = math.inf) -> int:
             "a non-negative integer" if lo == 0 else f"an integer >= {lo}")
         raise InvalidConfig(f"{name} must be {want}, got {x!r}")
     return y
+
+
+def _flag(name: str, x) -> bool:
+    """``x`` as a Python bool, if it is a bool or a numpy bool; anything else
+    raises InvalidConfig naming ``name``."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise InvalidConfig(f"{name} must be a bool, got {x!r}")
+    return bool(x)
+
+
+def _reals(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array, if numpy reads it as integers or floats; a
+    bool, text, object or complex array raises InvalidConfig naming ``name``."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        got = repr(x) if a.ndim == 0 else f"{a.dtype.type.__name__} entries"
+        raise InvalidConfig(f"{name} must hold real numbers, got {got}")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

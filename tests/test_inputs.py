@@ -1,12 +1,14 @@
 """The input contract of every public entry.
 
 A real parameter is a real number and an epoch count or seed is an integer,
-never a bool. A bad value raises ``InvalidConfig`` with a one-line message
-that names the field, and no ``TypeError`` reaches the caller. A numpy
-``float32`` or ``int64`` is stored as the Python ``float`` or ``int`` of the
-same value, so it gives the answer of that Python number. The ``ou``
-functions take arrays, which numpy converts to float64, and reject a nan or
-negative entry.
+never a bool, and a flag is a bool. A bad value raises ``InvalidConfig``
+with a one-line message that names the field, and no ``TypeError`` reaches
+the caller. A numpy ``float32``, ``int64`` or ``bool_`` is stored as the
+Python ``float``, ``int`` or ``bool`` of the same value, so it gives the
+answer of that Python value. The ``ou`` functions and ``simulate``'s
+``wait_split`` take arrays of integers or floats, which they convert to
+float64; a bool, text, complex or object array is refused, as is a nan or
+negative entry where one is not allowed.
 """
 
 import math
@@ -56,6 +58,17 @@ NONPOSITIVE = st.one_of(NEGATIVE, st.sampled_from([0.0, -0.0, 0, np.float64(0.0)
 HUGE = st.integers(min_value=2**1024, max_value=2**1100)
 NOT_POSITIVE = st.one_of(NOT_NUMBERS, NON_FINITE, NONPOSITIVE, HUGE)
 NOT_NONNEGATIVE = st.one_of(NOT_NUMBERS, NON_FINITE, NEGATIVE, HUGE)
+# Anything but a bool: numbers, text, None, containers of bools.
+NOT_FLAGS = st.one_of(
+    st.sampled_from(["no", "true", "", 0, 1, 1.0, np.int64(1), None, [True], (False,)]),
+    st.integers(), st.floats(),
+)
+# Arrays that numpy reads as something other than integers or floats.
+NOT_REAL_ARRAYS = st.sampled_from([
+    True, False, np.bool_(True), "0.5", "1", b"1", None, 1j, object(),
+    [True, False], np.array([True]), ["0.5", "0.5"], np.array([0.5, 0.5], dtype=object),
+    [0.5, "x"], np.array([1j]),
+])
 
 
 def not_counts(lo: int):
@@ -159,39 +172,59 @@ def test_threshold_functions(entry, scheme, bad, tau):
 @given(st.data())
 def test_simulate(data):
     policy = ThresholdPolicy(data.draw(SCHEMES), 1.0)
-    field = data.draw(st.sampled_from(["n_epochs", "burn_in", "seed"]))
+    field = data.draw(st.sampled_from(["n_epochs", "burn_in", "seed", "track_ou", "wait_split"]))
     bad = data.draw({
         "n_epochs": not_counts(1),
         "burn_in": st.one_of(not_counts(0), st.integers(min_value=50)),
         "seed": not_counts(0),
+        "track_ou": NOT_FLAGS,
+        "wait_split": st.one_of(NOT_REAL_ARRAYS, st.just((True, False))),
     }[field])
     values = dict(n_epochs=50, burn_in=10, seed=1)
     rejects(field, simulate, CFG, policy, **{**values, field: bad})
 
     seed = data.draw(st.integers(0, 2**32 - 1))
-    got = simulate(CFG, policy, n_epochs=np.int64(50), seed=np.uint32(seed), burn_in=np.int16(10))
-    want = simulate(CFG, policy, n_epochs=50, seed=seed, burn_in=10)
+    got = simulate(CFG, policy, n_epochs=np.int64(50), seed=np.uint32(seed), burn_in=np.int16(10),
+                   track_ou=np.bool_(True), wait_split=np.array([1, 3], dtype=np.int8) / 4)
+    want = simulate(CFG, policy, n_epochs=50, seed=seed, burn_in=10, track_ou=True,
+                    wait_split=(0.25, 0.75))
     exact_python(got.epochs, want.epochs)
+    exact_python(got.ou_probe_mse, want.ou_probe_mse)
     assert got == want
 
 
 @INPUT_SETTINGS
 @given(st.data())
 def test_sweep_spec(data):
-    field = data.draw(st.sampled_from(["grid", "n_epochs", "seed"]))
-    bad = data.draw({"grid": NOT_NONNEGATIVE, "n_epochs": not_counts(1), "seed": not_counts(0)}[field])
-    values = dict(grid=(0.1,), n_epochs=500, seed=0)
-    values[field] = (0.05, bad) if field == "grid" else bad
-    rejects(field, SweepSpec, base=CFG, axis=Axis.EPS, schemes=(Scheme.RR_NO_FEEDBACK,), **values)
+    field = data.draw(st.sampled_from(
+        ["axis", "schemes", "grid", "include_zero_wait", "sim_validate", "n_epochs", "seed"]
+    ))
+    # An axis or scheme named by its text, or a member of the other enum.
+    bad = data.draw({
+        "axis": st.sampled_from(["eps", "k", 0, None, Scheme.RR_NO_FEEDBACK]),
+        "schemes": st.sampled_from(["maf", "rr", 0, None, Axis.EPS]),
+        "grid": NOT_NONNEGATIVE,
+        "include_zero_wait": NOT_FLAGS,
+        "sim_validate": NOT_FLAGS,
+        "n_epochs": not_counts(1),
+        "seed": not_counts(0),
+    }[field])
+    values = dict(axis=Axis.EPS, grid=(0.1,), schemes=(Scheme.RR_NO_FEEDBACK,), n_epochs=500,
+                  seed=0)
+    values[field] = (values[field][0], bad) if field in ("grid", "schemes") else bad
+    rejects(field, SweepSpec, base=CFG, **values)
 
     eps = np.float32(data.draw(st.floats(0.0, 0.9)))
-    spec = SweepSpec(base=CFG, axis=Axis.EPS, grid=(eps,), schemes=(Scheme.RR_NO_FEEDBACK,),
+    spec = SweepSpec(base=CFG, axis=Axis.EPS, grid=(eps,), schemes=[Scheme.RR_NO_FEEDBACK],
+                     include_zero_wait=np.bool_(True), sim_validate=np.bool_(False),
                      n_epochs=np.int64(500), seed=np.int32(2))
     plain = SweepSpec(base=CFG, axis=Axis.EPS, grid=(float(eps),),
-                      schemes=(Scheme.RR_NO_FEEDBACK,), n_epochs=500, seed=2)
+                      schemes=(Scheme.RR_NO_FEEDBACK,), include_zero_wait=True,
+                      sim_validate=False, n_epochs=500, seed=2)
     exact_python(spec.grid[0], plain.grid[0])
     exact_python(spec.n_epochs, plain.n_epochs)
     exact_python(spec.seed, plain.seed)
+    assert type(spec.include_zero_wait) is bool and type(spec.sim_validate) is bool
     assert spec == plain
 
 
@@ -202,26 +235,56 @@ NOT_NONNEGATIVE_ARRAYS = st.one_of(
         lambda bad: np.array([0.0, 1.0, float(bad), 2.0])
     ),
 )
+NOT_NONNEGATIVE_REAL_ARRAYS = st.one_of(NOT_NONNEGATIVE_ARRAYS, NOT_REAL_ARRAYS)
 
 
 @INPUT_SETTINGS
-@given(NOT_NONNEGATIVE_ARRAYS, F32)
-def test_ou_step(bad, dt):
-    rejects("dt", ou_step, 0.0, bad, PROCS[0], 0.0)
+@given(st.data(), F32)
+def test_ou_step(data, dt):
+    field = data.draw(st.sampled_from(["x", "dt", "z"]))
+    bad = data.draw(NOT_NONNEGATIVE_REAL_ARRAYS if field == "dt" else NOT_REAL_ARRAYS)
+    args = {"x": 0.0, "dt": 1.0, "z": 0.0, field: bad}
+    rejects(field, ou_step, args["x"], args["dt"], PROCS[0], args["z"])
     exact_python(ou_step(np.float32(1.0), dt, PROCS[0], np.float32(0.5)),
                  ou_step(1.0, float(dt), PROCS[0], float(np.float32(0.5))))
+    exact_python(ou_step(np.int64(1), np.int8(2), PROCS[0], np.uint16(1)),
+                 ou_step(1.0, 2.0, PROCS[0], 1.0))
 
 
 @INPUT_SETTINGS
-@given(NOT_NONNEGATIVE_ARRAYS, F32)
+@given(NOT_NONNEGATIVE_REAL_ARRAYS, F32)
 def test_inst_mse(bad, age):
     rejects("age", inst_mse, bad, PROCS[0])
     exact_python(inst_mse(age, PROCS[0]), inst_mse(float(age), PROCS[0]))
 
 
 @INPUT_SETTINGS
-@given(st.sampled_from(["age0", "dt"]), NOT_NONNEGATIVE_ARRAYS, F32, F32)
+@given(st.sampled_from(["age0", "dt"]), NOT_NONNEGATIVE_REAL_ARRAYS, F32, F32)
 def test_mse_integral(field, bad, age0, dt):
     args = {"age0": 1.0, "dt": 1.0, field: bad}
     rejects(field, mse_integral, args["age0"], args["dt"], PROCS[0])
     exact_python(mse_integral(age0, dt, PROCS[0]), mse_integral(float(age0), float(dt), PROCS[0]))
+
+
+SWEEP = dict(base=CFG, axis=Axis.EPS, grid=(0.2,), schemes=(Scheme.RR_NO_FEEDBACK,), n_epochs=2000)
+POLICY = ThresholdPolicy(Scheme.RR_NO_FEEDBACK, 1.0)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("sim_validate", lambda: SweepSpec(**SWEEP, sim_validate="no")),
+    ("include_zero_wait", lambda: SweepSpec(**SWEEP, include_zero_wait="no")),
+    ("axis", lambda: SweepSpec(**{**SWEEP, "axis": "eps"})),
+    ("schemes", lambda: SweepSpec(**{**SWEEP, "schemes": ("maf",)})),
+    ("track_ou", lambda: simulate(CFG, POLICY, 50, 1, track_ou="no")),
+    ("wait_split", lambda: simulate(CFG, POLICY, 50, 1, wait_split=("0.5", "0.5"))),
+    ("wait_split", lambda: simulate(CFG, POLICY, 50, 1, wait_split=(True, False))),
+    ("age", lambda: inst_mse(True, PROCS[1])),
+    ("age", lambda: inst_mse("0.5", PROCS[1])),
+    ("dt", lambda: ou_step(0.0, True, PROCS[1], 0.0)),
+], ids=["sim_validate", "include_zero_wait", "axis", "schemes", "track_ou", "wait_split-text",
+        "wait_split-bools", "age-bool", "age-text", "dt-bool"])
+def test_values_numpy_or_truthiness_would_accept(field, call):
+    # numpy's float conversion reads each array here as numbers, and a truth
+    # test reads each flag as on; a text axis or scheme must fail before the
+    # sweep solves a row.
+    rejects(field, call)

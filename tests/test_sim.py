@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -624,6 +624,84 @@ class TestPinnedEngine:
         floats = [float(c) for i, c in enumerate(first) if i not in (0, 1, 4)]
         golden = [float(c) for i, c in enumerate(row) if i not in (0, 1, 4)]
         assert floats == pytest.approx(golden, rel=1e-11)
+
+    # Every field of the statistics at k = 8 distinct processes, so that a
+    # process's row moved to another process's place in the statistics shows:
+    # taken before the statistics came to be read off one stacked table.
+    GOLDEN_K8 = {
+        MAF: dict(
+            sum_mse=17.175167867248003,
+            sum_mse_se=0.04066407805843396,
+            per_process_mse=(
+                5.631025585815073, 4.216004900778822, 2.9074981356403646,
+                1.8826763404341291, 1.1647824401468134, 0.7038620390134734,
+                0.4200899821531319, 0.2492284432661924,
+            ),
+            per_process_mse_se=(
+                0.0239679803427574, 0.012111448179855546, 0.005532265817821158,
+                0.0019792135721761143, 0.0007470236633979105, 0.0002389123908998777,
+                7.693152239117876e-05, 2.5314287834412235e-05,
+            ),
+            mean_epoch_len=15.972464045511439,
+            mean_epoch_len_se=0.12497873008592475,
+            per_process_inter_sample_mean=(
+                8.101494464468047, 7.831501469467018, 8.118697586471109,
+                8.469154683370869, 7.772398821602023, 8.106864869380718,
+                8.106361457366187, 8.156137277450773,
+            ),
+            per_process_inter_sample_se=(
+                0.15102733415261207, 0.11506481151015538, 0.13639833631064013,
+                0.13574925127290643, 0.1339571389086773, 0.13271552243620147,
+                0.15063561886702884, 0.12259156625179106,
+            ),
+            epochs=1899,
+            ou_probe_mse=21.37843780934428,
+            ou_probe_ref=21.35098527706942,
+            ou_probe_diff_se=0.39954343606702436,
+        ),
+        RR: dict(
+            sum_mse=17.640326538972207,
+            sum_mse_se=0.057920632895714655,
+            per_process_mse=(
+                5.9782214203417405, 4.333495940368008, 2.914385317167056,
+                1.8759132925801592, 1.1651807397432579, 0.7039045484976707,
+                0.42003509879718265, 0.2491901814771336,
+            ),
+            per_process_mse_se=(
+                0.04877299899019695, 0.021177459160672728, 0.00973989806216303,
+                0.0036623289186995334, 0.0011685960179225418, 0.0003765956400414132,
+                8.869585499858299e-05, 2.8514383977515052e-05,
+            ),
+            mean_epoch_len=15.798859019152397,
+            mean_epoch_len_se=0.10524125986885591,
+            per_process_inter_sample_mean=(
+                7.955661570086433, 7.961408520604234, 7.953370966378549,
+                7.9655935856967455, 7.969436643403159, 7.956133839450575,
+                7.9648868247108675, 7.963241148765287,
+            ),
+            per_process_inter_sample_se=(
+                0.04705307209801077, 0.042715021954292304, 0.04631846434522561,
+                0.04328810265854907, 0.04438487564624831, 0.043852935912095485,
+                0.04070399333824868, 0.0439831690907101,
+            ),
+            epochs=1899,
+            ou_probe_mse=20.311339894167737,
+            ou_probe_ref=20.156650445978137,
+            ou_probe_diff_se=0.3643567823625452,
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_every_field_at_eight_processes(self, scheme):
+        procs = tuple(ProcessParams(theta, 1.0) for theta in np.geomspace(0.05, 2, 8))
+        cfg = SystemConfig(k=8, f_max=1.5, mu=1.0, eps=0.5, processes=procs)
+        st = simulate(cfg, ThresholdPolicy(scheme, 0.9), n_epochs=2000, seed=88, burn_in=100,
+                      track_ou=True)
+        golden = self.GOLDEN_K8[scheme]
+        assert {"scheme", *golden} == {f.name for f in fields(st)}
+        assert st.scheme is scheme
+        for name, value in golden.items():
+            assert getattr(st, name) == pytest.approx(value, rel=1e-12), name
 
     # sha256 of whole 5000-epoch trace files, taken from the per-cell
     # formatter that the one-format-per-record writer replaced. The k=3 rr
