@@ -44,11 +44,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .sim import simulate
 from .threshold import _mse, _solve, solve
 from .types import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
-from .types import _NONNEGATIVE, ThresholdPolicy, _count, _flag, _real
-
-# Last: imported ahead of .sim, series raised the peak RSS of the import by
-# about 0.4 MB.
-from . import series
+from .types import _NONNEGATIVE, MAX_SERIES_TERMS, ThresholdPolicy, _count, _flag, _real
+from .types import _systemconfig
 
 
 class ConfigFormatError(ValueError):
@@ -76,6 +73,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _systemconfig("base", self.base)
         if not isinstance(self.axis, Axis):
             raise InvalidConfig(f"axis must be an Axis, got {self.axis!r}")
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -136,8 +134,8 @@ def config_at(base: SystemConfig, axis: Axis, value: float) -> SystemConfig:
         raise InvalidConfig(f"k must be a whole number, got {value}")
     # A round of k slots needs k + 1 series terms: refuse a larger k
     # before its k-tuple of processes is built.
-    if value > series.MAX_SERIES_TERMS:
-        raise InvalidConfig(f"k must be at most {series.MAX_SERIES_TERMS}, got {value}")
+    if value > MAX_SERIES_TERMS:
+        raise InvalidConfig(f"k must be at most {MAX_SERIES_TERMS}, got {value}")
     k = int(value)
     return replace(base, k=k, processes=(base.processes[0],) * k)
 

@@ -30,9 +30,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-# The largest process count the CLI accepts (``cli.config_at``), so that no
-# Poisson table grows past MAX_SERIES_TERMS + 1 entries.
-MAX_SERIES_TERMS = 10**6
 # The smallest positive float. A Poisson mean is raised to it before its log
 # is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
 # zeros, without the warnings of log 0.

@@ -52,8 +52,7 @@ The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length and, with
 the probe, the realized and closed-form errors. A row is summed pairwise, as
 numpy sums a 1-D array; sums across processes, arrays or scalars
-(:func:`_in_order`), add one process after the other, except ``sum_mse``,
-which is Python's ``sum`` of the per-process means.
+(:func:`_in_order`), add one process after the other.
 
 Randomness is split into four named substreams from one seed, so identical
 seeds give bit-identical statistics and both schemes can be compared on
@@ -82,7 +81,7 @@ import numpy as np
 
 from . import ou
 from .types import InvalidConfig, ProcessParams, Scheme, SimStats, SystemConfig, ThresholdPolicy
-from .types import _count, _flag, _reals
+from .types import _count, _flag, _reals, _systemconfig
 
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
@@ -464,6 +463,7 @@ def simulate(
     process, for its first ``n_epochs`` epochs (see :func:`_write_trace`).
     Identical arguments give bit-identical results.
     """
+    cfg = _systemconfig("cfg", cfg)
     if not isinstance(policy, ThresholdPolicy):
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
     seed = _count("seed", seed, 0)
@@ -505,7 +505,7 @@ def simulate(
     per_mse, batch_mse = ints.sum(axis=1) / span, ints / gaps
     return SimStats(
         scheme=policy.scheme,
-        sum_mse=sum(per_mse.tolist()),
+        sum_mse=_in_order(per_mse),
         sum_mse_se=float(_se(batch_mse.sum(axis=0))),
         per_process_mse=tuple(per_mse.tolist()),
         per_process_mse_se=tuple(_se(batch_mse).tolist()),
@@ -537,15 +537,14 @@ def _write_trace(
     that process delivered none. A copy of the rounds of the epoch still open
     at a chunk's end carries into the next chunk, where it is joined with the
     rest of that epoch's rounds only, so each record is summed over its whole
-    epoch at once. The records are printed in blocks by one
-    :class:`_CellPrinter` (see :func:`_write_records`).
+    epoch at once. The records are printed in blocks by
+    :func:`_print_cells` (see :func:`_write_records`).
     """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
     cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
     fh.write("\t".join(cols) + "\n")
     written = 0
-    formats = ("%d", "%.12g", "%.12g", "%d") + ("%.12g",) * (1 + 2 * cfg.k)
-    printer = _CellPrinter(_TRACE_BLOCK, formats)
+    formats = ("%d", "%.11e", "%.11e", "%d") + ("%.11e",) * (1 + 2 * cfg.k)
     carry: Optional[RoundArrays] = None  # a copy of the open epoch's rounds
     for rounds in chunks:
         if written < n_epochs:
@@ -557,12 +556,12 @@ def _write_trace(
                 start = last[0] + 1 if len(last) else len(rounds.wait)
                 carry = RoundArrays.concat((carry, rounds[:start]))
                 if len(last):
-                    _write_records(fh, printer, scheme, cfg, carry,
+                    _write_records(fh, formats, scheme, cfg, carry,
                                    np.array([len(carry.wait) - 1]), written)
                     written += 1
                     last, carry = last[1:], None
             if len(last):
-                _write_records(fh, printer, scheme, cfg, rounds[start : last[-1] + 1],
+                _write_records(fh, formats, scheme, cfg, rounds[start : last[-1] + 1],
                                last - start, written)
                 written += len(last)
                 start = last[-1] + 1
@@ -574,7 +573,7 @@ def _write_trace(
 
 def _write_records(
     fh: IO[str],
-    printer: _CellPrinter,
+    formats: Sequence[str],
     scheme: Scheme,
     cfg: SystemConfig,
     block: RoundArrays,
@@ -584,12 +583,12 @@ def _write_records(
     """The records of the epochs that end at rows ``last`` of ``block``, which
     starts with the first of them; the first is numbered ``index``.
 
-    ``_TRACE_BLOCK`` records at a time are gathered into the printer's float
-    table in file order, less the scheme, with the integer columns as exact
-    floats and nan for the empty cells, printed, and written as one string.
-    The scheme name follows the epoch index in its slot, in bytes that an
-    integer's text never uses. Tables or text for a whole chunk at once would
-    raise the peak RSS.
+    ``_TRACE_BLOCK`` records at a time are gathered into a float table in
+    file order, less the scheme, with the integer columns as exact floats and
+    nan for the empty cells, printed with ``formats``, and written as one
+    string. The scheme name follows the epoch index in its slot, in the bytes
+    of the exponent, which an integer's text never uses. Tables or text for a
+    whole chunk at once would raise the peak RSS.
     """
     first = np.concatenate(([0], last[:-1] + 1))
     rows = np.arange(len(block.wait))
@@ -597,12 +596,12 @@ def _write_records(
     hits = [np.maximum.accumulate(np.where(block.delivered[:, k], rows, -1))[last]
             for k in range(cfg.k)]
     name = np.frombuffer(b"\t" + scheme.value.encode("ascii"), np.uint8)
-    after_index = slice(_SCHEME, _SCHEME + len(name))
+    after_index = slice(16, 16 + len(name))
     for lo in range(0, len(last), _TRACE_BLOCK):
         hi = min(lo + _TRACE_BLOCK, len(last))
         opens = first[lo:hi]
         epochs, starts = slice(opens[0], last[hi - 1] + 1), opens - opens[0]
-        cells = printer.cells[: hi - lo]
+        cells = np.empty((hi - lo, len(formats)))
         cells[:, 0] = np.arange(index + lo, index + hi)
         np.add.reduceat(block.wait[epochs], starts, out=cells[:, 1])
         np.add.reduceat(block.service_total[epochs], starts, out=cells[:, 2])
@@ -613,7 +612,7 @@ def _write_records(
             inside = hit >= opens
             cells[:, 5 + k] = np.where(inside, block.ends[hit, k], np.nan)
             cells[:, 5 + cfg.k + k] = np.where(inside, block.stamps[hit, k], np.nan)
-        text, keep = printer(cells)
+        text, keep = _print_cells(cells, formats)
         text[:, 0, after_index] = name
         keep[:, 0, after_index] = True
         # Decoding the picked bytes in place, with no bytes copy between,
@@ -621,166 +620,86 @@ def _write_records(
         fh.write(str(memoryview(text[keep]), "ascii"))
 
 
-# Records printed per block: the block's buffers take about 1 KB per record at
-# k = 2, and larger blocks raise the peak RSS of a traced run.
+# Records printed per block: larger blocks raise the peak RSS of a traced run.
 _TRACE_BLOCK = 256
-# Each cell is printed into a slot of eight 4-byte words: "0.00", the 12
-# digits of its mantissa, the same digits with a point for the first, and its
-# separator. A cell's text is a few runs of its slot, picked by one row of the
-# span masks; text that Python printed starts at the slot's first byte and is
-# at most 19 bytes long.
-_SEPARATOR = 28
-_SCHEME = 20  # where the scheme name goes in the slot of an epoch index
-_TEXT_SPAN = 15 * 13  # past the masks of 15 exponents by 13 digit counts
-# 10**(11 - e) at [e] for the decimal exponents e = 0..11, and for e = -4..-1
-# from the end of the array. Every power is exact.
-_TO_MANTISSA = np.array([float(10 ** (11 - e)) for e in (*range(12), -4, -3, -2, -1)])
-
-
-def _digit_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4-digit groups 0000..9999 as little-endian words of ASCII text, the
-    same with a point for the first digit, and the digit count of a 12-digit
-    mantissa through its last nonzero digit, by the group that holds it."""
-    chars = np.empty((10, 10, 10, 10, 4), np.uint8)
-    numerals = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    for j in range(4):
-        chars[..., j] = numerals.reshape((10,) + (1,) * (3 - j))
-    digits = chars.reshape(-1).view("<u4")
-    point = digits.copy()
-    point.view(np.uint8)[::4] = ord(".")
-    ends = np.empty((3, 10000), np.uint8)
-    for j, end in enumerate(ends):
-        # Group j holds digits 4 j + 1 .. 4 j + 4; 0000 holds none.
-        for step, length in ((1, 4), (10, 3), (100, 2), (1000, 1)):
-            end[::step] = 4 * j + length
-        end[0] = 0
-    return digits, point, ends
-
-
-def _span_masks() -> np.ndarray:
-    """Row ``13 (e + 3) + z`` picks a mantissa with decimal exponent ``e`` in
-    -3..11 whose digits end ``z`` digits in, and row ``_TEXT_SPAN + n`` the
-    first ``n`` bytes; every row picks the separator."""
-    runs = []
-    for e in range(-3, 12):
-        for z in range(13):
-            if e < 0:
-                # "0." and -e - 1 zeros from the first word, then the digits.
-                runs.append([*range(1 - e), *range(4, 4 + z)])
-            elif z > e + 1:
-                # The integer digits, the point and the fraction digits.
-                runs.append([*range(4, 5 + e), 16, *range(17 + e, 16 + z)])
-            else:
-                runs.append([*range(4, 5 + e)])
-    runs += [[*range(n)] for n in range(_SEPARATOR)]
-    spans = np.zeros((len(runs), 32), bool)
-    for row, picked in zip(spans, runs):
-        row[picked + [_SEPARATOR]] = True
-    return spans
+# Each cell is printed into a slot of six 4-byte words: the first 4-digit
+# group of its 12-digit mantissa, the same group with a point for its first
+# digit, the other two groups, its exponent and its separator, in the last
+# byte. Text that Python printed starts at the slot's first byte.
+_SLOT = 24
+# The decimal exponents of the fast path, and their exact powers 10**(11 - e).
+_EXPONENTS = range(-3, 12)
+_TO_MANTISSA = np.array([float(10 ** (11 - e)) for e in _EXPONENTS])
 
 
 @functools.lru_cache(maxsize=None)
 def _print_tables() -> Tuple[np.ndarray, ...]:
-    """The read-only tables of :class:`_CellPrinter`, built on first use so
-    that runs without a trace take no memory for them."""
-    tables = (*_digit_tables(), _span_masks())
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    """The read-only tables of :func:`_print_cells`, built on first use so
+    that runs without a trace take no memory for them: the 4-digit groups
+    0000..9999 as little-endian words of ASCII text, the same with a point for
+    the first digit, each of ``_EXPONENTS`` as a word, and the masks of a slot:
+    row 0 picks a float's bytes, 0 and 4-19, row n in 1..12 the last n of an
+    integer's 12 digits, row 13 + n the first n bytes, and each the separator."""
+    digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), "<u4")
+    point = np.frombuffer(b"".join(b".%03d" % (g % 1000) for g in range(10**4)), "<u4")
+    exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in _EXPONENTS), "<u4")
+    runs = [[0, *range(4, 20)]] + [[*range(4), *range(8, 16)][-n:] for n in range(1, 13)]
+    masks = np.zeros((len(runs) + _SLOT, _SLOT), bool)
+    for row, picked in zip(masks, runs + [[*range(n)] for n in range(_SLOT)]):
+        row[picked + [_SLOT - 1]] = True
+    masks.flags.writeable = False
+    return digits, point, exponents, masks
 
 
-class _CellPrinter:
-    """Prints blocks of up to ``rows`` rows of a float table, one column per
-    entry of ``formats``, into buffers that every block reuses.
-
-    A block's text is returned as ``(rows, columns, 32)`` byte slots and a
-    mask of the same shape that picks each cell's ``%.12g`` text and the tab
-    or newline after it. A nan prints nothing, and a cell that the fast path
-    below cannot print is printed by Python with its column's entry of
-    ``formats``.
+def _print_cells(cells: np.ndarray, formats: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The text of a float table, one column per entry of ``formats``, each
+    ``"%.11e"`` or ``"%d"``, as ``(rows, columns, _SLOT)`` byte slots and a
+    mask of the same shape that picks each cell's text and the tab or newline
+    after it, a nan's text being empty.
 
     A cell ``x`` in [1e-3, 1e12) with decimal exponent ``e`` has the 12-digit
     mantissa ``y = x 10**(11 - e)``. The power is exact, so the product is
     rounded once and lies within 1.2e-4 of the exact one: where ``y`` is more
     than 0.499 from its nearest integer, that integer is the correctly
     rounded mantissa. The fast path prints such cells, whose ``y`` is in
-    [1e11, 1e12) and rounds below 1e12, and +0.0 and nan; Python prints the
-    rest (near-ties, values out of range, negatives, -0.0 and infinities),
-    about one cell in a thousand of a trace.
+    [1e11, 1e12) and rounds below 1e12, a ``"%d"`` column's whole numbers in
+    [0, 1e12), their own mantissas, and +0.0 and nan. Python's ``%`` prints
+    the rest (near-ties, values out of range, negatives, -0.0 and
+    infinities), about one cell in a thousand of a trace.
     """
-
-    def __init__(self, rows: int, formats: Sequence[str]) -> None:
-        self.formats = formats
-        shape = (rows, len(formats))
-        self.cells = np.empty(shape)  # a block's table, for the caller to fill
-        self.text = np.empty(shape + (32,), np.uint8)
-        self.keep = np.empty(shape + (32,), bool)
-        self.text.view("<u4")[..., 7] = ord("\t")
-        self.text[:, -1, _SEPARATOR] = ord("\n")
-        self.floats = np.empty((2,) + shape)  # product, mantissa
-        self.ints = np.empty((4,) + shape, np.int64)  # exponent, 3 digit groups
-        self.fast = np.empty(shape, bool)
-        self.length = np.empty(shape, np.uint8)
-        self.digits, self.point, self.ends, self.spans = _print_tables()
-
-    def __call__(self, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        n = len(cells)
-        text, keep, fast, z = self.text[:n], self.keep[:n], self.fast[:n], self.length[:n]
-        words = text.view("<u4")
-        y, mantissa = self.floats[:, :n]
-        e, high, mid, low = self.ints[:, :n]
-        # Logarithms of nan, zero and negative cells, and the out-of-range
-        # products, only send their cells to the slow path below.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.log10(cells, out=y)
-            np.floor(y, out=y)
-            np.fmax(y, -3, out=y)
-            np.fmin(y, 11, out=y)
-            np.copyto(e, y, casting="unsafe")
-            np.take(_TO_MANTISSA, e, out=y, mode="wrap")
-            y *= cells
-            np.rint(y, out=mantissa)
-            np.greater_equal(y, 1e11, out=fast)
-            fast &= mantissa < 1e12
-            y -= mantissa
-            fast &= np.abs(y, out=y) < 0.499
-        slow = np.flatnonzero(~fast)
-        # The slow cells print as "0" until they are emptied or overwritten.
-        mantissa.reshape(-1)[slow] = 0.0
-        e.reshape(-1)[slow] = 0
-        # Groups of 4 digits. A product with a group's place value goes into
-        # a group buffer not yet or no longer in use.
-        np.copyto(low, mantissa, casting="unsafe")
-        np.floor_divide(low, 10**8, out=high)
-        low -= np.multiply(high, 10**8, out=mid)
-        words[..., 0] = int.from_bytes(b"0.00", "little")
-        np.take(self.digits, high, out=words[..., 1], mode="clip")
-        np.take(self.point, high, out=words[..., 4], mode="clip")
-        np.take(self.ends[0], high, out=z, mode="clip")
-        np.floor_divide(low, 10**4, out=mid)
-        low -= np.multiply(mid, 10**4, out=high)
-        np.take(self.digits, mid, out=words[..., 2], mode="clip")
-        np.take(self.digits, low, out=words[..., 3], mode="clip")
-        words[..., 5] = words[..., 2]
-        words[..., 6] = words[..., 3]
-        np.maximum(z, self.ends[1][mid], out=z)
-        np.maximum(z, self.ends[2][low], out=z)
-        span = e  # the row of each cell's span mask
-        span += 3
-        span *= 13
-        span += z
-        if len(slow):
-            flat = span.reshape(-1)
-            values = cells.reshape(-1)[slow]
-            nan = np.isnan(values)
-            flat[slow[nan]] = _TEXT_SPAN
-            python = (values != 0.0) | np.signbit(values)
-            python &= ~nan
-            slots = text.reshape(-1, 32)
-            columns = len(self.formats)
-            for i, v in zip(slow[python].tolist(), values[python].tolist()):
-                cell = (self.formats[i % columns] % v).encode("ascii")
-                slots[i, : len(cell)] = np.frombuffer(cell, np.uint8)
-                flat[i] = _TEXT_SPAN + len(cell)
-        np.take(self.spans, span, axis=0, out=keep, mode="clip")
-        return text, keep
+    digits, point, exponents, masks = _print_tables()
+    whole = np.array([f == "%d" for f in formats])
+    # Logarithms of nan, zero and negative cells, and the out-of-range
+    # products, only send their cells to the slow path below.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.fmin(np.fmax(np.floor(np.log10(cells)), -3), 11).astype(np.int64)
+        e[:, whole] = 11
+        y = cells * _TO_MANTISSA[e + 3]
+        mantissa = np.rint(y)
+        fast = (y >= np.where(whole, 0.0, 1e11)) & (mantissa < 1e12)
+        fast &= np.abs(y - mantissa) < 0.499
+    slow = np.flatnonzero(~fast)
+    # The slow cells print as +0.0 until they are emptied or overwritten.
+    mantissa.reshape(-1)[slow] = 0.0
+    e.reshape(-1)[slow] = 0
+    high, low = np.divmod(mantissa.astype(np.int64), 10**8)
+    mid, low = np.divmod(low, 10**4)
+    text = np.empty(cells.shape + (_SLOT,), np.uint8)
+    words = text.view("<u4")
+    words[..., 0], words[..., 1] = digits[high], point[high]
+    words[..., 2], words[..., 3] = digits[mid], digits[low]
+    words[..., 4] = exponents[e + 3]
+    words[..., 5] = ord("\t") << 24
+    words[:, -1, 5] = ord("\n") << 24
+    row = np.zeros(cells.shape, np.int64)  # each cell's mask row
+    row[:, whole] = 1 + np.searchsorted(10 ** np.arange(1, 12), mantissa[:, whole], "right")
+    flat, values = row.reshape(-1), cells.reshape(-1)[slow]
+    nan = np.isnan(values)
+    flat[slow[nan]] = 13
+    python = ((values != 0.0) | np.signbit(values)) & ~nan
+    slots = text.reshape(-1, _SLOT)
+    for i, v in zip(slow[python].tolist(), values[python].tolist()):
+        cell = (formats[i % len(formats)] % v).encode("ascii")
+        slots[i, : len(cell)] = np.frombuffer(cell, np.uint8)
+        flat[i] = 13 + len(cell)
+    return text, masks[row]

@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import series
 from .types import _NONNEGATIVE, ConvergenceError, InvalidConfig, Scheme, SolveResult
-from .types import SystemConfig, _real
+from .types import SystemConfig, _real, _systemconfig
 
 # A step of beta cannot be resolved below one float spacing of beta, which is
 # at most the variance bound; a tolerance under a few spacings of that bound
@@ -132,7 +132,7 @@ def _epoch_mean(tau: float, law: _Law) -> float:
 
 def epoch_mean(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Expected epoch length: the wait plus the service it spans, per delivery."""
-    return _epoch_mean(_real("tau", tau, _NONNEGATIVE), _law(cfg, scheme))
+    return _epoch_mean(_real("tau", tau, _NONNEGATIVE), _law(_systemconfig("cfg", cfg), scheme))
 
 
 def _transform(tau: float, law: _Law) -> List[float]:
@@ -219,7 +219,7 @@ def _mse(tau: float, law: _Law) -> float:
 
 def mse_at_tau(tau: float, cfg: SystemConfig, scheme: Scheme) -> float:
     """Long-term average sum MSE achieved by threshold ``tau``."""
-    return _mse(_real("tau", tau, _NONNEGATIVE), _law(cfg, scheme))
+    return _mse(_real("tau", tau, _NONNEGATIVE), _law(_systemconfig("cfg", cfg), scheme))
 
 
 def _transient(law: _Law) -> float:
@@ -329,7 +329,7 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
 
 def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveResult, _Law]:
     """:func:`solve`, and the law it evaluated, whose memos later ratios reuse."""
-    tol = _real("tol", tol)
+    cfg, tol = _systemconfig("cfg", cfg), _real("tol", tol)
     # Each variance once, for the tol guard ahead of any series work and for the law.
     var = tuple([p.stationary_variance for p in cfg.processes])
     beta_hi = sum(var)

@@ -26,6 +26,9 @@ _POSITIVE = (math.ulp(0.0), math.inf, "be positive and finite")
 _NONNEGATIVE = (0.0, math.inf, "be nonnegative and finite")
 _FRACTION = (0.0, 1.0, "lie in [0, 1)")
 _RATE = (math.ulp(0.0), 2.0**1023, "be positive with 2 * {} finite")
+# The largest process count, so that no Poisson table grows past
+# MAX_SERIES_TERMS + 1 entries.
+MAX_SERIES_TERMS = 10**6
 
 
 def _real(name: str, x, within: tuple = _POSITIVE) -> float:
@@ -62,6 +65,13 @@ def _flag(name: str, x) -> bool:
     if not isinstance(x, (bool, np.bool_)):
         raise InvalidConfig(f"{name} must be a bool, got {x!r}")
     return bool(x)
+
+
+def _systemconfig(name: str, x) -> "SystemConfig":
+    """``x``, if it is a SystemConfig; anything else raises InvalidConfig naming ``name``."""
+    if not isinstance(x, SystemConfig):
+        raise InvalidConfig(f"{name} must be a SystemConfig, got {x!r}")
+    return x
 
 
 def _reals(name: str, x) -> np.ndarray:
@@ -117,7 +127,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # A float k would reach numpy only as a table length, and fail there.
-        object.__setattr__(self, "k", _count("k", self.k, 1))
+        object.__setattr__(self, "k", _count("k", self.k, 1, MAX_SERIES_TERMS + 1))
         if len(self.processes) != self.k:
             raise InvalidConfig(
                 f"process list length {len(self.processes)} does not match k={self.k}"

@@ -33,6 +33,8 @@ from ouwait import (
     ou_step,
     simulate,
     solve,
+    solve_maf,
+    solve_rr,
 )
 
 INPUT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -226,6 +228,35 @@ def test_sweep_spec(data):
     exact_python(spec.seed, plain.seed)
     assert type(spec.include_zero_wait) is bool and type(spec.sim_validate) is bool
     assert spec == plain
+
+
+# Things that are not a system: nothing, text, a process list, a policy.
+NOT_SYSTEMS = [None, "x", PROCS, ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)]
+
+
+@pytest.mark.parametrize("bad", NOT_SYSTEMS, ids=repr)
+@pytest.mark.parametrize("field, call", [
+    ("cfg", lambda bad: solve(bad, Scheme.RR_NO_FEEDBACK)),
+    ("cfg", lambda bad: solve_maf(bad)),
+    ("cfg", lambda bad: solve_rr(bad)),
+    ("cfg", lambda bad: epoch_mean(1.0, bad, Scheme.MAF_FEEDBACK)),
+    ("cfg", lambda bad: mse_at_tau(1.0, bad, Scheme.RR_NO_FEEDBACK)),
+    ("cfg", lambda bad: simulate(bad, ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0), 50, 1)),
+    ("base", lambda bad: SweepSpec(base=bad, axis=Axis.EPS, grid=(0.1,),
+                                   schemes=(Scheme.RR_NO_FEEDBACK,))),
+], ids=["solve", "solve_maf", "solve_rr", "epoch_mean", "mse_at_tau", "simulate", "SweepSpec"])
+def test_system_argument(field, call, bad):
+    # Each once raised a bare AttributeError or TypeError.
+    rejects(f"{field} must be a SystemConfig", call, bad)
+
+
+def test_process_count_capped():
+    # No Poisson table grows past MAX_SERIES_TERMS + 1 entries: a larger k is
+    # refused by the system itself, not only by a k-axis sweep.
+    values = dict(f_max=1.5, mu=1.0, eps=0.3)
+    assert SystemConfig(k=10**6, processes=PROCS[:1] * 10**6, **values).k == 10**6
+    with pytest.raises(InvalidConfig, match=r"k must be an integer with 1 <= k < 1000001"):
+        SystemConfig(k=10**6 + 1, processes=PROCS[:1] * (10**6 + 1), **values)
 
 
 # nan, a negative infinity and negatives, alone or as one entry of an array.

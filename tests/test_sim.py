@@ -551,9 +551,9 @@ def _near(x: float, ulps: int) -> float:
 # Deterministic draws keep the suite reproducible.
 PRINTER_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # Zeros, infinities, nan, subnormals and negatives; values near the ends of
-# the printer's fast path and of %.12g's fixed notation; 12-digit decimal
-# ties (m + 0.5) / 10**j; and values whose 12-digit mantissa rounds up to
-# 10**12.
+# the printer's fast path and of %.12g's fixed notation, which the trace once
+# printed; 12-digit decimal ties (m + 0.5) / 10**j; and values whose 12-digit
+# mantissa rounds up to 10**12.
 EDGE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-3, -1.0]),
     st.builds(_near, st.sampled_from([1e-5, 1e-4, 1e-3, 1.0, 10.0, 1e11, 1e12, 1e13]),
@@ -567,18 +567,28 @@ EDGE_FLOATS = st.one_of(
 def _printed(cells, formats):
     """The lines that the trace printer makes of a table, cells split at tabs."""
     cells = np.array(cells, dtype=float).reshape(len(cells), len(formats))
-    text, keep = sim._CellPrinter(len(cells), formats)(cells)
+    text, keep = sim._print_cells(cells, formats)
     return [line.split("\t") for line in text[keep].tobytes().decode("ascii").split("\n")[:-1]]
+
+
+def _same_value_as_percent_g(cells, values):
+    """Each printed cell reads back as the float that ``%.12g`` printed."""
+    for cell, v in zip(cells, values):
+        if not math.isnan(v):
+            assert float(cell) == float("%.12g" % v)
 
 
 class TestTracePrinter:
     # The trace printer must print every cell as Python's `%` would, byte for
-    # byte, with nan as an empty cell.
+    # byte, with nan as an empty cell. A float cell has the 12 significant
+    # digits that %.12g printed, so it reads back as the same float.
     @PRINTER_SETTINGS
     @given(st.lists(st.one_of(st.floats(), EDGE_FLOATS), min_size=1, max_size=64))
-    def test_floats_print_as_percent_g(self, values):
-        expected = [["" if math.isnan(v) else "%.12g" % v] for v in values]
-        assert _printed(values, ("%.12g",)) == expected
+    def test_floats_print_as_percent_e(self, values):
+        expected = [["" if math.isnan(v) else "%.11e" % v] for v in values]
+        printed = _printed(values, ("%.11e",))
+        assert printed == expected
+        _same_value_as_percent_g([cell for cell, in printed], values)
 
     @PRINTER_SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 2**53), st.floats(), st.integers(0, 2**53)),
@@ -586,8 +596,10 @@ class TestTracePrinter:
     def test_integer_columns_print_as_percent_d(self, rows):
         # The epoch_index and m_total columns hold integers below 2**53, exact
         # in the float table; past 10**12 Python prints them.
-        expected = [["%d" % i, "" if math.isnan(v) else "%.12g" % v, "%d" % m] for i, v, m in rows]
-        assert _printed(rows, ("%d", "%.12g", "%d")) == expected
+        expected = [["%d" % i, "" if math.isnan(v) else "%.11e" % v, "%d" % m] for i, v, m in rows]
+        printed = _printed(rows, ("%d", "%.11e", "%d"))
+        assert printed == expected
+        _same_value_as_percent_g([cell for _, cell, _ in printed], [v for _, v, _ in rows])
 
 
 class TestPinnedEngine:
@@ -702,35 +714,35 @@ class TestPinnedEngine:
         assert st.scheme is scheme
         for name, value in golden.items():
             assert getattr(st, name) == pytest.approx(value, rel=1e-12), name
+        # Summed in process order on every Python, whose builtin sum is
+        # compensated from 3.12 on.
+        assert st.sum_mse == np.cumsum(st.per_process_mse)[-1]
 
-    # sha256 of whole 5000-epoch trace files, taken from the per-cell
-    # formatter that the one-format-per-record writer replaced. The k=3 rr
-    # case has empty cells; the last case is it again in chunks of 5 rounds.
-    # The eps = 0 feedback pair was taken when such a slot was still drawn as
-    # a one-attempt retry burst; its explicit split puts the whole wait up
-    # front like the default, through the general slot-end formula. The
-    # tau = 0 case (every wait cell exactly 0) and the k=4 rr case at
-    # eps = 0.9 (many empty cells and long epochs) were taken from the
-    # one-format-per-record writer that the block printer replaced. The two
-    # feedback cases at eps = 0.3 were taken again when feedback bursts came
-    # to be drawn per slot rather than per attempt.
+    # sha256 of whole 5000-epoch trace files. The k=3 rr case has empty
+    # cells; the chunk5 case is it again in chunks of 5 rounds. The eps = 0
+    # feedback pair's explicit split puts the whole wait up front like the
+    # default, through the general slot-end formula. The tau = 0 case has
+    # every wait cell exactly 0, and the k=4 rr case at eps = 0.9 many empty
+    # cells and long epochs. All eight were taken again when the float cells
+    # went from %.12g to %.11e, after every cell of the new files read back as
+    # the float of the old ones and the empty and integer cells matched.
     TRACE_SHA256 = {
         "maf-k2": (2, 0.3, MAF, 1.6, None, 61, None,
-                   "65235fe15c2b483e438468a1648389b3fd9d2b9e2e4ae7d5160306933099953e"),
+                   "cecb17c3fbd3cce7e4daefe96c95c804dc3ae3fb218b1522e324d3326118958d"),
         "rr-k3-split": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, None,
-                        "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
+                        "d6463d23b71e96c5b6e918026c4c958930a11653dae7f5e08344485c7e7d87bc"),
         "rr-k1-eps0": (1, 0.0, RR, 1.3, None, 63, None,
-                       "64b4a22937ed5f580992507d9316fe17e74afde326c24e16487e0da415ee8007"),
+                       "ab8fc4961f47c893e10c6ed1c1ed45ea44b967c8cbe318bd41e7befa567fcfec"),
         "maf-k2-eps0": (2, 0.0, MAF, 1.6, None, 64, None,
-                        "0285de89ba5911fd133dc5bdd2885772f32b8ea41cd3b61b528ddcb064f3494d"),
+                        "dd7da793f87c300b110c14a33296585f2cd5a94d310cc07d3d5e8ce26f93bdce"),
         "maf-k2-eps0-split": (2, 0.0, MAF, 1.6, (1.0, 0.0), 64, None,
-                              "0285de89ba5911fd133dc5bdd2885772f32b8ea41cd3b61b528ddcb064f3494d"),
+                              "dd7da793f87c300b110c14a33296585f2cd5a94d310cc07d3d5e8ce26f93bdce"),
         "rr-k3-split-chunk5": (3, 0.7, RR, 0.7, (1 / 3, 1 / 3, 1 / 3), 62, 5,
-                               "a0118273290626fa63d2dcdffe804b401fbf789092330188ab25a60eef13f99d"),
+                               "d6463d23b71e96c5b6e918026c4c958930a11653dae7f5e08344485c7e7d87bc"),
         "maf-k2-tau0": (2, 0.3, MAF, 0.0, None, 65, None,
-                        "743ea9aa14a080bc799d8b59259a9fa215cc6de24e731ce1643eeb598d3e7b3c"),
+                        "f9a0c8746bcc90ad4e8bcf54ce35cea420841bbe1841f8d711f6378bd3673ef1"),
         "rr-k4-eps0.9": (4, 0.9, RR, 0.7, None, 66, None,
-                         "bddf03c0674f304e319096ba2349d84dde3a4cb24de03834396672224e683a60"),
+                         "d99d62a5664b12a799cdf75a2f65f2aa5134b04252682b1d532416f6dcb64cb7"),
     }
 
     @pytest.mark.parametrize("case", list(TRACE_SHA256))
@@ -749,7 +761,7 @@ class TestPinnedEngine:
         if k >= 3:
             assert b"\t\t" in data
         if tau == 0.0:
-            assert {line.split(b"\t")[2] for line in data.splitlines()[1:]} == {b"0"}
+            assert {line.split(b"\t")[2] for line in data.splitlines()[1:]} == {b"%.11e" % 0.0}
         assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [1, 2, 3])
