@@ -490,7 +490,7 @@ def simulate(
     with contextlib.ExitStack() as stack:
         chunks = _rounds(cfg, policy.scheme, policy.tau, seed, wait_split, n_epochs)
         if trace_path is not None:
-            fh = stack.enter_context(open(trace_path, "w", encoding="utf-8"))
+            fh = stack.enter_context(open(trace_path, "wb"))
             chunks = _write_trace(fh, policy.scheme, cfg, n_epochs, chunks)
         for rounds in chunks:
             for w in windows:
@@ -521,7 +521,7 @@ def simulate(
 
 
 def _write_trace(
-    fh: IO[str],
+    fh: IO[bytes],
     scheme: Scheme,
     cfg: SystemConfig,
     n_epochs: int,
@@ -537,12 +537,13 @@ def _write_trace(
     that process delivered none. A copy of the rounds of the epoch still open
     at a chunk's end carries into the next chunk, where it is joined with the
     rest of that epoch's rounds only, so each record is summed over its whole
-    epoch at once. The records are printed in blocks by
+    epoch at once. ``fh`` is a binary file: the header and the records are
+    written as ASCII bytes. The records are printed in blocks by
     :func:`_print_cells` (see :func:`_write_records`).
     """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
     cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
-    fh.write("\t".join(cols) + "\n")
+    fh.write(("\t".join(cols) + "\n").encode("ascii"))
     written = 0
     formats = ("%d", "%.11e", "%.11e", "%d") + ("%.11e",) * (1 + 2 * cfg.k)
     carry: Optional[RoundArrays] = None  # a copy of the open epoch's rounds
@@ -561,8 +562,7 @@ def _write_trace(
                     written += 1
                     last, carry = last[1:], None
             if len(last):
-                _write_records(fh, formats, scheme, cfg, rounds[start : last[-1] + 1],
-                               last - start, written)
+                _write_records(fh, formats, scheme, cfg, rounds, last, written, start)
                 written += len(last)
                 start = last[-1] + 1
             if carry is None and start < len(rounds.wait) and written < n_epochs:
@@ -572,90 +572,115 @@ def _write_trace(
 
 
 def _write_records(
-    fh: IO[str],
+    fh: IO[bytes],
     formats: Sequence[str],
     scheme: Scheme,
     cfg: SystemConfig,
     block: RoundArrays,
     last: np.ndarray,
     index: int,
+    start: int = 0,
 ) -> None:
-    """The records of the epochs that end at rows ``last`` of ``block``, which
-    starts with the first of them; the first is numbered ``index``.
+    """The records of the epochs that end at rows ``last`` of ``block``, the
+    first of which opens at row ``start`` and is numbered ``index``.
 
     ``_TRACE_BLOCK`` records at a time are gathered into a float table in
     file order, less the scheme, with the integer columns as exact floats and
-    nan for the empty cells, printed with ``formats``, and written as one
-    string. The scheme name follows the epoch index in its slot, in the bytes
-    of the exponent, which an integer's text never uses. Tables or text for a
-    whole chunk at once would raise the peak RSS.
+    nan for the empty cells, and printed with ``formats`` into a buffer of
+    ``_SLOT`` bytes a cell. The scheme name follows the epoch index in its
+    slot, in the bytes of the exponent, which an integer's text never uses.
+    What remains of the buffer once its zero bytes are deleted is written.
+    Every array is a block's own, rows included, so that the writer holds
+    nothing the size of a chunk.
     """
-    first = np.concatenate(([0], last[:-1] + 1))
-    rows = np.arange(len(block.wait))
-    # Latest delivered round of each process up to each epoch's end.
-    hits = [np.maximum.accumulate(np.where(block.delivered[:, k], rows, -1))[last]
-            for k in range(cfg.k)]
-    name = np.frombuffer(b"\t" + scheme.value.encode("ascii"), np.uint8)
-    after_index = slice(16, 16 + len(name))
+    name = np.frombuffer((b"\t" + scheme.value.encode("ascii")).ljust(7, b"\0") + b"\t", "<u8")
     for lo in range(0, len(last), _TRACE_BLOCK):
-        hi = min(lo + _TRACE_BLOCK, len(last))
-        opens = first[lo:hi]
-        epochs, starts = slice(opens[0], last[hi - 1] + 1), opens - opens[0]
-        cells = np.empty((hi - lo, len(formats)))
-        cells[:, 0] = np.arange(index + lo, index + hi)
-        np.add.reduceat(block.wait[epochs], starts, out=cells[:, 1])
-        np.add.reduceat(block.service_total[epochs], starts, out=cells[:, 2])
-        cells[:, 3] = np.add.reduceat(block.m[epochs], starts)
+        ends = last[lo : lo + _TRACE_BLOCK]
+        rows = slice(last[lo - 1] + 1 if lo else start, ends[-1] + 1)
+        ends = ends - rows.start
+        opens = np.concatenate(([0], ends[:-1] + 1))
+        cells = np.empty((len(ends), len(formats)))
+        cells[:, 0] = np.arange(index + lo, index + lo + len(ends))
+        np.add.reduceat(block.wait[rows], opens, out=cells[:, 1])
+        np.add.reduceat(block.service_total[rows], opens, out=cells[:, 2])
+        cells[:, 3] = np.add.reduceat(block.m[rows], opens)
         np.add(cells[:, 1], cells[:, 2], out=cells[:, 4])
-        for k, hit in enumerate(hits):
-            hit = hit[lo:hi]
+        steps = np.arange(rows.stop - rows.start)
+        for k in range(cfg.k):
+            # Latest delivered round of each process up to each epoch's end.
+            hit = np.where(block.delivered[rows, k], steps, -1)
+            hit = np.maximum.accumulate(hit, out=hit)[ends]
             inside = hit >= opens
+            hit += rows.start
             cells[:, 5 + k] = np.where(inside, block.ends[hit, k], np.nan)
             cells[:, 5 + cfg.k + k] = np.where(inside, block.stamps[hit, k], np.nan)
-        text, keep = _print_cells(cells, formats)
-        text[:, 0, after_index] = name
-        keep[:, 0, after_index] = True
-        # Decoding the picked bytes in place, with no bytes copy between,
-        # keeps the traced runs' peak RSS lower.
-        fh.write(str(memoryview(text[keep]), "ascii"))
+        text = bytearray(cells.size * _SLOT)
+        slots = np.frombuffer(text, "<u8").reshape(cells.shape + (3,))
+        _print_cells(cells, formats, slots)
+        slots[:, 0, 2] = name
+        fh.write(text.translate(None, b"\0"))
 
 
-# Records printed per block: larger blocks raise the peak RSS of a traced run.
-_TRACE_BLOCK = 256
-# Each cell is printed into a slot of six 4-byte words: the first 4-digit
-# group of its 12-digit mantissa, the same group with a point for its first
-# digit, the other two groups, its exponent and its separator, in the last
-# byte. Text that Python printed starts at the slot's first byte.
+# Records printed per block. A block's fixed numpy overhead favours large
+# blocks, and peak RSS small ones: at k = 2 a block of 512 keeps its slot
+# buffer (110 KB) and its bytes below glibc's 128 KB mmap threshold. Blocks
+# of 1024 made sim_probe about 10% faster again, but raised its peak RSS by
+# 0.8 MB over the printer with masks, where 512 adds about 0.1 MB.
+_TRACE_BLOCK = 512
+# Each cell is printed into a slot of three 8-byte words, with zero bytes
+# wherever no text goes: the first 4-digit group of its 12-digit mantissa (a
+# float's lead digit in byte 0, then the point and the group's other digits),
+# the other two groups, and its exponent and separator, in the last byte.
+# Text that Python printed starts at the slot's first byte.
 _SLOT = 24
 # The decimal exponents of the fast path, and their exact powers 10**(11 - e).
 _EXPONENTS = range(-3, 12)
 _TO_MANTISSA = np.array([float(10 ** (11 - e)) for e in _EXPONENTS])
+# Entries of the tables of _print_tables: the 4-digit groups without their
+# leading zeros start at _SHORT, and _EMPTY holds no text; the tail with no
+# exponent, and the tails with a newline for a separator.
+_SHORT, _EMPTY = 10**4, 2 * 10**4
+_BARE, _NEWLINE = len(_EXPONENTS), len(_EXPONENTS) + 1
 
 
 @functools.lru_cache(maxsize=None)
 def _print_tables() -> Tuple[np.ndarray, ...]:
     """The read-only tables of :func:`_print_cells`, built on first use so
-    that runs without a trace take no memory for them: the 4-digit groups
-    0000..9999 as little-endian words of ASCII text, the same with a point for
-    the first digit, each of ``_EXPONENTS`` as a word, and the masks of a slot:
-    row 0 picks a float's bytes, 0 and 4-19, row n in 1..12 the last n of an
-    integer's 12 digits, row 13 + n the first n bytes, and each the separator."""
-    digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), "<u4")
-    point = np.frombuffer(b"".join(b".%03d" % (g % 1000) for g in range(10**4)), "<u4")
-    exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in _EXPONENTS), "<u4")
-    runs = [[0, *range(4, 20)]] + [[*range(4), *range(8, 16)][-n:] for n in range(1, 13)]
-    masks = np.zeros((len(runs) + _SLOT, _SLOT), bool)
-    for row, picked in zip(masks, runs + [[*range(n)] for n in range(_SLOT)]):
-        row[picked + [_SLOT - 1]] = True
-    masks.flags.writeable = False
-    return digits, point, exponents, masks
+    that runs without a trace take no memory for them. Each entry is ASCII
+    text padded with zero bytes: ``head``, a slot's first word, for a float's
+    first 4-digit group 0000..9999 (its lead digit, three zero bytes, the
+    point and the other three digits); ``group``, a 4-byte word, for every
+    group with its leading zeros, then from ``_SHORT`` on without them (0 as
+    0), and at ``_EMPTY`` none; and ``tail``, a slot's last word, for each of
+    ``_EXPONENTS`` and then none, each followed by a tab, then the same with
+    a newline from ``_NEWLINE`` on."""
+    # Built digit by digit in small integers: Python lists of 10**4 strings,
+    # or int64 tables, would raise a traced run's peak RSS by more than a
+    # block does.
+    g = np.arange(10**4, dtype=np.uint16)
+    chars = np.zeros((2 * 10**4 + 1, 4), np.uint8)
+    plain, short = chars[:_SHORT], chars[_SHORT:_EMPTY]
+    for i, power in enumerate((1000, 100, 10, 1)):
+        plain[:, i] = g // power % 10 + ord("0")
+        np.copyto(short[:, i], plain[:, i], where=g >= (power if power > 1 else 0))
+    head = np.zeros((10**4, 8), np.uint8)
+    head[:, 0] = plain[:, 0]
+    head[:, 4] = ord(".")
+    head[:, 5:] = plain[:, 1:]
+    tails = [b"e%+03d" % e for e in _EXPONENTS] + [b""]
+    tail = np.frombuffer(b"".join(
+        t.ljust(7, b"\0") + sep for sep in (b"\t", b"\n") for t in tails), "<u8")
+    head, group = head.view("<u8").reshape(-1), chars.view("<u4").reshape(-1)
+    head.flags.writeable = group.flags.writeable = False
+    return head, group, tail
 
 
-def _print_cells(cells: np.ndarray, formats: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """The text of a float table, one column per entry of ``formats``, each
-    ``"%.11e"`` or ``"%d"``, as ``(rows, columns, _SLOT)`` byte slots and a
-    mask of the same shape that picks each cell's text and the tab or newline
-    after it, a nan's text being empty.
+def _print_cells(cells: np.ndarray, formats: Sequence[str], slots: np.ndarray) -> None:
+    """Print a float table, one column per entry of ``formats``, each
+    ``"%.11e"`` or ``"%d"``, into ``slots``, a ``(rows, columns, 3)`` array of
+    little-endian 8-byte words: each cell's slot gets its text and the tab or
+    newline after it, a nan's text being empty, and zero bytes wherever no
+    text goes, so that deleting the zero bytes leaves the lines.
 
     A cell ``x`` in [1e-3, 1e12) with decimal exponent ``e`` has the 12-digit
     mantissa ``y = x 10**(11 - e)``. The power is exact, so the product is
@@ -665,41 +690,75 @@ def _print_cells(cells: np.ndarray, formats: Sequence[str]) -> Tuple[np.ndarray,
     [1e11, 1e12) and rounds below 1e12, a ``"%d"`` column's whole numbers in
     [0, 1e12), their own mantissas, and +0.0 and nan. Python's ``%`` prints
     the rest (near-ties, values out of range, negatives, -0.0 and
-    infinities), about one cell in a thousand of a trace.
+    infinities), about one cell in a thousand of a trace, into slots that
+    are cleared first, as a nan's is. A mantissa ``m`` below 1e12 splits into
+    4-digit groups as ``floor((m + 0.5) 1e-8)`` and then the same by 1e-4 of
+    the rest: each exact quotient is at least 5e-9 from an integer, and each
+    product within 3e-12 of it. An integer's groups ahead of its first digit
+    print empty, and the group with its first digit without leading zeros.
     """
-    digits, point, exponents, masks = _print_tables()
-    whole = np.array([f == "%d" for f in formats])
+    head, group, tail = _print_tables()
+    whole = np.flatnonzero([f == "%d" for f in formats])
+    floor = np.full(len(formats), 1e11)
+    floor[whole] = 0.0
     # Logarithms of nan, zero and negative cells, and the out-of-range
     # products, only send their cells to the slow path below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.fmin(np.fmax(np.floor(np.log10(cells)), -3), 11).astype(np.int64)
-        e[:, whole] = 11
-        y = cells * _TO_MANTISSA[e + 3]
+        y = np.log10(cells)
+        np.floor(y, out=y)
+        np.fmax(y, -3, out=y)
+        np.fmin(y, 11, out=y)
+        y -= _EXPONENTS[0]
+        e = y.astype(np.intp)  # each cell's entry of _EXPONENTS
+        e[:, whole] = len(_EXPONENTS) - 1
+        np.take(_TO_MANTISSA, e, out=y)
+        y *= cells
         mantissa = np.rint(y)
-        fast = (y >= np.where(whole, 0.0, 1e11)) & (mantissa < 1e12)
-        fast &= np.abs(y - mantissa) < 0.499
+        fast = mantissa < 1e12
+        fast &= y >= floor
+        y -= mantissa
+        np.abs(y, out=y)
+        fast &= y < 0.499
     slow = np.flatnonzero(~fast)
+    values = cells.reshape(-1)[slow]
     # The slow cells print as +0.0 until they are emptied or overwritten.
     mantissa.reshape(-1)[slow] = 0.0
-    e.reshape(-1)[slow] = 0
-    high, low = np.divmod(mantissa.astype(np.int64), 10**8)
-    mid, low = np.divmod(low, 10**4)
-    text = np.empty(cells.shape + (_SLOT,), np.uint8)
-    words = text.view("<u4")
-    words[..., 0], words[..., 1] = digits[high], point[high]
-    words[..., 2], words[..., 3] = digits[mid], digits[low]
-    words[..., 4] = exponents[e + 3]
-    words[..., 5] = ord("\t") << 24
-    words[:, -1, 5] = ord("\n") << 24
-    row = np.zeros(cells.shape, np.int64)  # each cell's mask row
-    row[:, whole] = 1 + np.searchsorted(10 ** np.arange(1, 12), mantissa[:, whole], "right")
-    flat, values = row.reshape(-1), cells.reshape(-1)[slow]
-    nan = np.isnan(values)
-    flat[slow[nan]] = 13
-    python = ((values != 0.0) | np.signbit(values)) & ~nan
-    slots = text.reshape(-1, _SLOT)
-    for i, v in zip(slow[python].tolist(), values[python].tolist()):
+    e.reshape(-1)[slow] = -_EXPONENTS[0]
+    blank = slow[(values != 0.0) | np.signbit(values)]
+    e[:, whole] = _BARE
+    e.reshape(-1)[blank] = _BARE
+    e[:, -1] += _NEWLINE
+    slots[..., 2] = tail[e]
+    # Each group's index is used as soon as it is made, so that a block holds
+    # few temporaries at once.
+    del fast, e
+    small = cells[:, whole]
+    below = (small < 1e8) * _SHORT, (small < 1e4) * _SHORT
+    words = slots.view("<u4")
+    np.add(mantissa, 0.5, out=y)
+    y *= 1e-8
+    np.floor(y, out=y)
+    index = y.astype(np.intp)
+    slots[..., 0] = head[index]
+    words[:, whole, 0] = group[index[:, whole] + _SHORT + below[0]]
+    words[:, whole, 1] = 0
+    y *= 1e8
+    mantissa -= y
+    np.add(mantissa, 0.5, out=y)
+    y *= 1e-4
+    np.floor(y, out=y)
+    index = y.astype(np.intp)
+    index[:, whole] += below[0] + below[1]
+    words[..., 2] = group[index]
+    y *= 1e4
+    mantissa -= y
+    index = mantissa.astype(np.intp)
+    index[:, whole] += below[1]
+    words[..., 3] = group[index]
+    flat = slots.reshape(-1, 3)
+    flat[blank, :2] = 0
+    python = blank[~np.isnan(cells.reshape(-1)[blank])]
+    text = flat.view(np.uint8)
+    for i, v in zip(python.tolist(), cells.reshape(-1)[python].tolist()):
         cell = (formats[i % len(formats)] % v).encode("ascii")
-        slots[i, : len(cell)] = np.frombuffer(cell, np.uint8)
-        flat[i] = 13 + len(cell)
-    return text, masks[row]
+        text[i, : len(cell)] = np.frombuffer(cell, np.uint8)

@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +227,7 @@ class TestCsv:
     def test_header_only_for_empty_rows(self, tmp_path):
         path = os.fspath(tmp_path / "empty.csv")
         write_csv([], path)
-        assert open(path).read() == cli.CSV_HEADER + "\n"
+        assert Path(path).read_text() == cli.CSV_HEADER + "\n"
 
     def test_header_is_the_documented_column_list(self):
         # The columns follow SweepRow's fields; reordering them changes the file.
@@ -240,7 +241,7 @@ class TestCsv:
         p2 = os.fspath(tmp_path / "b.csv")
         write_csv(run_sweep(spec), p1)
         write_csv(run_sweep(spec), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_no_nan_cells_and_sentinel_status(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
@@ -248,7 +249,7 @@ class TestCsv:
         )
         path = os.fspath(tmp_path / "fail.csv")
         write_csv(run_sweep(spec_eps(grid=(0.1,))), path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         cells = lines[1].split(",")
         assert cells[-1].startswith("solver_failed")
         assert "nan" not in lines[1].lower()
@@ -295,7 +296,7 @@ class TestConfigFile:
         )
         path = os.fspath(tmp_path / "sweep.cfg")
         write_config(spec, path)
-        assert open(path, encoding="utf-8").read() == (
+        assert Path(path).read_text(encoding="utf-8") == (
             "k = 3\nmu = 2.0\neps = 0.25\nfmax = 0.8\ntheta = 0.1, 0.5, 1.5\n"
             "sigma_sq = 1.0, 2.0, 0.25\naxis = theta_j\ngrid = 0.05, 0.5, 3.0\n"
             "schemes = rr, maf\ninclude_zero_wait = true\nsim_validate = true\n"
@@ -399,7 +400,7 @@ class TestMain:
         out = tmp_path / "rows.csv"
         rc = cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)])
         assert rc == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == cli.CSV_HEADER
         assert len(lines) == 4
 
@@ -411,7 +412,7 @@ class TestMain:
         rc = cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)])
         assert rc == 0
         # At zero erasures with fmax=1.5 the solver reproduces the known value.
-        row = open(out).read().strip().split("\n")[2].split(",")
+        row = Path(out).read_text().strip().split("\n")[2].split(",")
         assert float(row[3]) == pytest.approx(1.1913, abs=1e-3)
 
     def test_failed_grid_point_sets_exit_code(self, tmp_path, monkeypatch):
@@ -600,7 +601,7 @@ class TestMain:
         write_config(spec_eps(sim_validate=True, n_epochs=1), os.fspath(cfg))
         out = tmp_path / "rows.csv"
         assert cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)]) == 2
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 4
         assert all(line.endswith(",sim_failed:InvalidConfig") for line in lines[1:])
 
@@ -615,4 +616,4 @@ class TestMain:
         assert cli.main(["sweep", os.fspath(cfg), "--out", os.fspath(out)]) == 0
         capsys.readouterr()
         assert cli.main(["sweep", os.fspath(cfg)]) == 0
-        assert capsys.readouterr().out == open(out, encoding="utf-8").read()
+        assert capsys.readouterr().out == Path(out).read_text(encoding="utf-8")

@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,7 +335,7 @@ class TestSimulate:
         path = os.fspath(tmp_path / "trace.tsv")
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.0)
         simulate(two_process_cfg, pol, n_epochs=50, seed=27, burn_in=5, trace_path=path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         header = lines[0].split("\t")
         assert header == [
             "epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma",
@@ -351,7 +353,7 @@ class TestSimulate:
         path = os.fspath(tmp_path / "trace_rr.tsv")
         pol = ThresholdPolicy(Scheme.RR_NO_FEEDBACK, 0.7)
         simulate(two_process_cfg, pol, n_epochs=200, seed=28, burn_in=5, trace_path=path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0].count("\t") == 9
         row = lines[1].split("\t")
         assert row[1] == "rr"
@@ -517,6 +519,36 @@ class TestStreaming:
         )
         assert grown <= 2.0 + 0.5
 
+    def test_trace_writer_heap_flat_in_run_length(self, tmp_path, monkeypatch):
+        # The writer's share of the heap, read with tracemalloc (numpy reports
+        # its buffers to it) as the peak of a traced run less that of the same
+        # run untraced, so independent of how glibc lays out the heap. Chunks
+        # of 2048 rounds put runs of 2e4 and 2e5 epochs in the same steady
+        # state; their shares read about 0.35 MB and differ by less than
+        # 0.03 MB (k = 2), where a writer that kept its text would hold the
+        # more than 25 MB of the longer trace.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 2048)
+        cfg = SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.3,
+                           processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0)))
+        path = os.fspath(tmp_path / "trace.tsv")
+        simulate(cfg, ThresholdPolicy(MAF, 1.6), n_epochs=2000, seed=7, trace_path=path)
+        tracemalloc.start()
+        try:
+            for scheme, tau in ((MAF, 1.6), (RR, 0.7)):
+                share = []
+                for n_epochs in (2 * 10**4, 2 * 10**5):
+                    peaks = []
+                    for trace in (None, path):
+                        tracemalloc.reset_peak()
+                        base = tracemalloc.get_traced_memory()[0]
+                        simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=n_epochs, seed=7,
+                                 trace_path=trace)
+                        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    share.append(peaks[1] - peaks[0])
+                assert share[1] < share[0] + 2**17, (scheme, share)
+        finally:
+            tracemalloc.stop()
+
     def test_high_erasure_rate_without_feedback(self, two_process_cfg):
         # Ten rounds per delivery: the run draws until every process has its
         # epochs, with no guess at the round count.
@@ -567,8 +599,10 @@ EDGE_FLOATS = st.one_of(
 def _printed(cells, formats):
     """The lines that the trace printer makes of a table, cells split at tabs."""
     cells = np.array(cells, dtype=float).reshape(len(cells), len(formats))
-    text, keep = sim._print_cells(cells, formats)
-    return [line.split("\t") for line in text[keep].tobytes().decode("ascii").split("\n")[:-1]]
+    slots = np.zeros(cells.shape + (3,), "<u8")
+    sim._print_cells(cells, formats, slots)
+    text = slots.tobytes().translate(None, b"\0").decode("ascii")
+    return [line.split("\t") for line in text.split("\n")[:-1]]
 
 
 def _same_value_as_percent_g(cells, values):
@@ -601,6 +635,21 @@ class TestTracePrinter:
         assert printed == expected
         _same_value_as_percent_g([cell for _, cell, _ in printed], [v for _, v, _ in rows])
 
+    @pytest.mark.parametrize("value", [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1,
+                                       10**12, 2**53])
+    def test_integers_at_group_edges(self, value):
+        # The printer's 4-digit groups lose their leading zeros only ahead
+        # of the first digit; from 10**12 on Python prints the integer.
+        expected = [["%d" % value, "%.11e" % 1.5, "%d" % value]]
+        assert _printed([(value, 1.5, value)], ("%d", "%.11e", "%d")) == expected
+
+    @pytest.mark.parametrize("value", [1.0, 9.99999999999e5, 1.00099990000e-2, 5.00099990000e10,
+                                       9.99900000000e-3, 1.23400009999e11, 0.0])
+    def test_floats_with_zero_or_nine_groups(self, value):
+        # Mantissa groups 0000 and 9999 at the ends of the group table, and
+        # +0.0, whose slot is printed from mantissa 0 at exponent 0.
+        assert _printed([value], ("%.11e",)) == [["%.11e" % value]]
+
 
 class TestPinnedEngine:
     # Golden values computed with the separate per-scheme engines that the
@@ -631,7 +680,7 @@ class TestPinnedEngine:
         st = simulate(two_process_cfg, ThresholdPolicy(scheme, tau), n_epochs=20000,
                       seed=seed, burn_in=1000, wait_split=split, trace_path=path)
         assert (st.sum_mse, st.sum_mse_se, st.mean_epoch_len) == pytest.approx(stats, rel=1e-12)
-        first = open(path).read().split("\n")[1].split("\t")
+        first = Path(path).read_text().split("\n")[1].split("\t")
         assert first[:2] == row[:2] and first[4] == row[4]
         floats = [float(c) for i, c in enumerate(first) if i not in (0, 1, 4)]
         golden = [float(c) for i, c in enumerate(row) if i not in (0, 1, 4)]
