@@ -7,7 +7,7 @@ so randomness stays with the caller's generator.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -25,10 +25,18 @@ def ou_step(x: ArrayLike, dt: ArrayLike, p: ProcessParams, z: ArrayLike) -> Arra
     x, dt, z = _reals("x", x), _reals("dt", dt), _reals("z", z)
     if not np.all(dt >= 0):
         raise InvalidConfig("dt must be nonnegative")
+    decay, innovation = _transition(dt, p, z)
+    out = x * decay + innovation
+    return float(out) if out.ndim == 0 else out
+
+
+def _transition(dt: ArrayLike, p: ProcessParams, z: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
+    """The decay ``exp(-theta*dt)`` and the innovation
+    ``sqrt(sigma_sq * (1 - exp(-2*theta*dt)) / (2*theta)) * z`` of :func:`ou_step`,
+    which returns ``x * decay + innovation``; ``dt`` is not checked."""
     decay = np.exp(-p.theta * dt)
     cond_sd = np.sqrt(p.stationary_variance * -np.expm1(-2.0 * p.theta * dt))
-    out = x * decay + cond_sd * z
-    return float(out) if out.ndim == 0 else out
+    return decay, cond_sd * z
 
 
 def inst_mse(age: ArrayLike, p: ProcessParams) -> ArrayLike:
@@ -53,8 +61,24 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     age0, dt = _reals("age0", age0), _reals("dt", dt)
     if not (np.all(age0 >= 0) and np.all(dt >= 0)):
         raise InvalidConfig("age0 and dt must be nonnegative")
-    two_theta = 2.0 * p.theta
-    out = p.stationary_variance * (
-        dt + (1.0 / two_theta) * np.exp(-two_theta * age0) * np.expm1(-two_theta * dt)
-    )
+    out, dt = np.broadcast_arrays(age0, dt)
+    out = _error_integral(out.copy(), dt, p)
     return float(out) if out.ndim == 0 else out
+
+
+def _error_integral(age0: np.ndarray, dt: np.ndarray, p: ProcessParams) -> np.ndarray:
+    """:func:`mse_integral` written over ``age0``, a float array of the result's
+    shape, and returned; the inputs are not checked. Each operation takes the
+    operands of ``var * (dt + (1/2theta) exp(-2theta age0) expm1(-2theta dt))``
+    in that order, up to the order within a product or sum, so the bits are
+    the same."""
+    two_theta = 2.0 * p.theta
+    age0 *= -two_theta
+    np.exp(age0, out=age0)
+    age0 *= 1.0 / two_theta
+    rest = np.multiply(dt, -two_theta, out=np.empty_like(age0))
+    np.expm1(rest, out=rest)
+    age0 *= rest
+    age0 += dt
+    age0 *= p.stationary_variance
+    return age0

@@ -48,6 +48,16 @@ substream is drawn in the same order whatever the chunk size, and a batch is
 summed once, when it closes, so every statistic and the trace file are
 bit-identical for any ``CHUNK_ROUNDS``.
 
+A chunk is assembled in place: the slot services are summed into the array
+that becomes the slot ends, and the stamps are written over the last
+samples' services. Each window writes a chunk's spans into one array of
+rows, whose age row becomes the error integral in place
+(:func:`ouwait.ou._error_integral`). Every operation keeps its operands
+and order, so the bits are those of the out-of-place forms; with fewer
+temporaries per chunk, fewer heap pages are returned to the system and
+faulted in again. A yielded chunk is its consumers': the engine draws the
+next chunk into new arrays, and no consumer writes to a chunk.
+
 The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length and, with
 the probe, the realized and closed-form errors. A row is summed pairwise, as
@@ -142,6 +152,8 @@ def _draw_slots(
     Returns each slot's service, the service of its last sample, whether that
     sample was delivered, the samples drawn per slot, and each round's count
     in the trace's ``m_total``: transmissions with feedback, one without.
+    The two service arrays are the caller's to write over; where a slot is
+    one sample they are the same array.
 
     Without feedback, and with feedback at zero erasure rate, a slot is one
     sample: one draw of ``(r, k)`` services gives every slot, and the erasure
@@ -175,19 +187,33 @@ def _draw_slots(
     # Integer indices: three boolean-mask updates cost about twice as much.
     hit = np.flatnonzero(u < cfg.eps)
     w = cfg.eps - u[hit]
+    # Each temporary is dropped once used: the fewer arrays a chunk holds at
+    # once, the fewer heap pages are returned to the system and faulted in
+    # again by the next chunk.
+    del u
     w /= cfg.eps
     np.log(w, out=w)
     w /= math.log(cfg.eps)
     failed = np.floor(w, out=w).astype(np.int64)
+    del w
     failed += 1
     samples = np.ones(shape, np.int64)
     samples.reshape(-1)[hit] += failed
     bursts = last.copy()
-    bursts.reshape(-1)[hit] += failed_rng.standard_gamma(failed) / cfg.mu
+    gamma = failed_rng.standard_gamma(failed)
+    del failed
+    gamma /= cfg.mu
+    bursts.reshape(-1)[hit] += gamma
+    del hit, gamma
     # A product with ones sums each round's attempts several times faster
     # than a reduction along the short process axis.
     m = samples @ np.ones(cfg.k, dtype=np.int64)
     return bursts, last, np.broadcast_to(True, shape), samples, m
+
+
+def _every_slot_delivers(cfg: SystemConfig, scheme: Scheme) -> bool:
+    """Whether every slot ends in a delivery: with feedback, or without erasures."""
+    return scheme is Scheme.MAF_FEEDBACK or cfg.eps == 0.0
 
 
 def _rounds(
@@ -213,6 +239,7 @@ def _rounds(
     # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
     fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
     short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
+    every = _every_slot_delivers(cfg, scheme)
     # An infinite previous service total gives the unmeasured round no wait.
     prev_total, clock, skip = math.inf, 0.0, 1
     while short.max() > 0:
@@ -224,26 +251,38 @@ def _rounds(
             need = math.ceil((need + 3.0 * math.sqrt(need * cfg.eps)) / (1.0 - cfg.eps))
         r = min(CHUNK_ROUNDS, need) + skip
         slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, *rngs)
-        # Service elapsed by the end of each slot of its round. Adding one
-        # column at a time follows a row cumsum's order and is several times
-        # faster than a reduction along the short process axis.
-        served = np.array(slot)
+        # Service elapsed by the end of each slot of its round, summed in the
+        # slot array, which becomes the slot ends; a plain slot array is also
+        # `last`, which is still to be read. Adding one column at a time
+        # follows a row cumsum's order and is several times faster than a
+        # reduction along the short process axis.
+        ends = slot.copy() if slot is last else slot
         for j in range(1, cfg.k):
-            served[:, j] += served[:, j - 1]
-        totals = served[:, -1]
-        waits = np.maximum(tau - np.concatenate(([prev_total], totals[:-1])), 0.0)
-        starts = np.cumsum(np.concatenate(([clock], waits + totals)))
+            ends[:, j] += ends[:, j - 1]
+        totals = ends[:, -1].copy()
+        waits = np.empty(r)
+        waits[0], waits[1:] = prev_total, totals[:-1]
+        np.subtract(tau, waits, out=waits)
+        np.maximum(waits, 0.0, out=waits)
+        starts = np.empty(r + 1)
+        starts[0] = clock
+        np.add(waits, totals, out=starts[1:])
+        np.cumsum(starts, out=starts)
         # Slot k ends after the round start, the wait fractions released so
         # far, and the service of slots 1..k. With the whole wait up front
         # every fraction would be 1.0: the sum is the same without the product.
         if fracs is None:
-            ends = (starts[:-1] + waits)[:, None] + served
+            ends += (starts[:-1] + waits)[:, None]
         else:
-            ends = starts[:-1, None] + fracs[None, :] * waits[:, None] + served
+            ends += starts[:-1, None] + fracs[None, :] * waits[:, None]
+        stamps = np.subtract(ends, last, out=last)
         prev_total, clock = totals[-1], starts[-1]
-        # Column by column: a reduction down the long axis of a (rounds, k)
-        # array is an order of magnitude slower.
-        short -= [np.count_nonzero(delivered[skip:, j]) for j in range(cfg.k)]
+        if every:
+            short -= r - skip
+        else:
+            # Column by column: a reduction down the long axis of a (rounds, k)
+            # array is an order of magnitude slower.
+            short -= [np.count_nonzero(delivered[skip:, j]) for j in range(cfg.k)]
         yield RoundArrays(
             wait=waits[skip:],
             service_total=totals[skip:],
@@ -251,7 +290,7 @@ def _rounds(
             m=m[skip:],
             delivered=delivered[skip:],
             ends=ends[skip:],
-            stamps=(ends - last)[skip:],
+            stamps=stamps[skip:],
         )
         skip = 0
 
@@ -324,8 +363,10 @@ def _ou_probe(
     the previous sample's extrapolation and the closed-form error at that
     age. The error ``X(d_i) - X(s_{i-1}) e^{-theta (d_i - s_{i-1})}`` sums the
     OU innovations over (s_{i-1}, d_{i-1}], (d_{i-1}, s_i] and (s_i, d_i], so
-    three exact steps over whole arrays give every error. Each delivery after
-    the first draws two normals, for (d_{i-1}, s_i] and then (s_i, d_i]. A
+    three exact steps over whole arrays give every error; the first and the
+    third span the same services with the same normals, so one transition
+    (:func:`ouwait.ou._transition`) serves both. Each delivery after the
+    first draws two normals, for (d_{i-1}, s_i] and then (s_i, d_i]. A
     fresh sequence first draws a stationary start, which cancels but keeps
     the order of a loop that steps the process itself, and the pair of its
     first delivery, of which only the second is used.
@@ -343,12 +384,19 @@ def _ou_probe(
         z = z[2:]
     else:
         z = rng.standard_normal(size=2 * len(serve))
-    carried = np.concatenate(([carry], ou.ou_step(0.0, serve, p, z[1::2])))
+    decay, innovation = ou._transition(serve, p, z[1::2])
+    carried = np.empty(len(deliveries))
+    carried[0] = carry
+    # A step from 0.0 is 0.0 * decay + innovation, which turns -0.0 into +0.0.
+    np.add(innovation, 0.0, out=carried[1:])
     # Gaps that are exactly zero in event order can round a hair negative in
     # the cumulative time arithmetic; clamp them.
     idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
-    at_stamp = ou.ou_step(carried[:-1], idle, p, z[0::2])
-    errs = ou.ou_step(at_stamp, serve, p, z[1::2]) ** 2
+    idle_decay, errs = ou._transition(idle, p, z[0::2])
+    errs += carried[:-1] * idle_decay  # the process at each stamp
+    errs *= decay
+    errs += innovation
+    np.square(errs, out=errs)
     return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
 
 
@@ -370,8 +418,10 @@ class _Window:
         burn_in: int,
         edges: np.ndarray,
         ou_rng: Optional[np.random.Generator],
+        every: bool,
     ) -> None:
         self.k, self.p = k, p
+        self.every = every  # every slot delivers: see _every_slot_delivers
         self.n_epochs, self.burn_in = n_epochs, burn_in
         self.ou_rng = ou_rng
         self.ou: Optional[float] = None  # probe innovation at the latest delivery
@@ -389,48 +439,58 @@ class _Window:
         if self.done:
             return
         k = self.k
-        hits = np.flatnonzero(rounds.delivered[:, k])[: self.n_epochs - self.seen]
+        col = rounds.samples[:, k]
+        if self.every:
+            n = min(len(col), self.n_epochs - self.seen)  # the first n rows deliver
+        else:
+            hits = np.flatnonzero(rounds.delivered[:, k])[: self.n_epochs - self.seen]
+            n = len(hits)
         opens = max(self.burn_in - self.seen, 0)
-        self.seen += len(hits)
+        self.seen += n
         if self.seen <= self.burn_in:
             return
         # The samples of the epoch that ends at each delivery, the first one
         # with those drawn since the latest delivery before this chunk.
-        col = rounds.samples[:, k]
-        if len(hits) == 0 or hits[-1] == len(hits) - 1:
-            # Every row from the first delivers (always with feedback): the
-            # window's rows are a slice, and each epoch is its round.
-            win = slice(opens, len(hits))
-            epochs = col[: len(hits)]
+        if self.every:
+            # The window's rows are a slice, and each epoch is its round.
+            win = slice(opens, n)
+            epochs = col[:n]
             if self.pending:
                 epochs = np.concatenate((epochs[:1] + self.pending, epochs[1:]))
+            self.pending = int(col[n:].sum())
         else:
             # Without feedback a slot is one sample: an epoch's samples are
             # its rounds, which costs less to count than to sum.
             win = hits[opens:]
             epochs = hits - np.concatenate(([-1 - self.pending], hits[:-1]))
-        if len(hits):
-            self.pending = int(col[hits[-1] + 1 :].sum())
-        else:
-            self.pending += int(col.sum())
+            if n:
+                self.pending = int(col[hits[-1] + 1 :].sum())
+            else:
+                self.pending += int(col.sum())
         # A span's samples are those of the rounds after its first delivery
         # through its last.
         d, s = rounds.ends[win, k], rounds.stamps[win, k]
         if self.first is None:
             self.first = d[0]
-            spans = epochs[opens + 1 :]
+            spans, lo = epochs[opens + 1 :], 0
         else:
-            d = np.concatenate(([self.last[0]], d))
-            s = np.concatenate(([self.last[1]], s))
-            spans = epochs
-        self.last = (d[-1], s[-1])
-        if len(d) > 1:
-            gaps = np.diff(d)
-            rows = [ou.mse_integral(d[:-1] - s[:-1], gaps, self.p), gaps]
+            spans, lo = epochs, 1
+        if len(spans):
+            # Each span's age at its start, which becomes its error integral,
+            # and its length, the first one's from the latest delivery.
+            rows = np.empty((len(self.batches.sums), len(spans)))
+            if lo:
+                rows[0, 0], rows[1, 0] = self.last[0] - self.last[1], d[0] - self.last[0]
+            np.subtract(d[:-1], s[:-1], out=rows[0, lo:])
+            np.subtract(d[1:], d[:-1], out=rows[1, lo:])
+            ou._error_integral(rows[0], rows[1], self.p)
             if self.ou_rng is not None:
-                errs, refs, self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
-                rows += [errs, refs]
-            self.batches.add(np.stack(rows), spans)
+                if lo:
+                    d, s = (np.concatenate(([v], a)) for v, a in zip(self.last, (d, s)))
+                rows[2], rows[3], self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
+            self.batches.add(rows, spans)
+        if len(d):
+            self.last = (d[-1], s[-1])
 
 
 def simulate(
@@ -483,8 +543,9 @@ def simulate(
         ou_rngs = [np.random.default_rng(ss) for ss in _streams(seed)[2].spawn(cfg.k)]
     else:
         ou_rngs = [None] * cfg.k
+    every = _every_slot_delivers(cfg, policy.scheme)
     windows = [
-        _Window(k, p, n_epochs, burn_in, edges, rng)
+        _Window(k, p, n_epochs, burn_in, edges, rng, every)
         for k, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
     ]
     with contextlib.ExitStack() as stack:
@@ -684,13 +745,14 @@ def _print_cells(cells: np.ndarray, formats: Sequence[str], slots: np.ndarray) -
 
     A cell ``x`` in [1e-3, 1e12) with decimal exponent ``e`` has the 12-digit
     mantissa ``y = x 10**(11 - e)``. The power is exact, so the product is
-    rounded once and lies within 1.2e-4 of the exact one: where ``y`` is more
-    than 0.499 from its nearest integer, that integer is the correctly
+    rounded once and lies within 1.2e-4 of the exact one: where ``y`` is at
+    most 0.499 from its nearest integer, that integer is the correctly
     rounded mantissa. The fast path prints such cells, whose ``y`` is in
     [1e11, 1e12) and rounds below 1e12, a ``"%d"`` column's whole numbers in
     [0, 1e12), their own mantissas, and +0.0 and nan. Python's ``%`` prints
-    the rest (near-ties, values out of range, negatives, -0.0 and
-    infinities), about one cell in a thousand of a trace, into slots that
+    the rest (near-ties, values out of range, negatives, -0.0, infinities
+    and a ``"%d"`` column's fractions, which it truncates), about one cell in
+    a thousand of a trace, into slots that
     are cleared first, as a nan's is. A mantissa ``m`` below 1e12 splits into
     4-digit groups as ``floor((m + 0.5) 1e-8)`` and then the same by 1e-4 of
     the rest: each exact quotient is at least 5e-9 from an integer, and each
@@ -701,6 +763,10 @@ def _print_cells(cells: np.ndarray, formats: Sequence[str], slots: np.ndarray) -
     whole = np.flatnonzero([f == "%d" for f in formats])
     floor = np.full(len(formats), 1e11)
     floor[whole] = 0.0
+    # How far a cell's y may be from its mantissa: a "%d" cell must be whole,
+    # since Python's "%d" truncates where the mantissa would round.
+    near = np.full(len(formats), 0.499)
+    near[whole] = 0.0
     # Logarithms of nan, zero and negative cells, and the out-of-range
     # products, only send their cells to the slow path below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -718,7 +784,7 @@ def _print_cells(cells: np.ndarray, formats: Sequence[str], slots: np.ndarray) -
         fast &= y >= floor
         y -= mantissa
         np.abs(y, out=y)
-        fast &= y < 0.499
+        fast &= y <= near
     slow = np.flatnonzero(~fast)
     values = cells.reshape(-1)[slow]
     # The slow cells print as +0.0 until they are emptied or overwritten.

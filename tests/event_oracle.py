@@ -3,8 +3,9 @@
 Tests compare the vectorized round engine of :mod:`ouwait.sim` against these
 scalar loops, which draw every service and erasure outcome in event order,
 and the simulator's array-form OU probe against a loop that steps the true
-process from event to event. :func:`round_arrays` joins the engine's chunks
-into one run for tests that look at whole runs of rounds.
+process from event to event and, bit for bit, against three whole-array
+``ou_step`` calls. :func:`round_arrays` joins the engine's chunks into one run
+for tests that look at whole runs of rounds.
 """
 
 from __future__ import annotations
@@ -199,3 +200,30 @@ def ou_probe_loop(
         errs.append((x_delivery - estimate) ** 2)
         refs.append(inst_mse(deliveries[i] - prev_stamp, p))
     return errs, refs
+
+
+def ou_probe_steps(
+    deliveries: np.ndarray,
+    stamps: np.ndarray,
+    p: ProcessParams,
+    rng: np.random.Generator,
+    carry: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """The simulator's OU probe as three exact ``ou_step`` calls over whole
+    arrays, with the same draws, arguments and results as
+    :func:`ouwait.sim._ou_probe`: over the previous sample's service, the idle
+    gap up to the new stamp, and the new sample's service.
+    """
+    serve = deliveries[1:] - stamps[1:]
+    if carry is None:
+        rng.standard_normal()
+        z = rng.standard_normal(size=2 * len(deliveries))
+        carry = ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
+        z = z[2:]
+    else:
+        z = rng.standard_normal(size=2 * len(serve))
+    carried = np.concatenate(([carry], ou_step(0.0, serve, p, z[1::2])))
+    idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
+    at_stamp = ou_step(carried[:-1], idle, p, z[0::2])
+    errs = ou_step(at_stamp, serve, p, z[1::2]) ** 2
+    return errs, inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ouwait import (
@@ -14,8 +16,12 @@ from ouwait import (
     mse_integral,
     ou_step,
 )
+from ouwait.ou import _error_integral
 
 P = ProcessParams(theta=0.5, sigma_sq=1.0)
+# Zeros, tiny and huge values, and ordinary ones: ages and gaps of a run.
+NONNEGATIVE = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 50.0),
+                        st.floats(0.0, 1e300))
 
 
 class TestOuStep:
@@ -96,6 +102,27 @@ class TestMseIntegral:
             whole = mse_integral(a, d1 + d2, P)
             split = mse_integral(a, d1, P) + mse_integral(a + d1, d2, P)
             assert abs(whole - split) < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(NONNEGATIVE, NONNEGATIVE), min_size=1, max_size=32),
+           st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+    def test_in_place_kernel_keeps_every_bit(self, pairs, theta, sigma_sq):
+        # The simulator integrates a chunk's errors in place over its age row;
+        # each operation keeps the operands of the closed form, so the bits
+        # are those of the formula written out and of the public function.
+        p = ProcessParams(theta, sigma_sq)
+        age0, dt = np.array(pairs).T.copy()
+        two_theta = 2.0 * p.theta
+        formula = p.stationary_variance * (
+            dt + (1.0 / two_theta) * np.exp(-two_theta * age0) * np.expm1(-two_theta * dt)
+        )
+        buffer = age0.copy()
+        kernel = _error_integral(buffer, dt, p)
+        assert kernel is buffer
+        scalar = np.array([mse_integral(float(age0[-1]), float(dt[-1]), p)])
+        for got, want in ((kernel, formula), (mse_integral(age0, dt, p), formula),
+                          (scalar, formula[-1:])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_negative_inputs_rejected(self, bad):

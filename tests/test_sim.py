@@ -1,5 +1,6 @@
 """Discrete-event simulator: event mechanics, renewal identities, determinism."""
 
+import copy
 import hashlib
 import math
 import os
@@ -28,7 +29,7 @@ import ouwait.sim as sim
 from ouwait.sim import _ou_probe
 from ouwait.threshold import _law, _transform
 
-from event_oracle import ou_probe_loop, round_arrays, run_epoch_maf, run_round_rr
+from event_oracle import ou_probe_loop, ou_probe_steps, round_arrays, run_epoch_maf, run_round_rr
 from round_terms import cycle_transform
 
 MAF = Scheme.MAF_FEEDBACK
@@ -392,6 +393,35 @@ class TestOuProbe:
             assert np.max(np.abs(errs - loop_errs)) <= 1e-12
             assert np.array_equal(refs, loop_refs)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_as_three_ou_steps(self, two_process_cfg, seed):
+        # One transition serves the probe's first and third steps; fresh and
+        # carried, every error, closed-form error and carried innovation keeps
+        # the bits of three whole-array ou_step calls. Zero services and idle
+        # gaps are mixed in: a zero service's innovation is a zero with its
+        # normal's sign, which a step from 0.0 turns into +0.0, and each call
+        # ends on one.
+        rng = np.random.default_rng(seed)
+        n, cut = 40, 15
+        serve = rng.exponential(size=n) * (rng.random(n) < 0.7)
+        idle = rng.exponential(size=n) * (rng.random(n) < 0.7)
+        serve[[cut, -1]] = 0.0
+        stamps, deliveries = np.empty(n), np.empty(n)
+        t = 0.0
+        for i in range(n):
+            stamps[i] = t + idle[i]
+            deliveries[i] = t = stamps[i] + serve[i]
+        for j, p in enumerate(two_process_cfg.processes):
+            results = []
+            for probe in (_ou_probe, ou_probe_steps):
+                draws = np.random.default_rng([seed, j])
+                errs, refs, carry = probe(deliveries[: cut + 1], stamps[: cut + 1], p, draws)
+                more = probe(deliveries[cut:], stamps[cut:], p, draws, carry)
+                results.append([errs, refs, np.array([carry]), more[0], more[1],
+                                np.array([more[2]])])
+            for got, want in zip(*results):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("scheme, tau", [(MAF, 1.6), (RR, 0.7)], ids=["maf", "rr"])
     def test_standard_error_calibrated(self, two_process_cfg, scheme, tau):
         # The paired gap is zero in expectation, so over many seeds the gap in
@@ -473,6 +503,34 @@ class TestStreaming:
         assert st.ou_probe_mse is not None and trace.count(b"\n") == 3001
         for other in others:
             assert other == (st, trace)
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("split", [None, (0.25, 0.75)], ids=["nosplit", "split"])
+    def test_chunks_are_not_edited_once_yielded(
+        self, two_process_cfg, tmp_path, monkeypatch, scheme, eps, split
+    ):
+        # The engine assembles each chunk in place and the windows and the
+        # trace writer read it, but a chunk is its consumers' once yielded:
+        # round_arrays lists every chunk before joining them, and the writer
+        # carries a copy of the open epoch's rounds. Each chunk, copied as it
+        # passes, must still equal its copy once the run is over.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
+        engine, passed = sim._rounds, []
+
+        def recording(*args):
+            for rounds in engine(*args):
+                passed.append((rounds, copy.deepcopy(rounds)))
+                yield rounds
+
+        monkeypatch.setattr(sim, "_rounds", recording)
+        cfg = replace(two_process_cfg, eps=eps)
+        simulate(cfg, ThresholdPolicy(scheme, 1.3), n_epochs=2000, seed=93, burn_in=100,
+                 wait_split=split, track_ou=True, trace_path=os.fspath(tmp_path / "t.tsv"))
+        assert len(passed) > 3
+        for rounds, seen in passed:
+            for f in fields(sim.RoundArrays):
+                assert np.array_equal(getattr(rounds, f.name), getattr(seen, f.name)), f.name
 
     def test_memory_bounded_in_run_length(self):
         # 4e6 epochs of each scheme at k=2: an engine that holds the whole
@@ -596,6 +654,15 @@ EDGE_FLOATS = st.one_of(
 )
 
 
+# The integers of the trace's %d columns, and non-integers in their range,
+# many of them an integer plus a fraction that rounds up.
+INTEGER_CELLS = st.one_of(
+    st.integers(0, 2**53),
+    st.floats(0.0, 2.0**53, exclude_max=True),
+    st.builds(lambda i, f: i + f, st.integers(0, 10**12), st.floats(0.5, 1.0, exclude_max=True)),
+)
+
+
 def _printed(cells, formats):
     """The lines that the trace printer makes of a table, cells split at tabs."""
     cells = np.array(cells, dtype=float).reshape(len(cells), len(formats))
@@ -625,15 +692,20 @@ class TestTracePrinter:
         _same_value_as_percent_g([cell for cell, in printed], values)
 
     @PRINTER_SETTINGS
-    @given(st.lists(st.tuples(st.integers(0, 2**53), st.floats(), st.integers(0, 2**53)),
-                    min_size=1, max_size=64))
+    @given(st.lists(st.tuples(INTEGER_CELLS, st.floats(), INTEGER_CELLS), min_size=1, max_size=64))
     def test_integer_columns_print_as_percent_d(self, rows):
         # The epoch_index and m_total columns hold integers below 2**53, exact
-        # in the float table; past 10**12 Python prints them.
+        # in the float table; past 10**12 Python prints them. A fraction in
+        # such a column is truncated, as Python's %d does, never rounded.
         expected = [["%d" % i, "" if math.isnan(v) else "%.11e" % v, "%d" % m] for i, v, m in rows]
         printed = _printed(rows, ("%d", "%.11e", "%d"))
         assert printed == expected
         _same_value_as_percent_g([cell for _, cell, _ in printed], [v for _, v, _ in rows])
+
+    def test_fractions_in_integer_columns_truncate(self):
+        # Rounding the mantissa would print 4 and 3.
+        printed = _printed([(3.7, 1.0, 2.6)], ("%d", "%.11e", "%d"))
+        assert printed == [["3", "1.00000000000e+00", "2"]]
 
     @pytest.mark.parametrize("value", [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**12 - 1,
                                        10**12, 2**53])
