@@ -48,8 +48,19 @@ def inst_mse(age: ArrayLike, p: ProcessParams) -> ArrayLike:
     age = _reals("age", age)
     if not np.all(age >= 0):
         raise InvalidConfig("age must be nonnegative")
-    out = p.stationary_variance * -np.expm1(-2.0 * p.theta * age)
+    out = _inst_mse(age.copy(), p)
     return float(out) if out.ndim == 0 else out
+
+
+def _inst_mse(age: np.ndarray, p: ProcessParams) -> np.ndarray:
+    """:func:`inst_mse` written over ``age``, a float array, and returned; the
+    input is not checked. The operations are those of
+    ``var * -expm1(-2theta age)``, up to the order within a product and the
+    sign moved from a factor to the other, so the bits are the same."""
+    age *= -2.0 * p.theta
+    np.expm1(age, out=age)
+    age *= -p.stationary_variance
+    return age
 
 
 def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:

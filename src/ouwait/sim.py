@@ -56,7 +56,9 @@ rows, whose age row becomes the error integral in place
 and order, so the bits are those of the out-of-place forms; with fewer
 temporaries per chunk, fewer heap pages are returned to the system and
 faulted in again. A yielded chunk is its consumers': the engine draws the
-next chunk into new arrays, and no consumer writes to a chunk.
+next chunk into new arrays, and no consumer writes to a chunk. One chunk is
+alive at a time: the engine, the trace writer and :func:`simulate` each drop
+their references to a chunk once it has passed, before the next is drawn.
 
 The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length and, with
@@ -220,12 +222,13 @@ def _rounds(
     cfg: SystemConfig,
     scheme: Scheme,
     tau: float,
-    seed: int,
+    streams: Sequence[np.random.SeedSequence],
     wait_split: Optional[Sequence[float]],
     n_deliveries: int,
 ) -> Iterator[RoundArrays]:
     """Chained rounds of ``scheme`` until every process has ``n_deliveries``
-    deliveries, in chunks of at most ``CHUNK_ROUNDS``.
+    deliveries, in chunks of at most ``CHUNK_ROUNDS``, drawn from a seed's
+    ``streams`` (see :func:`_streams`).
 
     A chunk holds no more rounds than the process furthest behind is likely
     to need, so that a short run draws few rounds it does not use.
@@ -234,7 +237,7 @@ def _rounds(
     set the first wait's conditioning value, and drops it. A chunk takes only
     the last round's service total and the clock from the chunk before it.
     """
-    service_ss, erasure_ss, _, failed_ss = _streams(seed)
+    service_ss, erasure_ss, _, failed_ss = streams
     rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
     # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
     fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
@@ -292,6 +295,8 @@ def _rounds(
             ends=ends[skip:],
             stamps=stamps[skip:],
         )
+        # The chunk is its consumers' now: drop it before the next is drawn.
+        del slot, last, delivered, samples, m, ends, totals, waits, starts, stamps
         skip = 0
 
 
@@ -397,7 +402,7 @@ def _ou_probe(
     errs *= decay
     errs += innovation
     np.square(errs, out=errs)
-    return errs, ou.inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
+    return errs, ou._inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
 
 
 class _Window:
@@ -539,8 +544,9 @@ def simulate(
 
     window = n_epochs - burn_in - 1
     edges = _batch_edges(window)
+    streams = _streams(seed)
     if track_ou:
-        ou_rngs = [np.random.default_rng(ss) for ss in _streams(seed)[2].spawn(cfg.k)]
+        ou_rngs = [np.random.default_rng(ss) for ss in streams[2].spawn(cfg.k)]
     else:
         ou_rngs = [None] * cfg.k
     every = _every_slot_delivers(cfg, policy.scheme)
@@ -549,13 +555,14 @@ def simulate(
         for k, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
     ]
     with contextlib.ExitStack() as stack:
-        chunks = _rounds(cfg, policy.scheme, policy.tau, seed, wait_split, n_epochs)
+        chunks = _rounds(cfg, policy.scheme, policy.tau, streams, wait_split, n_epochs)
         if trace_path is not None:
             fh = stack.enter_context(open(trace_path, "wb"))
             chunks = _write_trace(fh, policy.scheme, cfg, n_epochs, chunks)
         for rounds in chunks:
             for w in windows:
                 w.feed(rounds)
+            del rounds
 
     counts = np.diff(edges).astype(float)
     # One table of batch sums, each row (k, batches): see Streaming for the sums' order.
@@ -589,7 +596,8 @@ def _write_trace(
     chunks: Iterator[RoundArrays],
 ) -> Iterator[RoundArrays]:
     """Write one delimited record per epoch of the last process, passing each
-    chunk of rounds on once its records are written.
+    chunk of rounds on once its records are written and dropping it before
+    the next is drawn.
 
     The last process's deliveries partition the rounds into epochs (one round
     each with feedback), and its first ``n_epochs`` epochs are written. A
@@ -629,7 +637,9 @@ def _write_trace(
             if carry is None and start < len(rounds.wait) and written < n_epochs:
                 # A copy, so that the chunk is not kept alive with its tail.
                 carry = RoundArrays.concat((rounds[start:],))
+            del last
         yield rounds
+        del rounds
 
 
 def _write_records(
@@ -645,18 +655,25 @@ def _write_records(
     """The records of the epochs that end at rows ``last`` of ``block``, the
     first of which opens at row ``start`` and is numbered ``index``.
 
-    ``_TRACE_BLOCK`` records at a time are gathered into a float table in
-    file order, less the scheme, with the integer columns as exact floats and
-    nan for the empty cells, and printed with ``formats`` into a buffer of
-    ``_SLOT`` bytes a cell. The scheme name follows the epoch index in its
-    slot, in the bytes of the exponent, which an integer's text never uses.
-    What remains of the buffer once its zero bytes are deleted is written.
-    Every array is a block's own, rows included, so that the writer holds
-    nothing the size of a chunk.
+    The records are printed in blocks of ``_TRACE_CELLS // len(formats)``
+    records (at least one), so that a block holds about the same number of
+    cells at any k. A block's records are gathered into a float table in file
+    order, less the scheme, with the integer columns as exact floats and nan
+    for the empty cells, and printed with ``formats`` into a buffer of
+    ``_SLOT`` bytes a cell. Each process's last delivery up to each epoch's
+    end is read off one (rows, k) table of the block's rounds for all
+    processes at once. The scheme name follows the epoch index in its slot,
+    in the bytes of the exponent, which an integer's text never uses. What
+    remains of the buffer once its zero bytes are deleted is written. Every
+    array is a block's own, rows included, so that the writer holds nothing
+    the size of a chunk.
     """
     name = np.frombuffer((b"\t" + scheme.value.encode("ascii")).ljust(7, b"\0") + b"\t", "<u8")
-    for lo in range(0, len(last), _TRACE_BLOCK):
-        ends = last[lo : lo + _TRACE_BLOCK]
+    size = max(1, _TRACE_CELLS // len(formats))
+    k = cfg.k
+    procs = np.arange(k)
+    for lo in range(0, len(last), size):
+        ends = last[lo : lo + size]
         rows = slice(last[lo - 1] + 1 if lo else start, ends[-1] + 1)
         ends = ends - rows.start
         opens = np.concatenate(([0], ends[:-1] + 1))
@@ -666,15 +683,14 @@ def _write_records(
         np.add.reduceat(block.service_total[rows], opens, out=cells[:, 2])
         cells[:, 3] = np.add.reduceat(block.m[rows], opens)
         np.add(cells[:, 1], cells[:, 2], out=cells[:, 4])
-        steps = np.arange(rows.stop - rows.start)
-        for k in range(cfg.k):
-            # Latest delivered round of each process up to each epoch's end.
-            hit = np.where(block.delivered[rows, k], steps, -1)
-            hit = np.maximum.accumulate(hit, out=hit)[ends]
-            inside = hit >= opens
-            hit += rows.start
-            cells[:, 5 + k] = np.where(inside, block.ends[hit, k], np.nan)
-            cells[:, 5 + cfg.k + k] = np.where(inside, block.stamps[hit, k], np.nan)
+        # Latest delivered round of each process up to each epoch's end; a -1
+        # (none yet) reads the block's last row, which np.where discards.
+        steps = np.arange(rows.start, rows.stop)
+        hit = np.where(block.delivered[rows], steps[:, None], -1)
+        hit = np.maximum.accumulate(hit, axis=0, out=hit)[ends]
+        inside = hit >= (opens + rows.start)[:, None]
+        cells[:, 5 : 5 + k] = np.where(inside, block.ends[hit, procs], np.nan)
+        cells[:, 5 + k :] = np.where(inside, block.stamps[hit, procs], np.nan)
         text = bytearray(cells.size * _SLOT)
         slots = np.frombuffer(text, "<u8").reshape(cells.shape + (3,))
         _print_cells(cells, formats, slots)
@@ -682,12 +698,14 @@ def _write_records(
         fh.write(text.translate(None, b"\0"))
 
 
-# Records printed per block. A block's fixed numpy overhead favours large
-# blocks, and peak RSS small ones: at k = 2 a block of 512 keeps its slot
-# buffer (110 KB) and its bytes below glibc's 128 KB mmap threshold. Blocks
-# of 1024 made sim_probe about 10% faster again, but raised its peak RSS by
-# 0.8 MB over the printer with masks, where 512 adds about 0.1 MB.
-_TRACE_BLOCK = 512
+# Cells printed per block: 2048 records at k = 2. A block's fixed numpy
+# overhead favours large blocks, and peak RSS small ones. Sized in cells, a
+# block's buffers do not grow with k. At k = 2, blocks of 1024 records made
+# sim_probe about 10% faster than blocks of 512, but raised its peak RSS by
+# 0.8 MB while each chunk was still alive during the next one's draw; with
+# one chunk alive at a time, blocks of 2048 raise the throughput and not the
+# peak RSS (BENCH_cell_blocks.json).
+_TRACE_CELLS = 9 * 2048
 # Each cell is printed into a slot of three 8-byte words, with zero bytes
 # wherever no text goes: the first 4-digit group of its 12-digit mantissa (a
 # float's lead digit in byte 0, then the point and the group's other digits),

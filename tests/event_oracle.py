@@ -18,7 +18,7 @@ import numpy as np
 
 from ouwait import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
 from ouwait import ThresholdPolicy, inst_mse, ou_step
-from ouwait.sim import RoundArrays, _rounds
+from ouwait.sim import RoundArrays, _rounds, _streams
 
 ATTEMPT_CAP = 10**7  # attempts one burst of the event loop may take
 
@@ -41,7 +41,7 @@ def round_arrays(
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
     tau = ThresholdPolicy(scheme, tau).tau
-    chunks = _rounds(cfg, scheme, tau, seed, wait_split, n_rounds)
+    chunks = _rounds(cfg, scheme, tau, _streams(seed), wait_split, n_rounds)
     return RoundArrays.concat(list(chunks))[:n_rounds]
 
 

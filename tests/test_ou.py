@@ -16,7 +16,7 @@ from ouwait import (
     mse_integral,
     ou_step,
 )
-from ouwait.ou import _error_integral
+from ouwait.ou import _error_integral, _inst_mse
 
 P = ProcessParams(theta=0.5, sigma_sq=1.0)
 # Zeros, tiny and huge values, and ordinary ones: ages and gaps of a run.
@@ -75,6 +75,30 @@ class TestInstMse:
     def test_negative_age_rejected(self, age):
         with pytest.raises(InvalidConfig):
             inst_mse(age, P)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(NONNEGATIVE, min_size=1, max_size=32),
+           st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+    def test_in_place_kernel_keeps_every_bit(self, ages, theta, sigma_sq):
+        # The OU probe takes the closed-form error at each delivery's age from
+        # the unchecked kernel, written over the age array; its operations are
+        # those of the formula, so the bits are those of the formula written
+        # out and of the public function.
+        p = ProcessParams(theta, sigma_sq)
+        age = np.array(ages)
+        formula = p.stationary_variance * -np.expm1(-2.0 * p.theta * age)
+        buffer = age.copy()
+        kernel = _inst_mse(buffer, p)
+        assert kernel is buffer
+        scalar = np.array([inst_mse(float(age[-1]), p)])
+        for got, want in ((kernel, formula), (inst_mse(age, p), formula),
+                          (scalar, formula[-1:])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_public_function_leaves_its_argument(self):
+        ages = np.array([0.0, 0.5, 2.0])
+        inst_mse(ages, P)
+        assert ages.tolist() == [0.0, 0.5, 2.0]
 
 
 class TestMseIntegral:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -489,12 +490,13 @@ class TestStreaming:
         # in slot order. Without a split, slot ends skip the fraction
         # product, and where every row delivers (feedback) the window reads
         # its deliveries by slice, cut at burn-in and batch edges.
-        # The trace is also printed in blocks of 1 and 7 records.
+        # The trace is also printed in blocks of 1 and 7 records (9 and 63
+        # cells).
         cfg = replace(two_process_cfg, eps=eps)
         runs = []
-        for chunk, block in ((5, 1), (1000, 7), (sim.CHUNK_ROUNDS, sim._TRACE_BLOCK)):
+        for chunk, block in ((5, 9), (1000, 63), (sim.CHUNK_ROUNDS, sim._TRACE_CELLS)):
             monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
-            monkeypatch.setattr(sim, "_TRACE_BLOCK", block)
+            monkeypatch.setattr(sim, "_TRACE_CELLS", block)
             path = tmp_path / f"trace-{chunk}.tsv"
             st = simulate(cfg, ThresholdPolicy(scheme, tau), n_epochs=3000, seed=91,
                           burn_in=150, wait_split=split, track_ou=True, trace_path=os.fspath(path))
@@ -531,6 +533,38 @@ class TestStreaming:
         for rounds, seen in passed:
             for f in fields(sim.RoundArrays):
                 assert np.array_equal(getattr(rounds, f.name), getattr(seen, f.name)), f.name
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_one_chunk_held_at_a_time(self, two_process_cfg, tmp_path, monkeypatch,
+                                      scheme, traced):
+        # The engine, the trace writer and simulate each drop a chunk once it
+        # has passed, so that no two chunks are alive at once: by the time the
+        # next chunk is drawn, no array of an earlier one, nor any array it is
+        # a view of, is left. Freed by reference count, with no collection.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
+        engine, draw, alive, draws = sim._rounds, sim._draw_slots, [], []
+
+        def recording(*args):
+            for rounds in engine(*args):
+                for f in fields(rounds):
+                    a = getattr(rounds, f.name)
+                    while isinstance(a, np.ndarray):
+                        alive.append(weakref.ref(a))
+                        a = a.base
+                yield rounds
+                del rounds
+
+        def drawing(*args):
+            draws.append(sum(ref() is not None for ref in alive))
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "_rounds", recording)
+        monkeypatch.setattr(sim, "_draw_slots", drawing)
+        trace = os.fspath(tmp_path / "t.tsv") if traced else None
+        simulate(replace(two_process_cfg, eps=0.3), ThresholdPolicy(scheme, 1.3), n_epochs=2000,
+                 seed=94, burn_in=100, track_ou=True, trace_path=trace)
+        assert len(draws) > 3 and not any(draws), draws
 
     def test_memory_bounded_in_run_length(self):
         # 4e6 epochs of each scheme at k=2: an engine that holds the whole
@@ -582,9 +616,10 @@ class TestStreaming:
         # its buffers to it) as the peak of a traced run less that of the same
         # run untraced, so independent of how glibc lays out the heap. Chunks
         # of 2048 rounds put runs of 2e4 and 2e5 epochs in the same steady
-        # state; their shares read about 0.35 MB and differ by less than
-        # 0.03 MB (k = 2), where a writer that kept its text would hold the
-        # more than 25 MB of the longer trace.
+        # state; their shares read about 0.95 MB (rr) and
+        # 1.3 MB (maf) with blocks of 2048 records, 0.35 MB with blocks of
+        # 512, and differ by less than 0.03 MB, where a writer that kept its
+        # text would hold the more than 25 MB of the longer trace.
         monkeypatch.setattr(sim, "CHUNK_ROUNDS", 2048)
         cfg = SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.3,
                            processes=(ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0)))
@@ -604,6 +639,35 @@ class TestStreaming:
                         peaks.append(tracemalloc.get_traced_memory()[1] - base)
                     share.append(peaks[1] - peaks[0])
                 assert share[1] < share[0] + 2**17, (scheme, share)
+        finally:
+            tracemalloc.stop()
+
+    def test_trace_writer_heap_flat_in_process_count(self, tmp_path):
+        # The writer's share, as in the test above, at k = 2 and at k = 64:
+        # blocks of a fixed cell count hold the same memory at any k. The
+        # shares read 0.72-0.75 MB at k = 2 and 0.01 MB at k = 64, where the
+        # blocks sit below the engine's own peak; blocks of 2048 records at
+        # any k read 14-15 MB at k = 64.
+        def cfg(k):
+            procs = tuple(ProcessParams(0.1 + 0.9 * i / (k - 1), 1.0 + i % 3) for i in range(k))
+            return SystemConfig(k=k, f_max=0.5, mu=1.0, eps=0.3, processes=procs)
+
+        path = os.fspath(tmp_path / "trace.tsv")
+        simulate(cfg(2), ThresholdPolicy(MAF, 1.6), n_epochs=2000, seed=7, trace_path=path)
+        tracemalloc.start()
+        try:
+            for scheme, tau in ((MAF, 0.8), (RR, 0.35)):
+                share = []
+                for k, n_epochs in ((2, 2 * 10**4), (64, 5000)):
+                    peaks = []
+                    for trace in (None, path):
+                        tracemalloc.reset_peak()
+                        base = tracemalloc.get_traced_memory()[0]
+                        simulate(cfg(k), ThresholdPolicy(scheme, tau * k), n_epochs=n_epochs,
+                                 seed=7, trace_path=trace)
+                        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    share.append(peaks[1] - peaks[0])
+                assert share[1] < share[0] + 2**20, (scheme, share)
         finally:
             tracemalloc.stop()
 
