@@ -384,12 +384,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _system_from_args(args)
     tau = solve(cfg, args.scheme, args.tol).tau_star if args.tau is None else args.tau
+    policy = ThresholdPolicy(args.scheme, tau)
     stats = simulate(
-        cfg, ThresholdPolicy(args.scheme, tau), n_epochs=args.epochs, seed=args.seed,
+        cfg, policy, n_epochs=args.epochs, seed=args.seed,
         burn_in=args.burn_in, trace_path=args.trace,
     )
     print(
-        f"scheme={args.scheme.value} tau={tau:.9g} sum_mse={stats.sum_mse:.6g} "
+        f"scheme={args.scheme.value} tau={policy.tau:.9g} sum_mse={stats.sum_mse:.6g} "
         f"(se {stats.sum_mse_se:.2g}) mean_epoch={stats.mean_epoch_len:.6g} "
         f"epochs={stats.epochs}"
     )

@@ -39,8 +39,10 @@ The round engine :func:`_rounds` yields its rounds in chunks of at most
 rate; :func:`simulate` folds each chunk into its statistics before the next
 one is drawn, and the engine stops once every process has
 ``n_epochs`` deliveries. Memory grows with the run length only through the
-one open batch per process. Between chunks the engine carries two values,
-the last round's service total (which sets the next wait) and the clock.
+one open batch per process. The conditioning round is drawn alone ahead of
+the chunks, so every chunk is measured whole. Between chunks the engine
+carries two values, the last round's service total (which sets the next
+wait) and the clock.
 Each process carries its last delivery and stamp, its delivery count, the
 samples drawn since its last delivery, the batch it has not yet closed and,
 with the OU probe, the error innovation at its last delivery. Every
@@ -233,9 +235,10 @@ def _rounds(
     A chunk holds no more rounds than the process furthest behind is likely
     to need, so that a short run draws few rounds it does not use.
 
-    The first chunk draws one extra unmeasured round ahead of its rounds to
-    set the first wait's conditioning value, and drops it. A chunk takes only
-    the last round's service total and the clock from the chunk before it.
+    The conditioning round, whose service total sets the first wait, is drawn
+    ahead of the chunks as one unmeasured round; it starts at time 0 with no
+    wait. A chunk takes only the last round's service total and the clock
+    from the round before it.
     """
     service_ss, erasure_ss, _, failed_ss = streams
     rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
@@ -243,16 +246,15 @@ def _rounds(
     fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
     short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
     every = _every_slot_delivers(cfg, scheme)
-    # An infinite previous service total gives the unmeasured round no wait.
-    prev_total, clock, skip = math.inf, 0.0, 1
+    miss = 0.0 if every else cfg.eps  # the chance that a slot delivers nothing
+    # The conditioning round ends at its service total, which sets the first wait.
+    prev_total = clock = _in_order(_draw_slots(cfg, scheme, 1, *rngs)[0][0])
     while short.max() > 0:
+        # A process delivers in a round with probability 1 - miss: take the
+        # mean count of rounds for its deliveries plus three standard
+        # deviations, so that a run seldom ends in a string of tiny chunks.
         need = int(short.max())
-        if scheme is Scheme.RR_NO_FEEDBACK:
-            # A process delivers in a round with probability 1 - eps: take the
-            # mean count of rounds for its deliveries plus three standard
-            # deviations, so that a run seldom ends in a string of tiny chunks.
-            need = math.ceil((need + 3.0 * math.sqrt(need * cfg.eps)) / (1.0 - cfg.eps))
-        r = min(CHUNK_ROUNDS, need) + skip
+        r = min(CHUNK_ROUNDS, math.ceil((need + 3.0 * math.sqrt(need * miss)) / (1.0 - miss)))
         slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, *rngs)
         # Service elapsed by the end of each slot of its round, summed in the
         # slot array, which becomes the slot ends; a plain slot array is also
@@ -281,23 +283,14 @@ def _rounds(
         stamps = np.subtract(ends, last, out=last)
         prev_total, clock = totals[-1], starts[-1]
         if every:
-            short -= r - skip
+            short -= r
         else:
             # Column by column: a reduction down the long axis of a (rounds, k)
             # array is an order of magnitude slower.
-            short -= [np.count_nonzero(delivered[skip:, j]) for j in range(cfg.k)]
-        yield RoundArrays(
-            wait=waits[skip:],
-            service_total=totals[skip:],
-            samples=samples[skip:],
-            m=m[skip:],
-            delivered=delivered[skip:],
-            ends=ends[skip:],
-            stamps=stamps[skip:],
-        )
+            short -= [np.count_nonzero(delivered[:, j]) for j in range(cfg.k)]
+        yield RoundArrays(waits, totals, samples, m, delivered, ends, stamps)
         # The chunk is its consumers' now: drop it before the next is drawn.
         del slot, last, delivered, samples, m, ends, totals, waits, starts, stamps
-        skip = 0
 
 
 def _batch_edges(count: int) -> np.ndarray:

@@ -33,7 +33,8 @@ MAX_SERIES_TERMS = 10**6
 
 def _real(name: str, x, within: tuple = _POSITIVE) -> float:
     """``x`` as a Python float, if it is a real number, not a bool, in the range
-    ``within``; anything else raises InvalidConfig naming ``name``."""
+    ``within``; anything else raises InvalidConfig naming ``name``. A -0.0
+    becomes +0.0, so that it prints as 0."""
     lo, hi, words = within
     y = x
     if type(x) is not float:
@@ -43,7 +44,7 @@ def _real(name: str, x, within: tuple = _POSITIVE) -> float:
             y = math.nan
     if not lo <= y < hi:  # a nan fails the comparison
         raise InvalidConfig(f"{name} must {words.format(name)}, got {x!r}")
-    return y
+    return y + 0.0
 
 
 def _count(name: str, x, lo: int, hi: float = math.inf) -> int:

@@ -378,6 +378,12 @@ class TestMain:
         assert rc == 0
         assert "sum_mse=0.7" in capsys.readouterr().out
 
+    def test_simulate_prints_a_negative_zero_threshold_as_zero(self, capsys):
+        args = ["simulate", "--scheme", "rr"] + SIM_ARGS + ["--eps", "-0", "--tau", "-0",
+                                                         "--epochs", "200"]
+        assert cli.main(args) == 0
+        assert " tau=0 " in capsys.readouterr().out
+
     def test_simulate_without_tau_runs_at_the_solved_threshold(self, capsys):
         args = ["simulate", "--scheme", "maf"] + SOLVE_ARGS + ["--epochs", "2000", "--seed", "1"]
         assert cli.main(args) == 0

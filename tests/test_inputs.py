@@ -31,10 +31,12 @@ from ouwait import (
     mse_at_tau,
     mse_integral,
     ou_step,
+    run_sweep,
     simulate,
     solve,
     solve_maf,
     solve_rr,
+    write_csv,
 )
 
 INPUT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -228,6 +230,27 @@ def test_sweep_spec(data):
     exact_python(spec.seed, plain.seed)
     assert type(spec.include_zero_wait) is bool and type(spec.sim_validate) is bool
     assert spec == plain
+
+
+@pytest.mark.parametrize("zero", [-0.0, np.float32(-0.0)], ids=repr)
+def test_negative_zero_stored_with_sign_bit_clear(zero):
+    # A -0.0 lies in a nonnegative range; it is stored as +0.0, which prints as 0.
+    stored = (
+        SystemConfig(k=2, f_max=1.5, mu=1.0, eps=zero, processes=PROCS).eps,
+        ThresholdPolicy(Scheme.MAF_FEEDBACK, zero).tau,
+        SweepSpec(base=CFG, axis=Axis.EPS, grid=(zero, 0.5),
+                  schemes=(Scheme.RR_NO_FEEDBACK,)).grid[0],
+    )
+    for value in stored:
+        exact_python(value, 0.0)
+        assert not math.copysign(1.0, value) < 0.0
+
+
+def test_sweep_row_of_negative_zero_reads_zero(tmp_path):
+    spec = SweepSpec(base=CFG, axis=Axis.EPS, grid=(-0.0, 0.5), schemes=(Scheme.RR_NO_FEEDBACK,))
+    path = tmp_path / "sweep.csv"
+    write_csv(run_sweep(spec), str(path))
+    assert path.read_text().splitlines()[1].split(",")[1] == "0"
 
 
 # Things that are not a system: nothing, text, a process list, a policy.

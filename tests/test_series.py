@@ -36,7 +36,7 @@ from ouwait import (
     epoch_mean,
     mse_at_tau,
 )
-from ouwait.series import _counts, _log_factorial_table, _poisson_pmf, _wait_table
+from ouwait.series import _counts, _poisson_pmf, _wait_table
 from ouwait.threshold import _law, _newton, _response, _transform, search_ceiling
 
 from round_terms import cycle_transform, expected_wait
@@ -199,13 +199,30 @@ class TestLogFactorials:
 
     def test_slices_of_the_grown_table_equal_tables_built_short(self, monkeypatch):
         # The table grows at 50, 300 and 5000; 200 and 127 are slices of a
-        # longer table, on both sides of the switch to the Stirling series.
+        # longer table. Every entry is lgamma's, whatever the request order.
         monkeypatch.setattr(series, "_count_table", (np.empty(0), np.empty(0)))
         for n_max in (50, 300, 200, 5000, 127):
-            for got, built in zip(_counts(n_max), _log_factorial_table(n_max)):
-                assert got.tobytes() == built.tobytes()
-                assert not got.flags.writeable
+            j, log_fact = _counts(n_max)
+            assert j.tobytes() == np.arange(n_max + 1.0).tobytes()
+            built = np.array([math.lgamma(i + 1.0) for i in range(n_max + 1)])
+            assert log_fact.tobytes() == built.tobytes()
+            assert not j.flags.writeable and not log_fact.flags.writeable
         assert len(series._count_table[0]) == 5001
+
+    def test_growing_table_computes_each_entry_once(self, monkeypatch):
+        monkeypatch.setattr(series, "_count_table", (np.empty(0), np.empty(0)))
+        calls = []
+        lgamma = math.lgamma
+
+        def counted(x):
+            calls.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(series.math, "lgamma", counted)
+        for n_max in (50, 300, 200, 5000, 127):
+            _counts(n_max)
+        assert len(calls) == 5001
+        assert sorted(calls) == [i + 1.0 for i in range(5001)]
 
     @pytest.mark.parametrize("k", [1, 2, 4, 16])
     @pytest.mark.parametrize("eps", [0.05, 0.3, 0.7, 0.95])

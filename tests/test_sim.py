@@ -507,6 +507,20 @@ class TestStreaming:
             assert other == (st, trace)
 
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_one_round_chunks(self, two_process_cfg, tmp_path, monkeypatch, scheme):
+        # Chunks of one round: every round, burn-in and batch edge sits at a
+        # chunk edge, after the conditioning round drawn alone.
+        runs = []
+        for chunk in (sim.CHUNK_ROUNDS, 1):
+            monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
+            path = tmp_path / f"trace-{chunk}.tsv"
+            st = simulate(two_process_cfg, ThresholdPolicy(scheme, 1.3), n_epochs=400, seed=95,
+                          burn_in=50, track_ou=True, trace_path=os.fspath(path))
+            runs.append((st, path.read_bytes()))
+        assert runs[0][0].ou_probe_mse is not None and runs[0][1].count(b"\n") == 401
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("split", [None, (0.25, 0.75)], ids=["nosplit", "split"])
     def test_chunks_are_not_edited_once_yielded(
