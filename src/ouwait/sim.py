@@ -44,11 +44,14 @@ the chunks, so every chunk is measured whole. Between chunks the engine
 carries two values, the last round's service total (which sets the next
 wait) and the clock.
 Each process carries its last delivery and stamp, its delivery count, the
-samples drawn since its last delivery, the batch it has not yet closed and,
-with the OU probe, the error innovation at its last delivery. Every
-substream is drawn in the same order whatever the chunk size, and a batch is
-summed once, when it closes, so every statistic and the trace file are
-bit-identical for any ``CHUNK_ROUNDS``.
+samples drawn since its last delivery, the pieces of the batch it has not
+yet closed and, with the OU probe, the error innovation at its last
+delivery. Every substream is drawn in the same order whatever the chunk
+size, and a batch is summed once, when it closes (:class:`_Batches`), so
+every statistic and the trace file are bit-identical for any
+``CHUNK_ROUNDS``. A chunk holds only what the statistics read: the trace
+writer counts each epoch's attempts itself, so a run without a trace does
+no work for it.
 
 A chunk is assembled in place: the slot services are summed into the array
 that becomes the slot ends, and the stamps are written over the last
@@ -127,7 +130,6 @@ class RoundArrays:
     wait: np.ndarray           # (r,)
     service_total: np.ndarray  # (r,)
     samples: np.ndarray        # (r, k) samples drawn in each slot
-    m: np.ndarray              # (r,) the round's count in the trace's m_total
     delivered: np.ndarray      # (r, k) bool, the slot's last sample got through
     ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
     stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
@@ -150,14 +152,13 @@ def _draw_slots(
     service_rng: np.random.Generator,
     erasure_rng: np.random.Generator,
     failed_rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Service of ``r`` rounds of k slots: the only place the scheme enters.
 
     Returns each slot's service, the service of its last sample, whether that
-    sample was delivered, the samples drawn per slot, and each round's count
-    in the trace's ``m_total``: transmissions with feedback, one without.
-    The two service arrays are the caller's to write over; where a slot is
-    one sample they are the same array.
+    sample was delivered, and the samples drawn per slot. The two service
+    arrays are the caller's to write over; where a slot is one sample they
+    are the same array.
 
     Without feedback, and with feedback at zero erasure rate, a slot is one
     sample: one draw of ``(r, k)`` services gives every slot, and the erasure
@@ -178,15 +179,18 @@ def _draw_slots(
     """
     shape = (r, cfg.k)
     if scheme is Scheme.RR_NO_FEEDBACK or cfg.eps == 0.0:
-        services = service_rng.exponential(1.0 / cfg.mu, size=shape)
+        # numpy draws exponential(1 / mu) as (1 / mu) * standard_exponential
+        # element by element: scaling the filled array gives the same bits at
+        # a lower cost per draw.
+        services = service_rng.standard_exponential(size=shape)
+        services *= 1.0 / cfg.mu
         if cfg.eps > 0.0:
             delivered = erasure_rng.random(size=shape) >= cfg.eps
         else:
             delivered = np.broadcast_to(True, shape)
-        one = np.int64(1)
-        m = one if scheme is Scheme.RR_NO_FEEDBACK else np.int64(cfg.k)
-        return services, services, delivered, np.broadcast_to(one, shape), np.broadcast_to(m, r)
-    last = service_rng.exponential(1.0 / cfg.mu, size=shape)
+        return services, services, delivered, np.broadcast_to(np.int64(1), shape)
+    last = service_rng.standard_exponential(size=shape)
+    last *= 1.0 / cfg.mu
     u = erasure_rng.random(size=shape).reshape(-1)
     # Integer indices: three boolean-mask updates cost about twice as much.
     hit = np.flatnonzero(u < cfg.eps)
@@ -209,10 +213,7 @@ def _draw_slots(
     gamma /= cfg.mu
     bursts.reshape(-1)[hit] += gamma
     del hit, gamma
-    # A product with ones sums each round's attempts several times faster
-    # than a reduction along the short process axis.
-    m = samples @ np.ones(cfg.k, dtype=np.int64)
-    return bursts, last, np.broadcast_to(True, shape), samples, m
+    return bursts, last, np.broadcast_to(True, shape), samples
 
 
 def _every_slot_delivers(cfg: SystemConfig, scheme: Scheme) -> bool:
@@ -255,7 +256,7 @@ def _rounds(
         # deviations, so that a run seldom ends in a string of tiny chunks.
         need = int(short.max())
         r = min(CHUNK_ROUNDS, math.ceil((need + 3.0 * math.sqrt(need * miss)) / (1.0 - miss)))
-        slot, last, delivered, samples, m = _draw_slots(cfg, scheme, r, *rngs)
+        slot, last, delivered, samples = _draw_slots(cfg, scheme, r, *rngs)
         # Service elapsed by the end of each slot of its round, summed in the
         # slot array, which becomes the slot ends; a plain slot array is also
         # `last`, which is still to be read. Adding one column at a time
@@ -288,9 +289,9 @@ def _rounds(
             # Column by column: a reduction down the long axis of a (rounds, k)
             # array is an order of magnitude slower.
             short -= [np.count_nonzero(delivered[:, j]) for j in range(cfg.k)]
-        yield RoundArrays(waits, totals, samples, m, delivered, ends, stamps)
+        yield RoundArrays(waits, totals, samples, delivered, ends, stamps)
         # The chunk is its consumers' now: drop it before the next is drawn.
-        del slot, last, delivered, samples, m, ends, totals, waits, starts, stamps
+        del slot, last, delivered, samples, ends, totals, waits, starts, stamps
 
 
 def _batch_edges(count: int) -> np.ndarray:
@@ -314,38 +315,50 @@ class _Batches:
     of one integer count per span.
 
     The batches are the index ranges between consecutive ``edges``. Only the
-    pieces of the open batch are kept; complete batches are joined and summed
-    with ``reduceat``, which sums a segment in the same order wherever it
-    starts: the sums do not depend on how the values were split. Integer sums
-    are exact in any order, so each piece's counts are summed at once.
+    pieces of the open batch are kept from one piece to the next. A batch is
+    summed with ``reduceat`` when its last piece arrives, which sums a
+    segment in the same order wherever it starts: the sums do not depend on
+    how the values were split. Only the batch that was open when a piece
+    arrived is joined, its earlier pieces with the head of this one; the
+    batches that lie wholly inside a piece are summed straight off it.
+    Integer sums are exact in any order, so each piece's counts are summed
+    at once.
     """
 
     def __init__(self, rows: int, edges: np.ndarray) -> None:
         self.edges = edges
         self.sums = np.empty((rows, len(edges) - 1))
         self.counts = np.zeros(len(edges) - 1, np.int64)
-        self.open: List[np.ndarray] = []  # the open batch's values so far
+        self.open: List[np.ndarray] = []  # the open batch's pieces so far
         self.closed = 0  # batches summed
         self.spans = 0  # spans added
 
     def add(self, values: np.ndarray, counts: np.ndarray) -> None:
         """The next spans: ``values`` holds a column per span, ``counts``
         an integer per span."""
-        lo, start = self.closed, self.edges[self.closed]
-        first = self.spans
+        lo, first = self.closed, self.spans
         self.spans += values.shape[1]
         # The edges inside this piece split its counts between its batches.
         cuts = self.edges[lo + 1 : np.searchsorted(self.edges, self.spans)] - first
         sums = np.add.reduceat(counts, np.concatenate(([0], cuts)))
         self.counts[lo : lo + len(sums)] += sums
-        self.open.append(values)
         hi = int(np.searchsorted(self.edges, self.spans, side="right")) - 1
+        if hi == lo:
+            self.open.append(values)
+            return
+        keep = self.edges[hi] - first  # values in batches lo..hi-1
+        if self.open:
+            # A one-segment reduceat, as the batch's sum over the whole
+            # array would be: a 2-D ``sum`` adds in another order.
+            head = np.concatenate(self.open + [values[:, : self.edges[lo + 1] - first]], axis=1)
+            self.sums[:, lo : lo + 1] = np.add.reduceat(head, [0], axis=1)
+            lo += 1
         if hi > lo:
-            keep = values.shape[1] - (self.spans - self.edges[hi])  # values in batches lo..hi-1
-            joined = np.concatenate(self.open[:-1] + [values[:, :keep]], axis=1)
-            self.sums[:, lo:hi] = np.add.reduceat(joined, self.edges[lo:hi] - start, axis=1)
-            self.open = [values[:, keep:]]
-            self.closed = hi
+            self.sums[:, lo:hi] = np.add.reduceat(
+                values[:, :keep], self.edges[lo:hi] - first, axis=1
+            )
+        self.open = [values[:, keep:]] if keep < values.shape[1] else []
+        self.closed = hi
 
 
 def _ou_probe(
@@ -410,7 +423,7 @@ class _Window:
 
     def __init__(
         self,
-        k: int,
+        index: int,
         p: ProcessParams,
         n_epochs: int,
         burn_in: int,
@@ -418,7 +431,7 @@ class _Window:
         ou_rng: Optional[np.random.Generator],
         every: bool,
     ) -> None:
-        self.k, self.p = k, p
+        self.index, self.p = index, p  # the process's column in a chunk's arrays
         self.every = every  # every slot delivers: see _every_slot_delivers
         self.n_epochs, self.burn_in = n_epochs, burn_in
         self.ou_rng = ou_rng
@@ -436,12 +449,12 @@ class _Window:
     def feed(self, rounds: RoundArrays) -> None:
         if self.done:
             return
-        k = self.k
-        col = rounds.samples[:, k]
+        j = self.index
+        col = rounds.samples[:, j]
         if self.every:
             n = min(len(col), self.n_epochs - self.seen)  # the first n rows deliver
         else:
-            hits = np.flatnonzero(rounds.delivered[:, k])[: self.n_epochs - self.seen]
+            hits = np.flatnonzero(rounds.delivered[:, j])[: self.n_epochs - self.seen]
             n = len(hits)
         opens = max(self.burn_in - self.seen, 0)
         self.seen += n
@@ -462,12 +475,13 @@ class _Window:
             win = hits[opens:]
             epochs = hits - np.concatenate(([-1 - self.pending], hits[:-1]))
             if n:
-                self.pending = int(col[hits[-1] + 1 :].sum())
+                self.pending = len(col) - 1 - int(hits[-1])
             else:
-                self.pending += int(col.sum())
+                self.pending += len(col)
         # A span's samples are those of the rounds after its first delivery
-        # through its last.
-        d, s = rounds.ends[win, k], rounds.stamps[win, k]
+        # through its last. The column is taken first: gathering from a 1-D
+        # view costs about a third of a 2-D fancy index.
+        d, s = rounds.ends[:, j][win], rounds.stamps[:, j][win]
         if self.first is None:
             self.first = d[0]
             spans, lo = epochs[opens + 1 :], 0
@@ -544,8 +558,8 @@ def simulate(
         ou_rngs = [None] * cfg.k
     every = _every_slot_delivers(cfg, policy.scheme)
     windows = [
-        _Window(k, p, n_epochs, burn_in, edges, rng, every)
-        for k, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
+        _Window(j, p, n_epochs, burn_in, edges, rng, every)
+        for j, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
     ]
     with contextlib.ExitStack() as stack:
         chunks = _rounds(cfg, policy.scheme, policy.tau, streams, wait_split, n_epochs)
@@ -594,14 +608,15 @@ def _write_trace(
 
     The last process's deliveries partition the rounds into epochs (one round
     each with feedback), and its first ``n_epochs`` epochs are written. A
-    record sums its rounds' waits, services and ``m`` counts, and gives each
-    process's last delivery and stamp within the epoch, or empty cells where
-    that process delivered none. A copy of the rounds of the epoch still open
-    at a chunk's end carries into the next chunk, where it is joined with the
-    rest of that epoch's rounds only, so each record is summed over its whole
-    epoch at once. ``fh`` is a binary file: the header and the records are
-    written as ASCII bytes. The records are printed in blocks by
-    :func:`_print_cells` (see :func:`_write_records`).
+    record sums its rounds' waits and services, counts in ``m_total`` the
+    samples of its one round with feedback and its rounds without, and gives
+    each process's last delivery and stamp within the epoch, or empty cells
+    where that process delivered none. A copy of the rounds of the epoch
+    still open at a chunk's end carries into the next chunk, where it is
+    joined with the rest of that epoch's rounds only, so each record is
+    summed over its whole epoch at once. ``fh`` is a binary file: the header
+    and the records are written as ASCII bytes. The records are printed in
+    blocks by :func:`_print_cells` (see :func:`_write_records`).
     """
     cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
     cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
@@ -674,7 +689,12 @@ def _write_records(
         cells[:, 0] = np.arange(index + lo, index + lo + len(ends))
         np.add.reduceat(block.wait[rows], opens, out=cells[:, 1])
         np.add.reduceat(block.service_total[rows], opens, out=cells[:, 2])
-        cells[:, 3] = np.add.reduceat(block.m[rows], opens)
+        if scheme is Scheme.MAF_FEEDBACK:
+            # A feedback epoch is one round: m_total counts its samples.
+            cells[:, 3] = block.samples[rows][ends].sum(axis=1)
+        else:
+            # Without feedback m_total counts the epoch's rounds.
+            cells[:, 3] = ends - opens + 1
         np.add(cells[:, 1], cells[:, 2], out=cells[:, 4])
         # Latest delivered round of each process up to each epoch's end; a -1
         # (none yet) reads the block's last row, which np.where discards.

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouwait import (
@@ -193,8 +193,8 @@ class TestBatchEngine:
         # failed attempts independent.
         cfg = replace(two_process_cfg, eps=eps)
         rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(71).spawn(3)]
-        burst, last, delivered, n, m = sim._draw_slots(cfg, MAF, 4 * 10**5, *rngs)
-        assert np.all(delivered) and np.array_equal(m, n.sum(axis=1))
+        burst, last, delivered, n = sim._draw_slots(cfg, MAF, 4 * 10**5, *rngs)
+        assert np.all(delivered)
         burst, last, n = burst.ravel(), last.ravel(), n.ravel()
 
         def assert_mean(values, mean):
@@ -208,6 +208,22 @@ class TestBatchEngine:
         assert_mean(n, 1 / (1 - eps))
         assert_mean(n == 1, 1 - eps)
         assert_mean(burst[n == 3], 3 / cfg.mu)
+
+    @pytest.mark.parametrize("mu", [0.37, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "scheme, eps", [(RR, 0.3), (MAF, 0.0), (MAF, 0.3)], ids=["rr", "maf-eps0", "feedback"]
+    )
+    def test_service_draws_are_exponential_bits(self, two_process_cfg, scheme, eps, mu):
+        # The service of each slot's last sample is the service substream's
+        # Generator.exponential(1 / mu) draw, bit for bit, in the branch
+        # where a slot is one sample and in the feedback-burst branch.
+        cfg = replace(two_process_cfg, eps=eps, mu=mu)
+        seeds = np.random.SeedSequence(72).spawn(3)
+        slot, last, *_ = sim._draw_slots(cfg, scheme, 1000, *map(np.random.default_rng, seeds))
+        want = np.random.default_rng(seeds[0]).exponential(1.0 / mu, size=(1000, cfg.k))
+        assert last.tobytes() == want.tobytes()
+        if eps == 0.0 or scheme is RR:
+            assert slot is last
 
     def test_chained_pairing_skews_the_transform(self):
         # Pairing a cycle's wait with the next cycle's services (the physical
@@ -360,6 +376,27 @@ class TestSimulate:
         row = lines[1].split("\t")
         assert row[1] == "rr"
         assert int(row[4]) >= 1
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_trace_attempt_totals(self, tmp_path, scheme, eps):
+        # m_total counts an epoch's transmissions: with feedback, the samples
+        # of its one round over every process; without, the rounds up to the
+        # last process's delivery. The engine's rounds, joined whole, give
+        # the same totals.
+        procs = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+        cfg = SystemConfig(k=3, f_max=1.5, mu=1.0, eps=eps, processes=procs)
+        n, path = 600, tmp_path / "trace.tsv"
+        simulate(cfg, ThresholdPolicy(scheme, 1.3), n_epochs=n, seed=66,
+                 trace_path=os.fspath(path))
+        m_total = [int(line.split(b"\t")[4]) for line in path.read_bytes().splitlines()[1:]]
+        arrays = round_arrays(cfg, scheme, 1.3, n_rounds=3 * n, seed=66)
+        if scheme is MAF:
+            want = arrays.samples[:n].sum(axis=1)
+        else:
+            want = np.diff(np.flatnonzero(arrays.delivered[:, -1])[:n], prepend=-1)
+        assert len(want) == n and m_total == want.tolist()
+        assert (max(m_total) > min(m_total)) == (eps > 0.0)
 
     def test_aoi_resets_to_delivering_service_time(self, two_process_cfg):
         arrays = round_arrays(two_process_cfg, MAF, tau=1.2, n_rounds=2000, seed=29)
@@ -519,6 +556,27 @@ class TestStreaming:
             runs.append((st, path.read_bytes()))
         assert runs[0][0].ou_probe_mse is not None and runs[0][1].count(b"\n") == 401
         assert runs[1] == runs[0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(100, 600), st.lists(st.integers(1, 599), max_size=80))
+    @example(300, [])  # the first piece closes every batch
+    @example(300, list(range(1, 300)))  # pieces of one span close none or one
+    @example(600, [2, 5, 590])  # a first piece that closes one, then several
+    def test_batch_sums_do_not_depend_on_the_split(self, count, cuts):
+        # Pieces that close no batch, one or several, the first included:
+        # the sums must be the bits of one reduceat over the whole array,
+        # and the counts those of an integer reduceat. The values span six
+        # decades, so that adding them in another order moves bits.
+        cuts = sorted({c for c in cuts if c < count})
+        rng = np.random.default_rng(count)
+        values = rng.exponential(size=(2, count)) * 10.0 ** rng.uniform(-3, 3, size=(2, count))
+        counts = rng.integers(1, 9, size=count)
+        edges = sim._batch_edges(count)
+        batches = sim._Batches(2, edges)
+        for lo, hi in zip([0] + cuts, cuts + [count]):
+            batches.add(values[:, lo:hi].copy(), counts[lo:hi])
+        assert batches.sums.tobytes() == np.add.reduceat(values, edges[:-1], axis=1).tobytes()
+        assert np.array_equal(batches.counts, np.add.reduceat(counts, edges[:-1]))
 
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
