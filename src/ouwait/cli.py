@@ -233,8 +233,7 @@ def _parser(cast, what: str):
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_floats = _parser(lambda raw: tuple(float(t) for t in raw.split(",") if t.strip()),
-                  "not a number list:")
+_floats = _parser(lambda raw: tuple(map(float, raw.split(","))), "not a number list:")
 _scheme = _parser(Scheme, "unknown scheme")
 _boolean = _parser(lambda raw: _BOOL_WORDS[raw.lower()], "not a boolean:")
 _int = _parser(int, "bad value")
@@ -252,7 +251,7 @@ _CONFIG_KEYS = {
     "sigma_sq": _floats,
     "axis": _parser(lambda raw: Axis(raw.lower()), "unknown axis"),
     "grid": _floats,
-    "schemes": lambda raw: tuple(_scheme(t.strip().lower()) for t in raw.split(",") if t.strip()),
+    "schemes": lambda raw: tuple(_scheme(t.strip().lower()) for t in raw.split(",")),
     "include_zero_wait": _boolean,
     "sim_validate": _boolean,
     "n_epochs": _int,

@@ -44,14 +44,15 @@ the chunks, so every chunk is measured whole. Between chunks the engine
 carries two values, the last round's service total (which sets the next
 wait) and the clock.
 Each process carries its last delivery and stamp, its delivery count, the
-samples drawn since its last delivery, the pieces of the batch it has not
-yet closed and, with the OU probe, the error innovation at its last
-delivery. Every substream is drawn in the same order whatever the chunk
-size, and a batch is summed once, when it closes (:class:`_Batches`), so
-every statistic and the trace file are bit-identical for any
-``CHUNK_ROUNDS``. A chunk holds only what the statistics read: the trace
-writer counts each epoch's attempts itself, so a run without a trace does
-no work for it.
+pieces of the batch it has not yet closed and, with the OU probe, the error
+innovation at its last delivery. Only without feedback does it carry the
+samples drawn since its last delivery: where every slot delivers, a chunk's
+last round is a delivery, so none are left over. Every substream is drawn
+in the same order whatever the chunk size, and a batch is summed once, when
+it closes (:class:`_Batches`), so every statistic and the trace file are
+bit-identical for any ``CHUNK_ROUNDS``. A chunk holds only what the
+statistics read: the trace writer counts each epoch's attempts itself, so a
+run without a trace does no work for it.
 
 A chunk is assembled in place: the slot services are summed into the array
 that becomes the slot ends, and the stamps are written over the last
@@ -66,10 +67,12 @@ alive at a time: the engine, the trace writer and :func:`simulate` each drop
 their references to a chunk once it has passed, before the next is drawn.
 
 The statistics are read off one table of the processes' batch sums, a
-(k, batches) array for each of the error integral, the span length and, with
-the probe, the realized and closed-form errors. A row is summed pairwise, as
-numpy sums a 1-D array; sums across processes, arrays or scalars
-(:func:`_in_order`), add one process after the other.
+(k, batches) array for each of the error integral, the span length, the
+sample count and, with the probe, the realized and closed-form errors. The
+counts are summed as floats, exactly, since they are whole numbers below
+2**53. A row is summed pairwise, as numpy sums a 1-D array; sums across
+processes, arrays or scalars (:func:`_in_order`), add one process after the
+other.
 
 Randomness is split into four named substreams from one seed, so identical
 seeds give bit-identical statistics and both schemes can be compared on
@@ -102,6 +105,11 @@ from .types import _count, _flag, _reals, _systemconfig
 
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
+# The largest tau and 1 / mu a run takes. A span's length is of the order of
+# tau + k / mu, and the batch standard errors square deviations of that size,
+# which overflow from about 1e154; below this limit, even spans 1e20 times
+# longer, and clocks 1e20 times later, stay finite.
+_TIME_LIMIT = 1e100
 
 
 def _streams(seed: int) -> List[np.random.SeedSequence]:
@@ -311,8 +319,7 @@ def _in_order(values: np.ndarray) -> float:
 
 
 class _Batches:
-    """Per-batch sums of rows of per-span values that arrive in pieces, and
-    of one integer count per span.
+    """Per-batch sums of rows of per-span values that arrive in pieces.
 
     The batches are the index ranges between consecutive ``edges``. Only the
     pieces of the open batch are kept from one piece to the next. A batch is
@@ -320,28 +327,21 @@ class _Batches:
     segment in the same order wherever it starts: the sums do not depend on
     how the values were split. Only the batch that was open when a piece
     arrived is joined, its earlier pieces with the head of this one; the
-    batches that lie wholly inside a piece are summed straight off it.
-    Integer sums are exact in any order, so each piece's counts are summed
-    at once.
+    batches that lie wholly inside a piece are summed straight off it. A row
+    of whole numbers below 2**53, such as a count, sums exactly in any order.
     """
 
     def __init__(self, rows: int, edges: np.ndarray) -> None:
         self.edges = edges
         self.sums = np.empty((rows, len(edges) - 1))
-        self.counts = np.zeros(len(edges) - 1, np.int64)
         self.open: List[np.ndarray] = []  # the open batch's pieces so far
         self.closed = 0  # batches summed
         self.spans = 0  # spans added
 
-    def add(self, values: np.ndarray, counts: np.ndarray) -> None:
-        """The next spans: ``values`` holds a column per span, ``counts``
-        an integer per span."""
+    def add(self, values: np.ndarray) -> None:
+        """The next spans: ``values`` holds a column per span."""
         lo, first = self.closed, self.spans
         self.spans += values.shape[1]
-        # The edges inside this piece split its counts between its batches.
-        cuts = self.edges[lo + 1 : np.searchsorted(self.edges, self.spans)] - first
-        sums = np.add.reduceat(counts, np.concatenate(([0], cuts)))
-        self.counts[lo : lo + len(sums)] += sums
         hi = int(np.searchsorted(self.edges, self.spans, side="right")) - 1
         if hi == lo:
             self.open.append(values)
@@ -415,10 +415,11 @@ class _Window:
     """One process's statistics window, fed one chunk of rounds at a time.
 
     The process's deliveries are counted up to ``n_epochs``. From delivery
-    ``burn_in`` on, every span to the next delivery enters the batches: its
-    error integral, length and sample count, and with the probe the realized
-    and closed-form errors at its end. The last delivery and stamp carry over,
-    so a span that straddles two chunks is measured like any other.
+    ``burn_in`` on, every span to the next delivery enters the batches as one
+    column of a float table: its error integral, length and sample count, and
+    with the probe the realized and closed-form errors at its end. The last
+    delivery and stamp carry over, so a span that straddles two chunks is
+    measured like any other.
     """
 
     def __init__(
@@ -436,9 +437,9 @@ class _Window:
         self.n_epochs, self.burn_in = n_epochs, burn_in
         self.ou_rng = ou_rng
         self.ou: Optional[float] = None  # probe innovation at the latest delivery
-        self.batches = _Batches(2 if ou_rng is None else 4, edges)
+        self.batches = _Batches(3 if ou_rng is None else 5, edges)
         self.seen = 0  # deliveries so far
-        self.pending = 0  # samples drawn since the latest delivery
+        self.pending = 0  # samples drawn since the latest delivery, without feedback
         self.first: Optional[float] = None  # first delivery in the window
         self.last: Tuple[float, float] = (0.0, 0.0)  # latest delivery and its stamp
 
@@ -460,18 +461,15 @@ class _Window:
         self.seen += n
         if self.seen <= self.burn_in:
             return
-        # The samples of the epoch that ends at each delivery, the first one
-        # with those drawn since the latest delivery before this chunk.
+        # The samples of the epoch that ends at each delivery.
         if self.every:
             # The window's rows are a slice, and each epoch is its round.
             win = slice(opens, n)
             epochs = col[:n]
-            if self.pending:
-                epochs = np.concatenate((epochs[:1] + self.pending, epochs[1:]))
-            self.pending = int(col[n:].sum())
         else:
             # Without feedback a slot is one sample: an epoch's samples are
-            # its rounds, which costs less to count than to sum.
+            # its rounds, which cost less to count than to sum, the first
+            # one's with those drawn since the latest delivery.
             win = hits[opens:]
             epochs = hits - np.concatenate(([-1 - self.pending], hits[:-1]))
             if n:
@@ -489,18 +487,20 @@ class _Window:
             spans, lo = epochs, 1
         if len(spans):
             # Each span's age at its start, which becomes its error integral,
-            # and its length, the first one's from the latest delivery.
+            # its length, the first one's from the latest delivery, and its
+            # sample count.
             rows = np.empty((len(self.batches.sums), len(spans)))
             if lo:
                 rows[0, 0], rows[1, 0] = self.last[0] - self.last[1], d[0] - self.last[0]
             np.subtract(d[:-1], s[:-1], out=rows[0, lo:])
             np.subtract(d[1:], d[:-1], out=rows[1, lo:])
             ou._error_integral(rows[0], rows[1], self.p)
+            rows[2] = spans
             if self.ou_rng is not None:
                 if lo:
                     d, s = (np.concatenate(([v], a)) for v, a in zip(self.last, (d, s)))
-                rows[2], rows[3], self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
-            self.batches.add(rows, spans)
+                rows[3], rows[4], self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
+            self.batches.add(rows)
         if len(d):
             self.last = (d[-1], s[-1])
 
@@ -523,7 +523,9 @@ def simulate(
     which must be at least two for a standard error. ``burn_in`` defaults to
     1000, or to ``n_epochs - 3`` where that is less, so that any run of at
     least three epochs has a window. ``n_epochs``, ``burn_in`` and ``seed`` are
-    integers, never a bool or a float, and ``seed`` is non-negative.
+    integers, never a bool or a float, and ``seed`` is non-negative. The
+    simulated clock must stay finite: ``policy.tau`` is at most 1e100 and
+    ``cfg.mu`` at least 1e-100.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions, integers or floats (default: all of it up front).
@@ -538,6 +540,11 @@ def simulate(
     cfg = _systemconfig("cfg", cfg)
     if not isinstance(policy, ThresholdPolicy):
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
+    if not (policy.tau <= _TIME_LIMIT and cfg.mu >= 1.0 / _TIME_LIMIT):
+        raise InvalidConfig(
+            f"simulate needs tau <= {_TIME_LIMIT:g} and mu >= {1.0 / _TIME_LIMIT:g}, so that "
+            f"its clock stays finite, got tau={policy.tau!r}, mu={cfg.mu!r}"
+        )
     seed = _count("seed", seed, 0)
     n_epochs = _count("n_epochs", n_epochs, 1)
     track_ou = _flag("track_ou", track_ou)
@@ -573,9 +580,8 @@ def simulate(
 
     counts = np.diff(edges).astype(float)
     # One table of batch sums, each row (k, batches): see Streaming for the sums' order.
-    ints, gaps, *probe = np.stack([w.batches.sums for w in windows], axis=1)
+    ints, gaps, samples, *probe = np.stack([w.batches.sums for w in windows], axis=1)
     errs, refs = probe or (None, None)
-    samples = np.stack([w.batches.counts for w in windows])
     span = np.array([w.last[0] - w.first for w in windows])
     per_mse, batch_mse = ints.sum(axis=1) / span, ints / gaps
     return SimStats(

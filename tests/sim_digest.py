@@ -7,6 +7,10 @@ parent. The script uses only the public ``simulate`` and the engine's
     PYTHONPATH=src python tests/sim_digest.py
     PYTHONPATH=<other checkout>/src python tests/sim_digest.py
 
+It prints the digest, then exits with status 1 where the digest is not the
+stored ``DIGEST``, so that CI fails on a change to any simulated bit. A
+change that moves the bits on purpose stores its new digest here.
+
 The grid is k = 1, 2, 3 × eps 0, 0.3, 0.9 × both schemes × the wait all up
 front or split evenly × chunks of 16384 and 7 rounds, each run with the OU
 probe and the trace on. Each run adds its ``SimStats`` repr, whose floats
@@ -30,6 +34,7 @@ N_EPOCHS = 2000
 TAU = 1.3
 MU = 1.3
 SEED = 4242
+DIGEST = "c68ad7efa602df0a7a94f147ad5146b0fa1110259722db032041d627176382c8"
 
 
 def grid_digest(folder: str) -> tuple[str, int]:
@@ -57,3 +62,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         hexdigest, runs = grid_digest(folder)
     print(f"{hexdigest}  {runs} runs")
+    if hexdigest != DIGEST:
+        raise SystemExit(f"the digest is not the stored {DIGEST}")

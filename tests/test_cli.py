@@ -254,6 +254,15 @@ class TestCsv:
         assert cells[-1].startswith("solver_failed")
         assert "nan" not in lines[1].lower()
 
+    def test_failed_write_deletes_its_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write_csv([], os.fspath(tmp_path / "out.csv"))
+        assert os.listdir(tmp_path) == []
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = os.fspath(tmp_path / "out.csv")
         write_csv(run_sweep(spec_eps(grid=(0.1,))), path)
@@ -264,6 +273,14 @@ VALID_CONFIG = (
     "k = 2\nmu = 1.0\neps = 0.3\nfmax = 1.5\ntheta = 0.1, 0.5\nsigma_sq = 1, 2\n"
     "axis = eps\ngrid = 0.0, 0.1\nschemes = maf\n"
 )
+
+
+def with_value(key: str, value: str) -> str:
+    """VALID_CONFIG with ``key`` set to ``value`` on its own line."""
+    return "".join(
+        f"{key} = {value}\n" if row.split(" =")[0] == key else row + "\n"
+        for row in VALID_CONFIG.splitlines()
+    )
 
 
 class TestConfigFile:
@@ -330,6 +347,40 @@ class TestConfigFile:
         path = tmp_path / "twice.cfg"
         path.write_text(VALID_CONFIG + "eps = 0.1\n")
         with pytest.raises(ConfigFormatError, match="line 10: key 'eps' already set on line 3"):
+            read_config(os.fspath(path))
+
+    def test_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "bare.cfg"
+        path.write_text(VALID_CONFIG + "sim_validate true\n")
+        with pytest.raises(ConfigFormatError,
+                           match=r"line 10: expected 'key = value', got 'sim_validate true\\n'"):
+            read_config(os.fspath(path))
+
+    @pytest.mark.parametrize("key, value", [("theta", "0.1"), ("sigma_sq", "1, 2, 3")])
+    def test_list_not_of_length_k_names_the_theta_line(self, tmp_path, key, value):
+        path = tmp_path / "short.cfg"
+        path.write_text(with_value(key, value))
+        with pytest.raises(ConfigFormatError,
+                           match="line 5: theta/sigma_sq arrays must each have k=2 entries"):
+            read_config(os.fspath(path))
+
+    def test_system_the_config_refuses(self, tmp_path):
+        path = tmp_path / "system.cfg"
+        path.write_text(with_value("eps", "1.5"))
+        with pytest.raises(ConfigFormatError,
+                           match=r"invalid system parameters: eps must lie in \[0, 1\)"):
+            read_config(os.fspath(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta", "0.1,, 0.5"), ("sigma_sq", "1, 2,"), ("grid", "0.0,, 0.1,"), ("grid", ""),
+        ("schemes", "maf,, rr,"), ("schemes", ""),
+    ])
+    def test_empty_list_entry_names_line_and_key(self, tmp_path, key, value):
+        # Every entry is parsed: an empty one is an error, not dropped.
+        path = tmp_path / "empty.cfg"
+        path.write_text(with_value(key, value))
+        line = 1 + [row.split(" =")[0] for row in VALID_CONFIG.splitlines()].index(key)
+        with pytest.raises(ConfigFormatError, match=f"line {line}: field '{key}': "):
             read_config(os.fspath(path))
 
     def test_comments_and_unknown_scheme(self, tmp_path):
@@ -450,11 +501,36 @@ class TestMain:
         assert "config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--theta", "--sigma-sq"])
-    def test_malformed_number_list_is_one_line_error(self, capsys, flag):
+    @pytest.mark.parametrize("value", ["0.1,abc", "0.1,,0.5", "1,2,", ",0.1,0.5", ""])
+    def test_malformed_number_list_is_one_line_error(self, capsys, flag, value):
+        # Every entry is parsed: an empty one is an error, not dropped, so
+        # "0.1,,0.5" does not give a list of two.
         args = list(SOLVE_ARGS)
-        args[args.index(flag) + 1] = "0.1,abc"
+        args[args.index(flag) + 1] = value
         assert cli.main(["solve", "--scheme", "maf"] + args) == 1
-        assert flag in one_line_error(capsys)
+        assert one_line_error(capsys) == (
+            f"error: ouwait solve: argument {flag}: not a number list: {value!r}"
+        )
+
+    @pytest.mark.parametrize("flag", ["--theta", "--sigma-sq"])
+    def test_list_not_of_length_k_is_one_line_error(self, capsys, flag):
+        args = list(SOLVE_ARGS)
+        args[args.index(flag) + 1] = "0.5"
+        assert cli.main(["solve", "--scheme", "maf"] + args) == 1
+        assert one_line_error(capsys) == "error: theta/sigma_sq arrays must each have k=2 entries"
+
+    @pytest.mark.parametrize("flag, value", [("--tau", "1e308"), ("--mu", "1e-300")])
+    def test_clock_past_the_float_range_is_one_line_error(self, tmp_path, capsys, flag, value):
+        # Refused before the trace is opened, with no numpy overflow warning.
+        trace = tmp_path / "t.tsv"
+        args = list(SIM_ARGS) + ["--trace", os.fspath(trace)]
+        args[args.index(flag) + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--scheme", "maf"] + args) == 1
+        err = one_line_error(capsys)
+        assert "tau <= 1e+100 and mu >= 1e-100" in err and f"{flag[2:]}={float(value)!r}" in err
+        assert not trace.exists()
 
     @pytest.mark.parametrize(
         "argv",

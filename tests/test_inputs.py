@@ -197,6 +197,15 @@ def test_simulate(data):
     assert got == want
 
 
+@pytest.mark.parametrize("bad", [None, 1.0, "maf", (Scheme.MAF_FEEDBACK, 1.0)], ids=repr)
+def test_simulate_policy(bad):
+    rejects("policy must be a ThresholdPolicy", simulate, CFG, bad, 50, 1)
+
+
+def test_sweep_spec_needs_a_scheme():
+    rejects("scheme", SweepSpec, base=CFG, axis=Axis.EPS, grid=(0.1,), schemes=())
+
+
 @INPUT_SETTINGS
 @given(st.data())
 def test_sweep_spec(data):

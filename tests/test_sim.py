@@ -340,6 +340,32 @@ class TestSimulate:
                 with pytest.raises(InvalidConfig):
                     round_arrays(two_process_cfg, scheme, tau, n_rounds=10, seed=1)
 
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    @pytest.mark.parametrize("tau, mu", [(1e308, 1.0), (math.nextafter(1e100, math.inf), 1.0),
+                                         (0.0, 1e-300), (0.0, math.nextafter(1e-100, 0.0))])
+    def test_clock_past_the_float_range_refused(self, two_process_cfg, tmp_path, scheme, tau, mu):
+        # Past the limits the clock, or the squares in the standard errors
+        # (from tau near 1e155 on), overflow: the run is refused before its
+        # trace file is opened.
+        path = tmp_path / "t.tsv"
+        with pytest.raises(InvalidConfig, match=r"tau <= 1e\+100 and mu >= 1e-100") as info:
+            simulate(replace(two_process_cfg, mu=mu), ThresholdPolicy(scheme, tau), n_epochs=10,
+                     seed=0, trace_path=os.fspath(path))
+        assert f"tau={tau!r}, mu={mu!r}" in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    @pytest.mark.parametrize("eps", [0.3, 0.9])
+    def test_clock_at_the_limits_stays_finite(self, two_process_cfg, scheme, eps):
+        # Services of 1e100 on waits of 1e100: every statistic, the standard
+        # errors included, is finite, with no numpy warning.
+        cfg = replace(two_process_cfg, mu=1e-100, eps=eps)
+        st = simulate(cfg, ThresholdPolicy(scheme, 1e100), n_epochs=3000, seed=0, track_ou=True)
+        values = [getattr(st, f.name) for f in fields(st)][1:]
+        numbers = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+        assert all(math.isfinite(x) for x in numbers), st
+        assert st.mean_epoch_len > 1e100
+
     def test_ou_probe_validates_estimator_path(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.6)
         st = simulate(two_process_cfg, pol, n_epochs=3 * 10**4, seed=26, burn_in=200,
@@ -564,19 +590,19 @@ class TestStreaming:
     @example(600, [2, 5, 590])  # a first piece that closes one, then several
     def test_batch_sums_do_not_depend_on_the_split(self, count, cuts):
         # Pieces that close no batch, one or several, the first included:
-        # the sums must be the bits of one reduceat over the whole array,
-        # and the counts those of an integer reduceat. The values span six
-        # decades, so that adding them in another order moves bits.
+        # the sums must be the bits of one reduceat over the whole table. Its
+        # first two rows span six decades, so that adding them in another
+        # order moves bits; its last row holds whole counts, as a window's
+        # sample row does.
         cuts = sorted({c for c in cuts if c < count})
         rng = np.random.default_rng(count)
         values = rng.exponential(size=(2, count)) * 10.0 ** rng.uniform(-3, 3, size=(2, count))
-        counts = rng.integers(1, 9, size=count)
+        table = np.vstack((values, rng.integers(1, 9, size=count)))
         edges = sim._batch_edges(count)
-        batches = sim._Batches(2, edges)
+        batches = sim._Batches(3, edges)
         for lo, hi in zip([0] + cuts, cuts + [count]):
-            batches.add(values[:, lo:hi].copy(), counts[lo:hi])
-        assert batches.sums.tobytes() == np.add.reduceat(values, edges[:-1], axis=1).tobytes()
-        assert np.array_equal(batches.counts, np.add.reduceat(counts, edges[:-1]))
+            batches.add(table[:, lo:hi].copy())
+        assert batches.sums.tobytes() == np.add.reduceat(table, edges[:-1], axis=1).tobytes()
 
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])

@@ -1,5 +1,6 @@
 """Feedback-scheme solver: fixed points, constraint branch, monotonicity."""
 
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,20 @@ def test_constraint_inactive_when_budget_exceeds_service_rate(two_process_cfg):
     for eps in (0.0, 0.2, 0.5, 0.8):
         cfg = replace(two_process_cfg, f_max=1.2, eps=eps)
         assert not solve_maf(cfg).binding
+
+
+def test_budget_within_rounding_of_service_rate_is_met_at_zero_wait(monkeypatch):
+    # One float spacing under mu, the budget is one that zero wait already
+    # meets: the budget threshold is 0, found with no Newton step, and the
+    # solve is the one at f_max = mu.
+    from dataclasses import replace
+
+    procs = (ProcessParams(0.5, 1.0),) * 5
+    cfg = SystemConfig(k=5, f_max=math.nextafter(1.3, 0.0), mu=1.3, eps=0.3, processes=procs)
+    with monkeypatch.context() as patch:
+        patch.setattr(threshold, "_newton", None)
+        assert threshold._budget_threshold(cfg, threshold._law(cfg, MAF), TOL) == 0.0
+    assert solve_maf(cfg) == solve_maf(replace(cfg, f_max=1.3))
 
 
 def test_binding_threshold_solves_wait_equation(two_process_cfg):
