@@ -27,6 +27,10 @@ every grid point must make a valid system, or the sweep stops before its
 first solve. Axis ``theta_j`` varies the last process's
 reversion rate; axis ``k`` requires all processes identical and replicates
 the first one. Simulation seeds are derived per row as ``seed + row index``.
+
+The simulator is imported where a command first runs it (``simulate``, or a
+sweep with ``sim_validate``), so ``ouwait solve`` and a sweep that only
+solves never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import tempfile
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .sim import simulate
 from .threshold import _mse, _solve, solve
 from .types import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
 from .types import _NONNEGATIVE, MAX_SERIES_TERMS, ThresholdPolicy, _count, _flag, _real
@@ -154,6 +157,8 @@ def _solve_row(spec: SweepSpec, scheme: Scheme, value: float, row_index: int) ->
     sim_mse = sim_se = None
     status = "ok"
     if spec.sim_validate:
+        from .sim import simulate
+
         try:
             stats = simulate(
                 cfg,
@@ -381,6 +386,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import simulate
+
     cfg = _system_from_args(args)
     tau = solve(cfg, args.scheme, args.tol).tau_star if args.tau is None else args.tau
     policy = ThresholdPolicy(args.scheme, tau)

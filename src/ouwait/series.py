@@ -107,7 +107,9 @@ class ErlangRound:
         index: Dict[float, int] = {}
         self._rows = np.array([index.setdefault(a, len(index)) for a in two_theta])
         self._a = np.array(tuple(index))
-        log_lam = np.log(rate / (self._a + rate))[:, None]
+        # An underflowed lambda's log is -inf, and its powers are exact zeros.
+        with np.errstate(divide="ignore"):
+            log_lam = np.log(rate / (self._a + rate))[:, None]
         self._powers = np.exp(np.arange(k, 0, -1.0) * log_lam)
         self._waits: Dict[float, Tuple[float, float]] = {}
         # Each threshold's Poisson table, until its transform has read it.

@@ -104,7 +104,9 @@ def _law(
     Erlang(k, rate) law. With feedback the retries absorb the erasures into
     the rate, mu (1 - eps), so the one round always delivers (r = 0); without
     feedback every round is Erlang(k, mu) and delivers with probability 1 - eps.
-    ``var`` passes in the stationary variances where the caller already has them.
+    Raises :class:`InvalidConfig` where ``mu + 2 theta`` overflows, which would
+    read that process's transforms as 0. ``var`` passes in the stationary
+    variances where the caller already has them.
     """
     if not isinstance(scheme, Scheme):
         raise InvalidConfig(f"scheme must be a Scheme, got {scheme!r}")
@@ -115,6 +117,9 @@ def _law(
     procs, mu = cfg.processes, cfg.mu
     # List comprehensions, which build these tuples faster than generators.
     two_theta = tuple([2.0 * p.theta for p in procs])
+    if mu + max(two_theta) == math.inf:
+        theta = max([p.theta for p in procs])
+        raise InvalidConfig(f"mu={mu!r} plus twice the largest theta {theta!r} is past the float range")
     return _Law(
         k=cfg.k,
         rate=rate,
@@ -228,9 +233,14 @@ def _transient(law: _Law) -> float:
     return sum(v * lap / a for v, lap, a in zip(law.var, law.lap, law.two_theta))
 
 
+def _per(k: int, rate: float) -> float:
+    """``k / rate``, or inf where the rate underflowed to 0."""
+    return k / rate if rate > 0.0 else math.inf
+
+
 def _budget(cfg: SystemConfig) -> float:
     """Least admissible expected epoch length, k / ((1-eps) f_max)."""
-    return cfg.k / ((1.0 - cfg.eps) * cfg.f_max)
+    return _per(cfg.k, (1.0 - cfg.eps) * cfg.f_max)
 
 
 def search_ceiling(cfg: SystemConfig) -> float:
@@ -239,10 +249,12 @@ def search_ceiling(cfg: SystemConfig) -> float:
     Beyond ``50 / min(2 theta) + k / (mu (1 - eps))`` every transform is
     numerically saturated, and ``epoch_mean(tau) >= tau`` for both schemes,
     so the budget threshold lies at or below ``_budget(cfg)``. Doubling it
-    keeps a margin that no rounding absorbs, however large the budget.
+    keeps a margin that no rounding absorbs, however large the budget. It is
+    inf where a term overflows, or where ``mu (1 - eps)`` or ``(1 - eps) f_max``
+    underflows to 0; :func:`solve` refuses such a system.
     """
     slowest = 2.0 * min([p.theta for p in cfg.processes])
-    saturated = 50.0 / slowest + cfg.k / (cfg.mu * (1.0 - cfg.eps))
+    saturated = 50.0 / slowest + _per(cfg.k, cfg.mu * (1.0 - cfg.eps))
     return max(saturated, 2.0 * _budget(cfg))
 
 
@@ -316,10 +328,11 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     The threshold lies within ``tol / 10`` of the crossing, or within one float
     spacing of it when that spacing is wider, and the returned beta is the ratio
     at the returned threshold. Raises :class:`InvalidConfig` for a tolerance
-    that is not a real number at or above float resolution, or when the optimum
-    reaches the search ceiling because no threshold lowers the ratio by
-    ``TOL_ULPS`` float spacings of the variance bound (as at eps = 1 - 1e-15
-    with k = 64); and :class:`ConvergenceError` when beta exceeds the ratio at
+    that is not a real number at or above float resolution, for a system whose
+    search ceiling (:func:`search_ceiling`) or ``mu + 2 theta`` is not a finite
+    float, or when the optimum reaches the search ceiling because no threshold
+    lowers the ratio by ``TOL_ULPS`` float spacings of the variance bound (as
+    at eps = 1 - 1e-15 with k = 64); and :class:`ConvergenceError` when beta exceeds the ratio at
     the budget threshold by more than both ``tol`` and the ratio's rounding
     bound (see :class:`SolveResult`), a Newton iteration does not settle in
     ``MAX_STEPS`` steps, or the optimum otherwise reaches the search ceiling.
@@ -341,6 +354,12 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
         )
     law = _law(cfg, scheme, var)
     ceiling = search_ceiling(cfg)
+    if ceiling == math.inf:
+        raise InvalidConfig(
+            f"k={cfg.k}, mu={cfg.mu!r}, eps={cfg.eps!r}, f_max={cfg.f_max!r} and smallest "
+            f"theta {min([p.theta for p in cfg.processes])!r} put the threshold search "
+            f"ceiling past the float range"
+        )
     inner_tol = tol / 10.0
 
     tau_b = _budget_threshold(cfg, law, inner_tol) if cfg.f_max < cfg.mu else 0.0

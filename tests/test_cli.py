@@ -609,6 +609,49 @@ class TestMain:
         assert cli.main(command + args) == 1
         assert "eps = 0.999999999999999 leaves the sum MSE flat" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("args", [
+        # (1 - eps) f_max underflows to 0, which divided by zero.
+        ["--scheme", "rr", "--mu", "0.2877", "--eps", "0.999999", "--fmax", "5e-324"],
+        # The doubled budget overflows: the ceiling was inf, and numpy warned.
+        ["--scheme", "maf", "--mu", "1", "--eps", "0", "--fmax", "2e-308"],
+        # The mean round service, k / mu, overflows.
+        ["--scheme", "rr", "--mu", "1e-310", "--eps", "0", "--fmax", "1e-310"],
+    ], ids=["budget-underflow", "budget-overflow", "service-overflow"])
+    def test_search_ceiling_past_the_float_range_is_one_line_error(self, capsys, args):
+        args = ["solve", "--k", "2", "--theta", "2.04,2.19", "--sigma-sq", "2.76,0.18"] + args
+        assert cli.main(args) == 1
+        error = one_line_error(capsys)
+        assert "put the threshold search ceiling past the float range" in error
+        for name in ("k=2", "mu=", "eps=", "f_max=", "smallest theta 2.04"):
+            assert name in error
+
+    def test_solver_failure_past_the_float_range_stays_in_its_row(self, tmp_path, capsys):
+        base = replace(BASE, eps=0.999999)
+        cfg = tmp_path / "s.cfg"
+        write_config(spec_eps(base=base, axis=Axis.FMAX, grid=(5e-324, 0.1)), os.fspath(cfg))
+        assert cli.main(["sweep", os.fspath(cfg)]) == 2
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[-1] for row in rows] == ["solver_failed:InvalidConfig", "ok"]
+
+    @pytest.mark.parametrize("scheme", ["maf", "rr"])
+    def test_round_rate_past_the_float_range_is_one_line_error(self, capsys, scheme):
+        # mu + 2 theta overflows, which read lambda = mu / (mu + 2 theta),
+        # about 0.38, as 0.
+        args = ["solve", "--scheme", scheme, "--k", "2", "--mu", "1e308", "--eps", "0",
+                "--fmax", "1.5", "--theta", "8e307,1", "--sigma-sq", "1,1"]
+        assert cli.main(args) == 1
+        error = one_line_error(capsys)
+        assert "mu=1e+308 plus twice the largest theta 8e+307 is past the float range" in error
+
+    def test_underflowing_round_transform_solves(self, capsys):
+        # lambda = rate / (2 theta + rate) underflows to 0 at theta 1e300, and
+        # its log, -inf, gives exact zero powers. beta* is the sum of the
+        # variances, 1 / 2e300 + 1 / 53.8.
+        args = ["solve", "--scheme", "maf", "--k", "2", "--mu", "1e-200", "--eps", "0.3",
+                "--fmax", "1.5", "--theta", "1e300,26.9", "--sigma-sq", "1,1"]
+        assert cli.main(args) == 0
+        assert "tau_star=0 beta_star=0.0185873606 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("scheme", ["maf", "rr"], ids=["solve-maf", "solve-rr"])
     def test_tolerance_below_threshold_spacing_solves(self, capsys, scheme):
         command = ["solve", "--scheme", scheme]

@@ -8,10 +8,16 @@ surface from breaking it unnoticed.
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import ouwait
+import ouwait.sim
 from ouwait.cli import build_parser
 
 PUBLIC = {
@@ -36,6 +42,57 @@ def test_all_is_the_public_surface():
     assert set(ouwait.__all__) == PUBLIC
     for name in ouwait.__all__:
         assert getattr(ouwait, name) is not None
+
+
+SRC = os.path.dirname(os.path.dirname(ouwait.__file__))
+SOLVE = (
+    "procs = (ouwait.ProcessParams(0.1, 1.0), ouwait.ProcessParams(0.5, 2.0)); "
+    "cfg = ouwait.SystemConfig(k=2, f_max=0.5, mu=1.0, eps=0.3, processes=procs); "
+    "ouwait.solve_maf(cfg); ouwait.solve_rr(cfg)"
+)
+CLI_SOLVE = (
+    "from ouwait import cli; "
+    "rc = cli.main(['solve', '--scheme', 'rr', '--k', '2', '--mu', '1.0', '--eps', '0.3', "
+    "'--fmax', '1.5', '--theta', '0.1,0.5', '--sigma-sq', '1.0,2.0']); "
+    "assert rc == 0, rc"
+)
+
+
+@pytest.mark.parametrize("code, unloaded", [
+    (SOLVE, ["argparse", "ouwait.cli", "ouwait.ou", "ouwait.sim"]),
+    (CLI_SOLVE, ["ouwait.ou", "ouwait.sim"]),
+], ids=["solve", "cli-solve"])
+def test_a_solve_loads_no_simulator(code, unloaded):
+    # A process that only solves never compiles the simulator, the OU helpers
+    # or, through the library, the command line and argparse.
+    check = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import ouwait; {code}; "
+        f"print(sorted(set({unloaded!r}) & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_lazy_names_are_listed_bound_and_cached():
+    code = (
+        f"import sys; sys.path.insert(0, {SRC!r}); import ouwait; "
+        "listed = set(ouwait.__all__) <= set(dir(ouwait)); "
+        "from ouwait import *; "
+        "bound = all(name in globals() for name in ouwait.__all__); "
+        "cached = 'simulate' in vars(ouwait); "
+        "print(listed, bound, cached, 'ouwait.sim' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True", "True", "True"]
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    assert ouwait.simulate is ouwait.sim.simulate
+    assert ouwait.simulate is vars(ouwait)["simulate"]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ouwait.no_such_name
 
 
 def benchmark_names() -> set:

@@ -389,6 +389,14 @@ def test_feedback_solve_tables_stay_within_shape(monkeypatch, k, eps):
     assert lengths and max(lengths) <= k + 1
 
 
+def test_round_powers_of_an_underflowed_lambda():
+    # lambda = rate / (2 theta + rate) underflows to 0 at rate 1e-200 and the
+    # largest finite 2 theta; its powers are exact zeros, and a warning would
+    # fail the test.
+    powers = series.ErlangRound(3, 1e-200, (sys.float_info.max, 1.0))._powers
+    assert (powers[0] == 0.0).all() and powers[1, -1] == pytest.approx(1e-200, rel=1e-12)
+
+
 def test_shared_theta_transform_memory_is_linear_in_k():
     # Processes of one theta share one row of the round transform's k-column
     # powers; a row per process would make 2000 x 2000 of them, a 64.6 MB peak.
