@@ -73,17 +73,17 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     if not (np.all(age0 >= 0) and np.all(dt >= 0)):
         raise InvalidConfig("age0 and dt must be nonnegative")
     out, dt = np.broadcast_arrays(age0, dt)
-    out = _error_integral(out.copy(), dt, p)
+    out = _error_integral(out.copy(), dt, p.theta, p.stationary_variance)
     return float(out) if out.ndim == 0 else out
 
 
-def _error_integral(age0: np.ndarray, dt: np.ndarray, p: ProcessParams) -> np.ndarray:
+def _error_integral(age0: np.ndarray, dt: np.ndarray, theta: ArrayLike, var: ArrayLike) -> np.ndarray:
     """:func:`mse_integral` written over ``age0``, a float array of the result's
-    shape, and returned; the inputs are not checked. Each operation takes the
+    shape, and returned, at ``theta`` and stationary variance ``var``, scalars
+    or a column per row; the inputs are not checked. Each operation takes the
     operands of ``var * (dt + (1/2theta) exp(-2theta age0) expm1(-2theta dt))``
-    in that order, up to the order within a product or sum, so the bits are
-    the same."""
-    two_theta = 2.0 * p.theta
+    in that order, up to the order within a product or sum: the same bits."""
+    two_theta = 2.0 * theta
     age0 *= -two_theta
     np.exp(age0, out=age0)
     age0 *= 1.0 / two_theta
@@ -91,5 +91,5 @@ def _error_integral(age0: np.ndarray, dt: np.ndarray, p: ProcessParams) -> np.nd
     np.expm1(rest, out=rest)
     age0 *= rest
     age0 += dt
-    age0 *= p.stationary_variance
+    age0 *= var
     return age0

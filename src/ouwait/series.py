@@ -29,14 +29,16 @@ The names here are internal, and they check none of their inputs:
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-# The smallest positive float. A Poisson mean is raised to it before its log
-# is taken, so that a mean of 0 gives probabilities 1, 5e-324 and then exact
-# zeros, without the warnings of log 0.
-_TINY = math.ulp(0.0)
+# The smallest and largest positive floats. A Poisson mean is held between
+# them before its log is taken, so that a mean of 0 gives probabilities 1,
+# 5e-324 and then exact zeros, without the warnings of log 0, and an infinite
+# mean exact zeros, its limit, without those of 0 * log inf.
+_TINY, _HUGE = math.ulp(0.0), sys.float_info.max
 
 
 # Counts 0..n and their log factorials for the largest n asked for so far,
@@ -67,11 +69,12 @@ def _poisson_pmf(x: float, n_max: int) -> np.ndarray:
     """Poisson(x) probabilities for counts 0..n_max, computed in log space.
 
     A zero mean, which only an underflowed ``rate * tau`` gives, has its mass
-    at 0 up to 5e-324 at 1.
+    at 0 up to 5e-324 at 1; an infinite one, which only an overflowed
+    ``rate * tau`` gives, has none anywhere.
     """
     j, log_fact = _counts(n_max)
     # The mean stays in math: numpy calls on one float cost microseconds.
-    return np.exp(j * math.log(max(x, _TINY)) - x - log_fact)
+    return np.exp(j * math.log(min(max(x, _TINY), _HUGE)) - x - log_fact)
 
 
 def _wait_table(tau: float, k: int, rate: float) -> Tuple[float, float, Optional[np.ndarray]]:

@@ -36,28 +36,29 @@ Streaming
 ---------
 The round engine :func:`_rounds` yields its rounds in chunks of at most
 ``CHUNK_ROUNDS``, whose arrays have one entry per slot whatever the erasure
-rate; :func:`simulate` folds each chunk into its statistics before the next
-one is drawn, and the engine stops once every process has
-``n_epochs`` deliveries. Memory grows with the run length only through the
-one open batch per process. The conditioning round is drawn alone ahead of
-the chunks, so every chunk is measured whole. Between chunks the engine
-carries two values, the last round's service total (which sets the next
-wait) and the clock.
-Each process carries its last delivery and stamp, its delivery count, the
-pieces of the batch it has not yet closed and, with the OU probe, the error
-innovation at its last delivery. Only without feedback does it carry the
-samples drawn since its last delivery: where every slot delivers, a chunk's
-last round is a delivery, so none are left over. Every substream is drawn
-in the same order whatever the chunk size, and a batch is summed once, when
-it closes (:class:`_Batches`), so every statistic and the trace file are
-bit-identical for any ``CHUNK_ROUNDS``. A chunk holds only what the
-statistics read: the trace writer counts each epoch's attempts itself, so a
-run without a trace does no work for it.
+rate; :func:`simulate` folds each chunk into its statistics windows
+(:class:`_Window`) before the next one is drawn, and the engine stops once
+every process has ``n_epochs`` deliveries. Where every slot delivers, the k
+processes deliver in the same rounds and share one window, which folds a
+chunk's (rounds, k) columns at once; otherwise each process has its own.
+Memory grows with the run length only through the one open batch per
+window. The conditioning round is drawn alone ahead of the chunks, so every
+chunk is measured whole. Between chunks the engine carries two values, the
+last round's service total (which sets the next wait) and the clock. A
+window carries its delivery count, the pieces of the batch it has not yet
+closed, and each process's last delivery and stamp and, with the OU probe,
+error innovation there; without feedback, also its process's last
+delivering round, from which the next epoch's samples are counted. Every
+substream is drawn in the same order whatever the chunk size, and a batch
+is summed once, when it closes (:class:`_Batches`), so every statistic and
+the trace file are bit-identical for any ``CHUNK_ROUNDS``. A chunk holds
+only what the statistics read: the trace writer counts each epoch's
+attempts itself, so a run without a trace does no work for it.
 
 A chunk is assembled in place: the slot services are summed into the array
 that becomes the slot ends, and the stamps are written over the last
-samples' services. Each window writes a chunk's spans into one array of
-rows, whose age row becomes the error integral in place
+samples' services. Each window writes a chunk's spans into one (rows,
+processes, spans) table, whose age rows become the error integrals in place
 (:func:`ouwait.ou._error_integral`). Every operation keeps its operands
 and order, so the bits are those of the out-of-place forms; with fewer
 temporaries per chunk, fewer heap pages are returned to the system and
@@ -70,9 +71,9 @@ The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length, the
 sample count and, with the probe, the realized and closed-form errors. The
 counts are summed as floats, exactly, since they are whole numbers below
-2**53. A row is summed pairwise, as numpy sums a 1-D array; sums across
-processes, arrays or scalars (:func:`_in_order`), add one process after the
-other.
+2**53. A process's row is summed pairwise, as numpy sums a 1-D array; sums
+across processes, arrays or scalars (:func:`_in_order`), add one process
+after the other.
 
 Randomness is split into four named substreams from one seed, so identical
 seeds give bit-identical statistics and both schemes can be compared on
@@ -105,11 +106,11 @@ from .types import _count, _flag, _reals, _systemconfig
 
 BATCH_COUNT = 100
 CHUNK_ROUNDS = 16384
-# The largest tau and 1 / mu a run takes. A span's length is of the order of
-# tau + k / mu, and the batch standard errors square deviations of that size,
-# which overflow from about 1e154; below this limit, even spans 1e20 times
-# longer, and clocks 1e20 times later, stay finite.
-_TIME_LIMIT = 1e100
+# The largest tau, 1 / mu and stationary variance a run takes. The batch
+# standard errors square deviations of the size of a span, about tau + k / mu,
+# or of the variance, which overflow from 1e154; below this limit, even spans
+# 1e20 times longer, and clocks 1e20 times later, stay finite.
+_LIMIT = 1e100
 
 
 def _streams(seed: int) -> List[np.random.SeedSequence]:
@@ -319,29 +320,30 @@ def _in_order(values: np.ndarray) -> float:
 
 
 class _Batches:
-    """Per-batch sums of rows of per-span values that arrive in pieces.
+    """Per-batch sums of tables of per-span values that arrive in pieces.
 
-    The batches are the index ranges between consecutive ``edges``. Only the
-    pieces of the open batch are kept from one piece to the next. A batch is
-    summed with ``reduceat`` when its last piece arrives, which sums a
-    segment in the same order wherever it starts: the sums do not depend on
-    how the values were split. Only the batch that was open when a piece
-    arrived is joined, its earlier pieces with the head of this one; the
-    batches that lie wholly inside a piece are summed straight off it. A row
-    of whole numbers below 2**53, such as a count, sums exactly in any order.
+    The batches are the ranges between consecutive ``edges`` along the last
+    axis; ``lead`` is the shape of the others. Only the pieces of the open
+    batch are kept from one piece to the next. A batch is summed with
+    ``reduceat`` when its last piece arrives, which sums a segment in the same
+    order wherever it starts: the sums do not depend on how the values were
+    split. Only the batch that was open when a piece arrived is joined, its
+    earlier pieces with the head of this one; the batches that lie wholly
+    inside a piece are summed straight off it. A row of whole numbers below
+    2**53, such as a count, sums exactly in any order.
     """
 
-    def __init__(self, rows: int, edges: np.ndarray) -> None:
+    def __init__(self, lead: Tuple[int, ...], edges: np.ndarray) -> None:
         self.edges = edges
-        self.sums = np.empty((rows, len(edges) - 1))
+        self.sums = np.empty(lead + (len(edges) - 1,))
         self.open: List[np.ndarray] = []  # the open batch's pieces so far
         self.closed = 0  # batches summed
         self.spans = 0  # spans added
 
     def add(self, values: np.ndarray) -> None:
-        """The next spans: ``values`` holds a column per span."""
+        """The next spans: ``values`` holds one entry per span along its last axis."""
         lo, first = self.closed, self.spans
-        self.spans += values.shape[1]
+        self.spans += values.shape[-1]
         hi = int(np.searchsorted(self.edges, self.spans, side="right")) - 1
         if hi == lo:
             self.open.append(values)
@@ -350,14 +352,14 @@ class _Batches:
         if self.open:
             # A one-segment reduceat, as the batch's sum over the whole
             # array would be: a 2-D ``sum`` adds in another order.
-            head = np.concatenate(self.open + [values[:, : self.edges[lo + 1] - first]], axis=1)
-            self.sums[:, lo : lo + 1] = np.add.reduceat(head, [0], axis=1)
+            head = np.concatenate(self.open + [values[..., : self.edges[lo + 1] - first]], axis=-1)
+            self.sums[..., lo : lo + 1] = np.add.reduceat(head, [0], axis=-1)
             lo += 1
         if hi > lo:
-            self.sums[:, lo:hi] = np.add.reduceat(
-                values[:, :keep], self.edges[lo:hi] - first, axis=1
+            self.sums[..., lo:hi] = np.add.reduceat(
+                values[..., :keep], self.edges[lo:hi] - first, axis=-1
             )
-        self.open = [values[:, keep:]] if keep < values.shape[1] else []
+        self.open = [values[..., keep:]] if keep < values.shape[-1] else []
         self.closed = hi
 
 
@@ -412,97 +414,92 @@ def _ou_probe(
 
 
 class _Window:
-    """One process's statistics window, fed one chunk of rounds at a time.
+    """The statistics window of a group of processes that deliver in the same
+    rounds, columns ``cols`` of a chunk's arrays, fed one chunk at a time: all
+    k processes where every slot delivers, otherwise one.
 
-    The process's deliveries are counted up to ``n_epochs``. From delivery
-    ``burn_in`` on, every span to the next delivery enters the batches as one
-    column of a float table: its error integral, length and sample count, and
-    with the probe the realized and closed-form errors at its end. The last
-    delivery and stamp carry over, so a span that straddles two chunks is
-    measured like any other.
+    The group's deliveries are counted up to ``n_epochs``. From delivery
+    ``burn_in`` on, every span to a process's next delivery enters the batches
+    as one entry of its row of a (rows, processes, spans) float table: its
+    error integral, length and sample count, and with the probe the realized
+    and closed-form errors at its end. Each process's last delivery and stamp
+    carry over, so a span that straddles two chunks is measured like any other.
     """
 
     def __init__(
         self,
-        index: int,
-        p: ProcessParams,
+        cols: slice,
+        processes: Sequence[ProcessParams],
         n_epochs: int,
         burn_in: int,
         edges: np.ndarray,
-        ou_rng: Optional[np.random.Generator],
+        ou_rngs: Optional[Sequence[np.random.Generator]],
         every: bool,
     ) -> None:
-        self.index, self.p = index, p  # the process's column in a chunk's arrays
+        self.cols, self.processes = cols, processes
+        self.theta = np.array([[p.theta] for p in processes])  # a column per process
+        self.var = np.array([[p.stationary_variance] for p in processes])
         self.every = every  # every slot delivers: see _every_slot_delivers
         self.n_epochs, self.burn_in = n_epochs, burn_in
-        self.ou_rng = ou_rng
-        self.ou: Optional[float] = None  # probe innovation at the latest delivery
-        self.batches = _Batches(3 if ou_rng is None else 5, edges)
-        self.seen = 0  # deliveries so far
-        self.pending = 0  # samples drawn since the latest delivery, without feedback
-        self.first: Optional[float] = None  # first delivery in the window
-        self.last: Tuple[float, float] = (0.0, 0.0)  # latest delivery and its stamp
-
-    @property
-    def done(self) -> bool:
-        return self.seen == self.n_epochs
+        self.ou_rngs = ou_rngs
+        self.ou: List[Optional[float]] = [None] * len(processes)  # each probe's carry
+        self.batches = _Batches((3 if ou_rngs is None else 5, len(processes)), edges)
+        self.seen = 0  # deliveries so far, of each process
+        self.prev = -1  # without feedback, the latest delivery's row, from the next chunk's first
+        self.first: Optional[np.ndarray] = None  # each process's first delivery in the window
+        self.last: Tuple[np.ndarray, np.ndarray]  # each one's latest delivery and its stamp
 
     def feed(self, rounds: RoundArrays) -> None:
-        if self.done:
+        if self.seen == self.n_epochs:
             return
-        j = self.index
-        col = rounds.samples[:, j]
+        # Each process's deliveries and stamps in the window, and the samples
+        # of the epoch that ends at each delivery, a row per process.
+        opens = max(self.burn_in - self.seen, 0)
         if self.every:
-            n = min(len(col), self.n_epochs - self.seen)  # the first n rows deliver
+            # The first n rows deliver, and each epoch is its round.
+            n = min(len(rounds.wait), self.n_epochs - self.seen)
+            d, s = rounds.ends[opens:n, self.cols].T, rounds.stamps[opens:n, self.cols].T
+            epochs = rounds.samples[:n, self.cols].T
         else:
+            j = self.cols.start  # the group's one process
             hits = np.flatnonzero(rounds.delivered[:, j])[: self.n_epochs - self.seen]
             n = len(hits)
-        opens = max(self.burn_in - self.seen, 0)
+            # Without feedback a slot is one sample: an epoch's samples are
+            # its rounds, which cost less to count than to sum, the first
+            # one's from the row of the latest delivery.
+            epochs = np.diff(hits, prepend=self.prev)[None]
+            if n:
+                self.prev = int(hits[-1])
+            self.prev -= len(rounds.wait)
+            # The column is taken first: gathering from a 1-D view costs
+            # about a third of a 2-D fancy index.
+            win = hits[opens:]
+            d, s = rounds.ends[:, j][win][None], rounds.stamps[:, j][win][None]
         self.seen += n
         if self.seen <= self.burn_in:
             return
-        # The samples of the epoch that ends at each delivery.
-        if self.every:
-            # The window's rows are a slice, and each epoch is its round.
-            win = slice(opens, n)
-            epochs = col[:n]
-        else:
-            # Without feedback a slot is one sample: an epoch's samples are
-            # its rounds, which cost less to count than to sum, the first
-            # one's with those drawn since the latest delivery.
-            win = hits[opens:]
-            epochs = hits - np.concatenate(([-1 - self.pending], hits[:-1]))
-            if n:
-                self.pending = len(col) - 1 - int(hits[-1])
-            else:
-                self.pending += len(col)
-        # A span's samples are those of the rounds after its first delivery
-        # through its last. The column is taken first: gathering from a 1-D
-        # view costs about a third of a 2-D fancy index.
-        d, s = rounds.ends[:, j][win], rounds.stamps[:, j][win]
         if self.first is None:
-            self.first = d[0]
-            spans, lo = epochs[opens + 1 :], 0
-        else:
-            spans, lo = epochs, 1
-        if len(spans):
+            # The window opens at its first delivery, from then on the latest.
+            self.first = d[:, 0].copy()
+            self.last = (self.first, s[:, 0].copy())
+            d, s, epochs = d[:, 1:], s[:, 1:], epochs[:, opens + 1 :]
+        if epochs.shape[1]:
             # Each span's age at its start, which becomes its error integral,
-            # its length, the first one's from the latest delivery, and its
-            # sample count.
-            rows = np.empty((len(self.batches.sums), len(spans)))
-            if lo:
-                rows[0, 0], rows[1, 0] = self.last[0] - self.last[1], d[0] - self.last[0]
-            np.subtract(d[:-1], s[:-1], out=rows[0, lo:])
-            np.subtract(d[1:], d[:-1], out=rows[1, lo:])
-            ou._error_integral(rows[0], rows[1], self.p)
-            rows[2] = spans
-            if self.ou_rng is not None:
-                if lo:
-                    d, s = (np.concatenate(([v], a)) for v, a in zip(self.last, (d, s)))
-                rows[3], rows[4], self.ou = _ou_probe(d, s, self.p, self.ou_rng, self.ou)
+            # its length and its samples, those of its rounds after the first.
+            rows = np.empty(self.batches.sums.shape[:2] + epochs.shape[1:])
+            rows[0, :, 0], rows[1, :, 0] = self.last[0] - self.last[1], d[:, 0] - self.last[0]
+            np.subtract(d[:, :-1], s[:, :-1], out=rows[0, :, 1:])
+            np.subtract(d[:, 1:], d[:, :-1], out=rows[1, :, 1:])
+            ou._error_integral(rows[0], rows[1], self.theta, self.var)
+            rows[2] = epochs
+            if self.ou_rngs is not None:
+                for i, (p, rng) in enumerate(zip(self.processes, self.ou_rngs)):
+                    di, si = (np.concatenate(([v[i]], a[i])) for v, a in zip(self.last, (d, s)))
+                    rows[3, i], rows[4, i], self.ou[i] = _ou_probe(di, si, p, rng, self.ou[i])
             self.batches.add(rows)
-        if len(d):
-            self.last = (d[-1], s[-1])
+        if d.shape[1]:
+            # Copies, so that the chunk is not kept alive with them.
+            self.last = (d[:, -1].copy(), s[:, -1].copy())
 
 
 def simulate(
@@ -524,8 +521,8 @@ def simulate(
     1000, or to ``n_epochs - 3`` where that is less, so that any run of at
     least three epochs has a window. ``n_epochs``, ``burn_in`` and ``seed`` are
     integers, never a bool or a float, and ``seed`` is non-negative. The
-    simulated clock must stay finite: ``policy.tau`` is at most 1e100 and
-    ``cfg.mu`` at least 1e-100.
+    clock and the squared errors must stay finite: ``policy.tau`` and every
+    stationary variance are at most 1e100, and ``cfg.mu`` at least 1e-100.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions, integers or floats (default: all of it up front).
@@ -540,10 +537,12 @@ def simulate(
     cfg = _systemconfig("cfg", cfg)
     if not isinstance(policy, ThresholdPolicy):
         raise InvalidConfig(f"policy must be a ThresholdPolicy, got {policy!r}")
-    if not (policy.tau <= _TIME_LIMIT and cfg.mu >= 1.0 / _TIME_LIMIT):
+    var = max(p.stationary_variance for p in cfg.processes)
+    if not (policy.tau <= _LIMIT and cfg.mu >= 1.0 / _LIMIT and var <= _LIMIT):
         raise InvalidConfig(
-            f"simulate needs tau <= {_TIME_LIMIT:g} and mu >= {1.0 / _TIME_LIMIT:g}, so that "
-            f"its clock stays finite, got tau={policy.tau!r}, mu={cfg.mu!r}"
+            f"simulate needs tau <= {_LIMIT:g} and mu >= {1.0 / _LIMIT:g}, so that its clock "
+            f"stays finite, and every stationary variance <= {_LIMIT:g}, so that its squared "
+            f"errors do, got tau={policy.tau!r}, mu={cfg.mu!r}, variance={var!r}"
         )
     seed = _count("seed", seed, 0)
     n_epochs = _count("n_epochs", n_epochs, 1)
@@ -559,14 +558,15 @@ def simulate(
     window = n_epochs - burn_in - 1
     edges = _batch_edges(window)
     streams = _streams(seed)
+    ou_rngs = None
     if track_ou:
         ou_rngs = [np.random.default_rng(ss) for ss in streams[2].spawn(cfg.k)]
-    else:
-        ou_rngs = [None] * cfg.k
     every = _every_slot_delivers(cfg, policy.scheme)
+    # One window for all k processes where they deliver in the same rounds.
+    groups = [slice(0, cfg.k)] if every else [slice(j, j + 1) for j in range(cfg.k)]
     windows = [
-        _Window(j, p, n_epochs, burn_in, edges, rng, every)
-        for j, (p, rng) in enumerate(zip(cfg.processes, ou_rngs))
+        _Window(g, cfg.processes[g], n_epochs, burn_in, edges, ou_rngs and ou_rngs[g], every)
+        for g in groups
     ]
     with contextlib.ExitStack() as stack:
         chunks = _rounds(cfg, policy.scheme, policy.tau, streams, wait_split, n_epochs)
@@ -580,9 +580,9 @@ def simulate(
 
     counts = np.diff(edges).astype(float)
     # One table of batch sums, each row (k, batches): see Streaming for the sums' order.
-    ints, gaps, samples, *probe = np.stack([w.batches.sums for w in windows], axis=1)
+    ints, gaps, samples, *probe = np.concatenate([w.batches.sums for w in windows], axis=1)
     errs, refs = probe or (None, None)
-    span = np.array([w.last[0] - w.first for w in windows])
+    span = np.concatenate([w.last[0] - w.first for w in windows])
     per_mse, batch_mse = ints.sum(axis=1) / span, ints / gaps
     return SimStats(
         scheme=policy.scheme,

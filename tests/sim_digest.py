@@ -12,8 +12,11 @@ stored ``DIGEST``, so that CI fails on a change to any simulated bit. A
 change that moves the bits on purpose stores its new digest here.
 
 The grid is k = 1, 2, 3 × eps 0, 0.3, 0.9 × both schemes × the wait all up
-front or split evenly × chunks of 16384 and 7 rounds, each run with the OU
-probe and the trace on. Each run adds its ``SimStats`` repr, whose floats
+front or split evenly × chunks of 16384 and 7 rounds, then k = 8 × eps 0 and
+0.3 × both schemes × the same two chunk sizes with the wait up front, so that
+runs where all k processes share one statistics window, and runs where each
+has its own, are pinned at a k past the first three. Each run is made with
+the OU probe and the trace on, and adds its ``SimStats`` repr, whose floats
 print exactly, and its trace file's bytes to the digest. The service rate is
 not 1, so that a slip in how services are scaled shows.
 """
@@ -25,16 +28,20 @@ import itertools
 import os
 import tempfile
 
+import numpy as np
+
 import ouwait
 import ouwait.sim
 from ouwait import ProcessParams, Scheme, SystemConfig, ThresholdPolicy
 
 PROCESSES = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0, 0.5))
+WIDE = tuple(ProcessParams(float(theta), 1.0 + i % 2)
+             for i, theta in enumerate(np.geomspace(0.05, 2.0, 8)))
 N_EPOCHS = 2000
 TAU = 1.3
 MU = 1.3
 SEED = 4242
-DIGEST = "c68ad7efa602df0a7a94f147ad5146b0fa1110259722db032041d627176382c8"
+DIGEST = "660284907c6bb9eec4a3b4606e7237ffe7cd78186fb6139cbe167cc0f725671d"
 
 
 def grid_digest(folder: str) -> tuple[str, int]:
@@ -42,10 +49,14 @@ def grid_digest(folder: str) -> tuple[str, int]:
     digest = hashlib.sha256()
     runs = 0
     path = os.path.join(folder, "trace.tsv")
-    for k, eps, scheme, split, chunk in itertools.product(
-        (1, 2, 3), (0.0, 0.3, 0.9), tuple(Scheme), (False, True), (16384, 7)
-    ):
-        cfg = SystemConfig(k=k, f_max=1.5, mu=MU, eps=eps, processes=PROCESSES[:k])
+    grid = itertools.chain(
+        itertools.product((PROCESSES[:1], PROCESSES[:2], PROCESSES), (0.0, 0.3, 0.9),
+                          tuple(Scheme), (False, True), (16384, 7)),
+        itertools.product((WIDE,), (0.0, 0.3), tuple(Scheme), (False,), (16384, 7)),
+    )
+    for processes, eps, scheme, split, chunk in grid:
+        k = len(processes)
+        cfg = SystemConfig(k=k, f_max=1.5, mu=MU, eps=eps, processes=processes)
         ouwait.sim.CHUNK_ROUNDS = chunk
         stats = ouwait.simulate(
             cfg, ThresholdPolicy(scheme, TAU), n_epochs=N_EPOCHS, seed=SEED + runs,

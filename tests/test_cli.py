@@ -625,6 +625,31 @@ class TestMain:
         for name in ("k=2", "mu=", "eps=", "f_max=", "smallest theta 2.04"):
             assert name in error
 
+    def test_infinite_poisson_mean_solves(self, capsys):
+        # rate * tau overflows at the search ceiling 2e307, which took 0 * log
+        # inf: the Poisson probabilities are exact zeros, their limit. beta*
+        # is the sum of the variances, 2.76 / 4.08 + 0.18 / 4.38.
+        args = ["solve", "--scheme", "maf", "--k", "2", "--mu", "10", "--eps", "0",
+                "--fmax", "1e-307", "--theta", "2.04,2.19", "--sigma-sq", "2.76,0.18"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 0
+        assert "tau_star=2e+307 beta_star=0.717566479 binding=1" in capsys.readouterr().out
+
+    def test_variance_past_the_float_range_is_one_line_error(self, tmp_path, capsys):
+        # A stationary variance of 4.2e307 overflowed the error integrals, and
+        # the run printed sum_mse=inf: it is refused before the trace is opened.
+        trace = tmp_path / "t.tsv"
+        args = ["simulate", "--scheme", "maf", "--k", "1", "--mu", "1e-9", "--eps", "0.9",
+                "--fmax", "1e30", "--theta", "2.12", "--sigma-sq", "1.7976931348623157e308",
+                "--tau", "0.5", "--epochs", "2000", "--trace", os.fspath(trace)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 1
+        err = one_line_error(capsys)
+        assert "every stationary variance <= 1e+100" in err and "variance=4.2398" in err
+        assert not trace.exists()
+
     def test_solver_failure_past_the_float_range_stays_in_its_row(self, tmp_path, capsys):
         base = replace(BASE, eps=0.999999)
         cfg = tmp_path / "s.cfg"

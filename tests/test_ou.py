@@ -141,12 +141,21 @@ class TestMseIntegral:
             dt + (1.0 / two_theta) * np.exp(-two_theta * age0) * np.expm1(-two_theta * dt)
         )
         buffer = age0.copy()
-        kernel = _error_integral(buffer, dt, p)
+        kernel = _error_integral(buffer, dt, p.theta, p.stationary_variance)
         assert kernel is buffer
         scalar = np.array([mse_integral(float(age0[-1]), float(dt[-1]), p)])
         for got, want in ((kernel, formula), (mse_integral(age0, dt, p), formula),
                           (scalar, formula[-1:])):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # A window of several processes passes a (k, m) table with a (k, 1)
+        # column of each parameter: each row must be that row's own call.
+        ps = [ProcessParams(theta * f, sigma_sq * g) for f, g in ((1, 1), (0.5, 2), (3, 0.25))]
+        ages, dts = (np.stack([np.roll(a, i) for i in range(len(ps))]) for a in (age0, dt))
+        table = _error_integral(ages.copy(), dts, np.array([[q.theta] for q in ps]),
+                                np.array([[q.stationary_variance] for q in ps]))
+        for row, a, d, q in zip(table, ages, dts, ps):
+            want = _error_integral(a.copy(), d, q.theta, q.stationary_variance)
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_negative_inputs_rejected(self, bad):

@@ -366,6 +366,25 @@ class TestSimulate:
         assert all(math.isfinite(x) for x in numbers), st
         assert st.mean_epoch_len > 1e100
 
+    @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
+    def test_variance_at_the_limit_stays_finite(self, two_process_cfg, tmp_path, scheme):
+        # Stationary variances of 1e100 on services and waits of 1e100 give
+        # finite statistics with no numpy warning; one float past the limit
+        # is refused before the trace file is opened.
+        cfg = replace(two_process_cfg, mu=1e-100, processes=(ProcessParams(0.5, 1e100),) * 2)
+        st = simulate(cfg, ThresholdPolicy(scheme, 1e100), n_epochs=3000, seed=0, track_ou=True)
+        values = [getattr(st, f.name) for f in fields(st)][1:]
+        numbers = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+        assert all(math.isfinite(x) for x in numbers), st
+        assert st.sum_mse > 1e100
+        path = tmp_path / "t.tsv"
+        over = math.nextafter(1e100, math.inf)
+        with pytest.raises(InvalidConfig, match=r"every stationary variance <= 1e\+100") as info:
+            simulate(replace(cfg, processes=(ProcessParams(0.5, 1.0), ProcessParams(0.5, over))),
+                     ThresholdPolicy(scheme, 1.0), n_epochs=10, seed=0, trace_path=os.fspath(path))
+        assert f"variance={over!r}" in str(info.value)
+        assert not path.exists()
+
     def test_ou_probe_validates_estimator_path(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.6)
         st = simulate(two_process_cfg, pol, n_epochs=3 * 10**4, seed=26, burn_in=200,
@@ -593,16 +612,48 @@ class TestStreaming:
         # the sums must be the bits of one reduceat over the whole table. Its
         # first two rows span six decades, so that adding them in another
         # order moves bits; its last row holds whole counts, as a window's
-        # sample row does.
+        # sample row does. The table is (rows, spans), then (rows, processes,
+        # spans), as a window of four processes writes it.
         cuts = sorted({c for c in cuts if c < count})
-        rng = np.random.default_rng(count)
-        values = rng.exponential(size=(2, count)) * 10.0 ** rng.uniform(-3, 3, size=(2, count))
-        table = np.vstack((values, rng.integers(1, 9, size=count)))
         edges = sim._batch_edges(count)
-        batches = sim._Batches(3, edges)
-        for lo, hi in zip([0] + cuts, cuts + [count]):
-            batches.add(table[:, lo:hi].copy())
-        assert batches.sums.tobytes() == np.add.reduceat(table, edges[:-1], axis=1).tobytes()
+        for shape in ((count,), (4, count)):
+            rng = np.random.default_rng(count)
+            values = rng.exponential(size=(2,) + shape) * 10.0 ** rng.uniform(-3, 3, (2,) + shape)
+            table = np.concatenate((values, rng.integers(1, 9, size=(1,) + shape)))
+            batches = sim._Batches(table.shape[:-1], edges)
+            for lo, hi in zip([0] + cuts, cuts + [count]):
+                batches.add(table[..., lo:hi].copy())
+            whole = np.add.reduceat(table, edges[:-1], axis=-1)
+            assert batches.sums.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("scheme, eps, width", [(MAF, 0.3, 8), (MAF, 0.0, 8), (RR, 0.0, 8),
+                                                    (RR, 0.3, 1)], ids=["maf", "maf-0", "rr-0", "rr"])
+    def test_one_error_integral_per_window_and_chunk(self, monkeypatch, scheme, eps, width):
+        # Where every slot delivers, the k processes share one window, which
+        # folds a chunk with one error-integral call over all of them; rr at
+        # a positive erasure rate keeps a window, and a call, per process.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
+        kernel, engine, calls, marks = sim.ou._error_integral, sim._rounds, [], []
+
+        def counting(age0, *args):
+            calls.append(age0.shape[0])
+            return kernel(age0, *args)
+
+        def recording(*args):
+            for rounds in engine(*args):
+                marks.append(len(calls))
+                yield rounds
+
+        monkeypatch.setattr(sim.ou, "_error_integral", counting)
+        monkeypatch.setattr(sim, "_rounds", recording)
+        processes = tuple(ProcessParams(float(t), 1.0 + i % 2)
+                          for i, t in enumerate(np.geomspace(0.05, 2.0, 8)))
+        cfg = SystemConfig(k=8, f_max=1.5, mu=1.3, eps=eps, processes=processes)
+        simulate(cfg, ThresholdPolicy(scheme, 1.3), n_epochs=2000, seed=96, burn_in=100)
+        per_chunk = np.diff(marks + [len(calls)])
+        assert len(per_chunk) > 3 and set(calls) == {width}
+        # Every process has spans in the first chunk, and none is fed twice.
+        assert per_chunk[0] == per_chunk.max() == 8 // width
 
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
