@@ -36,24 +36,32 @@ Streaming
 ---------
 The round engine :func:`_rounds` yields its rounds in chunks of at most
 ``CHUNK_ROUNDS``, whose arrays have one entry per slot whatever the erasure
-rate; :func:`simulate` folds each chunk into its statistics windows
-(:class:`_Window`) before the next one is drawn, and the engine stops once
-every process has ``n_epochs`` deliveries. Where every slot delivers, the k
-processes deliver in the same rounds and share one window, which folds a
-chunk's (rounds, k) columns at once; otherwise each process has its own.
-Memory grows with the run length only through the one open batch per
-window. The conditioning round is drawn alone ahead of the chunks, so every
-chunk is measured whole. Between chunks the engine carries two values, the
-last round's service total (which sets the next wait) and the clock. A
-window carries its delivery count, the pieces of the batch it has not yet
-closed, and each process's last delivery and stamp and, with the OU probe,
-error innovation there; without feedback, also its process's last
-delivering round, from which the next epoch's samples are counted. Every
+rate. :func:`simulate` is one loop, which feeds each chunk to each of its
+consumers before the next one is drawn: the statistics windows
+(:class:`_Window`) and, with a trace file, the epoch trace
+(:class:`_Trace`). The windows count each process's deliveries up to
+``n_epochs``. Before each chunk the engine asks how many the process
+furthest behind still wants, which :func:`simulate` reads off those counts;
+it sizes the chunk from the answer and stops at 0. The trace, of the last
+process's first ``n_epochs`` epochs, wants no more. Where every slot
+delivers, the k processes deliver in the same rounds and share one window,
+which folds a chunk's (rounds, k) columns at once; otherwise each process
+has its own. The conditioning round is drawn alone ahead of the chunks, so
+every chunk is measured whole.
+
+Between chunks the engine carries the last round's service total (which
+sets the next wait) and the clock. A window carries its delivery count,
+the pieces of the batch it has not yet closed, and each process's last
+delivery and stamp and, with the OU probe, error innovation there; without
+feedback, also its process's last delivering round, from which the next
+epoch's samples are counted. The trace carries the waits and services of
+the epoch still open and each process's latest delivery in it. So memory
+grows with the run length only through one open batch per window, and with
+an epoch's length only through the trace's two floats a round. Every
 substream is drawn in the same order whatever the chunk size, and a batch
-is summed once, when it closes (:class:`_Batches`), so every statistic and
+or a trace record is summed once, when it closes, so every statistic and
 the trace file are bit-identical for any ``CHUNK_ROUNDS``. A chunk holds
-only what the statistics read: the trace writer counts each epoch's
-attempts itself, so a run without a trace does no work for it.
+only what the statistics read, so a run without a trace does no work for one.
 
 A chunk is assembled in place: the slot services are summed into the array
 that becomes the slot ends, and the stamps are written over the last
@@ -63,9 +71,10 @@ processes, spans) table, whose age rows become the error integrals in place
 and order, so the bits are those of the out-of-place forms; with fewer
 temporaries per chunk, fewer heap pages are returned to the system and
 faulted in again. A yielded chunk is its consumers': the engine draws the
-next chunk into new arrays, and no consumer writes to a chunk. One chunk is
-alive at a time: the engine, the trace writer and :func:`simulate` each drop
-their references to a chunk once it has passed, before the next is drawn.
+next chunk into new arrays, no consumer writes to a chunk, and what one
+carries to the next chunk is a copy. One chunk is alive at a time: the
+engine and :func:`simulate` each drop their references to a chunk once it
+has passed, before the next is drawn.
 
 The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length, the
@@ -95,8 +104,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import IO, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import IO, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +120,9 @@ CHUNK_ROUNDS = 16384
 # or of the variance, which overflow from 1e154; below this limit, even spans
 # 1e20 times longer, and clocks 1e20 times later, stay finite.
 _LIMIT = 1e100
+# The most rounds a run may expect to draw, n_epochs / (1 - miss) for a miss
+# rate miss per slot: 50-150 s at k = 2 on one x86-64 (AVX-512) core.
+_MAX_ROUNDS = 1e9
 
 
 def _streams(seed: int) -> List[np.random.SeedSequence]:
@@ -142,16 +154,6 @@ class RoundArrays:
     delivered: np.ndarray      # (r, k) bool, the slot's last sample got through
     ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
     stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
-
-    def __getitem__(self, rows: slice) -> "RoundArrays":
-        return RoundArrays(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    @staticmethod
-    def concat(parts: Sequence["RoundArrays"]) -> "RoundArrays":
-        """Consecutive runs of rounds joined into one."""
-        return RoundArrays(
-            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RoundArrays))
-        )
 
 
 def _draw_slots(
@@ -229,21 +231,22 @@ def _every_slot_delivers(cfg: SystemConfig, scheme: Scheme) -> bool:
     """Whether every slot ends in a delivery: with feedback, or without erasures."""
     return scheme is Scheme.MAF_FEEDBACK or cfg.eps == 0.0
 
-
 def _rounds(
     cfg: SystemConfig,
     scheme: Scheme,
     tau: float,
     streams: Sequence[np.random.SeedSequence],
     wait_split: Optional[Sequence[float]],
-    n_deliveries: int,
+    need: Callable[[], int],
 ) -> Iterator[RoundArrays]:
-    """Chained rounds of ``scheme`` until every process has ``n_deliveries``
-    deliveries, in chunks of at most ``CHUNK_ROUNDS``, drawn from a seed's
-    ``streams`` (see :func:`_streams`).
+    """Chained rounds of ``scheme`` in chunks of at most ``CHUNK_ROUNDS``,
+    drawn from a seed's ``streams`` (see :func:`_streams`), for as long as
+    ``need()``, the deliveries that the process furthest behind still wants,
+    is positive. It is asked before each chunk is drawn, once the chunk
+    before has been consumed.
 
-    A chunk holds no more rounds than the process furthest behind is likely
-    to need, so that a short run draws few rounds it does not use.
+    A chunk holds no more rounds than that process is likely to need, so that
+    a short run draws few rounds it does not use.
 
     The conditioning round, whose service total sets the first wait, is drawn
     ahead of the chunks as one unmeasured round; it starts at time 0 with no
@@ -254,17 +257,15 @@ def _rounds(
     rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
     # Cumulative wait fractions; None puts the whole wait ahead of slot 1.
     fracs = None if wait_split is None else np.cumsum(_wait_fractions(cfg, wait_split))
-    short = np.full(cfg.k, n_deliveries)  # deliveries still wanted
-    every = _every_slot_delivers(cfg, scheme)
-    miss = 0.0 if every else cfg.eps  # the chance that a slot delivers nothing
+    # The chance that a slot delivers nothing.
+    miss = 0.0 if _every_slot_delivers(cfg, scheme) else cfg.eps
     # The conditioning round ends at its service total, which sets the first wait.
     prev_total = clock = _in_order(_draw_slots(cfg, scheme, 1, *rngs)[0][0])
-    while short.max() > 0:
+    while (want := need()) > 0:
         # A process delivers in a round with probability 1 - miss: take the
         # mean count of rounds for its deliveries plus three standard
         # deviations, so that a run seldom ends in a string of tiny chunks.
-        need = int(short.max())
-        r = min(CHUNK_ROUNDS, math.ceil((need + 3.0 * math.sqrt(need * miss)) / (1.0 - miss)))
+        r = min(CHUNK_ROUNDS, math.ceil((want + 3.0 * math.sqrt(want * miss)) / (1.0 - miss)))
         slot, last, delivered, samples = _draw_slots(cfg, scheme, r, *rngs)
         # Service elapsed by the end of each slot of its round, summed in the
         # slot array, which becomes the slot ends; a plain slot array is also
@@ -292,12 +293,6 @@ def _rounds(
             ends += starts[:-1, None] + fracs[None, :] * waits[:, None]
         stamps = np.subtract(ends, last, out=last)
         prev_total, clock = totals[-1], starts[-1]
-        if every:
-            short -= r
-        else:
-            # Column by column: a reduction down the long axis of a (rounds, k)
-            # array is an order of magnitude slower.
-            short -= [np.count_nonzero(delivered[:, j]) for j in range(cfg.k)]
         yield RoundArrays(waits, totals, samples, delivered, ends, stamps)
         # The chunk is its consumers' now: drop it before the next is drawn.
         del slot, last, delivered, samples, ends, totals, waits, starts, stamps
@@ -523,6 +518,8 @@ def simulate(
     integers, never a bool or a float, and ``seed`` is non-negative. The
     clock and the squared errors must stay finite: ``policy.tau`` and every
     stationary variance are at most 1e100, and ``cfg.mu`` at least 1e-100.
+    A run may expect to draw at most ``_MAX_ROUNDS`` = 1e9 rounds: ``n_epochs``
+    where every slot delivers, ``n_epochs / (1 - eps)`` without feedback.
 
     ``wait_split`` optionally spreads each wait across the k service slots in
     fixed fractions, integers or floats (default: all of it up front).
@@ -531,7 +528,7 @@ def simulate(
     estimation error at every delivery in the window against the closed-form
     error at the same age, with a standard error from the same batches as the
     MSE. ``trace_path`` writes one tab-separated record per epoch of the last
-    process, for its first ``n_epochs`` epochs (see :func:`_write_trace`).
+    process, for its first ``n_epochs`` epochs (see :class:`_Trace`).
     Identical arguments give bit-identical results.
     """
     cfg = _systemconfig("cfg", cfg)
@@ -554,6 +551,13 @@ def simulate(
         raise InvalidConfig(
             "need at least three post-burn-in epochs (two spans) for a standard error"
         )
+    every = _every_slot_delivers(cfg, policy.scheme)
+    expected = n_epochs / (1.0 - (0.0 if every else cfg.eps))
+    if expected > _MAX_ROUNDS:
+        raise InvalidConfig(
+            f"simulate draws at most {_MAX_ROUNDS:g} rounds in expectation, and n_epochs="
+            f"{n_epochs} of {policy.scheme.value} at eps={cfg.eps!r} expects {expected:.3g}"
+        )
 
     window = n_epochs - burn_in - 1
     edges = _batch_edges(window)
@@ -561,21 +565,19 @@ def simulate(
     ou_rngs = None
     if track_ou:
         ou_rngs = [np.random.default_rng(ss) for ss in streams[2].spawn(cfg.k)]
-    every = _every_slot_delivers(cfg, policy.scheme)
     # One window for all k processes where they deliver in the same rounds.
     groups = [slice(0, cfg.k)] if every else [slice(j, j + 1) for j in range(cfg.k)]
     windows = [
         _Window(g, cfg.processes[g], n_epochs, burn_in, edges, ou_rngs and ou_rngs[g], every)
         for g in groups
     ]
-    with contextlib.ExitStack() as stack:
-        chunks = _rounds(cfg, policy.scheme, policy.tau, streams, wait_split, n_epochs)
-        if trace_path is not None:
-            fh = stack.enter_context(open(trace_path, "wb"))
-            chunks = _write_trace(fh, policy.scheme, cfg, n_epochs, chunks)
-        for rounds in chunks:
-            for w in windows:
-                w.feed(rounds)
+    with open(trace_path, "wb") if trace_path is not None else contextlib.nullcontext() as fh:
+        consumers = windows + ([] if fh is None else [_Trace(fh, policy.scheme, cfg, n_epochs)])
+        # The engine draws while the process furthest behind wants deliveries.
+        for rounds in _rounds(cfg, policy.scheme, policy.tau, streams, wait_split,
+                              lambda: n_epochs - min(w.seen for w in windows)):
+            for c in consumers:
+                c.feed(rounds)
             del rounds
 
     counts = np.diff(edges).astype(float)
@@ -601,120 +603,138 @@ def simulate(
     )
 
 
-def _write_trace(
-    fh: IO[bytes],
-    scheme: Scheme,
-    cfg: SystemConfig,
-    n_epochs: int,
-    chunks: Iterator[RoundArrays],
-) -> Iterator[RoundArrays]:
-    """Write one delimited record per epoch of the last process, passing each
-    chunk of rounds on once its records are written and dropping it before
-    the next is drawn.
+class _Trace:
+    """The epoch trace: one delimited record per epoch of the last process,
+    written as the chunks of rounds are fed to it.
 
     The last process's deliveries partition the rounds into epochs (one round
     each with feedback), and its first ``n_epochs`` epochs are written. A
     record sums its rounds' waits and services, counts in ``m_total`` the
     samples of its one round with feedback and its rounds without, and gives
     each process's last delivery and stamp within the epoch, or empty cells
-    where that process delivered none. A copy of the rounds of the epoch
-    still open at a chunk's end carries into the next chunk, where it is
-    joined with the rest of that epoch's rounds only, so each record is
-    summed over its whole epoch at once. ``fh`` is a binary file: the header
-    and the records are written as ASCII bytes. The records are printed in
-    blocks by :func:`_print_cells` (see :func:`_write_records`).
+    where that process delivered none. ``fh`` is a binary file: the header
+    and the records are written as ASCII bytes.
+
+    An epoch still open at a chunk's end spans several rounds, so it is one
+    without feedback. It keeps copies of its rounds' waits and services,
+    piece by piece, which are joined and summed once, when it closes, in the
+    order of a sum over one chunk, and each process's latest delivery and
+    stamp, updated piece by piece, which is exact in any order. So a chunk's
+    rounds are copied once, and a long epoch costs time linear in its length.
     """
-    cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
-    cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
-    fh.write(("\t".join(cols) + "\n").encode("ascii"))
-    written = 0
-    formats = ("%d", "%.11e", "%.11e", "%d") + ("%.11e",) * (1 + 2 * cfg.k)
-    carry: Optional[RoundArrays] = None  # a copy of the open epoch's rounds
-    for rounds in chunks:
-        if written < n_epochs:
-            last = np.flatnonzero(rounds.delivered[:, cfg.k - 1])[: n_epochs - written]
-            start = 0  # the chunk's first round not yet written or carried
-            if carry is not None:
-                # Only the rounds of the epoch that straddles the chunk edge
-                # are joined to the carried ones.
-                start = last[0] + 1 if len(last) else len(rounds.wait)
-                carry = RoundArrays.concat((carry, rounds[:start]))
-                if len(last):
-                    _write_records(fh, formats, scheme, cfg, carry,
-                                   np.array([len(carry.wait) - 1]), written)
-                    written += 1
-                    last, carry = last[1:], None
+
+    def __init__(self, fh: IO[bytes], scheme: Scheme, cfg: SystemConfig, n_epochs: int) -> None:
+        cols = ["epoch_index", "scheme", "w_total", "service_total", "m_total", "gamma"]
+        cols += [f"d_{k + 1}" for k in range(cfg.k)] + [f"stamp_{k + 1}" for k in range(cfg.k)]
+        fh.write(("\t".join(cols) + "\n").encode("ascii"))
+        self.fh, self.scheme, self.k, self.n_epochs = fh, scheme, cfg.k, n_epochs
+        self.formats = ("%d", "%.11e", "%.11e", "%d") + ("%.11e",) * (1 + 2 * cfg.k)
+        self.name = np.frombuffer((b"\t" + scheme.value.encode("ascii")).ljust(7, b"\0") + b"\t",
+                                  "<u8")
+        self.written = 0
+        # The open epoch's waits and services, piece by piece, and each
+        # process's latest delivery and stamp in it (nan for none).
+        self.waits: List[np.ndarray] = []
+        self.services: List[np.ndarray] = []
+        self.latest = np.full((2, cfg.k), np.nan)
+
+    def feed(self, rounds: RoundArrays) -> None:
+        if self.written == self.n_epochs:
+            return
+        last = np.flatnonzero(rounds.delivered[:, -1])[: self.n_epochs - self.written]
+        start = 0  # the chunk's first round not yet written or carried
+        if self.waits:
+            start = last[0] + 1 if len(last) else len(rounds.wait)
+            self._carry(rounds, 0, start)
             if len(last):
-                _write_records(fh, formats, scheme, cfg, rounds, last, written, start)
-                written += len(last)
-                start = last[-1] + 1
-            if carry is None and start < len(rounds.wait) and written < n_epochs:
-                # A copy, so that the chunk is not kept alive with its tail.
-                carry = RoundArrays.concat((rounds[start:],))
-            del last
-        yield rounds
-        del rounds
+                self._close()
+                last = last[1:]
+        if len(last):
+            self._records(rounds, last, start)
+            start = last[-1] + 1
+        if not self.waits and start < len(rounds.wait) and self.written < self.n_epochs:
+            self._carry(rounds, start, len(rounds.wait))
 
+    def _carry(self, rounds: RoundArrays, lo: int, hi: int) -> None:
+        """Add rounds ``lo:hi`` of a chunk to the open epoch, as copies, so
+        that the chunk is not kept alive with them."""
+        self.waits.append(rounds.wait[lo:hi].copy())
+        self.services.append(rounds.service_total[lo:hi].copy())
+        hit = rounds.delivered[lo:hi]
+        seen = np.flatnonzero(hit.any(axis=0))
+        at = hi - 1 - np.argmax(hit[::-1, seen], axis=0)  # each one's latest delivering round
+        self.latest[:, seen] = rounds.ends[at, seen], rounds.stamps[at, seen]
 
-def _write_records(
-    fh: IO[bytes],
-    formats: Sequence[str],
-    scheme: Scheme,
-    cfg: SystemConfig,
-    block: RoundArrays,
-    last: np.ndarray,
-    index: int,
-    start: int = 0,
-) -> None:
-    """The records of the epochs that end at rows ``last`` of ``block``, the
-    first of which opens at row ``start`` and is numbered ``index``.
+    def _close(self) -> None:
+        """Write the record of the open epoch, whose rounds are all carried."""
+        cells = np.empty((1, len(self.formats)))
+        cells[0, 0], cells[0, 3] = self.written, sum(map(len, self.waits))  # m_total: rounds
+        for col, pieces in ((1, self.waits), (2, self.services)):
+            # A one-segment reduceat, as a record summed off one chunk is. The
+            # pieces go as soon as they are joined, so that the epoch is held
+            # at most one and a half times.
+            cells[0, col] = np.add.reduceat(np.concatenate(pieces), [0])[0]
+            pieces.clear()
+        cells[0, 4] = cells[0, 1] + cells[0, 2]
+        cells[0, 5:] = self.latest.reshape(-1)
+        self._print(cells)
+        self.latest.fill(np.nan)
 
-    The records are printed in blocks of ``_TRACE_CELLS // len(formats)``
-    records (at least one), so that a block holds about the same number of
-    cells at any k. A block's records are gathered into a float table in file
-    order, less the scheme, with the integer columns as exact floats and nan
-    for the empty cells, and printed with ``formats`` into a buffer of
-    ``_SLOT`` bytes a cell. Each process's last delivery up to each epoch's
-    end is read off one (rows, k) table of the block's rounds for all
-    processes at once. The scheme name follows the epoch index in its slot,
-    in the bytes of the exponent, which an integer's text never uses. What
-    remains of the buffer once its zero bytes are deleted is written. Every
-    array is a block's own, rows included, so that the writer holds nothing
-    the size of a chunk.
-    """
-    name = np.frombuffer((b"\t" + scheme.value.encode("ascii")).ljust(7, b"\0") + b"\t", "<u8")
-    size = max(1, _TRACE_CELLS // len(formats))
-    k = cfg.k
-    procs = np.arange(k)
-    for lo in range(0, len(last), size):
-        ends = last[lo : lo + size]
-        rows = slice(last[lo - 1] + 1 if lo else start, ends[-1] + 1)
-        ends = ends - rows.start
-        opens = np.concatenate(([0], ends[:-1] + 1))
-        cells = np.empty((len(ends), len(formats)))
-        cells[:, 0] = np.arange(index + lo, index + lo + len(ends))
-        np.add.reduceat(block.wait[rows], opens, out=cells[:, 1])
-        np.add.reduceat(block.service_total[rows], opens, out=cells[:, 2])
-        if scheme is Scheme.MAF_FEEDBACK:
-            # A feedback epoch is one round: m_total counts its samples.
-            cells[:, 3] = block.samples[rows][ends].sum(axis=1)
-        else:
-            # Without feedback m_total counts the epoch's rounds.
-            cells[:, 3] = ends - opens + 1
-        np.add(cells[:, 1], cells[:, 2], out=cells[:, 4])
-        # Latest delivered round of each process up to each epoch's end; a -1
-        # (none yet) reads the block's last row, which np.where discards.
-        steps = np.arange(rows.start, rows.stop)
-        hit = np.where(block.delivered[rows], steps[:, None], -1)
-        hit = np.maximum.accumulate(hit, axis=0, out=hit)[ends]
-        inside = hit >= (opens + rows.start)[:, None]
-        cells[:, 5 : 5 + k] = np.where(inside, block.ends[hit, procs], np.nan)
-        cells[:, 5 + k :] = np.where(inside, block.stamps[hit, procs], np.nan)
+    def _records(self, block: RoundArrays, last: np.ndarray, start: int) -> None:
+        """The records of the epochs that end at rows ``last`` of ``block``,
+        the first of which opens at row ``start``.
+
+        The records are printed in blocks of ``_TRACE_CELLS // len(formats)``
+        records (at least one), so that a block holds about the same number
+        of cells at any k. Each process's last delivery up to each epoch's end
+        is read off one (rows, k) table of the block's rounds for all
+        processes at once. Every array is a block's own, rows included, so
+        that the writer holds nothing the size of a chunk.
+        """
+        size = max(1, _TRACE_CELLS // len(self.formats))
+        k = self.k
+        procs = np.arange(k)
+        for lo in range(0, len(last), size):
+            ends = last[lo : lo + size]
+            rows = slice(last[lo - 1] + 1 if lo else start, ends[-1] + 1)
+            ends = ends - rows.start
+            opens = np.concatenate(([0], ends[:-1] + 1))
+            cells = np.empty((len(ends), len(self.formats)))
+            cells[:, 0] = np.arange(self.written, self.written + len(ends))
+            np.add.reduceat(block.wait[rows], opens, out=cells[:, 1])
+            np.add.reduceat(block.service_total[rows], opens, out=cells[:, 2])
+            if self.scheme is Scheme.MAF_FEEDBACK:
+                # A feedback epoch is one round: m_total counts its samples.
+                cells[:, 3] = block.samples[rows][ends].sum(axis=1)
+            else:
+                # Without feedback m_total counts the epoch's rounds.
+                cells[:, 3] = ends - opens + 1
+            np.add(cells[:, 1], cells[:, 2], out=cells[:, 4])
+            # Latest delivered round of each process up to each epoch's end; a
+            # -1 (none yet) reads the block's last row, which np.where discards.
+            steps = np.arange(rows.start, rows.stop)
+            hit = np.where(block.delivered[rows], steps[:, None], -1)
+            hit = np.maximum.accumulate(hit, axis=0, out=hit)[ends]
+            inside = hit >= (opens + rows.start)[:, None]
+            cells[:, 5 : 5 + k] = np.where(inside, block.ends[hit, procs], np.nan)
+            cells[:, 5 + k :] = np.where(inside, block.stamps[hit, procs], np.nan)
+            self._print(cells)
+
+    def _print(self, cells: np.ndarray) -> None:
+        """Write a float table of records in file order, less the scheme, with
+        the integer columns as exact floats and nan for the empty cells.
+
+        It is printed by :func:`_print_cells` into a buffer of ``_SLOT`` bytes
+        a cell. The scheme name follows the epoch index in its slot, in the
+        bytes of the exponent, which an integer's text never uses. What
+        remains of the buffer once its zero bytes are deleted is written.
+        """
         text = bytearray(cells.size * _SLOT)
         slots = np.frombuffer(text, "<u8").reshape(cells.shape + (3,))
-        _print_cells(cells, formats, slots)
-        slots[:, 0, 2] = name
-        fh.write(text.translate(None, b"\0"))
+        _print_cells(cells, self.formats, slots)
+        slots[:, 0, 2] = self.name
+        self.fh.write(text.translate(None, b"\0"))
+        self.written += len(cells)
 
 
 # Cells printed per block: 2048 records at k = 2. A block's fixed numpy

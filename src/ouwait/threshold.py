@@ -332,7 +332,9 @@ def solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> SolveResult:
     search ceiling (:func:`search_ceiling`) or ``mu + 2 theta`` is not a finite
     float, or when the optimum reaches the search ceiling because no threshold
     lowers the ratio by ``TOL_ULPS`` float spacings of the variance bound (as
-    at eps = 1 - 1e-15 with k = 64); and :class:`ConvergenceError` when beta exceeds the ratio at
+    at eps = 1 - 1e-15 with k = 64), or when the ratio at the returned
+    threshold is not finite, as where the variance bound times the epoch mean
+    overflows; and :class:`ConvergenceError` when beta exceeds the ratio at
     the budget threshold by more than both ``tol`` and the ratio's rounding
     bound (see :class:`SolveResult`), a Newton iteration does not settle in
     ``MAX_STEPS`` steps, or the optimum otherwise reaches the search ceiling.
@@ -395,6 +397,11 @@ def _solve(cfg: SystemConfig, scheme: Scheme, tol: float = 1e-9) -> Tuple[SolveR
                 f"than {gain:.3g} below its bound {beta_hi:.6g}, under {TOL_ULPS} float spacings"
             )
         raise ConvergenceError(f"optimal threshold reached the search ceiling {ceiling}")
+    if not math.isfinite(beta):
+        raise InvalidConfig(
+            f"the sum MSE at the threshold tau={tau!r} is {beta!r}: its integral over an "
+            f"epoch, up to the variance bound {beta_hi:.6g} times the epoch's length, overflows"
+        )
     return SolveResult(
         tau_star=tau,
         beta_star=beta,

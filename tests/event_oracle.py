@@ -11,7 +11,7 @@ for tests that look at whole runs of rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,16 +33,21 @@ def round_arrays(
 ) -> RoundArrays:
     """The first ``n_rounds`` rounds of the streaming engine as one run.
 
-    Every process needs a round per delivery, so the engine run for
-    ``n_rounds`` deliveries draws at least ``n_rounds`` rounds. The threshold
+    The engine is asked for the rounds still wanted, and its chunks are
+    joined and cut at ``n_rounds``: every substream is drawn in the same order
+    whatever the chunk size, so these are the rounds of any run. The threshold
     reaches the engine as :func:`ouwait.simulate` passes it, through a
     ``ThresholdPolicy``, which rejects a negative or non-finite one.
     """
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
     tau = ThresholdPolicy(scheme, tau).tau
-    chunks = _rounds(cfg, scheme, tau, _streams(seed), wait_split, n_rounds)
-    return RoundArrays.concat(list(chunks))[:n_rounds]
+    chunks: List[RoundArrays] = []
+    for rounds in _rounds(cfg, scheme, tau, _streams(seed), wait_split,
+                          lambda: n_rounds - sum(len(c.wait) for c in chunks)):
+        chunks.append(rounds)
+    return RoundArrays(*(np.concatenate([getattr(c, f.name) for c in chunks])[:n_rounds]
+                         for f in fields(RoundArrays)))
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,31 @@ class TestMain:
         assert "tau <= 1e+100 and mu >= 1e-100" in err and f"{flag[2:]}={float(value)!r}" in err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("tol", ["1.7976931348623157e308", "1e190"])
+    def test_overflowing_sum_mse_is_one_line_error(self, capsys, tol):
+        # The ratio's numerator, the variance bound 2e189 times an epoch of
+        # about 1e201, overflows at the threshold the search returns: refused,
+        # where it printed beta_star=inf and exited 0.
+        argv = ["solve", "--scheme", "maf", "--k", "2", "--mu", "0.115", "--eps",
+                "0.999999999999999", "--fmax", "1.9", "--theta", "1e-200,2.93", "--sigma-sq",
+                "3.95e-11,1e-12", "--tol", tol]
+        assert cli.main(argv) == 1
+        err = one_line_error(capsys)
+        assert " is inf" in err and "variance bound 1.975e+189" in err
+
+    def test_run_past_the_round_limit_is_one_line_error(self, tmp_path, capsys):
+        # About 5e13 rounds, refused before any is drawn or the trace opened,
+        # where the run went on with no end in sight.
+        trace = tmp_path / "t.tsv"
+        argv = ["simulate", "--scheme", "rr", "--k", "1", "--mu", "1", "--eps", "0.999999999999",
+                "--fmax", "0.5", "--theta", "0.5", "--sigma-sq", "1", "--epochs", "50",
+                "--tau", "0.5", "--trace", os.fspath(trace)]
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "expects 5e+13" in one_line_error(capsys)
+        assert not trace.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

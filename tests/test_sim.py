@@ -385,6 +385,20 @@ class TestSimulate:
         assert f"variance={over!r}" in str(info.value)
         assert not path.exists()
 
+    @pytest.mark.parametrize("scheme, eps, n_epochs", [(MAF, 0.9, 10**9 + 1), (RR, 0.0, 10**9 + 1),
+                                                       (RR, 0.9, 10**8 + 1)],
+                             ids=["maf", "rr-0", "rr"])
+    def test_runs_past_the_round_limit_refused(self, two_process_cfg, tmp_path, scheme, eps,
+                                               n_epochs):
+        # One epoch past 1e9 expected rounds: a round a delivery where every
+        # slot delivers, 1 / (1 - eps) of them without feedback. The run is
+        # refused before its trace file is opened.
+        path = tmp_path / "t.tsv"
+        with pytest.raises(InvalidConfig, match=r"at most 1e\+09 rounds in expectation"):
+            simulate(replace(two_process_cfg, eps=eps), ThresholdPolicy(scheme, 1.0),
+                     n_epochs=n_epochs, seed=0, trace_path=os.fspath(path))
+        assert not path.exists()
+
     def test_ou_probe_validates_estimator_path(self, two_process_cfg):
         pol = ThresholdPolicy(Scheme.MAF_FEEDBACK, 1.6)
         st = simulate(two_process_cfg, pol, n_epochs=3 * 10**4, seed=26, burn_in=200,
@@ -819,6 +833,29 @@ class TestStreaming:
                 assert share[1] < share[0] + 2**20, (scheme, share)
         finally:
             tracemalloc.stop()
+
+    def test_trace_of_long_epochs(self, two_process_cfg, tmp_path, monkeypatch):
+        # At eps = 1 - 1e-5 an epoch without feedback spans about 1e5 rounds,
+        # several chunks. The writer keeps only the open epoch's waits and
+        # services, and joins them once, when the epoch closes: this run's
+        # tracemalloc peak reads about 5 MB, where a writer that re-joined
+        # the open epoch's whole rounds at every chunk read about 20 MB (and
+        # 555 MB at eps = 1 - 1e-6). Chunks of 1000 rounds write the same bytes.
+        cfg = replace(two_process_cfg, eps=1.0 - 1e-5)
+        traces = []
+        for chunk in (sim.CHUNK_ROUNDS, 1000):
+            monkeypatch.setattr(sim, "CHUNK_ROUNDS", chunk)
+            path = tmp_path / f"trace-{chunk}.tsv"
+            tracemalloc.start()
+            try:
+                simulate(cfg, ThresholdPolicy(RR, 0.5), n_epochs=5, seed=1,
+                         trace_path=os.fspath(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, (chunk, peak)
+            traces.append(path.read_bytes())
+        assert traces[0].count(b"\n") == 6 and traces[1] == traces[0]
 
     def test_high_erasure_rate_without_feedback(self, two_process_cfg):
         # Ten rounds per delivery: the run draws until every process has its
