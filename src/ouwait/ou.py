@@ -67,14 +67,26 @@ def mse_integral(age0: ArrayLike, dt: ArrayLike, p: ProcessParams) -> ArrayLike:
     """Integral of ``inst_mse(age0 + u)`` for ``u`` in ``[0, dt]``, in closed form.
 
     Used by the simulator to accumulate error exactly between events instead of
-    time-stepping. Additive over adjacent subintervals.
+    time-stepping. Additive over adjacent subintervals. ``p.theta`` must be at
+    least about 2.8e-309, so that ``1 / (2 theta)`` is a finite float.
     """
     age0, dt = _reals("age0", age0), _reals("dt", dt)
     if not (np.all(age0 >= 0) and np.all(dt >= 0)):
         raise InvalidConfig("age0 and dt must be nonnegative")
+    _check_theta(p.theta)
     out, dt = np.broadcast_arrays(age0, dt)
     out = _error_integral(out.copy(), dt, p.theta, p.stationary_variance)
     return float(out) if out.ndim == 0 else out
+
+
+def _check_theta(theta: float) -> None:
+    """Refuse a ``theta`` below about 2.8e-309, whose ``1 / (2 theta)``, a
+    factor of the error integral, overflows."""
+    if 1.0 / (2.0 * theta) == np.inf:
+        raise InvalidConfig(
+            f"the error integral needs 1 / (2 theta) finite, so theta of at least about "
+            f"2.8e-309, got theta={theta!r}"
+        )
 
 
 def _error_integral(age0: np.ndarray, dt: np.ndarray, theta: ArrayLike, var: ArrayLike) -> np.ndarray:
@@ -84,10 +96,14 @@ def _error_integral(age0: np.ndarray, dt: np.ndarray, theta: ArrayLike, var: Arr
     operands of ``var * (dt + (1/2theta) exp(-2theta age0) expm1(-2theta dt))``
     in that order, up to the order within a product or sum: the same bits."""
     two_theta = 2.0 * theta
-    age0 *= -two_theta
+    rest = np.empty_like(age0)
+    # A product past the float range is -inf, whose exp is exactly 0 and
+    # expm1 exactly -1, as they are a little inside it: no warning is due.
+    with np.errstate(over="ignore"):
+        age0 *= -two_theta
+        np.multiply(dt, -two_theta, out=rest)
     np.exp(age0, out=age0)
     age0 *= 1.0 / two_theta
-    rest = np.multiply(dt, -two_theta, out=np.empty_like(age0))
     np.expm1(rest, out=rest)
     age0 *= rest
     age0 += dt

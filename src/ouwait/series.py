@@ -110,6 +110,7 @@ class ErlangRound:
         index: Dict[float, int] = {}
         self._rows = np.array([index.setdefault(a, len(index)) for a in two_theta])
         self._a = np.array(tuple(index))
+        self._top = float(max(index, default=0.0))  # the largest decay rate
         # An underflowed lambda's log is -inf, and its powers are exact zeros.
         with np.errstate(divide="ignore"):
             log_lam = np.log(rate / (self._a + rate))[:, None]
@@ -142,6 +143,10 @@ class ErlangRound:
                 # No wait: the Laplace transform of the service alone, lambda^k.
                 L = self._powers[:, 0]
             else:
-                L = np.exp(-self._a * tau) * (p + (self._powers * pmf).sum(axis=-1))
+                # A rate times tau past 1e300 only gives an exp of exactly 0:
+                # such rates are capped at 1e300 / tau, which gives the same 0
+                # where their product could overflow.
+                a = self._a if self._top * tau <= 1e300 else np.minimum(self._a, 1e300 / tau)
+                L = np.exp(-a * tau) * (p + (self._powers * pmf).sum(axis=-1))
             self._transforms[tau] = L[self._rows]
         return self._transforms[tau]

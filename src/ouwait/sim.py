@@ -32,6 +32,17 @@ conditioning value is drawn as one unmeasured round, and ``burn_in``
 initial epochs are discarded on top of that. Standard errors come from batch
 means over epochs (100 batches).
 
+A span runs from one of a process's deliveries to its next. Where every slot
+delivers, a span runs from a slot's end to the same slot's end in the next
+round, and it is measured in round time: its age at the start is the
+delivered sample's service, exactly, and its length is the rest of the round
+after the slot plus the next round's lead up to the slot's end, each summed
+from that round's wait, wait fractions and services alone. Without feedback
+at a positive erasure rate, a span covers a random number of rounds, and it
+is measured between its deliveries' instants on the clock, whose round starts
+sum every wait and service total since time 0. A process's whole window is
+the sum of its span lengths.
+
 Streaming
 ---------
 The round engine :func:`_rounds` yields its rounds in chunks of at most
@@ -50,12 +61,14 @@ has its own. The conditioning round is drawn alone ahead of the chunks, so
 every chunk is measured whole.
 
 Between chunks the engine carries the last round's service total (which
-sets the next wait) and the clock. A window carries its delivery count,
-the pieces of the batch it has not yet closed, and each process's last
-delivery and stamp and, with the OU probe, error innovation there; without
-feedback, also its process's last delivering round, from which the next
-epoch's samples are counted. The trace carries the waits and services of
-the epoch still open and each process's latest delivery in it. So memory
+sets the next wait) and, where a consumer reads instants on the clock, the
+clock. A window carries its delivery count, the pieces of the batch it has
+not yet closed, and each process's latest delivery: in round time, its age
+and the rest of its round; on the clock, its instant and stamp; and, with
+the OU probe, the error innovation there. Without feedback it also carries
+its process's last delivering round, from which the next epoch's samples
+are counted. The trace carries the waits and services of the epoch still
+open and each process's latest delivery in it. So memory
 grows with the run length only through one open batch per window, and with
 an epoch's length only through the trace's two floats a round. Every
 substream is drawn in the same order whatever the chunk size, and a batch
@@ -64,10 +77,16 @@ the trace file are bit-identical for any ``CHUNK_ROUNDS``. A chunk holds
 only what the statistics read, so a run without a trace does no work for one.
 
 A chunk is assembled in place: the slot services are summed into the array
-that becomes the slot ends, and the stamps are written over the last
-samples' services. Each window writes a chunk's spans into one (rows,
-processes, spans) table, whose age rows become the error integrals in place
-(:func:`ouwait.ou._error_integral`). Every operation keeps its operands
+of the slots' ends in round time, and the last samples' services are kept as
+drawn. Its round starts are summed only for the consumers that read instants
+on the clock: the windows of single processes, the OU probe and the trace.
+Each computes the slot ends and stamps it reads at those rows and columns
+only (:meth:`RoundArrays.instants`), with the operations of a whole chunk in
+their order, so no (rounds, k) array of instants is built and each instant
+has the bits it would have in one. Each window writes a chunk's spans into
+one (rows, processes, spans) table, straight from the round-time arrays
+where every slot delivers, and its age rows become the error integrals in
+place (:func:`ouwait.ou._error_integral`). Every operation keeps its operands
 and order, so the bits are those of the out-of-place forms; with fewer
 temporaries per chunk, fewer heap pages are returned to the system and
 faulted in again. A yielded chunk is its consumers': the engine draws the
@@ -78,7 +97,8 @@ has passed, before the next is drawn.
 
 The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length, the
-sample count and, with the probe, the realized and closed-form errors. The
+sample count and, with the probe, the realized and closed-form errors; a
+process's whole window is the sum of its span lengths' batch sums. The
 counts are summed as floats, exactly, since they are whole numbers below
 2**53. A process's row is summed pairwise, as numpy sums a 1-D array; sums
 across processes, arrays or scalars (:func:`_in_order`), add one process
@@ -146,14 +166,56 @@ class RoundArrays:
     A round is one wait followed by one service slot per process, in order.
     With feedback a slot is a retry burst that ends in a delivery, so a round
     is one epoch; without feedback a slot is one sample the channel may erase.
+
+    A slot's end is kept in round time: the service elapsed in its round by
+    then, and the wait released by then, which is the whole wait unless it is
+    split. The rounds' start instants are summed only for a run that reads
+    instants on the clock (:meth:`instants`).
     """
 
     wait: np.ndarray           # (r,)
     service_total: np.ndarray  # (r,)
     samples: np.ndarray        # (r, k) samples drawn in each slot
     delivered: np.ndarray      # (r, k) bool, the slot's last sample got through
-    ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
-    stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
+    cum: np.ndarray            # (r, k) service elapsed in the round by each slot's end
+    last: np.ndarray           # (r, k) service of each slot's last sample
+    released: Optional[np.ndarray]  # (r, k) wait released by each slot's end; None: all of it
+    starts: Optional[np.ndarray]    # (r,) round start instants; None: not summed
+
+    def instants(self, rows, cols) -> Tuple[np.ndarray, np.ndarray]:
+        """The end instants of the slots ``[rows, cols]``, deliveries where
+        delivered, and the generation instants (stamps) of their last samples,
+        for a chunk with its round starts: the end is the slot's service
+        in its round plus its round's start and released wait, and the stamp
+        is the end less the last sample's service. ``rows`` and ``cols`` index
+        as a pair, as numpy does; an int ``cols`` is one process's column."""
+
+        def pick(a: np.ndarray) -> np.ndarray:
+            # The column first: gathering from a 1-D view costs about a third
+            # of a 2-D fancy index.
+            return a[:, cols][rows] if isinstance(cols, int) else a[rows, cols]
+
+        released = self.wait[rows] if self.released is None else pick(self.released)
+        ends = pick(self.cum) + (self.starts[rows] + released)
+        return ends, ends - pick(self.last)
+
+    def lead(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The time from the start of each of the rounds ``rows`` to the end
+        of each of its slots, the wait released by then and the service,
+        written to ``out``, a (k, rounds) array."""
+        released = self.wait[rows] if self.released is None else self.released[rows].T
+        # Operands laid out as `out`: numpy then loops along the rounds, where
+        # a (rounds, k) form of the same sum loops along k, several times slower.
+        return np.add(released, self.cum[rows].T, out=out)
+
+    def rest(self, rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The time from the end of each slot of the rounds ``rows`` to the end
+        of its round, the service after it and the wait not yet released, as
+        a (k, rounds) array."""
+        out = np.subtract(self.service_total[rows], self.cum[rows].T, out=out)
+        if self.released is not None:
+            out += self.wait[rows] - self.released[rows].T
+        return out
 
 
 def _draw_slots(
@@ -238,6 +300,7 @@ def _rounds(
     streams: Sequence[np.random.SeedSequence],
     wait_split: Optional[Sequence[float]],
     need: Callable[[], int],
+    clock: bool,
 ) -> Iterator[RoundArrays]:
     """Chained rounds of ``scheme`` in chunks of at most ``CHUNK_ROUNDS``,
     drawn from a seed's ``streams`` (see :func:`_streams`), for as long as
@@ -250,8 +313,9 @@ def _rounds(
 
     The conditioning round, whose service total sets the first wait, is drawn
     ahead of the chunks as one unmeasured round; it starts at time 0 with no
-    wait. A chunk takes only the last round's service total and the clock
-    from the round before it.
+    wait. A chunk takes only the last round's service total and, with
+    ``clock``, the clock from the round before it, from which its rounds'
+    starts are summed; without ``clock`` they are not.
     """
     service_ss, erasure_ss, _, failed_ss = streams
     rngs = [np.random.default_rng(ss) for ss in (service_ss, erasure_ss, failed_ss)]
@@ -260,7 +324,7 @@ def _rounds(
     # The chance that a slot delivers nothing.
     miss = 0.0 if _every_slot_delivers(cfg, scheme) else cfg.eps
     # The conditioning round ends at its service total, which sets the first wait.
-    prev_total = clock = _in_order(_draw_slots(cfg, scheme, 1, *rngs)[0][0])
+    prev_total = now = _in_order(_draw_slots(cfg, scheme, 1, *rngs)[0][0])
     while (want := need()) > 0:
         # A process delivers in a round with probability 1 - miss: take the
         # mean count of rounds for its deliveries plus three standard
@@ -268,34 +332,30 @@ def _rounds(
         r = min(CHUNK_ROUNDS, math.ceil((want + 3.0 * math.sqrt(want * miss)) / (1.0 - miss)))
         slot, last, delivered, samples = _draw_slots(cfg, scheme, r, *rngs)
         # Service elapsed by the end of each slot of its round, summed in the
-        # slot array, which becomes the slot ends; a plain slot array is also
-        # `last`, which is still to be read. Adding one column at a time
+        # slot array, or in a copy where that is also `last`, which is kept; at
+        # k = 1 the sum is the slot array itself. Adding one column at a time
         # follows a row cumsum's order and is several times faster than a
         # reduction along the short process axis.
-        ends = slot.copy() if slot is last else slot
+        cum = slot.copy() if slot is last and cfg.k > 1 else slot
         for j in range(1, cfg.k):
-            ends[:, j] += ends[:, j - 1]
-        totals = ends[:, -1].copy()
+            cum[:, j] += cum[:, j - 1]
+        totals = cum[:, -1].copy()
         waits = np.empty(r)
         waits[0], waits[1:] = prev_total, totals[:-1]
         np.subtract(tau, waits, out=waits)
         np.maximum(waits, 0.0, out=waits)
-        starts = np.empty(r + 1)
-        starts[0] = clock
-        np.add(waits, totals, out=starts[1:])
-        np.cumsum(starts, out=starts)
-        # Slot k ends after the round start, the wait fractions released so
-        # far, and the service of slots 1..k. With the whole wait up front
-        # every fraction would be 1.0: the sum is the same without the product.
-        if fracs is None:
-            ends += (starts[:-1] + waits)[:, None]
-        else:
-            ends += starts[:-1, None] + fracs[None, :] * waits[:, None]
-        stamps = np.subtract(ends, last, out=last)
-        prev_total, clock = totals[-1], starts[-1]
-        yield RoundArrays(waits, totals, samples, delivered, ends, stamps)
+        released = None if fracs is None else fracs[None, :] * waits[:, None]
+        starts = None
+        if clock:
+            starts = np.empty(r + 1)
+            starts[0] = now
+            np.add(waits, totals, out=starts[1:])
+            np.cumsum(starts, out=starts)
+            now, starts = starts[-1], starts[:-1]
+        prev_total = totals[-1]
+        yield RoundArrays(waits, totals, samples, delivered, cum, last, released, starts)
         # The chunk is its consumers' now: drop it before the next is drawn.
-        del slot, last, delivered, samples, ends, totals, waits, starts, stamps
+        del slot, last, delivered, samples, cum, totals, waits, released, starts
 
 
 def _batch_edges(count: int) -> np.ndarray:
@@ -417,8 +477,16 @@ class _Window:
     ``burn_in`` on, every span to a process's next delivery enters the batches
     as one entry of its row of a (rows, processes, spans) float table: its
     error integral, length and sample count, and with the probe the realized
-    and closed-form errors at its end. Each process's last delivery and stamp
-    carry over, so a span that straddles two chunks is measured like any other.
+    and closed-form errors at its end. Each process's latest delivery carries
+    over, so a span that straddles two chunks is measured like any other.
+
+    Where every slot delivers, a span runs from a slot's end to the same
+    slot's end in the next round, and it is measured in round time: its age
+    at the start is the delivered sample's service, and its length is the
+    rest of its first round (:meth:`RoundArrays.rest`) and the lead of the
+    next (:meth:`RoundArrays.lead`). Otherwise a span may cover many rounds,
+    and it is measured between its deliveries' instants on the clock, which
+    the probe reads too (:meth:`RoundArrays.instants`).
     """
 
     def __init__(
@@ -441,60 +509,94 @@ class _Window:
         self.batches = _Batches((3 if ou_rngs is None else 5, len(processes)), edges)
         self.seen = 0  # deliveries so far, of each process
         self.prev = -1  # without feedback, the latest delivery's row, from the next chunk's first
-        self.first: Optional[np.ndarray] = None  # each process's first delivery in the window
-        self.last: Tuple[np.ndarray, np.ndarray]  # each one's latest delivery and its stamp
+        self.open = False  # whether the window has had its first delivery
+        # Each process's latest delivery: in round time, its age and the rest
+        # of its round, where every slot delivers; on the clock, its instant
+        # and its stamp, where the window reads them.
+        self.age: np.ndarray
+        self.rest: np.ndarray
+        self.at: Tuple[np.ndarray, np.ndarray]
 
     def feed(self, rounds: RoundArrays) -> None:
         if self.seen == self.n_epochs:
             return
-        # Each process's deliveries and stamps in the window, and the samples
-        # of the epoch that ends at each delivery, a row per process.
-        opens = max(self.burn_in - self.seen, 0)
+        opens = max(self.burn_in - self.seen, 0)  # the chunk's first delivery in the window
         if self.every:
             # The first n rows deliver, and each epoch is its round.
             n = min(len(rounds.wait), self.n_epochs - self.seen)
-            d, s = rounds.ends[opens:n, self.cols].T, rounds.stamps[opens:n, self.cols].T
-            epochs = rounds.samples[:n, self.cols].T
-        else:
-            j = self.cols.start  # the group's one process
-            hits = np.flatnonzero(rounds.delivered[:, j])[: self.n_epochs - self.seen]
-            n = len(hits)
-            # Without feedback a slot is one sample: an epoch's samples are
-            # its rounds, which cost less to count than to sum, the first
-            # one's from the row of the latest delivery.
-            epochs = np.diff(hits, prepend=self.prev)[None]
-            if n:
-                self.prev = int(hits[-1])
-            self.prev -= len(rounds.wait)
-            # The column is taken first: gathering from a 1-D view costs
-            # about a third of a 2-D fancy index.
-            win = hits[opens:]
-            d, s = rounds.ends[:, j][win][None], rounds.stamps[:, j][win][None]
-        self.seen += n
-        if self.seen <= self.burn_in:
+            self.seen += n
+            if self.seen > self.burn_in:
+                self._round_time(rounds, opens, n)
             return
-        if self.first is None:
+        j = self.cols.start  # the group's one process
+        hits = np.flatnonzero(rounds.delivered[:, j])[: self.n_epochs - self.seen]
+        # Without feedback a slot is one sample: an epoch's samples are its
+        # rounds, which cost less to count than to sum, the first one's from
+        # the row of the latest delivery.
+        epochs = np.diff(hits, prepend=self.prev)
+        if len(hits):
+            self.prev = int(hits[-1])
+        self.prev -= len(rounds.wait)
+        self.seen += len(hits)
+        if self.seen > self.burn_in:
+            self._clock_time(rounds, hits[opens:], epochs[opens:])
+
+    def _round_time(self, rounds: RoundArrays, a: int, n: int) -> None:
+        """The spans to the deliveries at rows ``a:n``, where every slot delivers."""
+        if not self.open:
             # The window opens at its first delivery, from then on the latest.
-            self.first = d[:, 0].copy()
-            self.last = (self.first, s[:, 0].copy())
-            d, s, epochs = d[:, 1:], s[:, 1:], epochs[:, opens + 1 :]
-        if epochs.shape[1]:
-            # Each span's age at its start, which becomes its error integral,
-            # its length and its samples, those of its rounds after the first.
-            rows = np.empty(self.batches.sums.shape[:2] + epochs.shape[1:])
-            rows[0, :, 0], rows[1, :, 0] = self.last[0] - self.last[1], d[:, 0] - self.last[0]
-            np.subtract(d[:, :-1], s[:, :-1], out=rows[0, :, 1:])
-            np.subtract(d[:, 1:], d[:, :-1], out=rows[1, :, 1:])
-            ou._error_integral(rows[0], rows[1], self.theta, self.var)
-            rows[2] = epochs
+            self.age, self.rest = rounds.last[a].copy(), rounds.rest(slice(a, a + 1))[:, 0]
             if self.ou_rngs is not None:
-                for i, (p, rng) in enumerate(zip(self.processes, self.ou_rngs)):
-                    di, si = (np.concatenate(([v[i]], a[i])) for v, a in zip(self.last, (d, s)))
-                    rows[3, i], rows[4, i], self.ou[i] = _ou_probe(di, si, p, rng, self.ou[i])
-            self.batches.add(rows)
-        if d.shape[1]:
-            # Copies, so that the chunk is not kept alive with them.
-            self.last = (d[:, -1].copy(), s[:, -1].copy())
+                self.at = rounds.instants(a, self.cols)
+            self.open, a = True, a + 1
+        if a == n:
+            return
+        table = np.empty(self.batches.sums.shape[:2] + (n - a,))
+        # Each span's length is the rest of its first round and the lead of
+        # the next, summed in place: the leads go into the age row first.
+        age, length = table[0], table[1]
+        rounds.lead(slice(a, n), out=age)
+        length[:, 0] = self.rest
+        rounds.rest(slice(a, n - 1), out=length[:, 1:])
+        length += age
+        age[:, 0] = self.age
+        age[:, 1:] = rounds.last[a : n - 1].T
+        table[2] = rounds.samples[a:n].T
+        self._fold(table, lambda i: rounds.instants(slice(a, n), i))
+        self.age, self.rest = rounds.last[n - 1].copy(), rounds.rest(slice(n - 1, n))[:, 0]
+        if self.ou_rngs is not None:
+            self.at = rounds.instants(n - 1, self.cols)
+
+    def _clock_time(self, rounds: RoundArrays, hits: np.ndarray, epochs: np.ndarray) -> None:
+        """The spans to the deliveries at rows ``hits``, the samples of whose
+        epochs are ``epochs``, of the group's one process."""
+        d, s = rounds.instants(hits, self.cols.start)
+        if not self.open:
+            self.at, self.open = (d[:1].copy(), s[:1].copy()), True
+            d, s, epochs = d[1:], s[1:], epochs[1:]
+        if not len(d):
+            return
+        table = np.empty(self.batches.sums.shape[:2] + d.shape)
+        (d0, s0), rows = self.at, table[:, 0]
+        rows[0, 0], rows[1, 0] = d0[0] - s0[0], d[0] - d0[0]
+        np.subtract(d[:-1], s[:-1], out=rows[0, 1:])
+        np.subtract(d[1:], d[:-1], out=rows[1, 1:])
+        rows[2] = epochs
+        self._fold(table, lambda i: (d, s))
+        self.at = d[-1:].copy(), s[-1:].copy()
+
+    def _fold(
+        self, table: np.ndarray, instants: Callable[[int], Tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """Integrate the error over a table's spans, probe them, and add them
+        to the batches; ``instants(i)`` gives the process ``i``'s deliveries
+        and stamps that end them."""
+        ou._error_integral(table[0], table[1], self.theta, self.var)
+        if self.ou_rngs is not None:
+            for i, (p, rng) in enumerate(zip(self.processes, self.ou_rngs)):
+                d, s = (np.concatenate(([v[i]], a)) for v, a in zip(self.at, instants(i)))
+                table[3, i], table[4, i], self.ou[i] = _ou_probe(d, s, p, rng, self.ou[i])
+        self.batches.add(table)
 
 
 def simulate(
@@ -517,7 +619,8 @@ def simulate(
     least three epochs has a window. ``n_epochs``, ``burn_in`` and ``seed`` are
     integers, never a bool or a float, and ``seed`` is non-negative. The
     clock and the squared errors must stay finite: ``policy.tau`` and every
-    stationary variance are at most 1e100, and ``cfg.mu`` at least 1e-100.
+    stationary variance are at most 1e100, ``cfg.mu`` at least 1e-100, and
+    every theta at least about 2.8e-309 (see :func:`ouwait.mse_integral`).
     A run may expect to draw at most ``_MAX_ROUNDS`` = 1e9 rounds: ``n_epochs``
     where every slot delivers, ``n_epochs / (1 - eps)`` without feedback.
 
@@ -541,6 +644,7 @@ def simulate(
             f"stays finite, and every stationary variance <= {_LIMIT:g}, so that its squared "
             f"errors do, got tau={policy.tau!r}, mu={cfg.mu!r}, variance={var!r}"
         )
+    ou._check_theta(min(p.theta for p in cfg.processes))
     seed = _count("seed", seed, 0)
     n_epochs = _count("n_epochs", n_epochs, 1)
     track_ou = _flag("track_ou", track_ou)
@@ -574,8 +678,10 @@ def simulate(
     with open(trace_path, "wb") if trace_path is not None else contextlib.nullcontext() as fh:
         consumers = windows + ([] if fh is None else [_Trace(fh, policy.scheme, cfg, n_epochs)])
         # The engine draws while the process furthest behind wants deliveries.
+        # It sums the clock only for the consumers that read instants on it.
+        clock = not every or track_ou or fh is not None
         for rounds in _rounds(cfg, policy.scheme, policy.tau, streams, wait_split,
-                              lambda: n_epochs - min(w.seen for w in windows)):
+                              lambda: n_epochs - min(w.seen for w in windows), clock):
             for c in consumers:
                 c.feed(rounds)
             del rounds
@@ -584,7 +690,7 @@ def simulate(
     # One table of batch sums, each row (k, batches): see Streaming for the sums' order.
     ints, gaps, samples, *probe = np.concatenate([w.batches.sums for w in windows], axis=1)
     errs, refs = probe or (None, None)
-    span = np.concatenate([w.last[0] - w.first for w in windows])
+    span = gaps.sum(axis=1)  # each process's whole window
     per_mse, batch_mse = ints.sum(axis=1) / span, ints / gaps
     return SimStats(
         scheme=policy.scheme,
@@ -592,7 +698,7 @@ def simulate(
         sum_mse_se=float(_se(batch_mse.sum(axis=0))),
         per_process_mse=tuple(per_mse.tolist()),
         per_process_mse_se=tuple(_se(batch_mse).tolist()),
-        mean_epoch_len=_in_order(gaps.sum(axis=1) / window / cfg.k),
+        mean_epoch_len=_in_order(span / window / cfg.k),
         mean_epoch_len_se=float(_se((gaps / counts / cfg.k).sum(axis=0))),
         per_process_inter_sample_mean=tuple((span / samples.sum(axis=1)).tolist()),
         per_process_inter_sample_se=tuple(_se(gaps / samples).tolist()),
@@ -663,7 +769,7 @@ class _Trace:
         hit = rounds.delivered[lo:hi]
         seen = np.flatnonzero(hit.any(axis=0))
         at = hi - 1 - np.argmax(hit[::-1, seen], axis=0)  # each one's latest delivering round
-        self.latest[:, seen] = rounds.ends[at, seen], rounds.stamps[at, seen]
+        self.latest[:, seen] = rounds.instants(at, seen)
 
     def _close(self) -> None:
         """Write the record of the open epoch, whose rounds are all carried."""
@@ -716,8 +822,9 @@ class _Trace:
             hit = np.where(block.delivered[rows], steps[:, None], -1)
             hit = np.maximum.accumulate(hit, axis=0, out=hit)[ends]
             inside = hit >= (opens + rows.start)[:, None]
-            cells[:, 5 : 5 + k] = np.where(inside, block.ends[hit, procs], np.nan)
-            cells[:, 5 + k :] = np.where(inside, block.stamps[hit, procs], np.nan)
+            d, s = block.instants(hit, procs)
+            cells[:, 5 : 5 + k] = np.where(inside, d, np.nan)
+            cells[:, 5 + k :] = np.where(inside, s, np.nan)
             self._print(cells)
 
     def _print(self, cells: np.ndarray) -> None:

@@ -11,16 +11,28 @@ for tests that look at whole runs of rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ouwait import ConvergenceError, InvalidConfig, ProcessParams, Scheme, SystemConfig
 from ouwait import ThresholdPolicy, inst_mse, ou_step
-from ouwait.sim import RoundArrays, _rounds, _streams
+from ouwait.sim import _rounds, _streams
 
 ATTEMPT_CAP = 10**7  # attempts one burst of the event loop may take
+
+
+@dataclass(frozen=True)
+class Run:
+    """Consecutive rounds of the engine with their slots' instants on the clock."""
+
+    wait: np.ndarray           # (r,)
+    service_total: np.ndarray  # (r,)
+    samples: np.ndarray        # (r, k) samples drawn in each slot
+    delivered: np.ndarray      # (r, k) bool, the slot's last sample got through
+    ends: np.ndarray           # (r, k) slot end instants, deliveries where delivered
+    stamps: np.ndarray         # (r, k) generation instants of each slot's last sample
 
 
 def round_arrays(
@@ -30,24 +42,27 @@ def round_arrays(
     n_rounds: int,
     seed: int,
     wait_split: Optional[Sequence[float]] = None,
-) -> RoundArrays:
+) -> Run:
     """The first ``n_rounds`` rounds of the streaming engine as one run.
 
-    The engine is asked for the rounds still wanted, and its chunks are
-    joined and cut at ``n_rounds``: every substream is drawn in the same order
-    whatever the chunk size, so these are the rounds of any run. The threshold
-    reaches the engine as :func:`ouwait.simulate` passes it, through a
-    ``ThresholdPolicy``, which rejects a negative or non-finite one.
+    The engine is asked for the rounds still wanted, with the clock, and its
+    chunks are joined and cut at ``n_rounds``: every substream is drawn in the
+    same order whatever the chunk size, so these are the rounds of any run.
+    Each chunk's slot ends and stamps are its ``instants`` at every slot, the
+    engine's own operations. The threshold reaches the engine as
+    :func:`ouwait.simulate` passes it, through a ``ThresholdPolicy``, which
+    rejects a negative or non-finite one.
     """
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
     tau = ThresholdPolicy(scheme, tau).tau
-    chunks: List[RoundArrays] = []
+    chunks: List[Tuple[np.ndarray, ...]] = []
     for rounds in _rounds(cfg, scheme, tau, _streams(seed), wait_split,
-                          lambda: n_rounds - sum(len(c.wait) for c in chunks)):
-        chunks.append(rounds)
-    return RoundArrays(*(np.concatenate([getattr(c, f.name) for c in chunks])[:n_rounds]
-                         for f in fields(RoundArrays)))
+                          lambda: n_rounds - sum(len(c[0]) for c in chunks), True):
+        every = np.arange(len(rounds.wait))[:, None], np.arange(cfg.k)
+        chunks.append((rounds.wait, rounds.service_total, rounds.samples, rounds.delivered)
+                      + rounds.instants(*every))
+    return Run(*(np.concatenate(field)[:n_rounds] for field in zip(*chunks)))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ front or split evenly × chunks of 16384 and 7 rounds, then k = 8 × eps 0 and
 runs where all k processes share one statistics window, and runs where each
 has its own, are pinned at a k past the first three. Each run is made with
 the OU probe and the trace on, and adds its ``SimStats`` repr, whose floats
-print exactly, and its trace file's bytes to the digest. The service rate is
-not 1, so that a slip in how services are scaled shows.
+print exactly, and its trace file's bytes to the digest. Last come one run
+of each scheme at k = 2 and eps 0 of ``LONG_EPOCHS`` epochs, where every slot
+delivers, without the probe or the trace, as a run that reads no instant on
+the clock makes it: its spans are long past the clock's first rounds. The
+service rate is not 1, so that a slip in how services are scaled shows.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ PROCESSES = (ProcessParams(0.1, 1.0), ProcessParams(0.5, 2.0), ProcessParams(1.0
 WIDE = tuple(ProcessParams(float(theta), 1.0 + i % 2)
              for i, theta in enumerate(np.geomspace(0.05, 2.0, 8)))
 N_EPOCHS = 2000
+LONG_EPOCHS = 2 * 10**5
 TAU = 1.3
 MU = 1.3
 SEED = 4242
-DIGEST = "660284907c6bb9eec4a3b4606e7237ffe7cd78186fb6139cbe167cc0f725671d"
+DIGEST = "2a755b3703bff6bc1059a475347f559fbcea89b2d9254c8dbf3139b6fe07b1d2"
 
 
 def grid_digest(folder: str) -> tuple[str, int]:
@@ -51,20 +55,26 @@ def grid_digest(folder: str) -> tuple[str, int]:
     path = os.path.join(folder, "trace.tsv")
     grid = itertools.chain(
         itertools.product((PROCESSES[:1], PROCESSES[:2], PROCESSES), (0.0, 0.3, 0.9),
-                          tuple(Scheme), (False, True), (16384, 7)),
-        itertools.product((WIDE,), (0.0, 0.3), tuple(Scheme), (False,), (16384, 7)),
+                          tuple(Scheme), (False, True), (16384, 7), (N_EPOCHS,)),
+        itertools.product((WIDE,), (0.0, 0.3), tuple(Scheme), (False,), (16384, 7),
+                          (N_EPOCHS,)),
+        itertools.product((PROCESSES[:2],), (0.0,), tuple(Scheme), (False,), (16384,),
+                          (LONG_EPOCHS,)),
     )
-    for processes, eps, scheme, split, chunk in grid:
+    for processes, eps, scheme, split, chunk, n_epochs in grid:
         k = len(processes)
+        traced = n_epochs == N_EPOCHS
         cfg = SystemConfig(k=k, f_max=1.5, mu=MU, eps=eps, processes=processes)
         ouwait.sim.CHUNK_ROUNDS = chunk
         stats = ouwait.simulate(
-            cfg, ThresholdPolicy(scheme, TAU), n_epochs=N_EPOCHS, seed=SEED + runs,
-            wait_split=(1.0 / k,) * k if split else None, track_ou=True, trace_path=path,
+            cfg, ThresholdPolicy(scheme, TAU), n_epochs=n_epochs, seed=SEED + runs,
+            wait_split=(1.0 / k,) * k if split else None, track_ou=traced,
+            trace_path=path if traced else None,
         )
         digest.update(repr(stats).encode("ascii"))
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
+        if traced:
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
         runs += 1
     return digest.hexdigest(), runs
 

@@ -675,6 +675,41 @@ class TestMain:
         assert "every stationary variance <= 1e+100" in err and "variance=4.2398" in err
         assert not trace.exists()
 
+    def test_theta_past_the_error_integral_range_is_one_line_error(self, tmp_path, capsys):
+        # 1 / (2 theta) overflows at theta 5e-324, and the run printed
+        # sum_mse=-inf (se nan) and exited 0: it is refused before the trace
+        # is opened.
+        trace = tmp_path / "t.tsv"
+        args = ["simulate", "--scheme", "rr", "--k", "1", "--mu", "198.8008205967611", "--eps",
+                "0", "--fmax", "227893.88415238124", "--theta", "5e-324", "--sigma-sq", "1e-300",
+                "--epochs", "3", "--tau", "0.7072898166373872", "--trace", os.fspath(trace)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 1
+        assert "theta=5e-324" in one_line_error(capsys)
+        assert not trace.exists()
+
+    def test_overflowing_transform_exponent_solves_quietly(self, capsys):
+        # 2 theta tau overflows at theta 1e300 and this threshold, in the
+        # round transform's factor exp(-2 theta tau), which is exactly 0 either
+        # way: the answer is as before, and no overflow warning precedes it.
+        args = ["solve", "--scheme", "maf", "--k", "1", "--mu", "39.86900356106214", "--eps",
+                "0.9", "--fmax", "1.5850342640668596e-08", "--theta", "1e300", "--sigma-sq",
+                "1e-12"]
+        assert cli.main(args) == 0
+        assert "tau_star=630901188 beta_star=5e-313 binding=1 " in capsys.readouterr().out
+
+    def test_overflowing_error_exponent_simulates_quietly(self, capsys):
+        # 2 theta times a span of 1e12 overflows for the third process, in
+        # the error integral's exp(-2 theta age0) and expm1(-2 theta dt),
+        # which are exactly 0 and -1 either way: no overflow warning.
+        args = ["simulate", "--scheme", "rr", "--k", "3", "--mu", "2.5", "--eps", "0", "--fmax",
+                "1e12", "--theta", "0.0004753821814570277,6.651434428077206e-07,1e300",
+                "--sigma-sq", "4.4112754345134924e-08,7.8725174536499924,3.8890425756915314e-05",
+                "--epochs", "10", "--tau", "1e12"]
+        assert cli.main(args) == 0
+        assert "process 3: mse=1.94452e-305 (se 0) " in capsys.readouterr().out
+
     def test_solver_failure_past_the_float_range_stays_in_its_row(self, tmp_path, capsys):
         base = replace(BASE, eps=0.999999)
         cfg = tmp_path / "s.cfg"

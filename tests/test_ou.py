@@ -157,6 +157,15 @@ class TestMseIntegral:
             want = _error_integral(a.copy(), d, q.theta, q.stationary_variance)
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
+    def test_theta_whose_reciprocal_overflows_rejected(self):
+        # The least theta with 1 / (2 theta) finite is accepted and gives a
+        # finite integral; the float below it made -inf, and is refused.
+        least = 2.781342323134007e-309
+        assert math.isfinite(mse_integral(0.5, 1.0, ProcessParams(least, 1e-300)))
+        below = ProcessParams(math.nextafter(least, 0.0), 1e-300)
+        with pytest.raises(InvalidConfig, match="theta=2.781342323134e-309"):
+            mse_integral(0.5, 1.0, below)
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_negative_inputs_rejected(self, bad):
         with pytest.raises(InvalidConfig):

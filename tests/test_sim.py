@@ -669,17 +669,48 @@ class TestStreaming:
         # Every process has spans in the first chunk, and none is fed twice.
         assert per_chunk[0] == per_chunk.max() == 8 // width
 
+    @pytest.mark.parametrize("scheme, eps, split, probe",
+                             [(MAF, 0.3, None, False), (MAF, 0.0, (0.25, 0.75), True),
+                              (RR, 0.0, None, True)], ids=["maf", "maf-0-split", "rr-0"])
+    def test_span_age_is_the_delivered_service(self, two_process_cfg, monkeypatch, scheme, eps,
+                                               split, probe):
+        # Where every slot delivers, each span integrates the error from the
+        # age at its first delivery, which is the delivered sample's own
+        # service, bit for bit, with the clock summed (for the probe) or not:
+        # the age is not the difference of the delivery and stamp instants.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
+        kernel, engine, ages, services = sim.ou._error_integral, sim._rounds, [], []
+
+        def integrating(age0, *args):
+            ages.append(age0.copy())
+            return kernel(age0, *args)
+
+        def recording(*args):
+            for rounds in engine(*args):
+                services.append(rounds.last.copy())
+                yield rounds
+
+        monkeypatch.setattr(sim.ou, "_error_integral", integrating)
+        monkeypatch.setattr(sim, "_rounds", recording)
+        simulate(replace(two_process_cfg, eps=eps), ThresholdPolicy(scheme, 1.3), n_epochs=2000,
+                 seed=97, burn_in=100, wait_split=split, track_ou=probe)
+        age = np.concatenate(ages, axis=1)
+        assert len(ages) > 3 and age.shape == (2, 2000 - 100 - 1)
+        assert age.tobytes() == np.concatenate(services)[100:1999].T.tobytes()
+
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("split", [None, (0.25, 0.75)], ids=["nosplit", "split"])
     def test_chunks_are_not_edited_once_yielded(
         self, two_process_cfg, tmp_path, monkeypatch, scheme, eps, split
     ):
-        # The engine assembles each chunk in place and the windows and the
-        # trace writer read it, but a chunk is its consumers' once yielded:
-        # round_arrays lists every chunk before joining them, and the writer
-        # carries a copy of the open epoch's rounds. Each chunk, copied as it
-        # passes, must still equal its copy once the run is over.
+        # The engine assembles each chunk in place, its slots' ends in round
+        # time, and the windows and the trace writer read it, but a chunk is
+        # its consumers' once yielded: round_arrays keeps every chunk before
+        # joining them, a consumer that reads instants on the clock computes
+        # them into arrays of its own, and the writer carries copies of the
+        # open epoch's waits and services. Each chunk, copied as it passes,
+        # must still equal its copy once the run is over.
         monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
         engine, passed = sim._rounds, []
 
@@ -701,10 +732,14 @@ class TestStreaming:
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     def test_one_chunk_held_at_a_time(self, two_process_cfg, tmp_path, monkeypatch,
                                       scheme, traced):
-        # The engine, the trace writer and simulate each drop a chunk once it
-        # has passed, so that no two chunks are alive at once: by the time the
-        # next chunk is drawn, no array of an earlier one, nor any array it is
-        # a view of, is left. Freed by reference count, with no collection.
+        # The engine and simulate each drop a chunk once it has passed, and
+        # the windows and the trace writer carry copies only (each process's
+        # latest delivery, the open epoch's waits and services), so that no
+        # two chunks are alive at once: by the time the next chunk is drawn,
+        # no array of an earlier one (its slots' ends in round time, last
+        # services and, with the probe, round starts among them), nor any
+        # array it is a view of, is left. Freed by reference count, with no
+        # collection.
         monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
         engine, draw, alive, draws = sim._rounds, sim._draw_slots, [], []
 
@@ -856,6 +891,35 @@ class TestStreaming:
             assert peak < 8e6, (chunk, peak)
             traces.append(path.read_bytes())
         assert traces[0].count(b"\n") == 6 and traces[1] == traces[0]
+
+    def test_carried_record_sums_its_joined_rounds(self, two_process_cfg, tmp_path,
+                                                   monkeypatch):
+        # At eps = 0.999 in chunks of 97 rounds an epoch spans about ten
+        # chunks, and the writer carries its waits and services piece by
+        # piece. Its record's two sums must be the bits of one reduceat over
+        # the joined pieces, the order of a record summed off one chunk:
+        # summed piece by piece, such records moved in the last bits, and
+        # only the simulator digest showed it.
+        monkeypatch.setattr(sim, "CHUNK_ROUNDS", 97)
+        close, write, wanted, records = sim._Trace._close, sim._Trace._print, [], []
+
+        def closing(self):
+            joined = (np.concatenate(pieces) for pieces in (self.waits, self.services))
+            wanted.append(np.array([np.add.reduceat(a, [0])[0] for a in joined]))
+            close(self)
+
+        def printing(self, cells):
+            if len(wanted) > len(records):  # the carried record, printed alone
+                records.append(cells[0, 1:3].copy())
+            write(self, cells)
+
+        monkeypatch.setattr(sim._Trace, "_close", closing)
+        monkeypatch.setattr(sim._Trace, "_print", printing)
+        cfg = replace(two_process_cfg, eps=0.999)
+        simulate(cfg, ThresholdPolicy(RR, 0.5), n_epochs=40, seed=5,
+                 trace_path=os.fspath(tmp_path / "t.tsv"))
+        assert len(records) == len(wanted) > 30
+        assert np.array(records).tobytes() == np.array(wanted).tobytes()
 
     def test_high_erasure_rate_without_feedback(self, two_process_cfg):
         # Ten rounds per delivery: the run draws until every process has its
