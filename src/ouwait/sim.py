@@ -32,16 +32,16 @@ conditioning value is drawn as one unmeasured round, and ``burn_in``
 initial epochs are discarded on top of that. Standard errors come from batch
 means over epochs (100 batches).
 
-A span runs from one of a process's deliveries to its next. Where every slot
-delivers, a span runs from a slot's end to the same slot's end in the next
-round, and it is measured in round time: its age at the start is the
-delivered sample's service, exactly, and its length is the rest of the round
-after the slot plus the next round's lead up to the slot's end, each summed
-from that round's wait, wait fractions and services alone. Without feedback
-at a positive erasure rate, a span covers a random number of rounds, and it
-is measured between its deliveries' instants on the clock, whose round starts
-sum every wait and service total since time 0. A process's whole window is
-the sum of its span lengths.
+A span runs from one of a process's deliveries to its next. Its age at the
+start is the delivered sample's service, exactly. Where every slot delivers,
+a span runs from a slot's end to the same slot's end in the next round, and
+its length is measured in round time: the rest of the round after the slot
+plus the next round's lead up to the slot's end, each summed from that
+round's wait, wait fractions and services alone. Without feedback at a
+positive erasure rate, a span covers a random number of rounds, and its
+length is measured between its deliveries' instants on the clock, whose
+round starts sum every wait and service total since time 0. A process's
+whole window is the sum of its span lengths.
 
 Streaming
 ---------
@@ -63,8 +63,8 @@ every chunk is measured whole.
 Between chunks the engine carries the last round's service total (which
 sets the next wait) and, where a consumer reads instants on the clock, the
 clock. A window carries its delivery count, the pieces of the batch it has
-not yet closed, and each process's latest delivery: in round time, its age
-and the rest of its round; on the clock, its instant and stamp; and, with
+not yet closed, and each process's latest delivery: its age; the rest of
+its round where every slot delivers, and its instant otherwise; and, with
 the OU probe, the error innovation there. Without feedback it also carries
 its process's last delivering round, from which the next epoch's samples
 are counted. The trace carries the waits and services of the epoch still
@@ -79,21 +79,22 @@ only what the statistics read, so a run without a trace does no work for one.
 A chunk is assembled in place: the slot services are summed into the array
 of the slots' ends in round time, and the last samples' services are kept as
 drawn. Its round starts are summed only for the consumers that read instants
-on the clock: the windows of single processes, the OU probe and the trace.
-Each computes the slot ends and stamps it reads at those rows and columns
-only (:meth:`RoundArrays.instants`), with the operations of a whole chunk in
-their order, so no (rounds, k) array of instants is built and each instant
-has the bits it would have in one. Each window writes a chunk's spans into
-one (rows, processes, spans) table, straight from the round-time arrays
-where every slot delivers, and its age rows become the error integrals in
-place (:func:`ouwait.ou._error_integral`). Every operation keeps its operands
-and order, so the bits are those of the out-of-place forms; with fewer
-temporaries per chunk, fewer heap pages are returned to the system and
-faulted in again. A yielded chunk is its consumers': the engine draws the
-next chunk into new arrays, no consumer writes to a chunk, and what one
-carries to the next chunk is a copy. One chunk is alive at a time: the
-engine and :func:`simulate` each drop their references to a chunk once it
-has passed, before the next is drawn.
+on the clock: the windows of single processes, which measure multi-round
+spans, and the trace. Each computes the slot ends it reads, and the trace
+their stamps, at those rows only (:meth:`RoundArrays.instants`), with the
+operations of a whole chunk in their order, so no (rounds, k) array of
+instants is built and each instant has the bits it would have in one. Each
+window writes a chunk's spans into one (rows, processes, spans) table,
+straight from the round-time arrays where every slot delivers; the OU probe
+reads its age and length rows, and then its age rows become the error
+integrals in place (:func:`ouwait.ou._error_integral`). Every operation
+keeps its operands and order, so the bits are those of the out-of-place
+forms; with fewer temporaries per chunk, fewer heap pages are returned to
+the system and faulted in again. A yielded chunk is its consumers': the
+engine draws the next chunk into new arrays, no consumer writes to a chunk,
+and what one carries to the next chunk is a copy. One chunk is alive at a
+time: the engine and :func:`simulate` each drop their references to a chunk
+once it has passed, before the next is drawn.
 
 The statistics are read off one table of the processes' batch sums, a
 (k, batches) array for each of the error integral, the span length, the
@@ -184,11 +185,11 @@ class RoundArrays:
 
     def instants(self, rows, cols) -> Tuple[np.ndarray, np.ndarray]:
         """The end instants of the slots ``[rows, cols]``, deliveries where
-        delivered, and the generation instants (stamps) of their last samples,
-        for a chunk with its round starts: the end is the slot's service
-        in its round plus its round's start and released wait, and the stamp
-        is the end less the last sample's service. ``rows`` and ``cols`` index
-        as a pair, as numpy does; an int ``cols`` is one process's column."""
+        delivered, and the services of their last samples, for a chunk with
+        its round starts: the end is the slot's service in its round plus its
+        round's start and released wait, and the last sample's generation
+        instant (stamp) is the end less its service. ``rows`` and ``cols``
+        index as a pair, as numpy does; an int ``cols`` is one process's column."""
 
         def pick(a: np.ndarray) -> np.ndarray:
             # The column first: gathering from a 1-D view costs about a third
@@ -196,8 +197,7 @@ class RoundArrays:
             return a[:, cols][rows] if isinstance(cols, int) else a[rows, cols]
 
         released = self.wait[rows] if self.released is None else pick(self.released)
-        ends = pick(self.cum) + (self.starts[rows] + released)
-        return ends, ends - pick(self.last)
+        return pick(self.cum) + (self.starts[rows] + released), pick(self.last)
 
     def lead(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """The time from the start of each of the rounds ``rows`` to the end
@@ -419,53 +419,55 @@ class _Batches:
 
 
 def _ou_probe(
-    deliveries: np.ndarray,
-    stamps: np.ndarray,
+    age: np.ndarray,
+    length: np.ndarray,
+    serve: np.ndarray,
     p: ProcessParams,
     rng: np.random.Generator,
     carry: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Co-simulate the true process along one delivery sequence.
+    """Co-simulate the true process along one process's spans.
 
-    At each delivery after the first, returns the realized squared error of
-    the previous sample's extrapolation and the closed-form error at that
-    age. The error ``X(d_i) - X(s_{i-1}) e^{-theta (d_i - s_{i-1})}`` sums the
-    OU innovations over (s_{i-1}, d_{i-1}], (d_{i-1}, s_i] and (s_i, d_i], so
-    three exact steps over whole arrays give every error; the first and the
-    third span the same services with the same normals, so one transition
-    (:func:`ouwait.ou._transition`) serves both. Each delivery after the
-    first draws two normals, for (d_{i-1}, s_i] and then (s_i, d_i]. A
-    fresh sequence first draws a stationary start, which cancels but keeps
-    the order of a loop that steps the process itself, and the pair of its
-    first delivery, of which only the second is used.
+    A span runs from a delivery to the next: ``age`` is its age at the start,
+    ``length`` its length and ``serve`` the service of the sample delivered
+    at its end (the next span's age). At each span's end, returns the
+    realized squared error of the previous sample's extrapolation and the
+    closed-form error at its age ``age + length``. The error sums the OU
+    innovations over the previous sample's service, the idle gap
+    ``length - serve`` and the new sample's service, so three exact steps
+    over whole arrays give every error; the first and the third span the
+    same services with the same normals, so one transition
+    (:func:`ouwait.ou._transition`) serves both. Each span draws two
+    normals, for the idle gap and then the service. A fresh sequence first
+    draws a stationary start, which cancels but keeps the order of a loop
+    that steps the process itself, and the pair of its first delivery, of
+    which only the first is used, over ``age[0]``.
 
     ``carry`` continues a sequence over several calls: it is the innovation
-    the previous call returned third, at its last delivery, which
-    ``deliveries[0]`` and ``stamps[0]`` must then repeat; that delivery's
-    innovation is taken from it rather than drawn.
+    the previous call returned third, at the delivery where this call's
+    first span starts, whose innovation is then not drawn.
     """
-    serve = deliveries[1:] - stamps[1:]
     if carry is None:
         rng.standard_normal()
-        z = rng.standard_normal(size=2 * len(deliveries))
-        carry = ou.ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
+        z = rng.standard_normal(size=2 * len(age) + 2)
+        carry = ou.ou_step(0.0, age[0], p, z[0])
         z = z[2:]
     else:
-        z = rng.standard_normal(size=2 * len(serve))
+        z = rng.standard_normal(size=2 * len(age))
     decay, innovation = ou._transition(serve, p, z[1::2])
-    carried = np.empty(len(deliveries))
+    carried = np.empty(len(age) + 1)
     carried[0] = carry
     # A step from 0.0 is 0.0 * decay + innovation, which turns -0.0 into +0.0.
     np.add(innovation, 0.0, out=carried[1:])
-    # Gaps that are exactly zero in event order can round a hair negative in
-    # the cumulative time arithmetic; clamp them.
-    idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
+    # A gap that is zero can round a hair negative where the span's length
+    # is the difference of two instants on the clock; clamp it.
+    idle = np.maximum(length - serve, 0.0)
     idle_decay, errs = ou._transition(idle, p, z[0::2])
     errs += carried[:-1] * idle_decay  # the process at each stamp
     errs *= decay
     errs += innovation
     np.square(errs, out=errs)
-    return errs, ou._inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
+    return errs, ou._inst_mse(age + length, p), carried[-1]
 
 
 class _Window:
@@ -480,13 +482,14 @@ class _Window:
     and closed-form errors at its end. Each process's latest delivery carries
     over, so a span that straddles two chunks is measured like any other.
 
-    Where every slot delivers, a span runs from a slot's end to the same
-    slot's end in the next round, and it is measured in round time: its age
-    at the start is the delivered sample's service, and its length is the
-    rest of its first round (:meth:`RoundArrays.rest`) and the lead of the
-    next (:meth:`RoundArrays.lead`). Otherwise a span may cover many rounds,
-    and it is measured between its deliveries' instants on the clock, which
-    the probe reads too (:meth:`RoundArrays.instants`).
+    A span's age at its start is the service delivered there, the chunk's
+    ``last``. Where every slot delivers, a span runs from a slot's end to
+    the same slot's end in the next round, and its length is measured in
+    round time: the rest of its first round (:meth:`RoundArrays.rest`) and
+    the lead of the next (:meth:`RoundArrays.lead`). Otherwise a span may
+    cover many rounds, and its length is measured between its deliveries'
+    instants on the clock (:meth:`RoundArrays.instants`). The probe reads
+    the same ages and lengths.
     """
 
     def __init__(
@@ -510,12 +513,11 @@ class _Window:
         self.seen = 0  # deliveries so far, of each process
         self.prev = -1  # without feedback, the latest delivery's row, from the next chunk's first
         self.open = False  # whether the window has had its first delivery
-        # Each process's latest delivery: in round time, its age and the rest
-        # of its round, where every slot delivers; on the clock, its instant
-        # and its stamp, where the window reads them.
+        # Each process's latest delivery: its age and, where every slot
+        # delivers, the rest of its round; otherwise its instant.
         self.age: np.ndarray
         self.rest: np.ndarray
-        self.at: Tuple[np.ndarray, np.ndarray]
+        self.end: float
 
     def feed(self, rounds: RoundArrays) -> None:
         if self.seen == self.n_epochs:
@@ -546,8 +548,6 @@ class _Window:
         if not self.open:
             # The window opens at its first delivery, from then on the latest.
             self.age, self.rest = rounds.last[a].copy(), rounds.rest(slice(a, a + 1))[:, 0]
-            if self.ou_rngs is not None:
-                self.at = rounds.instants(a, self.cols)
             self.open, a = True, a + 1
         if a == n:
             return
@@ -562,40 +562,36 @@ class _Window:
         age[:, 0] = self.age
         age[:, 1:] = rounds.last[a : n - 1].T
         table[2] = rounds.samples[a:n].T
-        self._fold(table, lambda i: rounds.instants(slice(a, n), i))
+        self._fold(table, rounds.last[a:n].T)
         self.age, self.rest = rounds.last[n - 1].copy(), rounds.rest(slice(n - 1, n))[:, 0]
-        if self.ou_rngs is not None:
-            self.at = rounds.instants(n - 1, self.cols)
 
     def _clock_time(self, rounds: RoundArrays, hits: np.ndarray, epochs: np.ndarray) -> None:
         """The spans to the deliveries at rows ``hits``, the samples of whose
         epochs are ``epochs``, of the group's one process."""
-        d, s = rounds.instants(hits, self.cols.start)
+        d, serve = rounds.instants(hits, self.cols.start)
         if not self.open:
-            self.at, self.open = (d[:1].copy(), s[:1].copy()), True
-            d, s, epochs = d[1:], s[1:], epochs[1:]
+            self.end, self.age, self.open = d[0], serve[0], True
+            d, serve, epochs = d[1:], serve[1:], epochs[1:]
         if not len(d):
             return
         table = np.empty(self.batches.sums.shape[:2] + d.shape)
-        (d0, s0), rows = self.at, table[:, 0]
-        rows[0, 0], rows[1, 0] = d0[0] - s0[0], d[0] - d0[0]
-        np.subtract(d[:-1], s[:-1], out=rows[0, 1:])
-        np.subtract(d[1:], d[:-1], out=rows[1, 1:])
-        rows[2] = epochs
-        self._fold(table, lambda i: (d, s))
-        self.at = d[-1:].copy(), s[-1:].copy()
+        age, length = table[0, 0], table[1, 0]
+        age[0], length[0] = self.age, d[0] - self.end
+        age[1:] = serve[:-1]
+        np.subtract(d[1:], d[:-1], out=length[1:])
+        table[2, 0] = epochs
+        self._fold(table, serve[None])
+        self.end, self.age = d[-1], serve[-1]
 
-    def _fold(
-        self, table: np.ndarray, instants: Callable[[int], Tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        """Integrate the error over a table's spans, probe them, and add them
-        to the batches; ``instants(i)`` gives the process ``i``'s deliveries
-        and stamps that end them."""
-        ou._error_integral(table[0], table[1], self.theta, self.var)
+    def _fold(self, table: np.ndarray, serve: np.ndarray) -> None:
+        """Probe a table's spans, whose ends deliver the services ``serve`` (a
+        row per process), integrate the error over them in place of the age
+        row, and add them to the batches."""
         if self.ou_rngs is not None:
             for i, (p, rng) in enumerate(zip(self.processes, self.ou_rngs)):
-                d, s = (np.concatenate(([v[i]], a)) for v, a in zip(self.at, instants(i)))
-                table[3, i], table[4, i], self.ou[i] = _ou_probe(d, s, p, rng, self.ou[i])
+                table[3, i], table[4, i], self.ou[i] = _ou_probe(
+                    table[0, i], table[1, i], serve[i], p, rng, self.ou[i])
+        ou._error_integral(table[0], table[1], self.theta, self.var)
         self.batches.add(table)
 
 
@@ -679,7 +675,7 @@ def simulate(
         consumers = windows + ([] if fh is None else [_Trace(fh, policy.scheme, cfg, n_epochs)])
         # The engine draws while the process furthest behind wants deliveries.
         # It sums the clock only for the consumers that read instants on it.
-        clock = not every or track_ou or fh is not None
+        clock = not every or fh is not None
         for rounds in _rounds(cfg, policy.scheme, policy.tau, streams, wait_split,
                               lambda: n_epochs - min(w.seen for w in windows), clock):
             for c in consumers:
@@ -769,7 +765,8 @@ class _Trace:
         hit = rounds.delivered[lo:hi]
         seen = np.flatnonzero(hit.any(axis=0))
         at = hi - 1 - np.argmax(hit[::-1, seen], axis=0)  # each one's latest delivering round
-        self.latest[:, seen] = rounds.instants(at, seen)
+        d, serve = rounds.instants(at, seen)
+        self.latest[:, seen] = d, d - serve
 
     def _close(self) -> None:
         """Write the record of the open epoch, whose rounds are all carried."""
@@ -822,9 +819,9 @@ class _Trace:
             hit = np.where(block.delivered[rows], steps[:, None], -1)
             hit = np.maximum.accumulate(hit, axis=0, out=hit)[ends]
             inside = hit >= (opens + rows.start)[:, None]
-            d, s = block.instants(hit, procs)
+            d, serve = block.instants(hit, procs)
             cells[:, 5 : 5 + k] = np.where(inside, d, np.nan)
-            cells[:, 5 + k :] = np.where(inside, s, np.nan)
+            cells[:, 5 + k :] = np.where(inside, d - serve, np.nan)
             self._print(cells)
 
     def _print(self, cells: np.ndarray) -> None:

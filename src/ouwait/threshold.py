@@ -297,7 +297,10 @@ def _newton(
             lo = t
         nxt = t - excess / slope if slope > 0.0 else hi
         if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+            # Halved apart: 0.5 * (lo + hi) overflows past half the float
+            # range, and has these bits wherever it does not and no half is
+            # subnormal.
+            nxt = 0.5 * lo + 0.5 * hi
         if abs(nxt - t) <= max(tol, math.ulp(t)):
             return nxt
         t = nxt

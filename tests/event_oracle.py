@@ -48,10 +48,10 @@ def round_arrays(
     The engine is asked for the rounds still wanted, with the clock, and its
     chunks are joined and cut at ``n_rounds``: every substream is drawn in the
     same order whatever the chunk size, so these are the rounds of any run.
-    Each chunk's slot ends and stamps are its ``instants`` at every slot, the
-    engine's own operations. The threshold reaches the engine as
-    :func:`ouwait.simulate` passes it, through a ``ThresholdPolicy``, which
-    rejects a negative or non-finite one.
+    Each chunk's slot ends are its ``instants`` at every slot, and the stamps
+    are those less the last samples' services, the engine's own operations.
+    The threshold reaches the engine as :func:`ouwait.simulate` passes it,
+    through a ``ThresholdPolicy``, which rejects a negative or non-finite one.
     """
     if n_rounds < 1:
         raise InvalidConfig("n_rounds must be >= 1")
@@ -59,9 +59,9 @@ def round_arrays(
     chunks: List[Tuple[np.ndarray, ...]] = []
     for rounds in _rounds(cfg, scheme, tau, _streams(seed), wait_split,
                           lambda: n_rounds - sum(len(c[0]) for c in chunks), True):
-        every = np.arange(len(rounds.wait))[:, None], np.arange(cfg.k)
-        chunks.append((rounds.wait, rounds.service_total, rounds.samples, rounds.delivered)
-                      + rounds.instants(*every))
+        ends, serve = rounds.instants(np.arange(len(rounds.wait))[:, None], np.arange(cfg.k))
+        chunks.append((rounds.wait, rounds.service_total, rounds.samples, rounds.delivered,
+                       ends, ends - serve))
     return Run(*(np.concatenate(field)[:n_rounds] for field in zip(*chunks)))
 
 
@@ -195,36 +195,41 @@ def run_round_rr(
 
 
 def ou_probe_loop(
-    deliveries: np.ndarray,
-    stamps: np.ndarray,
+    age: np.ndarray,
+    length: np.ndarray,
+    serve: np.ndarray,
     p: ProcessParams,
     rng: np.random.Generator,
 ) -> Tuple[List[float], List[float]]:
-    """Step the true process through each stamp and delivery, in event order.
+    """Step the true process through each stamp and delivery, in event order,
+    along one process's spans: ``age`` is each span's age at its start,
+    ``length`` its length and ``serve`` the service of the sample delivered
+    at its end.
 
-    Starts from a stationary value at the first stamp and, at every later
-    delivery, compares the previous sample's decayed value with the process
+    Starts from a stationary value at the first stamp and, at every span's
+    end, compares the previous sample's decayed value with the process
     there. Returns the squared errors and the closed-form errors at the same
     ages; draws one start normal, then two normals per delivery.
     """
-    n = len(deliveries)
+    n = len(age)
     x_stamp = math.sqrt(p.stationary_variance) * rng.standard_normal()
-    z = rng.standard_normal(size=2 * n)
-    x_delivery = ou_step(x_stamp, deliveries[0] - stamps[0], p, z[0])
+    z = rng.standard_normal(size=2 * n + 2)
+    x_delivery = ou_step(x_stamp, age[0], p, z[0])
     errs, refs = [], []
-    for i in range(1, n):
-        prev_value, prev_stamp = x_stamp, float(stamps[i - 1])
-        x_stamp = ou_step(x_delivery, max(stamps[i] - deliveries[i - 1], 0.0), p, z[2 * i])
-        x_delivery = ou_step(x_stamp, deliveries[i] - stamps[i], p, z[2 * i + 1])
-        estimate = prev_value * math.exp(-p.theta * (deliveries[i] - prev_stamp))
+    for i in range(n):
+        prev_value = x_stamp
+        x_stamp = ou_step(x_delivery, max(length[i] - serve[i], 0.0), p, z[2 * i + 2])
+        x_delivery = ou_step(x_stamp, serve[i], p, z[2 * i + 3])
+        estimate = prev_value * math.exp(-p.theta * (age[i] + length[i]))
         errs.append((x_delivery - estimate) ** 2)
-        refs.append(inst_mse(deliveries[i] - prev_stamp, p))
+        refs.append(inst_mse(age[i] + length[i], p))
     return errs, refs
 
 
 def ou_probe_steps(
-    deliveries: np.ndarray,
-    stamps: np.ndarray,
+    age: np.ndarray,
+    length: np.ndarray,
+    serve: np.ndarray,
     p: ProcessParams,
     rng: np.random.Generator,
     carry: Optional[float] = None,
@@ -234,16 +239,15 @@ def ou_probe_steps(
     :func:`ouwait.sim._ou_probe`: over the previous sample's service, the idle
     gap up to the new stamp, and the new sample's service.
     """
-    serve = deliveries[1:] - stamps[1:]
     if carry is None:
         rng.standard_normal()
-        z = rng.standard_normal(size=2 * len(deliveries))
-        carry = ou_step(0.0, deliveries[0] - stamps[0], p, z[0])
+        z = rng.standard_normal(size=2 * len(age) + 2)
+        carry = ou_step(0.0, age[0], p, z[0])
         z = z[2:]
     else:
-        z = rng.standard_normal(size=2 * len(serve))
+        z = rng.standard_normal(size=2 * len(age))
     carried = np.concatenate(([carry], ou_step(0.0, serve, p, z[1::2])))
-    idle = np.maximum(stamps[1:] - deliveries[:-1], 0.0)
+    idle = np.maximum(length - serve, 0.0)
     at_stamp = ou_step(carried[:-1], idle, p, z[0::2])
     errs = ou_step(at_stamp, serve, p, z[1::2]) ** 2
-    return errs, inst_mse(deliveries[1:] - stamps[:-1], p), carried[-1]
+    return errs, inst_mse(age + length, p), carried[-1]

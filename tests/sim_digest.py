@@ -19,9 +19,10 @@ has its own, are pinned at a k past the first three. Each run is made with
 the OU probe and the trace on, and adds its ``SimStats`` repr, whose floats
 print exactly, and its trace file's bytes to the digest. Last come one run
 of each scheme at k = 2 and eps 0 of ``LONG_EPOCHS`` epochs, where every slot
-delivers, without the probe or the trace, as a run that reads no instant on
-the clock makes it: its spans are long past the clock's first rounds. The
-service rate is not 1, so that a slip in how services are scaled shows.
+delivers, with the OU probe and without the trace, as a run that reads no
+instant on the clock makes it: its spans and the probe's are long past the
+clock's first rounds. The service rate is not 1, so that a slip in how
+services are scaled shows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ LONG_EPOCHS = 2 * 10**5
 TAU = 1.3
 MU = 1.3
 SEED = 4242
-DIGEST = "2a755b3703bff6bc1059a475347f559fbcea89b2d9254c8dbf3139b6fe07b1d2"
+DIGEST = "3fe6a3287c367f116e36400b2e2ca50c52fd2cc33c4ffaf7a1111d01c94c7056"
 
 
 def grid_digest(folder: str) -> tuple[str, int]:
@@ -68,7 +69,7 @@ def grid_digest(folder: str) -> tuple[str, int]:
         ouwait.sim.CHUNK_ROUNDS = chunk
         stats = ouwait.simulate(
             cfg, ThresholdPolicy(scheme, TAU), n_epochs=n_epochs, seed=SEED + runs,
-            wait_split=(1.0 / k,) * k if split else None, track_ou=traced,
+            wait_split=(1.0 / k,) * k if split else None, track_ou=True,
             trace_path=path if traced else None,
         )
         digest.update(repr(stats).encode("ascii"))

@@ -794,6 +794,19 @@ class TestMain:
         err = one_line_error(capsys)
         assert "theta" in err and "tau_max" not in err
 
+    @pytest.mark.parametrize("scheme", ["maf", "rr"])
+    def test_search_bracket_past_half_the_float_range_is_one_line_error(self, capsys, scheme):
+        # The search ceiling, 9e307 here, is finite, but the sum of two
+        # bracket ends near it is not: a halving step gave an inf threshold,
+        # whose transform warned before the iteration failed to settle.
+        ones = ",".join(["1"] * 45)
+        args = ["--k", "45", "--mu", "1e-300", "--eps", "0.999999", "--fmax", "1e-300",
+                "--theta", ones, "--sigma-sq", ones]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--scheme", scheme] + args) == 1
+        assert "leaves the sum MSE flat" in one_line_error(capsys)
+
     def test_erasure_rate_near_one_solves_fast(self, capsys):
         # With feedback a round is Exp(1 - eps), so the binding threshold is
         # x / (1 - eps) with x + exp(-x) = 2, about 1.84140566e6 here.

@@ -484,8 +484,9 @@ class TestOuProbe:
         for j, p in enumerate(cfg.processes):
             hits = np.flatnonzero(rounds.delivered[:, j])
             d, s = rounds.ends[hits, j], rounds.stamps[hits, j]
-            errs, refs, _ = _ou_probe(d, s, p, np.random.default_rng(62 + j))
-            loop_errs, loop_refs = ou_probe_loop(d, s, p, np.random.default_rng(62 + j))
+            spans = (d - s)[:-1], np.diff(d), (d - s)[1:]
+            errs, refs, _ = _ou_probe(*spans, p, np.random.default_rng(62 + j))
+            loop_errs, loop_refs = ou_probe_loop(*spans, p, np.random.default_rng(62 + j))
             assert len(errs) == len(hits) - 1
             assert np.max(np.abs(errs - loop_errs)) <= 1e-12
             assert np.array_equal(refs, loop_refs)
@@ -497,23 +498,20 @@ class TestOuProbe:
         # the bits of three whole-array ou_step calls. Zero services and idle
         # gaps are mixed in: a zero service's innovation is a zero with its
         # normal's sign, which a step from 0.0 turns into +0.0, and each call
-        # ends on one.
+        # ends on one. Delivery i's sample is served for serve[i] after an
+        # idle gap idle[i]; span i runs from delivery i to delivery i + 1.
         rng = np.random.default_rng(seed)
         n, cut = 40, 15
         serve = rng.exponential(size=n) * (rng.random(n) < 0.7)
         idle = rng.exponential(size=n) * (rng.random(n) < 0.7)
         serve[[cut, -1]] = 0.0
-        stamps, deliveries = np.empty(n), np.empty(n)
-        t = 0.0
-        for i in range(n):
-            stamps[i] = t + idle[i]
-            deliveries[i] = t = stamps[i] + serve[i]
+        spans = serve[:-1], idle[1:] + serve[1:], serve[1:]
         for j, p in enumerate(two_process_cfg.processes):
             results = []
             for probe in (_ou_probe, ou_probe_steps):
                 draws = np.random.default_rng([seed, j])
-                errs, refs, carry = probe(deliveries[: cut + 1], stamps[: cut + 1], p, draws)
-                more = probe(deliveries[cut:], stamps[cut:], p, draws, carry)
+                errs, refs, carry = probe(*(a[:cut] for a in spans), p, draws)
+                more = probe(*(a[cut:] for a in spans), p, draws, carry)
                 results.append([errs, refs, np.array([carry]), more[0], more[1],
                                 np.array([more[2]])])
             for got, want in zip(*results):
@@ -671,32 +669,78 @@ class TestStreaming:
 
     @pytest.mark.parametrize("scheme, eps, split, probe",
                              [(MAF, 0.3, None, False), (MAF, 0.0, (0.25, 0.75), True),
-                              (RR, 0.0, None, True)], ids=["maf", "maf-0-split", "rr-0"])
+                              (RR, 0.0, None, True), (RR, 0.3, None, False),
+                              (RR, 0.3, (0.25, 0.75), True)],
+                             ids=["maf", "maf-0-split", "rr-0", "rr", "rr-split"])
     def test_span_age_is_the_delivered_service(self, two_process_cfg, monkeypatch, scheme, eps,
                                                split, probe):
-        # Where every slot delivers, each span integrates the error from the
-        # age at its first delivery, which is the delivered sample's own
-        # service, bit for bit, with the clock summed (for the probe) or not:
-        # the age is not the difference of the delivery and stamp instants.
+        # Each span integrates the error from the age at its first delivery,
+        # which is the delivered sample's own service, bit for bit, and the
+        # probe takes as each span's last step the service delivered at its
+        # end, with the clock summed (rr at eps > 0) or not: no age is the
+        # difference of a delivery and a stamp instant. A window folds its
+        # processes' rows in order, from its first column.
         monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)
-        kernel, engine, ages, services = sim.ou._error_integral, sim._rounds, [], []
+        kernel, ou_probe, fold, engine = (sim.ou._error_integral, sim._ou_probe,
+                                          sim._Window._fold, sim._rounds)
+        ages, serves, chunks, current = ([], []), ([], []), [], []
+
+        def folding(window, table, serve):
+            current[:] = [window.cols.start, window.cols.start]
+            return fold(window, table, serve)
 
         def integrating(age0, *args):
-            ages.append(age0.copy())
+            for i, row in enumerate(age0):
+                ages[current[0] + i].append(row.copy())
             return kernel(age0, *args)
+
+        def probing(age, length, serve, *args):
+            serves[current[1]].append(serve.copy())
+            current[1] += 1
+            return ou_probe(age, length, serve, *args)
 
         def recording(*args):
             for rounds in engine(*args):
-                services.append(rounds.last.copy())
+                chunks.append((rounds.last.copy(), np.array(rounds.delivered)))
                 yield rounds
 
+        monkeypatch.setattr(sim._Window, "_fold", folding)
         monkeypatch.setattr(sim.ou, "_error_integral", integrating)
+        monkeypatch.setattr(sim, "_ou_probe", probing)
         monkeypatch.setattr(sim, "_rounds", recording)
         simulate(replace(two_process_cfg, eps=eps), ThresholdPolicy(scheme, 1.3), n_epochs=2000,
                  seed=97, burn_in=100, wait_split=split, track_ou=probe)
-        age = np.concatenate(ages, axis=1)
-        assert len(ages) > 3 and age.shape == (2, 2000 - 100 - 1)
-        assert age.tobytes() == np.concatenate(services)[100:1999].T.tobytes()
+        last, delivered = (np.concatenate(a) for a in zip(*chunks))
+        for j in range(2):
+            # The services of process j's deliveries 0 .. 1999 in the run.
+            service = last[np.flatnonzero(delivered[:, j]), j][:2000]
+            age = np.concatenate(ages[j])
+            assert len(ages[j]) > 3 and age.shape == (2000 - 100 - 1,)
+            assert age.tobytes() == service[100:1999].tobytes()
+            assert len(serves[j]) == (len(ages[j]) if probe else 0)
+            if probe:
+                assert np.concatenate(serves[j]).tobytes() == service[101:2000].tobytes()
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("scheme, eps", [(MAF, 0.3), (RR, 0.0), (RR, 0.3)],
+                             ids=["maf", "rr-0", "rr"])
+    def test_clock_only_for_consumers_of_instants(self, two_process_cfg, tmp_path, monkeypatch,
+                                                  scheme, eps, traced):
+        # The engine sums the clock only for the consumers that read instants
+        # on it: the windows of single processes, which rr at eps > 0 has,
+        # and the trace. The OU probe reads the windows' span tables, so a
+        # probed run without a trace where every slot delivers sums none.
+        engine, asked = sim._rounds, []
+
+        def recording(*args):
+            asked.append(args[-1])
+            return engine(*args)
+
+        monkeypatch.setattr(sim, "_rounds", recording)
+        trace = os.fspath(tmp_path / "t.tsv") if traced else None
+        simulate(replace(two_process_cfg, eps=eps), ThresholdPolicy(scheme, 1.3), n_epochs=500,
+                 seed=98, burn_in=50, track_ou=True, trace_path=trace)
+        assert asked == [traced or (scheme is RR and eps > 0.0)]
 
     @pytest.mark.parametrize("scheme", [MAF, RR], ids=["maf", "rr"])
     @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -737,7 +781,7 @@ class TestStreaming:
         # latest delivery, the open epoch's waits and services), so that no
         # two chunks are alive at once: by the time the next chunk is drawn,
         # no array of an earlier one (its slots' ends in round time, last
-        # services and, with the probe, round starts among them), nor any
+        # services and, for rr or the trace, round starts among them), nor any
         # array it is a view of, is left. Freed by reference count, with no
         # collection.
         monkeypatch.setattr(sim, "CHUNK_ROUNDS", 300)

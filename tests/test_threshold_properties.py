@@ -180,3 +180,18 @@ def test_inversion_from_a_lower_bracket_end(case, frac):
         assert lo <= x <= hi and f(down)[0] <= target <= f(up)[0]
     halvings = math.ceil(math.log2(hi / tol)) + 2
     assert len(calls) <= 2 * halvings
+
+
+def test_halving_steps_past_half_the_float_range_stay_finite():
+    # With no slope every step halves the bracket. Above half the float
+    # range the bracket's ends sum past it, so the midpoint is taken as the
+    # sum of their halves.
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return x - 1.5e308, 0.0
+
+    x = _newton(flat, 0.0, 1.7e308, 1e293, lo=1.0e308)
+    assert all(math.isfinite(t) for t in calls)
+    assert abs(x - 1.5e308) <= 1e293
